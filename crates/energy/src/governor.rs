@@ -29,6 +29,8 @@
 //! `simx::Invariant::RejoinMonotonicity` check every recorded transition.
 
 use core::fmt;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use dvfs_trace::{Freq, FreqLadder};
 
@@ -369,6 +371,83 @@ pub struct Allocation {
     pub floor_w: f64,
 }
 
+/// A ladder's operating points with the full-activity power estimate of
+/// each, for one core count. A fleet has a handful of distinct
+/// `(ladder, cores)` pairs, so one table serves many machines.
+#[derive(Debug)]
+struct PowerTable {
+    freqs: Vec<Freq>,
+    power_w: Vec<f64>,
+}
+
+impl PowerTable {
+    fn new(model: &PowerModel, ladder: &FreqLadder, cores: usize) -> Self {
+        let activity = vec![1.0; cores];
+        let freqs: Vec<Freq> = ladder.iter().collect();
+        let power_w = freqs
+            .iter()
+            .map(|&f| model.power(f, &activity).total())
+            .collect();
+        PowerTable { freqs, power_w }
+    }
+}
+
+/// The power tables of one allocation call plus each view's table index.
+#[derive(Debug)]
+struct PowerTables {
+    tables: Vec<PowerTable>,
+    of_view: Vec<usize>,
+}
+
+impl PowerTables {
+    fn new(model: &PowerModel, views: &[MachineView<'_>]) -> Self {
+        let mut index: BTreeMap<(u32, u32, u32, usize), usize> = BTreeMap::new();
+        let mut tables = Vec::new();
+        let of_view = views
+            .iter()
+            .map(|v| {
+                let cores = v.cores.max(1);
+                let key = (
+                    v.ladder.min().mhz(),
+                    v.ladder.max().mhz(),
+                    v.ladder.step_mhz(),
+                    cores,
+                );
+                *index.entry(key).or_insert_with(|| {
+                    tables.push(PowerTable::new(model, v.ladder, cores));
+                    tables.len() - 1
+                })
+            })
+            .collect();
+        PowerTables { tables, of_view }
+    }
+
+    fn of(&self, view: usize) -> &PowerTable {
+        &self.tables[self.of_view[view]]
+    }
+}
+
+/// A machine waiting for its next notch, as one integer heap key: its
+/// service time in the high half, ordered like [`f64::total_cmp`], over
+/// its complemented tie-break rank. The max-heap therefore pops the worst
+/// latency first and, among equal latencies, the lowest rank.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Candidate(u128);
+
+impl Candidate {
+    fn new(latency: f64, rank: usize) -> Self {
+        // Flipping every bit of a negative and the sign bit of a positive
+        // makes unsigned order the IEEE total order.
+        let bits = latency.to_bits();
+        let ordered = if bits >> 63 == 1 { !bits } else { bits | 1 << 63 };
+        Candidate(u128::from(ordered) << 64 | u128::from(!(rank as u64)))
+    }
+
+    fn rank(self) -> usize {
+        !(self.0 as u64) as usize
+    }
+}
+
 /// The central DVFS governor: greedy latency-levelling allocation under a
 /// global power budget.
 #[derive(Debug, Clone, Copy)]
@@ -392,11 +471,79 @@ impl CentralGovernor {
     ///
     /// Greedy water-filling: every machine starts at its ladder minimum;
     /// each step raises the machine with the worst predicted service time
-    /// (ties broken by lower id) one ladder notch, if the power estimate
-    /// still fits; machines whose next notch does not fit are frozen.
-    /// Deterministic — no randomness, order fixed by (latency, id).
+    /// (ties broken by lower [`MachineView::id`]) one ladder notch, if the
+    /// power estimate still fits; a machine whose next notch does not fit
+    /// is frozen. Deterministic — no randomness, order fixed by
+    /// (latency, id).
+    ///
+    /// The candidates live in a max-heap, so a call costs
+    /// O(notches · log |views|) rather than a rescan of every view per
+    /// notch. Power estimates come from one table per distinct
+    /// `(ladder, cores)` pair, built once per call.
     #[must_use]
     pub fn allocate(&self, model: &PowerModel, views: &[MachineView<'_>], fleet_machines: usize) -> Allocation {
+        let fleet = fleet_machines.max(views.len()).max(1);
+        let available_w = self.budget_w * views.len() as f64 / fleet as f64;
+
+        let tables = PowerTables::new(model, views);
+        let mut idx: Vec<usize> = vec![0; views.len()];
+        let mut power_w: f64 = (0..views.len()).map(|i| tables.of(i).power_w[0]).sum();
+        let floor_w = power_w;
+
+        // Ties go to the lower id, then the earlier position: rank the
+        // views in that order once (a stable sort, linear on the fleet's
+        // already id-ordered slices) so the heap key is a single integer.
+        let mut by_rank: Vec<usize> = (0..views.len()).collect();
+        by_rank.sort_by_key(|&i| views[i].id);
+
+        // Machines with headroom. A machine whose next notch does not fit
+        // leaves the heap (frozen), as does one reaching its ladder top.
+        let mut heap: BinaryHeap<Candidate> = by_rank
+            .iter()
+            .enumerate()
+            .filter(|&(_, &i)| tables.of(i).freqs.len() > 1)
+            .map(|(rank, &i)| Candidate::new(views[i].service_time(tables.of(i).freqs[0]), rank))
+            .collect();
+        while let Some(mut top) = heap.peek_mut() {
+            let rank = top.rank();
+            let i = by_rank[rank];
+            let table = tables.of(i);
+            let delta = table.power_w[idx[i] + 1] - table.power_w[idx[i]];
+            if power_w + delta <= available_w {
+                idx[i] += 1;
+                power_w += delta;
+                if idx[i] + 1 < table.freqs.len() {
+                    // Re-keyed in place: dropping `top` sifts it down.
+                    *top = Candidate::new(views[i].service_time(table.freqs[idx[i]]), rank);
+                    continue;
+                }
+            }
+            PeekMut::pop(top);
+        }
+
+        Allocation {
+            freqs: idx
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| tables.of(i).freqs[k])
+                .collect(),
+            power_w,
+            available_w,
+            floor_w,
+        }
+    }
+
+    /// The pre-heap allocator, kept as the reference the heap must match
+    /// bit for bit: each step rescans every view for the worst-latency
+    /// machine with headroom (ties to the lower id, then the earlier
+    /// position) and recomputes both power estimates from the model.
+    #[cfg(test)]
+    fn allocate_scan(
+        &self,
+        model: &PowerModel,
+        views: &[MachineView<'_>],
+        fleet_machines: usize,
+    ) -> Allocation {
         let fleet = fleet_machines.max(views.len()).max(1);
         let available_w = self.budget_w * views.len() as f64 / fleet as f64;
 
@@ -415,7 +562,7 @@ impl CentralGovernor {
 
         loop {
             // The worst-latency machine that still has headroom.
-            let mut pick: Option<(f64, usize)> = None;
+            let mut pick: Option<(f64, usize, usize)> = None;
             for (i, view) in views.iter().enumerate() {
                 if frozen[i] || idx[i] + 1 >= ladders[i].len() {
                     continue;
@@ -423,14 +570,15 @@ impl CentralGovernor {
                 let lat = view.service_time(ladders[i][idx[i]]);
                 let better = match pick {
                     None => true,
-                    Some((best, _)) => lat > best,
+                    Some((best, best_id, _)) => lat > best || (lat == best && view.id < best_id),
                 };
                 if better {
-                    pick = Some((lat, i));
+                    pick = Some((lat, view.id, i));
                 }
             }
-            let Some((_, i)) = pick else { break };
-            let delta = power_of(&views[i], ladders[i][idx[i] + 1]) - power_of(&views[i], ladders[i][idx[i]]);
+            let Some((_, _, i)) = pick else { break };
+            let delta = power_of(&views[i], ladders[i][idx[i] + 1])
+                - power_of(&views[i], ladders[i][idx[i]]);
             if power_w + delta <= available_w {
                 idx[i] += 1;
                 power_w += delta;
@@ -879,6 +1027,152 @@ mod tests {
         assert!((alone.available_w - 400.0).abs() < 1e-9);
         assert!((shared.available_w - 100.0).abs() < 1e-9);
         assert!(shared.freqs[0] <= alone.freqs[0]);
+    }
+
+    #[test]
+    fn latency_ties_go_to_the_lower_id_whatever_the_view_order() {
+        let model = PowerModel::haswell_22nm();
+        let l = ladder();
+        // Identical machines tie on every notch; the budget raises only
+        // some of them, so the tie-break decides who.
+        let views: Vec<MachineView<'_>> = (0..6)
+            .map(|id| MachineView {
+                id: 10 + id,
+                ladder: &l,
+                scaling_s: 1.0,
+                fixed_s: 0.1,
+                cores: 4,
+            })
+            .collect();
+        let gov = CentralGovernor::new(6.0 * 30.0);
+        let forward = gov.allocate(&model, &views, 6);
+        let reversed: Vec<MachineView<'_>> = views.iter().rev().copied().collect();
+        let backward = gov.allocate(&model, &reversed, 6);
+        let by_id = |views: &[MachineView<'_>], alloc: &Allocation| {
+            let mut pairs: Vec<(usize, Freq)> = views
+                .iter()
+                .map(|v| v.id)
+                .zip(alloc.freqs.iter().copied())
+                .collect();
+            pairs.sort_unstable();
+            pairs
+        };
+        let forward_by_id = by_id(&views, &forward);
+        assert_eq!(forward_by_id, by_id(&reversed, &backward));
+        assert!(
+            forward.freqs.windows(2).any(|w| w[0] != w[1]),
+            "the budget must split the tied machines for the test to bite"
+        );
+        assert!(
+            forward.freqs.windows(2).all(|w| w[0] >= w[1]),
+            "lower ids win the ties"
+        );
+        assert_eq!(forward.power_w.to_bits(), backward.power_w.to_bits());
+    }
+
+    #[test]
+    fn candidate_keys_order_like_total_cmp() {
+        let values = [
+            f64::NEG_INFINITY,
+            -2.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1e-300,
+            0.3,
+            2.5,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(
+                    Candidate::new(a, 7).cmp(&Candidate::new(b, 7)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
+            // Equal latencies: the lower rank wins the max-heap.
+            assert!(Candidate::new(a, 3) > Candidate::new(a, 4));
+            assert_eq!(Candidate::new(a, 5).rank(), 5);
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The fleet's three V/f ladder shapes plus a single-rung one.
+        fn shapes() -> [FreqLadder; 4] {
+            [
+                FreqLadder::paper_default(),
+                FreqLadder::new(Freq::from_ghz(1.0), Freq::from_ghz(3.5), 250).expect("ladder"),
+                FreqLadder::new(Freq::from_mhz(1250), Freq::from_mhz(3750), 125).expect("ladder"),
+                FreqLadder::new(Freq::from_mhz(2000), Freq::from_mhz(2000), 125).expect("ladder"),
+            ]
+        }
+
+        proptest! {
+            /// The heap allocator returns the reference scan's allocation
+            /// bit for bit: same frequencies, same power, floor and
+            /// slice. Machines draw their latency terms from a small
+            /// pool half the time, so exact ties (same ladder, same
+            /// terms, same notch) are common; ids come ascending,
+            /// descending or duplicated; budgets sweep from zero to
+            /// everyone at max.
+            #[test]
+            fn heap_allocator_matches_the_reference_scan(
+                machines in proptest::collection::vec(
+                    (0usize..4, 0usize..8, 0.01f64..2.0, 0.001f64..0.5),
+                    0..301,
+                ),
+                cores in 1usize..=8,
+                budget in (0u8..4, 0.0f64..=1.0),
+                unreachable in 0usize..4,
+                ids in 0u8..3,
+            ) {
+                let ladders = shapes();
+                let pool = [(0.8, 0.2), (1.0, 0.1), (0.5, 0.05), (1.2, 0.3)];
+                let n = machines.len();
+                let views: Vec<MachineView<'_>> = machines
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(shape, tie, scaling_s, fixed_s))| {
+                        let (scaling_s, fixed_s) = pool.get(tie).copied().unwrap_or((scaling_s, fixed_s));
+                        // Ascending ids as the fleet passes them, descending,
+                        // or duplicated in pairs (ties fall back to position).
+                        let id = match ids {
+                            0 => i,
+                            1 => n - 1 - i,
+                            _ => i / 2,
+                        };
+                        MachineView { id, ladder: &ladders[shape], scaling_s, fixed_s, cores }
+                    })
+                    .collect();
+                let model = PowerModel::haswell_22nm();
+                let fleet = views.len() + unreachable;
+                let full = vec![1.0; cores];
+                let floor_w: f64 = views.iter().map(|v| model.power(v.ladder.min(), &full).total()).sum();
+                let max_w: f64 = views.iter().map(|v| model.power(v.ladder.max(), &full).total()).sum();
+                // Slice watts: zero, the floor, everyone at max, or a
+                // fraction of the way from the floor to the max.
+                let (kind, frac) = budget;
+                let slice_w = match kind {
+                    0 => 0.0,
+                    1 => floor_w,
+                    2 => max_w,
+                    _ => floor_w + frac * (max_w - floor_w),
+                };
+                let gov = CentralGovernor::new(slice_w * fleet.max(1) as f64 / views.len().max(1) as f64);
+                let heap = gov.allocate(&model, &views, fleet);
+                let scan = gov.allocate_scan(&model, &views, fleet);
+                prop_assert_eq!(&heap.freqs, &scan.freqs);
+                prop_assert_eq!(heap.power_w.to_bits(), scan.power_w.to_bits());
+                prop_assert_eq!(heap.floor_w.to_bits(), scan.floor_w.to_bits());
+                prop_assert_eq!(heap.available_w.to_bits(), scan.available_w.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! [rounds] [scale] [seed] [--shards N] [--chaos I] [--chaos-seed S]
 //! [--policy oracle|depburst|naive] [--budget W] [--slo F] [--bench NAME]
 //! [--regions N] [--hierarchy on|off] [--thermal on|off] [--brownout I]
-//! [--region-crash I] [--sensor-stuck I] [--jobs N] ...`
+//! [--region-crash I] [--sensor-stuck I] [--out PATH] [--jobs N] ...`
 //!
 //! `--chaos I` sets every *legacy* chaos class (machine crash/restart,
 //! telemetry dropout, stale harvest, governor partition, slow links) to
@@ -21,7 +21,8 @@
 //! produce byte-identical output. Crashed rounds are partial **by
 //! design** — machines shed traffic and report it — so chaos alone never
 //! makes the process exit nonzero. `--sampling on` is rejected: the
-//! fleet characterizes from full runs only.
+//! fleet characterizes from full runs only. The JSON report goes to
+//! `--out PATH`, by default `results/fleet.json`.
 
 use std::process::ExitCode;
 
@@ -45,6 +46,7 @@ fn main() -> ExitCode {
         "--brownout",
         "--region-crash",
         "--sensor-stuck",
+        "--out",
     ];
     cli::main_with_flags("fleet", &extra, |ctx, args| {
         // The fleet's round loop is its own reduced-order model over
@@ -72,6 +74,7 @@ fn main() -> ExitCode {
         let (brownout, args) = cli::split_flag(&args, "--brownout")?;
         let (region_crash, args) = cli::split_flag(&args, "--region-crash")?;
         let (sensor_stuck, args) = cli::split_flag(&args, "--sensor-stuck")?;
+        let (out, args) = cli::split_flag(&args, "--out")?;
 
         let machines: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(8);
         let rounds: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(120);
@@ -166,11 +169,11 @@ fn main() -> ExitCode {
         );
         let outcome = fleet::run_with(ctx, &config)?;
         print!("{}", fleet::render(&outcome.report));
-        std::fs::create_dir_all("results")?;
         let json = serde_json::to_string_pretty(&outcome.report)?;
-        std::fs::write("results/fleet.json", &json)?;
+        let path = cli::write_report(out, "results/fleet.json", &json)?;
         eprintln!(
-            "wrote results/fleet.json ({} machines)",
+            "wrote {} ({} machines)",
+            path.display(),
             outcome.report.machines.len()
         );
         Ok(())

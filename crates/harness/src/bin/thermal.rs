@@ -4,10 +4,11 @@
 //!
 //! Usage: `cargo run --release -p harness --bin thermal -- [machines]
 //! [rounds] [scale] [seed] [--shards N] [--regions N] [--brownout I]
-//! [--region-crash I] [--sensor-stuck I] [--jobs N] ...`
+//! [--region-crash I] [--sensor-stuck I] [--out PATH] [--jobs N] ...`
 //!
 //! Deterministic for a fixed flag set: any `--jobs` count and any cache
-//! temperature produce byte-identical `results/thermal.json`.
+//! temperature produce a byte-identical JSON report, written to
+//! `--out PATH` (default `results/thermal.json`).
 //! `--sampling on` is rejected like the fleet's: characterization uses
 //! full two-point runs only.
 
@@ -23,6 +24,7 @@ fn main() -> ExitCode {
         "--brownout",
         "--region-crash",
         "--sensor-stuck",
+        "--out",
     ];
     cli::main_with_flags("thermal", &extra, |ctx, args| {
         if ctx.sampling.is_some() {
@@ -39,6 +41,7 @@ fn main() -> ExitCode {
         let (brownout, args) = cli::split_flag(&args, "--brownout")?;
         let (region_crash, args) = cli::split_flag(&args, "--region-crash")?;
         let (sensor_stuck, args) = cli::split_flag(&args, "--sensor-stuck")?;
+        let (out, args) = cli::split_flag(&args, "--out")?;
 
         let machines: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(12);
         let rounds: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(160);
@@ -90,10 +93,13 @@ fn main() -> ExitCode {
         );
         let report = thermal::run_with(ctx, &exp)?;
         print!("{}", thermal::render(&report));
-        std::fs::create_dir_all("results")?;
         let json = serde_json::to_string_pretty(&report)?;
-        std::fs::write("results/thermal.json", &json)?;
-        eprintln!("wrote results/thermal.json ({} scenarios)", report.scenarios.len());
+        let path = cli::write_report(out, "results/thermal.json", &json)?;
+        eprintln!(
+            "wrote {} ({} scenarios)",
+            path.display(),
+            report.scenarios.len()
+        );
         Ok(())
     })
 }

@@ -36,6 +36,7 @@
 //! ultimately failed (a failure report was written to
 //! `results/<exp>_failures.json` and summarized on stderr). No panics.
 
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use crate::checkpoint::Journal;
@@ -145,6 +146,21 @@ pub fn sabotage_from_env() -> Result<Option<simx::Invariant>, String> {
             )),
         },
     }
+}
+
+/// Writes a binary's JSON report to `out` (its `--out PATH` value) or,
+/// without one, to `default`, creating the parent directory. Returns the
+/// path written.
+///
+/// # Errors
+/// Directory creation or the write itself failing.
+pub fn write_report(out: Option<String>, default: &str, json: &str) -> std::io::Result<PathBuf> {
+    let path = PathBuf::from(out.unwrap_or_else(|| default.to_owned()));
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir)?;
+    }
+    std::fs::write(&path, json)?;
+    Ok(path)
 }
 
 fn parse_jobs(v: &str) -> Result<usize, String> {

@@ -823,6 +823,210 @@ fn build_states(
         .collect()
 }
 
+/// Can machine `m` reach its central allocator in `round`? Flat topology
+/// has no aggregator tier — every machine talks to the root, so a root
+/// outage orphans the *whole fleet at once*. The hierarchy answers from
+/// the machine's own region aggregator: a root outage merely freezes
+/// cross-region rebalancing, and an aggregator outage orphans one
+/// region, never the fleet.
+fn governor_unreachable(
+    config: &FleetConfig,
+    schedule: &ChaosSchedule,
+    round: usize,
+    m: usize,
+) -> bool {
+    if config.hierarchy {
+        schedule.aggregator_down(round, schedule.region_of(m))
+    } else {
+        schedule.root_down(round)
+    }
+}
+
+/// Load-weighted demand view: queued machines look slower, so the
+/// latency-levelling allocator feeds them first.
+fn demand_view(s: &MachineState, backlog: f64) -> MachineView<'_> {
+    MachineView {
+        id: s.id,
+        ladder: &s.ladder,
+        scaling_s: s.scaling_s * (1.0 + backlog / s.cap_max),
+        fixed_s: s.fixed_s,
+        cores: s.cores,
+    }
+}
+
+/// The round loop's central-allocation stage: turns the governor's view
+/// of the fleet into this round's per-machine frequency assignments.
+/// Owns the hierarchy root, whose shares persist across rounds.
+struct CentralStage<'a> {
+    config: &'a FleetConfig,
+    schedule: &'a ChaosSchedule,
+    model: &'a PowerModel,
+    machines: usize,
+    /// Machines per region: a region's pro-rata denominator.
+    region_size: Vec<usize>,
+    hier: HierarchicalGovernor,
+}
+
+impl<'a> CentralStage<'a> {
+    fn new(
+        config: &'a FleetConfig,
+        schedule: &'a ChaosSchedule,
+        model: &'a PowerModel,
+        machines: usize,
+    ) -> Self {
+        let regions = schedule.regions();
+        let mut region_size = vec![0usize; regions];
+        for m in 0..machines {
+            region_size[schedule.region_of(m)] += 1;
+        }
+        CentralStage {
+            config,
+            schedule,
+            model,
+            machines,
+            region_size,
+            hier: HierarchicalGovernor::new(regions),
+        }
+    }
+
+    /// This round's central assignments, indexed by machine id (`None`:
+    /// no fresh assignment). `eff_w` is the effective (browned-out)
+    /// budget every allocator sees.
+    ///
+    /// # Errors
+    /// A hierarchy or power-budget conservation violation.
+    fn assign(
+        &mut self,
+        round: usize,
+        eff_w: f64,
+        shards: &[Vec<MachineState>],
+        known: &[Known],
+    ) -> depburst_core::Result<Vec<Option<Freq>>> {
+        let config = self.config;
+        let schedule = self.schedule;
+        let mut assigned: Vec<Option<Freq>> = vec![None; self.machines];
+        if config.policy == GovernorPolicy::NaiveStatic {
+            // No budget awareness: central says "maximum" to every
+            // reachable machine.
+            for s in shards.iter().flatten() {
+                assigned[s.id] = Some(s.ladder.max());
+            }
+            return Ok(assigned);
+        }
+
+        // Candidates: machines the governor believes are under central
+        // control and can reach right now. The oracle reads true state;
+        // DepBurst trusts its (possibly stale, lossy, delayed) telemetry.
+        // One pass buckets them by allocation slice — a region under the
+        // hierarchy, the whole fleet otherwise — in ascending id order.
+        let regions = schedule.regions();
+        let mut slices: Vec<Vec<(&MachineState, f64)>> =
+            vec![Vec::new(); if config.hierarchy { regions } else { 1 }];
+        for s in shards.iter().flatten() {
+            let chaos = schedule.state(round, s.id);
+            if chaos.crashed
+                || chaos.partitioned
+                || governor_unreachable(config, schedule, round, s.id)
+            {
+                continue;
+            }
+            let (mode, backlog) = match config.policy {
+                GovernorPolicy::Oracle => (s.ladder_state.mode(), s.backlog),
+                _ => (known[s.id].mode, known[s.id].backlog),
+            };
+            if mode == GovernorMode::Central {
+                slices[if config.hierarchy { s.region } else { 0 }].push((s, backlog));
+            }
+        }
+
+        // Each slice's budget and pro-rata denominator.
+        let budgets: Vec<(f64, usize)> = if config.hierarchy {
+            // Root tier: damped, dead-banded share rebalance toward
+            // per-region demand; frozen while the root itself is down
+            // (the regions run autonomously).
+            let mut demand = vec![0.0f64; regions];
+            for (r, slice) in slices.iter().enumerate() {
+                for (s, backlog) in slice {
+                    demand[r] += 1.0 + backlog / s.cap_max;
+                }
+            }
+            // Orphaned regions (aggregator down) report silence, not zero
+            // demand: freeze their shares so the outage cannot cascade
+            // into sibling windfalls and a starved rejoin.
+            let orphaned: Vec<bool> = (0..regions)
+                .map(|r| schedule.aggregator_down(round, r))
+                .collect();
+            self.hier
+                .rebalance_masked(&demand, &orphaned, schedule.root_down(round));
+            let mut region_w: Vec<f64> = (0..regions)
+                .map(|r| self.hier.region_budget(r, eff_w))
+                .collect();
+            if config.sabotage == Some(Invariant::HierarchyBudgetConservation) {
+                region_w[0] *= 1.10;
+            }
+            let total: f64 = region_w.iter().sum();
+            if total > eff_w * (1.0 + 1e-9) + 1e-9 {
+                return Err(violation(
+                    Invariant::HierarchyBudgetConservation,
+                    round,
+                    format!("region budgets sum to {total:.2} W over an effective {eff_w:.2} W"),
+                ));
+            }
+            region_w
+                .into_iter()
+                .zip(self.region_size.iter().copied())
+                .collect()
+        } else {
+            vec![(eff_w, self.machines)]
+        };
+
+        for (slice, (budget, fleet)) in slices.iter().zip(budgets) {
+            if slice.is_empty() {
+                continue;
+            }
+            // Thermal-aware derating: the allocator plans in raw
+            // electrical watts, but hot silicon draws `leak × planned`
+            // from the feed. A governor that ignores this allocates
+            // "within budget" and still overshoots — and the breaker then
+            // punishes machines that obeyed every order. Divide each
+            // slice's budget by its members' mean reported leak factor so
+            // the *effective* draw is what fits the slice.
+            let leak = if config.thermal.enabled {
+                let sum: f64 = slice.iter().map(|(s, _)| s.thermal.leak_factor()).sum();
+                (sum / slice.len() as f64).max(1.0)
+            } else {
+                1.0
+            };
+            let views: Vec<MachineView<'_>> = slice
+                .iter()
+                .map(|&(s, backlog)| demand_view(s, backlog))
+                .collect();
+            let alloc = CentralGovernor::new(budget / leak).allocate(self.model, &views, fleet);
+            for ((s, _), freq) in slice.iter().zip(&alloc.freqs) {
+                assigned[s.id] = Some(*freq);
+            }
+            // The water-filling cannot descend below the ladder minimum,
+            // so a browned-out or starved-share slice smaller than the
+            // mandatory floor is not a violation; only allocating *above*
+            // both the slice and the floor means the governor spent
+            // budget it did not have.
+            let bound = alloc.available_w.max(alloc.floor_w);
+            if alloc.power_w > bound * (1.0 + 1e-9) + 1e-9 {
+                return Err(violation(
+                    Invariant::PowerBudgetConservation,
+                    round,
+                    format!(
+                        "central allocation estimates {:.1} W over a {:.1} W slice \
+                         (floor {:.1} W)",
+                        alloc.power_w, alloc.available_w, alloc.floor_w
+                    ),
+                ));
+            }
+        }
+        Ok(assigned)
+    }
+}
+
 /// Runs the round loop over prepared shard states and assembles the
 /// report. The heart of the fleet — shared by the simulator-backed
 /// [`run_with`] and the fuzzer's [`run_synthetic`].
@@ -837,14 +1041,9 @@ fn run_rounds(
     let schedule =
         ChaosSchedule::generate_with_regions(&config.chaos, machines, config.rounds, config.regions);
     let regions = schedule.regions();
-    let region_size: Vec<usize> = (0..regions)
-        .map(|r| (0..machines).filter(|&m| schedule.region_of(m) == r).count())
-        .collect();
-
-    let mut hier = HierarchicalGovernor::new(regions);
+    let mut central = CentralStage::new(config, &schedule, &model, machines);
     let mut breaker = OvershootBreaker::new(machines, config.breaker);
     let breaker_on = config.thermal.enabled;
-    let sabotage_hierarchy = config.sabotage == Some(Invariant::HierarchyBudgetConservation);
 
     // The governor's delayed-telemetry ingest (DepBurst policy): what it
     // currently believes, and the in-flight datagrams.
@@ -874,173 +1073,9 @@ fn run_rounds(
         // The effective (browned-out) budget every allocator sees.
         let eff_w = config.budget_w * f64::from(schedule.budget_milli(round)) / 1000.0;
         eff_budget_sum += eff_w;
-        let root_down = schedule.root_down(round);
-
-        // Can machine m reach its central allocator this round? Flat
-        // topology has no aggregator tier — every machine talks to the
-        // root, so a root outage orphans the *whole fleet at once*. The
-        // hierarchy answers from the machine's own region aggregator: a
-        // root outage merely freezes cross-region rebalancing, and an
-        // aggregator outage orphans one region, never the fleet.
-        let unreachable = |m: usize| {
-            if config.hierarchy {
-                schedule.aggregator_down(round, schedule.region_of(m))
-            } else {
-                root_down
-            }
-        };
 
         // Central allocation for this round's batch.
-        let mut assigned: Vec<Option<Freq>> = vec![None; machines];
-        match config.policy {
-            GovernorPolicy::NaiveStatic => {
-                // No budget awareness: central says "maximum" to every
-                // reachable machine.
-                for states in &shards {
-                    for s in states {
-                        assigned[s.id] = Some(s.ladder.max());
-                    }
-                }
-            }
-            GovernorPolicy::Oracle | GovernorPolicy::DepBurst => {
-                // Candidates: machines the governor believes are under
-                // central control and can reach right now. The oracle
-                // reads true state; DepBurst trusts its (possibly stale,
-                // lossy, delayed) telemetry.
-                let mut cands: Vec<(&MachineState, f64)> = Vec::new();
-                for states in &shards {
-                    for s in states {
-                        let chaos = schedule.state(round, s.id);
-                        if chaos.crashed || chaos.partitioned || unreachable(s.id) {
-                            continue;
-                        }
-                        let (mode, backlog) = match config.policy {
-                            GovernorPolicy::Oracle => (s.ladder_state.mode(), s.backlog),
-                            _ => (known[s.id].mode, known[s.id].backlog),
-                        };
-                        if mode == GovernorMode::Central {
-                            cands.push((s, backlog));
-                        }
-                    }
-                }
-                // Load-weighted demand views: queued machines look
-                // slower, so the latency-levelling allocator feeds them
-                // first.
-                fn view_of<'a>(s: &'a MachineState, backlog: f64) -> MachineView<'a> {
-                    MachineView {
-                        id: s.id,
-                        ladder: &s.ladder,
-                        scaling_s: s.scaling_s * (1.0 + backlog / s.cap_max),
-                        fixed_s: s.fixed_s,
-                        cores: s.cores,
-                    }
-                }
-                // Thermal-aware derating: the allocator plans in raw
-                // electrical watts, but hot silicon draws `leak ×
-                // planned` from the feed. A governor that ignores this
-                // allocates "within budget" and still overshoots —
-                // and the breaker then punishes machines that obeyed
-                // every order. Divide each slice's budget by its
-                // members' mean reported leak factor so the *effective*
-                // draw is what fits the slice.
-                let leak_of = |pred: &dyn Fn(&MachineState) -> bool| -> f64 {
-                    if !config.thermal.enabled {
-                        return 1.0;
-                    }
-                    let (mut sum, mut n) = (0.0f64, 0u32);
-                    for (s, _) in &cands {
-                        if pred(s) {
-                            sum += s.thermal.leak_factor();
-                            n += 1;
-                        }
-                    }
-                    if n == 0 { 1.0 } else { (sum / f64::from(n)).max(1.0) }
-                };
-                let mut slices: Vec<(Vec<usize>, Vec<MachineView<'_>>, f64, usize)> = Vec::new();
-                if config.hierarchy {
-                    // Root tier: damped, dead-banded share rebalance
-                    // toward per-region demand; frozen while the root
-                    // itself is down (the regions run autonomously).
-                    let mut demand = vec![0.0f64; regions];
-                    for (s, backlog) in &cands {
-                        demand[s.region] += 1.0 + backlog / s.cap_max;
-                    }
-                    // Orphaned regions (aggregator down) report silence,
-                    // not zero demand: freeze their shares so the outage
-                    // cannot cascade into sibling windfalls and a starved
-                    // rejoin.
-                    let orphaned: Vec<bool> = (0..regions)
-                        .map(|r| schedule.aggregator_down(round, r))
-                        .collect();
-                    hier.rebalance_masked(&demand, &orphaned, root_down);
-                    let mut region_w: Vec<f64> =
-                        (0..regions).map(|r| hier.region_budget(r, eff_w)).collect();
-                    if sabotage_hierarchy {
-                        region_w[0] *= 1.10;
-                    }
-                    let total: f64 = region_w.iter().sum();
-                    if total > eff_w * (1.0 + 1e-9) + 1e-9 {
-                        return Err(violation(
-                            Invariant::HierarchyBudgetConservation,
-                            round,
-                            format!(
-                                "region budgets sum to {total:.2} W over an effective \
-                                 {eff_w:.2} W"
-                            ),
-                        ));
-                    }
-                    for r in 0..regions {
-                        let ids: Vec<usize> = cands
-                            .iter()
-                            .filter(|(s, _)| s.region == r)
-                            .map(|(s, _)| s.id)
-                            .collect();
-                        let views: Vec<MachineView<'_>> = cands
-                            .iter()
-                            .filter(|(s, _)| s.region == r)
-                            .map(|(s, backlog)| view_of(s, *backlog))
-                            .collect();
-                        if !views.is_empty() {
-                            let leak = leak_of(&|s: &MachineState| s.region == r);
-                            slices.push((ids, views, region_w[r] / leak, region_size[r]));
-                        }
-                    }
-                } else {
-                    let ids: Vec<usize> = cands.iter().map(|(s, _)| s.id).collect();
-                    let views: Vec<MachineView<'_>> = cands
-                        .iter()
-                        .map(|(s, backlog)| view_of(s, *backlog))
-                        .collect();
-                    if !views.is_empty() {
-                        let leak = leak_of(&|_| true);
-                        slices.push((ids, views, eff_w / leak, machines));
-                    }
-                }
-                for (ids, views, budget, fleet) in slices {
-                    let alloc = CentralGovernor::new(budget).allocate(&model, &views, fleet);
-                    for (id, freq) in ids.iter().zip(&alloc.freqs) {
-                        assigned[*id] = Some(*freq);
-                    }
-                    // The water-filling cannot descend below the ladder
-                    // minimum, so a browned-out or starved-share slice
-                    // smaller than the mandatory floor is not a violation;
-                    // only allocating *above* both the slice and the floor
-                    // means the governor spent budget it did not have.
-                    let bound = alloc.available_w.max(alloc.floor_w);
-                    if alloc.power_w > bound * (1.0 + 1e-9) + 1e-9 {
-                        return Err(violation(
-                            Invariant::PowerBudgetConservation,
-                            round,
-                            format!(
-                                "central allocation estimates {:.1} W over a {:.1} W slice \
-                                 (floor {:.1} W)",
-                                alloc.power_w, alloc.available_w, alloc.floor_w
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
+        let assigned = central.assign(round, eff_w, &shards, &known)?;
 
         // Parallel shard step: pure per-machine functions, plan order.
         let inputs: Vec<ShardStep> = shards
@@ -1053,7 +1088,8 @@ fn run_rounds(
                         // Aggregator/root outages read as partitions at
                         // the machine: no fresh assignment, no rejoin
                         // credit.
-                        chaos.partitioned = chaos.partitioned || unreachable(s.id);
+                        chaos.partitioned = chaos.partitioned
+                            || governor_unreachable(config, &schedule, round, s.id);
                         let tripped = breaker_on && breaker.is_tripped(round as u64, s.id);
                         (chaos, assigned[s.id], tripped)
                     })

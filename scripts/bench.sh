@@ -120,7 +120,7 @@ JOBS=4
 t0=$(now)
 target/release/fleet "$MACHINES" "$ROUNDS" "$SCALE" 1 \
     --shards "$SHARDS" --chaos 0.5 --chaos-seed 7 --policy depburst \
-    --jobs "$JOBS" > /dev/null \
+    --jobs "$JOBS" --out /dev/null > /dev/null \
     || fail "fleet benchmark exited nonzero"
 t1=$(now)
 fleet_secs=$(elapsed "$t0" "$t1")
@@ -136,7 +136,7 @@ target/release/fleet "$MACHINES" "$ROUNDS" "$SCALE" 1 \
     --shards "$SHARDS" --chaos 0.5 --chaos-seed 7 --policy depburst \
     --regions 4 --hierarchy on --thermal on \
     --brownout 0.3 --region-crash 0.2 --sensor-stuck 0.2 \
-    --jobs "$JOBS" > /dev/null \
+    --jobs "$JOBS" --out /dev/null > /dev/null \
     || fail "thermal fleet benchmark exited nonzero"
 t1=$(now)
 thermal_secs=$(elapsed "$t0" "$t1")

@@ -52,7 +52,7 @@ smoke table2   "$BIN/table2"
 smoke ablation "$BIN/ablation $SCALE 1 --jobs 2"
 smoke percore  "$BIN/percore $SCALE 1 lusearch --jobs 2"
 smoke faults   "$BIN/faults $SCALE 1 10 --jobs 2"
-smoke fleet    "$BIN/fleet 4 40 $SCALE 1 --shards 2 --jobs 2"
+smoke fleet    "$BIN/fleet 4 40 $SCALE 1 --shards 2 --jobs 2 --out /dev/null"
 smoke dvfs-lab "$BIN/dvfs-lab bench"
 
 # Bench smoke + throughput floor: a tiny-scale simulator point, timed,
@@ -184,23 +184,24 @@ step "resilience: interrupt + resume" resilience_resume
 # byte-identical at --jobs 1 and --jobs 4, exit 0 even though some rows
 # are partial by design (crashed machines shed traffic in-model — the
 # sweep itself loses no points), and the report must show degradation
-# transitions actually happened.
+# transitions actually happened. Reports go to /tmp: results/fleet.json
+# is committed evidence of another config.
 chaos_gate() {
     local out=/tmp/depburst-ci-fleet
-    rm -f "$out".*.out
+    rm -f "$out".*
     "$BIN/fleet" 8 40 "$SCALE" 1 --shards 2 --chaos 0.5 --chaos-seed 7 \
-        --policy depburst --jobs 1 > "$out.j1.out" 2> /dev/null
+        --policy depburst --jobs 1 --out "$out.j1.json" > "$out.j1.out" 2> /dev/null
     "$BIN/fleet" 8 40 "$SCALE" 1 --shards 2 --chaos 0.5 --chaos-seed 7 \
-        --policy depburst --jobs 4 > "$out.j4.out" 2> /dev/null
-    cmp "$out.j1.out" "$out.j4.out" || {
+        --policy depburst --jobs 4 --out "$out.j4.json" > "$out.j4.out" 2> /dev/null
+    cmp "$out.j1.out" "$out.j4.out" && cmp "$out.j1.json" "$out.j4.json" || {
         echo "chaos fleet is not byte-identical across --jobs 1 / --jobs 4"
         return 1
     }
-    grep -q "crash-restart\|partition" results/fleet.json || {
+    grep -q "crash-restart\|partition" "$out.j1.json" || {
         echo "chaos fleet report lacks degradation transitions"
         return 1
     }
-    rm -f "$out".*.out
+    rm -f "$out".*
 }
 step "chaos gate: fleet determinism under faults" chaos_gate
 
@@ -213,10 +214,10 @@ step "chaos gate: fleet determinism under faults" chaos_gate
 # matrix costs one characterization sweep per invocation.
 thermal_gate() {
     local out=/tmp/depburst-ci-thermal
-    rm -f "$out".*.out
-    "$BIN/thermal" 12 160 0.02 1 --jobs 1 > "$out.j1.out" 2> /dev/null
-    "$BIN/thermal" 12 160 0.02 1 --jobs 4 > "$out.j4.out" 2> /dev/null
-    cmp "$out.j1.out" "$out.j4.out" || {
+    rm -f "$out".*
+    "$BIN/thermal" 12 160 0.02 1 --jobs 1 --out "$out.j1.json" > "$out.j1.out" 2> /dev/null
+    "$BIN/thermal" 12 160 0.02 1 --jobs 4 --out "$out.j4.json" > "$out.j4.out" 2> /dev/null
+    cmp "$out.j1.out" "$out.j4.out" && cmp "$out.j1.json" "$out.j4.json" || {
         echo "thermal matrix is not byte-identical across --jobs 1 / --jobs 4"
         return 1
     }
@@ -235,7 +236,7 @@ thermal_gate() {
         echo "thermal retention gate is not PASS — hierarchy lost its SLO floor"
         return 1
     }
-    rm -f "$out".*.out
+    rm -f "$out".*
 }
 step "thermal gate: matrix determinism + power-integrity events" thermal_gate
 
@@ -249,20 +250,22 @@ brownout_gate() {
     local flags="--shards 2 --regions 3 --hierarchy on --thermal on \
         --brownout 0.6 --region-crash 0.5 --sensor-stuck 0.3 \
         --chaos 0.3 --chaos-seed 7 --policy depburst"
-    rm -f "$out".*.out
+    rm -f "$out".*
     # shellcheck disable=SC2086
-    "$BIN/fleet" 8 60 "$SCALE" 1 $flags --jobs 1 > "$out.j1.out" 2> /dev/null
+    "$BIN/fleet" 8 60 "$SCALE" 1 $flags --jobs 1 --out "$out.j1.json" \
+        > "$out.j1.out" 2> /dev/null
     # shellcheck disable=SC2086
-    "$BIN/fleet" 8 60 "$SCALE" 1 $flags --jobs 4 > "$out.j4.out" 2> /dev/null
-    cmp "$out.j1.out" "$out.j4.out" || {
+    "$BIN/fleet" 8 60 "$SCALE" 1 $flags --jobs 4 --out "$out.j4.json" \
+        > "$out.j4.out" 2> /dev/null
+    cmp "$out.j1.out" "$out.j4.out" && cmp "$out.j1.json" "$out.j4.json" || {
         echo "brownout fleet is not byte-identical across --jobs 1 / --jobs 4"
         return 1
     }
-    grep -q '"brownout_rounds": [1-9]' results/fleet.json || {
+    grep -q '"brownout_rounds": [1-9]' "$out.j1.json" || {
         echo "brownout fleet report records no brownout rounds"
         return 1
     }
-    rm -f "$out".*.out
+    rm -f "$out".*
 }
 step "brownout gate: new chaos classes deterministic" brownout_gate
 
@@ -478,5 +481,10 @@ sampling_accuracy_gate() {
     }
 }
 step "sampling accuracy gate (≤ 2% vs exact goldens)" sampling_accuracy_gate
+
+# Nothing above may rewrite the committed fleet evidence; only
+# run_experiments.sh regenerates it.
+step "committed fleet evidence untouched" \
+    git diff --exit-code -- results/fleet.json results/thermal.json
 
 echo "ci: all green"
