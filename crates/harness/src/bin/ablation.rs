@@ -9,9 +9,9 @@ use harness::cli;
 use harness::experiments::ablation;
 
 fn main() -> ExitCode {
-    cli::main_with("ablation", |ctx, args| {
-        let scale: f64 = args.first().and_then(|s| s.parse().ok()).unwrap_or(0.4);
-        let seed: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1);
+    cli::main_with("ablation", &[], &["scale", "seed"], |ctx, args| {
+        let scale: f64 = args.get("scale")?.unwrap_or(0.4);
+        let seed: u64 = args.get("seed")?.unwrap_or(1);
         eprintln!("ablation 1/2: DEP per-thread model, scale {scale}...");
         let rows = ablation::model_ablation_with(ctx, scale, seed)?;
         println!("{}", ablation::render_model_ablation(&rows));

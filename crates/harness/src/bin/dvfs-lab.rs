@@ -20,21 +20,29 @@ use std::process::ExitCode;
 
 use depburst::{Coop, CriticalityStack, Dep, DvfsPredictor, MCrit};
 use dvfs_trace::{ExecutionTrace, Freq, TraceSummary};
-use harness::cli::{self, CliResult};
+use harness::cli::{self, Args, CliResult};
 use harness::run::try_run_benchmark;
 use harness::{ExecCtx, RunConfig};
 
 fn main() -> ExitCode {
-    cli::main_with("dvfs-lab", |ctx, args| match args.first().map(String::as_str) {
-        Some("bench") => cmd_bench(),
-        Some("run") => cmd_run(&args[1..]),
-        Some("record") => cmd_record(&args[1..]),
-        Some("predict") => cmd_predict(&args[1..]),
-        Some("crit") => cmd_crit(&args[1..]),
-        Some("manage") => cmd_manage(ctx, &args[1..]),
-        _ => {
-            eprintln!("usage: dvfs-lab <bench|run|record|predict|crit|manage> ...");
-            Err("unknown subcommand".into())
+    cli::main_with("dvfs-lab", &[], &["command", "args..."], |ctx, args| {
+        // Each subcommand reads its own positions: `record` puts its
+        // output path where `run` has its scale.
+        let sub = |names| cli::parse(args.rest("args..."), &[], names);
+        match args.value("command") {
+            Some("bench") => {
+                sub(&[])?;
+                cmd_bench()
+            }
+            Some("run") => cmd_run(&sub(&["bench", "ghz", "scale"])?),
+            Some("record") => cmd_record(&sub(&["bench", "ghz", "out.json", "scale"])?),
+            Some("predict") => cmd_predict(&sub(&["trace.json", "ghz", "model"])?),
+            Some("crit") => cmd_crit(&sub(&["trace.json"])?),
+            Some("manage") => cmd_manage(ctx, &sub(&["bench", "slowdown%", "scale"])?),
+            _ => {
+                eprintln!("usage: dvfs-lab <bench|run|record|predict|crit|manage> ...");
+                Err("unknown subcommand".into())
+            }
         }
     })
 }
@@ -54,20 +62,16 @@ fn cmd_bench() -> CliResult {
     Ok(())
 }
 
-fn parse_run_args(args: &[String]) -> Result<(&'static dacapo_sim::Benchmark, f64, f64), Box<dyn std::error::Error>> {
-    let name = args.first().ok_or("missing benchmark name")?;
-    let bench = dacapo_sim::benchmark(name).ok_or_else(|| format!("unknown benchmark {name}"))?;
-    let ghz: f64 = args
-        .get(1)
-        .ok_or("missing frequency (GHz)")?
-        .parse()
-        .map_err(|_| "frequency must be a number")?;
-    let scale: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0.1);
-    Ok((bench, ghz, scale))
+/// The `bench` positional, looked up.
+fn bench_arg(args: &Args) -> Result<&'static dacapo_sim::Benchmark, String> {
+    let name: String = args.required("bench")?;
+    dacapo_sim::benchmark(&name).ok_or_else(|| format!("unknown benchmark {name}"))
 }
 
-fn cmd_run(args: &[String]) -> CliResult {
-    let (bench, ghz, scale) = parse_run_args(args)?;
+fn cmd_run(args: &Args) -> CliResult {
+    let bench = bench_arg(args)?;
+    let ghz: f64 = args.required("ghz")?;
+    let scale: f64 = args.get("scale")?.unwrap_or(0.1);
     let r = try_run_benchmark(bench, RunConfig::at_ghz(ghz).scaled(scale))?;
     println!("{} at {ghz} GHz (scale {scale}):", bench.name);
     println!("  execution    {}", r.exec);
@@ -94,12 +98,13 @@ fn cmd_run(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn cmd_record(args: &[String]) -> CliResult {
-    let (bench, ghz, _) = parse_run_args(args)?;
-    let out = args.get(2).ok_or("missing output path")?;
-    let scale: f64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(0.1);
+fn cmd_record(args: &Args) -> CliResult {
+    let bench = bench_arg(args)?;
+    let ghz: f64 = args.required("ghz")?;
+    let out: String = args.required("out.json")?;
+    let scale: f64 = args.get("scale")?.unwrap_or(0.1);
     let r = try_run_benchmark(bench, RunConfig::at_ghz(ghz).scaled(scale))?;
-    fs::write(out, serde_json::to_vec(&r.trace)?)?;
+    fs::write(&out, serde_json::to_vec(&r.trace)?)?;
     println!(
         "recorded {}: {} epochs over {} -> {out}",
         bench.name,
@@ -128,15 +133,11 @@ fn model_by_name(name: &str) -> Result<Box<dyn DvfsPredictor>, Box<dyn std::erro
     })
 }
 
-fn cmd_predict(args: &[String]) -> CliResult {
-    let path = args.first().ok_or("missing trace path")?;
-    let ghz: f64 = args
-        .get(1)
-        .ok_or("missing target frequency (GHz)")?
-        .parse()
-        .map_err(|_| "frequency must be a number")?;
-    let model = model_by_name(args.get(2).map(String::as_str).unwrap_or("dep+burst"))?;
-    let trace = load_trace(path)?;
+fn cmd_predict(args: &Args) -> CliResult {
+    let path: String = args.required("trace.json")?;
+    let ghz: f64 = args.required("ghz")?;
+    let model = model_by_name(args.value("model").unwrap_or("dep+burst"))?;
+    let trace = load_trace(&path)?;
     let target = Freq::from_ghz(ghz);
     let predicted = model.predict(&trace, target);
     println!(
@@ -149,9 +150,9 @@ fn cmd_predict(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn cmd_crit(args: &[String]) -> CliResult {
-    let path = args.first().ok_or("missing trace path")?;
-    let trace = load_trace(path)?;
+fn cmd_crit(args: &Args) -> CliResult {
+    let path: String = args.required("trace.json")?;
+    let trace = load_trace(&path)?;
     let stack = CriticalityStack::compute(&trace);
     println!("criticality stack ({} wall time):", trace.total);
     for (tid, frac) in stack.ranked() {
@@ -165,15 +166,10 @@ fn cmd_crit(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn cmd_manage(ctx: &ExecCtx, args: &[String]) -> CliResult {
-    let name = args.first().ok_or("missing benchmark name")?;
-    let bench = dacapo_sim::benchmark(name).ok_or_else(|| format!("unknown benchmark {name}"))?;
-    let pct: f64 = args
-        .get(1)
-        .ok_or("missing slowdown threshold (percent)")?
-        .parse()
-        .map_err(|_| "threshold must be a number")?;
-    let scale: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0.1);
+fn cmd_manage(ctx: &ExecCtx, args: &Args) -> CliResult {
+    let bench = bench_arg(args)?;
+    let pct: f64 = args.required("slowdown%")?;
+    let scale: f64 = args.get("scale")?.unwrap_or(0.1);
     let row = harness::experiments::fig6::managed_with(ctx, bench, scale, 1, pct / 100.0)?;
     println!(
         "{} under the manager at {pct}% tolerance: slowdown {:+.1}%, energy saved {:+.1}%, mean {:.2} GHz",

@@ -12,30 +12,17 @@
 
 use std::process::ExitCode;
 
-use harness::cli;
+use harness::cli::{self, Kind};
 use harness::experiments::faults;
 
 fn main() -> ExitCode {
-    cli::main_with_flags("faults", &["--panic-point"], |ctx, args| {
-        let (panic_flag, args) = cli::split_flag(args, "--panic-point")?;
-        let panic_point: Option<f64> = match panic_flag {
-            Some(v) => Some(
-                v.parse::<f64>()
-                    .ok()
-                    .filter(|p| (0.0..=1.0).contains(p))
-                    .ok_or_else(|| {
-                        format!("invalid --panic-point value {v:?} (want a probability in [0, 1])")
-                    })?,
-            ),
-            None => None,
-        };
-        let scale: f64 = args.first().and_then(|s| s.parse().ok()).unwrap_or(0.05);
-        let seed: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1);
-        let threshold: f64 = args
-            .get(2)
-            .and_then(|s| s.parse::<f64>().ok())
-            .unwrap_or(10.0)
-            / 100.0;
+    let flags = [("--panic-point", Kind::Intensity)];
+    let names = &["scale", "seed", "threshold-percent"];
+    cli::main_with("faults", &flags, names, |ctx, args| {
+        let panic_point: Option<f64> = args.get("--panic-point")?;
+        let scale: f64 = args.get("scale")?.unwrap_or(0.05);
+        let seed: u64 = args.get("seed")?.unwrap_or(1);
+        let threshold: f64 = args.get("threshold-percent")?.unwrap_or(10.0) / 100.0;
         let intensities = [0.1, 0.25, 0.5, 1.0];
         eprintln!(
             "fault sweep at scale {scale}, seed {seed}, threshold {:.0}%...",

@@ -8,9 +8,9 @@ use harness::cli;
 use harness::experiments::fig1;
 
 fn main() -> ExitCode {
-    cli::main_with("fig1", |ctx, args| {
-        let scale: f64 = args.first().and_then(|s| s.parse().ok()).unwrap_or(1.0);
-        let nseeds: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1);
+    cli::main_with("fig1", &[], &["scale", "seeds"], |ctx, args| {
+        let scale: f64 = args.get("scale")?.unwrap_or(1.0);
+        let nseeds: usize = args.get("seeds")?.unwrap_or(1);
         let seeds: Vec<u64> = (1..=nseeds as u64).collect();
         eprintln!("fig 1: scale {scale}, {nseeds} seed(s)...");
         let (rows, _cells) = fig1::run_with(ctx, scale, &seeds)?;

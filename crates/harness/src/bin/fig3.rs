@@ -8,10 +8,17 @@ use harness::cli;
 use harness::experiments::fig3::{collect_with, render, Direction};
 
 fn main() -> ExitCode {
-    cli::main_with("fig3", |ctx, args| {
-        let which = args.first().map(String::as_str).unwrap_or("both");
-        let scale: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1.0);
-        let nseeds: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1);
+    let names = &["direction", "scale", "seeds"];
+    cli::main_with("fig3", &[], names, |ctx, args| {
+        let which: String = args
+            .get_where(
+                "direction",
+                "low-to-high, high-to-low or both",
+                |d: &String| ["low-to-high", "high-to-low", "both"].contains(&d.as_str()),
+            )?
+            .unwrap_or_else(|| "both".to_owned());
+        let scale: f64 = args.get("scale")?.unwrap_or(1.0);
+        let nseeds: usize = args.get("seeds")?.unwrap_or(1);
         let seeds: Vec<u64> = (1..=nseeds as u64).collect();
         let mut all = Vec::new();
         if which != "high-to-low" {

@@ -9,9 +9,9 @@ use harness::experiments::fig3::Direction;
 use harness::experiments::fig4;
 
 fn main() -> ExitCode {
-    cli::main_with("fig4", |ctx, args| {
-        let scale: f64 = args.first().and_then(|s| s.parse().ok()).unwrap_or(1.0);
-        let nseeds: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1);
+    cli::main_with("fig4", &[], &["scale", "seeds"], |ctx, args| {
+        let scale: f64 = args.get("scale")?.unwrap_or(1.0);
+        let nseeds: usize = args.get("seeds")?.unwrap_or(1);
         let seeds: Vec<u64> = (1..=nseeds as u64).collect();
         let mut all = Vec::new();
         for direction in [Direction::LowToHigh, Direction::HighToLow] {

@@ -9,13 +9,14 @@ use harness::cli;
 use harness::experiments::fig6;
 
 fn main() -> ExitCode {
-    cli::main_with("fig6", |ctx, args| {
-        let thresholds: Vec<f64> = match args.first().and_then(|s| s.parse::<f64>().ok()) {
+    let names = &["threshold-percent", "scale", "seed"];
+    cli::main_with("fig6", &[], names, |ctx, args| {
+        let thresholds: Vec<f64> = match args.get::<f64>("threshold-percent")? {
             Some(t) => vec![t / 100.0],
             None => vec![0.05, 0.10],
         };
-        let scale: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1.0);
-        let seed: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1);
+        let scale: f64 = args.get("scale")?.unwrap_or(1.0);
+        let seed: u64 = args.get("seed")?.unwrap_or(1);
         let mut all = Vec::new();
         for t in thresholds {
             eprintln!("fig 6 at {:.0}% threshold, scale {scale}...", t * 100.0);

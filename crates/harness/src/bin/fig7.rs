@@ -8,15 +8,12 @@ use harness::cli;
 use harness::experiments::fig7;
 
 fn main() -> ExitCode {
-    cli::main_with("fig7", |ctx, args| {
-        let threshold: f64 = args
-            .first()
-            .and_then(|s| s.parse::<f64>().ok())
-            .unwrap_or(10.0)
-            / 100.0;
-        let scale: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1.0);
-        let seed: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1);
-        let step: u32 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(250);
+    let names = &["threshold-percent", "scale", "seed", "step-mhz"];
+    cli::main_with("fig7", &[], names, |ctx, args| {
+        let threshold: f64 = args.get("threshold-percent")?.unwrap_or(10.0) / 100.0;
+        let scale: f64 = args.get("scale")?.unwrap_or(1.0);
+        let seed: u64 = args.get("seed")?.unwrap_or(1);
+        let step: u32 = args.get("step-mhz")?.unwrap_or(250);
         eprintln!(
             "fig 7 at {:.0}% threshold, scale {scale}, sweep step {step} MHz...",
             threshold * 100.0

@@ -26,139 +26,63 @@
 
 use std::process::ExitCode;
 
-use harness::cli;
+use harness::cli::{self, Flag, Kind};
 use harness::experiments::fleet::{self, FleetConfig};
 use simx::fleet::ChaosConfig;
 use simx::ThermalConfig;
 
+const FLAGS: [Flag; 14] = [
+    ("--shards", Kind::Positive),
+    ("--chaos", Kind::Intensity),
+    ("--chaos-seed", Kind::Value),
+    ("--policy", Kind::Value),
+    ("--budget", Kind::Value),
+    ("--slo", Kind::Value),
+    ("--bench", Kind::Value),
+    ("--regions", Kind::Positive),
+    ("--hierarchy", Kind::OnOff),
+    ("--thermal", Kind::OnOff),
+    ("--brownout", Kind::Intensity),
+    ("--region-crash", Kind::Intensity),
+    ("--sensor-stuck", Kind::Intensity),
+    ("--out", Kind::Value),
+];
+
 fn main() -> ExitCode {
-    let extra = [
-        "--shards",
-        "--chaos",
-        "--chaos-seed",
-        "--policy",
-        "--budget",
-        "--slo",
-        "--bench",
-        "--regions",
-        "--hierarchy",
-        "--thermal",
-        "--brownout",
-        "--region-crash",
-        "--sensor-stuck",
-        "--out",
-    ];
-    cli::main_with_flags("fleet", &extra, |ctx, args| {
-        // The fleet's round loop is its own reduced-order model over
-        // two-point characterizations; the sampled-execution tier does
-        // not apply and silently accepting it would misreport coverage.
-        if ctx.sampling.is_some() {
-            return Err(depburst_core::DepburstError::UnsupportedOption {
-                option: "--sampling".to_owned(),
-                detail: "the fleet characterizes machines from full two-point runs; \
-                         the sampled tier applies to the point pipeline only"
-                    .to_owned(),
-            }
-            .into());
-        }
-        let (shards, args) = cli::split_flag(args, "--shards")?;
-        let (chaos, args) = cli::split_flag(&args, "--chaos")?;
-        let (chaos_seed, args) = cli::split_flag(&args, "--chaos-seed")?;
-        let (policy, args) = cli::split_flag(&args, "--policy")?;
-        let (budget, args) = cli::split_flag(&args, "--budget")?;
-        let (slo, args) = cli::split_flag(&args, "--slo")?;
-        let (bench, args) = cli::split_flag(&args, "--bench")?;
-        let (regions, args) = cli::split_flag(&args, "--regions")?;
-        let (hierarchy, args) = cli::split_flag(&args, "--hierarchy")?;
-        let (thermal, args) = cli::split_flag(&args, "--thermal")?;
-        let (brownout, args) = cli::split_flag(&args, "--brownout")?;
-        let (region_crash, args) = cli::split_flag(&args, "--region-crash")?;
-        let (sensor_stuck, args) = cli::split_flag(&args, "--sensor-stuck")?;
-        let (out, args) = cli::split_flag(&args, "--out")?;
-
-        let machines: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(8);
-        let rounds: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(120);
-        let scale: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0.05);
-        let seed: u64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(1);
-
-        let shards: usize = match shards {
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("invalid --shards value {v:?}"))?,
-            None => machines.clamp(1, 4),
-        };
-        let intensity: f64 = match chaos {
-            Some(v) => v
-                .parse::<f64>()
-                .ok()
-                .filter(|i| (0.0..=1.0).contains(i))
-                .ok_or_else(|| format!("invalid --chaos value {v:?} (want [0, 1])"))?,
-            None => 0.0,
-        };
-        let chaos_seed: u64 = match chaos_seed {
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("invalid --chaos-seed value {v:?}"))?,
-            None => seed,
-        };
-
-        let parse_intensity = |name: &str, v: Option<String>| -> Result<f64, String> {
-            match v {
-                Some(v) => v
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|i| (0.0..=1.0).contains(i))
-                    .ok_or_else(|| format!("invalid {name} value {v:?} (want [0, 1])")),
-                None => Ok(0.0),
-            }
-        };
-        let parse_switch = |name: &str, v: Option<String>| -> Result<bool, String> {
-            match v.as_deref() {
-                None | Some("off") => Ok(false),
-                Some("on") => Ok(true),
-                Some(other) => Err(format!("invalid {name} value {other:?} (want on or off)")),
-            }
-        };
+    let names = &["machines", "rounds", "scale", "seed"];
+    cli::main_with("fleet", &FLAGS, names, |ctx, args| {
+        cli::require_exact(ctx, "the fleet")?;
+        let machines: usize = args.get("machines")?.unwrap_or(8);
+        let rounds: usize = args.get("rounds")?.unwrap_or(120);
+        let scale: f64 = args.get("scale")?.unwrap_or(0.05);
+        let seed: u64 = args.get("seed")?.unwrap_or(1);
+        let shards: usize = args.get("--shards")?.unwrap_or(machines.clamp(1, 4));
+        let intensity: f64 = args.get("--chaos")?.unwrap_or(0.0);
+        let chaos_seed: u64 = args.get("--chaos-seed")?.unwrap_or(seed);
 
         let mut config = FleetConfig::new(machines, shards, rounds, scale, seed);
         config.chaos = ChaosConfig::uniform(intensity, chaos_seed);
-        config.chaos.brownout = parse_intensity("--brownout", brownout)?;
-        config.chaos.aggregator_crash = parse_intensity("--region-crash", region_crash)?;
-        config.chaos.sensor_stuck = parse_intensity("--sensor-stuck", sensor_stuck)?;
-        config.hierarchy = parse_switch("--hierarchy", hierarchy)?;
-        if parse_switch("--thermal", thermal)? {
+        config.chaos.brownout = args.get("--brownout")?.unwrap_or(0.0);
+        config.chaos.aggregator_crash = args.get("--region-crash")?.unwrap_or(0.0);
+        config.chaos.sensor_stuck = args.get("--sensor-stuck")?.unwrap_or(0.0);
+        config.hierarchy = args.on("--hierarchy");
+        if args.on("--thermal") {
             config.thermal = ThermalConfig::datacenter(chaos_seed);
         }
-        if let Some(v) = regions {
-            config.regions = v
-                .parse::<usize>()
-                .ok()
-                .filter(|r| *r >= 1)
-                .ok_or_else(|| format!("invalid --regions value {v:?} (want >= 1)"))?;
-        }
+        config.regions = args.get("--regions")?.unwrap_or(config.regions);
         config.sabotage = cli::sabotage_from_env()?;
-        if let Some(name) = policy {
-            config.policy = energyx::GovernorPolicy::from_name(&name).ok_or_else(|| {
+        if let Some(name) = args.value("--policy") {
+            config.policy = energyx::GovernorPolicy::from_name(name).ok_or_else(|| {
                 format!("unknown --policy {name:?} (want oracle, depburst or naive)")
             })?;
         }
-        if let Some(v) = budget {
-            config.budget_w = v
-                .parse::<f64>()
-                .ok()
-                .filter(|w| *w >= 0.0)
-                .ok_or_else(|| format!("invalid --budget value {v:?}"))?;
-        }
-        if let Some(v) = slo {
-            config.slo_factor = v
-                .parse::<f64>()
-                .ok()
-                .filter(|f| *f >= 1.0)
-                .ok_or_else(|| format!("invalid --slo value {v:?} (want >= 1)"))?;
-        }
-        if let Some(name) = bench {
-            let b = dacapo_sim::benchmark(&name)
-                .ok_or_else(|| format!("unknown --bench {name:?}"))?;
+        let budget_w = args.get_where("--budget", ">= 0", |w: &f64| *w >= 0.0)?;
+        config.budget_w = budget_w.unwrap_or(config.budget_w);
+        let slo_factor = args.get_where("--slo", ">= 1", |f: &f64| *f >= 1.0)?;
+        config.slo_factor = slo_factor.unwrap_or(config.slo_factor);
+        if let Some(name) = args.value("--bench") {
+            let b =
+                dacapo_sim::benchmark(name).ok_or_else(|| format!("unknown --bench {name:?}"))?;
             config.benches = vec![b];
         }
 
@@ -170,7 +94,7 @@ fn main() -> ExitCode {
         let outcome = fleet::run_with(ctx, &config)?;
         print!("{}", fleet::render(&outcome.report));
         let json = serde_json::to_string_pretty(&outcome.report)?;
-        let path = cli::write_report(out, "results/fleet.json", &json)?;
+        let path = cli::write_report(args.value("--out"), "results/fleet.json", &json)?;
         eprintln!(
             "wrote {} ({} machines)",
             path.display(),

@@ -26,39 +26,27 @@
 
 use std::process::ExitCode;
 
-use harness::cli::{self, CliResult};
+use harness::cli::{self, Args, CliResult, Flag, Kind};
 use harness::fuzz;
 use harness::resilience::{FailureCause, PointFailure};
 use harness::ExecCtx;
 
+const FLAGS: [Flag; 4] = [
+    ("--seeds", Kind::Value),
+    ("--seed", Kind::Value),
+    ("--shrink", Kind::Bare),
+    ("--fleet", Kind::Bare),
+];
+
 fn main() -> ExitCode {
-    cli::main_with_flags("fuzz", &["--seeds", "--seed", "--shrink", "--fleet"], body)
+    cli::main_with("fuzz", &FLAGS, &[], body)
 }
 
-fn body(ctx: &ExecCtx, args: &[String]) -> CliResult {
-    let (seeds, args) = cli::split_flag(args, "--seeds")?;
-    let (seed, args) = cli::split_flag(&args, "--seed")?;
-    let shrink = args.iter().any(|a| a == "--shrink");
-    let fleet_tier = args.iter().any(|a| a == "--fleet");
-    let rest: Vec<&String> = args
-        .iter()
-        .filter(|a| *a != "--shrink" && *a != "--fleet")
-        .collect();
-    if !rest.is_empty() {
-        return Err(format!("unexpected arguments: {rest:?}").into());
-    }
-    let cases: u64 = match seeds.as_deref() {
-        None => 25,
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("invalid --seeds value {v:?} (want a case count)"))?,
-    };
-    let campaign_seed: u64 = match seed.as_deref() {
-        None => 1,
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("invalid --seed value {v:?} (want an integer seed)"))?,
-    };
+fn body(ctx: &ExecCtx, args: &Args) -> CliResult {
+    let cases: u64 = args.get("--seeds")?.unwrap_or(25);
+    let campaign_seed: u64 = args.get("--seed")?.unwrap_or(1);
+    let shrink = args.has("--shrink");
+    let fleet_tier = args.has("--fleet");
     let sabotage = cli::sabotage_from_env()?;
 
     println!(

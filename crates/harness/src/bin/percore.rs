@@ -9,16 +9,16 @@ use harness::cli;
 use harness::experiments::percore;
 
 fn main() -> ExitCode {
-    cli::main_with("percore", |ctx, args| {
-        let scale: f64 = args.first().and_then(|s| s.parse().ok()).unwrap_or(0.4);
-        let seed: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1);
-        let names: Vec<&str> = if args.len() > 2 {
-            args[2..].iter().map(String::as_str).collect()
-        } else {
-            vec!["xalan", "lusearch", "sunflow"]
+    let names = &["scale", "seed", "benchmarks..."];
+    cli::main_with("percore", &[], names, |ctx, args| {
+        let scale: f64 = args.get("scale")?.unwrap_or(0.4);
+        let seed: u64 = args.get("seed")?.unwrap_or(1);
+        let benches: Vec<&str> = match args.rest("benchmarks...") {
+            [] => vec!["xalan", "lusearch", "sunflow"],
+            named => named.iter().map(String::as_str).collect(),
         };
         let mut all = Vec::new();
-        for name in names {
+        for name in benches {
             let bench =
                 dacapo_sim::benchmark(name).ok_or_else(|| format!("unknown benchmark {name}"))?;
             eprintln!("per-core study: {name}, scale {scale}...");

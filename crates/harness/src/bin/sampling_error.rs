@@ -14,9 +14,9 @@ use harness::cli;
 use harness::experiments::sampling_error;
 
 fn main() -> ExitCode {
-    cli::main_with("sampling_error", |ctx, args| {
-        let scale: f64 = args.first().and_then(|s| s.parse().ok()).unwrap_or(1.0);
-        let nseeds: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1);
+    cli::main_with("sampling_error", &[], &["scale", "seeds"], |ctx, args| {
+        let scale: f64 = args.get("scale")?.unwrap_or(1.0);
+        let nseeds: usize = args.get("seeds")?.unwrap_or(1);
         let seeds: Vec<u64> = (1..=nseeds as u64).collect();
         let cfg = ctx.sampling.unwrap_or_default();
         eprintln!(

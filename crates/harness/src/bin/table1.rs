@@ -1,6 +1,6 @@
 //! Regenerates Table I: per-benchmark execution and GC time at 1 GHz.
 //!
-//! Usage: `cargo run --release -p harness --bin table1 [scale] [--jobs N]`
+//! Usage: `cargo run --release -p harness --bin table1 -- [scale] [--jobs N]`
 
 use std::process::ExitCode;
 
@@ -8,8 +8,8 @@ use harness::cli;
 use harness::experiments::table1;
 
 fn main() -> ExitCode {
-    cli::main_with("table1", |ctx, args| {
-        let scale: f64 = args.first().and_then(|s| s.parse().ok()).unwrap_or(1.0);
+    cli::main_with("table1", &[], &["scale"], |ctx, args| {
+        let scale: f64 = args.get("scale")?.unwrap_or(1.0);
         eprintln!("running all benchmarks at 1 GHz, scale {scale} ...");
         let rows = table1::collect_with(ctx, scale)?;
         println!("{}", table1::render(&rows));

@@ -14,77 +14,33 @@
 
 use std::process::ExitCode;
 
-use harness::cli;
+use harness::cli::{self, Flag, Kind};
 use harness::experiments::thermal::{self, ThermalConfigExp};
 
-fn main() -> ExitCode {
-    let extra = [
-        "--shards",
-        "--regions",
-        "--brownout",
-        "--region-crash",
-        "--sensor-stuck",
-        "--out",
-    ];
-    cli::main_with_flags("thermal", &extra, |ctx, args| {
-        if ctx.sampling.is_some() {
-            return Err(depburst_core::DepburstError::UnsupportedOption {
-                option: "--sampling".to_owned(),
-                detail: "the thermal matrix characterizes machines from full two-point \
-                         runs; the sampled tier applies to the point pipeline only"
-                    .to_owned(),
-            }
-            .into());
-        }
-        let (shards, args) = cli::split_flag(args, "--shards")?;
-        let (regions, args) = cli::split_flag(&args, "--regions")?;
-        let (brownout, args) = cli::split_flag(&args, "--brownout")?;
-        let (region_crash, args) = cli::split_flag(&args, "--region-crash")?;
-        let (sensor_stuck, args) = cli::split_flag(&args, "--sensor-stuck")?;
-        let (out, args) = cli::split_flag(&args, "--out")?;
+const FLAGS: [Flag; 6] = [
+    ("--shards", Kind::Positive),
+    ("--regions", Kind::Positive),
+    ("--brownout", Kind::Intensity),
+    ("--region-crash", Kind::Intensity),
+    ("--sensor-stuck", Kind::Intensity),
+    ("--out", Kind::Value),
+];
 
-        let machines: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(12);
-        let rounds: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(160);
-        let scale: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0.02);
-        let seed: u64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(1);
+fn main() -> ExitCode {
+    let names = &["machines", "rounds", "scale", "seed"];
+    cli::main_with("thermal", &FLAGS, names, |ctx, args| {
+        cli::require_exact(ctx, "the thermal matrix")?;
+        let machines: usize = args.get("machines")?.unwrap_or(12);
+        let rounds: usize = args.get("rounds")?.unwrap_or(160);
+        let scale: f64 = args.get("scale")?.unwrap_or(0.02);
+        let seed: u64 = args.get("seed")?.unwrap_or(1);
 
         let mut exp = ThermalConfigExp::new(machines, rounds, scale, seed);
-        let parse_intensity = |name: &str, v: Option<String>| -> Result<f64, String> {
-            match v {
-                Some(v) => v
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|i| (0.0..=1.0).contains(i))
-                    .ok_or_else(|| format!("invalid {name} value {v:?} (want [0, 1])")),
-                None => Ok(f64::NAN),
-            }
-        };
-        if let Some(v) = shards {
-            exp.shards = v
-                .parse::<usize>()
-                .ok()
-                .filter(|s| *s >= 1)
-                .ok_or_else(|| format!("invalid --shards value {v:?}"))?;
-        }
-        if let Some(v) = regions {
-            exp.regions = v
-                .parse::<usize>()
-                .ok()
-                .filter(|r| *r >= 1)
-                .ok_or_else(|| format!("invalid --regions value {v:?} (want >= 1)"))?;
-        }
-        let b = parse_intensity("--brownout", brownout)?;
-        if !b.is_nan() {
-            exp.brownout = b;
-        }
-        let a = parse_intensity("--region-crash", region_crash)?;
-        if !a.is_nan() {
-            exp.aggregator_crash = a;
-        }
-        let s = parse_intensity("--sensor-stuck", sensor_stuck)?;
-        if !s.is_nan() {
-            exp.sensor_stuck = s;
-        }
+        exp.shards = args.get("--shards")?.unwrap_or(exp.shards);
+        exp.regions = args.get("--regions")?.unwrap_or(exp.regions);
+        exp.brownout = args.get("--brownout")?.unwrap_or(exp.brownout);
+        exp.aggregator_crash = args.get("--region-crash")?.unwrap_or(exp.aggregator_crash);
+        exp.sensor_stuck = args.get("--sensor-stuck")?.unwrap_or(exp.sensor_stuck);
 
         eprintln!(
             "thermal: {machines} machines / {} shards / {} regions, {rounds} rounds × 4 \
@@ -94,7 +50,7 @@ fn main() -> ExitCode {
         let report = thermal::run_with(ctx, &exp)?;
         print!("{}", thermal::render(&report));
         let json = serde_json::to_string_pretty(&report)?;
-        let path = cli::write_report(out, "results/thermal.json", &json)?;
+        let path = cli::write_report(args.value("--out"), "results/thermal.json", &json)?;
         eprintln!(
             "wrote {} ({} scenarios)",
             path.display(),

@@ -18,8 +18,17 @@
 
 use std::process::ExitCode;
 
-use harness::cli;
+use harness::cli::{self, Flag, Kind};
 use harness::experiments::torture::{self, TortureConfig};
+
+const FLAGS: [Flag; 6] = [
+    ("--dense", Kind::Value),
+    ("--stride", Kind::Value),
+    ("--max-points", Kind::Value),
+    ("--bitflips", Kind::Value),
+    ("--soak", Kind::Intensity),
+    ("--storage-seed", Kind::Value),
+];
 
 fn main() -> ExitCode {
     match run() {
@@ -32,54 +41,21 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cfg = TortureConfig::default();
-    let (dense, args) = cli::split_flag(&args, "--dense")?;
-    if let Some(v) = dense {
-        cfg.dense = v.parse().map_err(|_| format!("invalid --dense value {v:?}"))?;
-    }
-    let (stride, args) = cli::split_flag(&args, "--stride")?;
-    if let Some(v) = stride {
-        cfg.stride = v.parse().map_err(|_| format!("invalid --stride value {v:?}"))?;
-    }
-    let (max_points, args) = cli::split_flag(&args, "--max-points")?;
-    if let Some(v) = max_points {
-        cfg.max_points = v.parse().map_err(|_| format!("invalid --max-points value {v:?}"))?;
-    }
-    let (bitflips, args) = cli::split_flag(&args, "--bitflips")?;
-    if let Some(v) = bitflips {
-        cfg.bitflips = v.parse().map_err(|_| format!("invalid --bitflips value {v:?}"))?;
-    }
-    let (soak, args) = cli::split_flag(&args, "--soak")?;
-    if let Some(v) = soak {
-        cfg.soak_intensity = v
-            .parse::<f64>()
-            .ok()
-            .filter(|i| (0.0..=1.0).contains(i))
-            .ok_or_else(|| format!("invalid --soak value {v:?} (want an intensity in [0, 1])"))?;
-    }
-    let (storage_seed, args) = cli::split_flag(&args, "--storage-seed")?;
-    if let Some(v) = storage_seed {
-        cfg.storage_seed =
-            v.parse().map_err(|_| format!("invalid --storage-seed value {v:?}"))?;
-    }
-    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
-        return Err(format!(
-            "unknown flag {flag} (valid: --dense, --stride, --max-points, --bitflips, \
-             --soak, --storage-seed)"
-        )
-        .into());
-    }
-    if let Some(v) = args.first() {
-        cfg.scale = v
-            .parse::<f64>()
-            .ok()
-            .filter(|s| *s > 0.0)
-            .ok_or_else(|| format!("invalid scale {v:?}"))?;
-    }
-    if let Some(v) = args.get(1) {
-        cfg.seed = v.parse().map_err(|_| format!("invalid seed {v:?}"))?;
-    }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = cli::parse(&argv, &FLAGS, &["scale", "seed"])?;
+    let d = TortureConfig::default();
+    let cfg = TortureConfig {
+        scale: args
+            .get_where("scale", "a positive number", |s: &f64| *s > 0.0)?
+            .unwrap_or(d.scale),
+        seed: args.get("seed")?.unwrap_or(d.seed),
+        dense: args.get("--dense")?.unwrap_or(d.dense),
+        stride: args.get("--stride")?.unwrap_or(d.stride),
+        max_points: args.get("--max-points")?.unwrap_or(d.max_points),
+        bitflips: args.get("--bitflips")?.unwrap_or(d.bitflips),
+        soak_intensity: args.get("--soak")?.unwrap_or(d.soak_intensity),
+        storage_seed: args.get("--storage-seed")?.unwrap_or(d.storage_seed),
+    };
 
     let report = torture::run(&cfg)?;
     print!("{}", report.render());

@@ -1,7 +1,27 @@
-//! Shared command-line plumbing for the experiment binaries.
+//! The one command-line grammar of the experiment binaries.
 //!
-//! Every binary accepts, anywhere on the command line (both `--flag V`
-//! and `--flag=V` forms):
+//! Every binary declares, once, each flag it accepts with its [`Kind`],
+//! and the names of its positional arguments; [`parse`] splits the command
+//! line against that declaration. No binary reads `argv` any other way.
+//!
+//! **Flags** may appear anywhere, as `--flag V` or `--flag=V`: each token
+//! is split into name and inline value once, so both forms take one code
+//! path. A [`Kind::Bare`] switch such as `--shrink` takes no value. The
+//! last occurrence of a flag wins. The kinds with a fixed domain (an
+//! intensity in `[0, 1]`, a positive integer, `on|off`) are checked while
+//! parsing, so a bad value is a usage error before anything runs. An
+//! unknown `--flag` is a usage error: the diagnostic names it, suggests
+//! the nearest accepted flag within edit distance 2, and lists every flag
+//! the binary accepts.
+//!
+//! **Positionals** are the remaining tokens, matched in order to the
+//! declared names; a final `name...` takes all the rest. A surplus
+//! positional is a usage error, and so is a value that is present but
+//! malformed: the diagnostic names the argument. An empty string counts as
+//! absent, so `fig6 "" 0.4` runs fig6's default thresholds at scale 0.4.
+//!
+//! Every binary but `torture`, which builds its own execution contexts,
+//! also accepts the shared flags ([`COMMON_FLAGS`]):
 //!
 //! * `--jobs N` — pool width (env `DEPBURST_JOBS`; default: available
 //!   parallelism). `--jobs 1` reproduces the historical sequential
@@ -26,18 +46,16 @@
 //!   off — all durable I/O goes straight through the real filesystem).
 //!   See `harness::vfs`.
 //!
-//! An unknown `--flag` is a usage error: the diagnostic names the
-//! offending flag, suggests the nearest valid one when the typo is small,
-//! and lists every flag the binary accepts (binary-specific flags such as
-//! the faults sweep's `--panic-point` included).
-//!
 //! Exit codes are standardized across all binaries: **0** success, **1**
-//! usage or internal error, **2** the sweep ran but some points
+//! usage or internal error, **2** the run completed but some points
 //! ultimately failed (a failure report was written to
-//! `results/<exp>_failures.json` and summarized on stderr). No panics.
+//! `results/<exp>_failures.json` and summarized on stderr; for `torture`,
+//! a durability contract was breached). No panics.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::time::Duration;
 
 use crate::checkpoint::Journal;
 use crate::run::ExecCtx;
@@ -46,239 +64,221 @@ use crate::run::ExecCtx;
 /// errors and I/O or serialization errors both flow through it.
 pub type CliResult = Result<(), Box<dyn std::error::Error>>;
 
-/// The options shared by every experiment binary, split from its
-/// positional arguments.
-#[derive(Debug, Default)]
-pub struct CommonOpts {
-    /// `--jobs N`.
-    pub jobs: Option<usize>,
-    /// `--point-timeout SECS`: `Some(None)` = explicit `0` (disable),
-    /// `Some(Some(d))` = a budget, `None` = not given (use the env).
-    pub point_timeout: Option<Option<std::time::Duration>>,
-    /// `--retries N`.
-    pub retries: Option<u32>,
-    /// `--run-id ID`.
-    pub run_id: Option<String>,
-    /// `--resume ID`.
-    pub resume: Option<String>,
-    /// `--invariants MODE`.
-    pub invariants: Option<simx::InvariantMode>,
-    /// `--sampling SETTING`: `Some(None)` = explicit `off`,
-    /// `Some(Some(cfg))` = the sampled tier, `None` = not given (use the
-    /// env).
-    pub sampling: Option<Option<simx::SamplingConfig>>,
-    /// `--storage-faults SPEC`: `Some(None)` = explicit `off`,
-    /// `Some(Some(cfg))` = an injector, `None` = not given (use the env).
-    pub storage_faults: Option<Option<crate::vfs::StorageFaultConfig>>,
-    /// Remaining positional arguments (and pass-through binary-specific
-    /// flags), in order.
-    pub rest: Vec<String>,
+/// What a flag takes on the command line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Any value: the binary converts it with [`Args::get`] or reads it
+    /// raw with [`Args::value`].
+    Value,
+    /// An intensity in `[0, 1]`.
+    Intensity,
+    /// An integer `>= 1`.
+    Positive,
+    /// `on` or `off`, read with [`Args::on`]; absent means off.
+    OnOff,
+    /// A switch that takes no value, read with [`Args::has`].
+    Bare,
 }
 
-/// The flags every binary understands, for the unknown-flag diagnostic.
-const COMMON_FLAGS: [&str; 8] = [
-    "--jobs",
-    "--point-timeout",
-    "--retries",
-    "--run-id",
-    "--resume",
-    "--invariants",
-    "--sampling",
-    "--storage-faults",
+impl Kind {
+    /// Checks a flag's value against this kind's domain.
+    fn check(self, flag: &str, value: &str) -> Result<(), String> {
+        match self {
+            Kind::Value | Kind::Bare => Ok(()),
+            Kind::Intensity => parse_as(flag, value, "an intensity in [0, 1]", |i: &f64| {
+                (0.0..=1.0).contains(i)
+            })
+            .map(drop),
+            Kind::Positive => {
+                parse_as(flag, value, "a positive integer", |n: &usize| *n >= 1).map(drop)
+            }
+            Kind::OnOff => parse_as(flag, value, "on or off", |s: &String| {
+                s == "on" || s == "off"
+            })
+            .map(drop),
+        }
+    }
+}
+
+/// A flag a binary accepts: its name, leading `--` included, and its kind.
+pub type Flag = (&'static str, Kind);
+
+/// The flags every binary but `torture` accepts (see the module docs).
+pub const COMMON_FLAGS: [Flag; 8] = [
+    ("--jobs", Kind::Positive),
+    ("--point-timeout", Kind::Value),
+    ("--retries", Kind::Value),
+    ("--run-id", Kind::Value),
+    ("--resume", Kind::Value),
+    ("--invariants", Kind::Value),
+    ("--sampling", Kind::Value),
+    ("--storage-faults", Kind::Value),
 ];
 
-/// Extracts `--jobs N` / `--jobs=N` from `args`, returning the requested
-/// worker count and the remaining arguments in order. Kept for callers
-/// that only care about jobs; the binaries use [`parse_common`], which
-/// also strips the resilience flags.
-pub fn split_jobs(args: &[String]) -> Result<(Option<usize>, Vec<String>), String> {
-    let mut jobs = None;
-    let mut rest = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--jobs" {
-            let v = it.next().ok_or("--jobs requires a value")?;
-            jobs = Some(parse_jobs(v)?);
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            jobs = Some(parse_jobs(v)?);
-        } else {
-            rest.push(a.clone());
-        }
-    }
-    Ok((jobs, rest))
+/// Parses `value`, given for the argument `name`, as a `T` satisfying
+/// `ok`, or fails with the usage diagnostic
+/// `invalid NAME value "VALUE" (want WANT)`.
+fn parse_as<T: FromStr>(
+    name: &str,
+    value: &str,
+    want: &str,
+    ok: impl Fn(&T) -> bool,
+) -> Result<T, String> {
+    value
+        .parse()
+        .ok()
+        .filter(|v| ok(v))
+        .ok_or_else(|| format!("invalid {name} value {value:?} (want {want})"))
 }
 
-/// Extracts one `--name V` / `--name=V` flag from `args`, returning its
-/// value (last occurrence wins) and the remaining arguments in order.
-/// Binaries use this for experiment-specific flags (e.g. the faults
-/// sweep's `--panic-point`).
-pub fn split_flag(args: &[String], name: &str) -> Result<(Option<String>, Vec<String>), String> {
-    let inline = format!("{name}=");
-    let mut value = None;
-    let mut rest = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == name {
-            value = Some(it.next().ok_or_else(|| format!("{name} requires a value"))?.clone());
-        } else if let Some(v) = a.strip_prefix(&inline) {
-            value = Some(v.to_owned());
-        } else {
-            rest.push(a.clone());
-        }
-    }
-    Ok((value, rest))
+/// A command line split by [`parse`]: flag values and positionals, read
+/// back by name (`"--out"` for a flag, `"scale"` for a positional).
+#[derive(Debug, Default)]
+pub struct Args {
+    /// `(flag, value)` in command-line order; a bare switch's value is
+    /// empty.
+    flags: Vec<(&'static str, String)>,
+    /// The declared positional names.
+    names: &'static [&'static str],
+    /// The positional values, in order.
+    positionals: Vec<String>,
 }
 
-/// Reads the test-only `DEPBURST_BREAK_INVARIANT` sabotage hook: CI sets
-/// it to an invariant name to deliberately weaken that check and prove
-/// the detector (and its reporting path) actually fires. Unset in every
-/// real run.
+impl Args {
+    /// The raw value of a flag (its last occurrence) or of a declared
+    /// positional (absent when missing or empty).
+    ///
+    /// # Panics
+    /// On a positional name the binary did not declare: a bug in the
+    /// binary, not a usage error.
+    pub fn value(&self, name: &str) -> Option<&str> {
+        if name.starts_with("--") {
+            let last = self.flags.iter().rev().find(|(flag, _)| *flag == name);
+            last.map(|(_, value)| value.as_str())
+        } else {
+            let value = self.positionals.get(self.index(name));
+            value.map(String::as_str).filter(|v| !v.is_empty())
+        }
+    }
+
+    /// [`value`](Self::value) parsed as a `T`: `None` when absent.
+    ///
+    /// # Errors
+    /// The usage diagnostic naming the argument when the value is present
+    /// but malformed.
+    pub fn get<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.get_where(name, std::any::type_name::<T>(), |_| true)
+    }
+
+    /// [`get`](Self::get) for a value that must also satisfy `ok`; `want`
+    /// describes the accepted values in the diagnostic.
+    ///
+    /// # Errors
+    /// As [`get`](Self::get), and when the value fails `ok`.
+    pub fn get_where<T: FromStr>(
+        &self,
+        name: &str,
+        want: &str,
+        ok: impl Fn(&T) -> bool,
+    ) -> Result<Option<T>, String> {
+        self.value(name)
+            .map(|v| parse_as(name, v, want, ok))
+            .transpose()
+    }
+
+    /// [`get`](Self::get) for an argument that must be present.
+    ///
+    /// # Errors
+    /// As [`get`](Self::get), and `missing NAME` when it is absent.
+    pub fn required<T: FromStr>(&self, name: &str) -> Result<T, String> {
+        self.get(name)?.ok_or_else(|| format!("missing {name}"))
+    }
+
+    /// Whether a [`Kind::Bare`] switch was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.value(flag).is_some()
+    }
+
+    /// Whether a [`Kind::OnOff`] flag is `on`.
+    pub fn on(&self, flag: &str) -> bool {
+        self.value(flag) == Some("on")
+    }
+
+    /// The positionals the final, variadic name (`benchmarks...`) takes.
+    pub fn rest(&self, name: &str) -> &[String] {
+        &self.positionals[self.index(name).min(self.positionals.len())..]
+    }
+
+    fn index(&self, name: &str) -> usize {
+        self.names
+            .iter()
+            .position(|n| *n == name)
+            .unwrap_or_else(|| panic!("positional {name} is not declared"))
+    }
+}
+
+/// Splits `argv` against a binary's accepted `flags` and declared
+/// positional `names` (see the module docs for the grammar).
 ///
 /// # Errors
-/// Returns a usage error when the value names no invariant.
-pub fn sabotage_from_env() -> Result<Option<simx::Invariant>, String> {
-    match std::env::var("DEPBURST_BREAK_INVARIANT") {
-        Err(_) => Ok(None),
-        Ok(name) => match simx::Invariant::from_name(name.trim()) {
-            Some(inv) => Ok(Some(inv)),
-            None => Err(format!(
-                "DEPBURST_BREAK_INVARIANT={name:?} names no invariant (see simx::invariants)"
-            )),
-        },
-    }
-}
-
-/// Writes a binary's JSON report to `out` (its `--out PATH` value) or,
-/// without one, to `default`, creating the parent directory. Returns the
-/// path written.
-///
-/// # Errors
-/// Directory creation or the write itself failing.
-pub fn write_report(out: Option<String>, default: &str, json: &str) -> std::io::Result<PathBuf> {
-    let path = PathBuf::from(out.unwrap_or_else(|| default.to_owned()));
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir)?;
-    }
-    std::fs::write(&path, json)?;
-    Ok(path)
-}
-
-fn parse_jobs(v: &str) -> Result<usize, String> {
-    match v.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!("invalid --jobs value {v:?} (want a positive integer)")),
-    }
-}
-
-fn parse_timeout(v: &str) -> Result<Option<std::time::Duration>, String> {
-    match v.parse::<f64>() {
-        Ok(0.0) => Ok(None),
-        Ok(secs) if secs > 0.0 && secs.is_finite() => {
-            Ok(Some(std::time::Duration::from_secs_f64(secs)))
+/// A usage error: an unknown flag, a missing or out-of-domain flag value,
+/// a value given to a bare switch, or a surplus positional.
+pub fn parse(
+    argv: &[String],
+    flags: &[Flag],
+    names: &'static [&'static str],
+) -> Result<Args, String> {
+    let mut args = Args {
+        names,
+        ..Args::default()
+    };
+    let mut tokens = argv.iter();
+    while let Some(token) = tokens.next() {
+        if !token.starts_with("--") {
+            args.positionals.push(token.clone());
+            continue;
         }
-        _ => Err(format!(
-            "invalid --point-timeout value {v:?} (want seconds >= 0)"
-        )),
-    }
-}
-
-fn parse_retries(v: &str) -> Result<u32, String> {
-    v.parse::<u32>()
-        .map_err(|_| format!("invalid --retries value {v:?} (want a non-negative integer)"))
-}
-
-fn parse_invariants(v: &str) -> Result<simx::InvariantMode, String> {
-    simx::InvariantMode::parse(v).ok_or_else(|| {
-        format!("invalid --invariants value {v:?} (want off, cheap, or full)")
-    })
-}
-
-fn parse_sampling(v: &str) -> Result<Option<simx::SamplingConfig>, String> {
-    crate::run::parse_sampling_setting(v).map_err(|e| format!("invalid --sampling value: {e}"))
-}
-
-fn parse_storage(v: &str) -> Result<Option<crate::vfs::StorageFaultConfig>, String> {
-    crate::vfs::parse_storage_faults(v)
-        .map_err(|e| format!("invalid --storage-faults value: {e}"))
-}
-
-/// Splits the shared flags from `args`, leaving the binary's positional
-/// arguments in [`CommonOpts::rest`]. Equivalent to
-/// [`parse_common_with`] with no binary-specific flags: any unrecognized
-/// `--flag` is a usage error.
-pub fn parse_common(args: &[String]) -> Result<CommonOpts, String> {
-    parse_common_with(args, &[])
-}
-
-/// [`parse_common`] for binaries with their own flags: every name in
-/// `extra_flags` (e.g. `"--panic-point"`) passes through to
-/// [`CommonOpts::rest`] untouched — in both its `--flag V` and
-/// `--flag=V` forms — for the binary to extract with [`split_flag`]. Any
-/// other `--`-prefixed token is rejected with a diagnostic that names
-/// the flag, suggests the nearest valid one, and lists them all.
-pub fn parse_common_with(args: &[String], extra_flags: &[&str]) -> Result<CommonOpts, String> {
-    let mut opts = CommonOpts::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value_of = |flag: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
+        let (name, inline) = match token.split_once('=') {
+            Some((name, value)) => (name, Some(value)),
+            None => (token.as_str(), None),
         };
-        match a.as_str() {
-            "--jobs" => opts.jobs = Some(parse_jobs(&value_of("--jobs")?)?),
-            "--point-timeout" => {
-                opts.point_timeout = Some(parse_timeout(&value_of("--point-timeout")?)?);
-            }
-            "--retries" => opts.retries = Some(parse_retries(&value_of("--retries")?)?),
-            "--run-id" => opts.run_id = Some(value_of("--run-id")?),
-            "--resume" => opts.resume = Some(value_of("--resume")?),
-            "--invariants" => {
-                opts.invariants = Some(parse_invariants(&value_of("--invariants")?)?);
-            }
-            "--sampling" => opts.sampling = Some(parse_sampling(&value_of("--sampling")?)?),
-            "--storage-faults" => {
-                opts.storage_faults = Some(parse_storage(&value_of("--storage-faults")?)?);
-            }
-            other => {
-                if let Some(v) = other.strip_prefix("--jobs=") {
-                    opts.jobs = Some(parse_jobs(v)?);
-                } else if let Some(v) = other.strip_prefix("--point-timeout=") {
-                    opts.point_timeout = Some(parse_timeout(v)?);
-                } else if let Some(v) = other.strip_prefix("--retries=") {
-                    opts.retries = Some(parse_retries(v)?);
-                } else if let Some(v) = other.strip_prefix("--run-id=") {
-                    opts.run_id = Some(v.to_owned());
-                } else if let Some(v) = other.strip_prefix("--resume=") {
-                    opts.resume = Some(v.to_owned());
-                } else if let Some(v) = other.strip_prefix("--invariants=") {
-                    opts.invariants = Some(parse_invariants(v)?);
-                } else if let Some(v) = other.strip_prefix("--sampling=") {
-                    opts.sampling = Some(parse_sampling(v)?);
-                } else if let Some(v) = other.strip_prefix("--storage-faults=") {
-                    opts.storage_faults = Some(parse_storage(v)?);
-                } else if other.starts_with("--") {
-                    let bare = other.split('=').next().unwrap_or(other);
-                    if extra_flags.contains(&bare) {
-                        opts.rest.push(other.to_owned());
-                    } else {
-                        return Err(unknown_flag_error(bare, extra_flags));
-                    }
-                } else {
-                    opts.rest.push(other.to_owned());
-                }
-            }
-        }
+        let &(flag, kind) = flags
+            .iter()
+            .find(|(f, _)| *f == name)
+            .ok_or_else(|| unknown_flag_error(name, flags))?;
+        let value = match (kind, inline) {
+            (Kind::Bare, None) => String::new(),
+            (Kind::Bare, Some(_)) => return Err(format!("{flag} takes no value")),
+            (_, Some(value)) => value.to_owned(),
+            (_, None) => tokens
+                .next()
+                .cloned()
+                .ok_or_else(|| format!("{flag} requires a value"))?,
+        };
+        kind.check(flag, &value)?;
+        args.flags.push((flag, value));
     }
-    Ok(opts)
+    let variadic = names.last().is_some_and(|n| n.ends_with("..."));
+    match args.positionals.get(names.len()) {
+        Some(surplus) if !variadic => {
+            let usage = if names.is_empty() {
+                "none".to_owned()
+            } else {
+                names.join(" ")
+            };
+            Err(format!(
+                "unexpected argument {surplus:?} (positional arguments: {usage})"
+            ))
+        }
+        _ => Ok(args),
+    }
 }
 
 /// Renders the unknown-flag usage error: the offending flag, a
 /// nearest-valid-flag suggestion when one is within edit distance 2, and
 /// the full list of flags this binary accepts.
-fn unknown_flag_error(flag: &str, extra_flags: &[&str]) -> String {
-    let mut known: Vec<&str> = COMMON_FLAGS.to_vec();
-    known.extend_from_slice(extra_flags);
+fn unknown_flag_error(flag: &str, flags: &[Flag]) -> String {
+    let mut known: Vec<&str> = flags.iter().map(|(name, _)| *name).collect();
     known.sort_unstable();
     let suggestion = known
         .iter()
@@ -309,6 +309,125 @@ fn edit_distance(a: &str, b: &str) -> usize {
         std::mem::swap(&mut prev, &mut row);
     }
     prev[b.len()]
+}
+
+/// The shared flags of a command line, converted, and the rest of it.
+#[derive(Debug)]
+pub struct CommonOpts {
+    /// `--jobs N`.
+    pub jobs: Option<usize>,
+    /// `--point-timeout SECS`: `Some(None)` = explicit `0` (disable),
+    /// `Some(Some(d))` = a budget, `None` = not given (use the env).
+    pub point_timeout: Option<Option<Duration>>,
+    /// `--retries N`.
+    pub retries: Option<u32>,
+    /// `--run-id ID`.
+    pub run_id: Option<String>,
+    /// `--resume ID`.
+    pub resume: Option<String>,
+    /// `--invariants MODE`.
+    pub invariants: Option<simx::InvariantMode>,
+    /// `--sampling SETTING`: `Some(None)` = explicit `off`,
+    /// `Some(Some(cfg))` = the sampled tier, `None` = not given (use the
+    /// env).
+    pub sampling: Option<Option<simx::SamplingConfig>>,
+    /// `--storage-faults SPEC`: `Some(None)` = explicit `off`,
+    /// `Some(Some(cfg))` = an injector, `None` = not given (use the env).
+    pub storage_faults: Option<Option<crate::vfs::StorageFaultConfig>>,
+    /// The binary's own flags and its positionals.
+    pub args: Args,
+}
+
+/// [`parse`] with the shared flags accepted alongside the binary's own
+/// `flags`, converting the shared ones.
+///
+/// # Errors
+/// A usage error from [`parse`] or from a shared flag's value.
+pub fn parse_common(
+    argv: &[String],
+    flags: &[Flag],
+    names: &'static [&'static str],
+) -> Result<CommonOpts, String> {
+    let accepted: Vec<Flag> = COMMON_FLAGS.iter().chain(flags).copied().collect();
+    let args = parse(argv, &accepted, names)?;
+    let timeout = args.get_where("--point-timeout", "seconds >= 0", |s: &f64| {
+        *s >= 0.0 && s.is_finite()
+    })?;
+    let invariants = args.value("--invariants").map(|v| {
+        simx::InvariantMode::parse(v)
+            .ok_or_else(|| format!("invalid --invariants value {v:?} (want off, cheap, or full)"))
+    });
+    let sampling = args.value("--sampling").map(|v| {
+        crate::run::parse_sampling_setting(v).map_err(|e| format!("invalid --sampling value: {e}"))
+    });
+    let storage_faults = args.value("--storage-faults").map(|v| {
+        crate::vfs::parse_storage_faults(v)
+            .map_err(|e| format!("invalid --storage-faults value: {e}"))
+    });
+    Ok(CommonOpts {
+        jobs: args.get("--jobs")?,
+        point_timeout: timeout.map(|s| (s > 0.0).then(|| Duration::from_secs_f64(s))),
+        retries: args.get("--retries")?,
+        run_id: args.value("--run-id").map(str::to_owned),
+        resume: args.value("--resume").map(str::to_owned),
+        invariants: invariants.transpose()?,
+        sampling: sampling.transpose()?,
+        storage_faults: storage_faults.transpose()?,
+        args,
+    })
+}
+
+/// Refuses the sampled execution tier for an experiment that
+/// characterizes machines from full two-point runs (the fleet and the
+/// thermal matrix): silently accepting it would misreport coverage.
+///
+/// # Errors
+/// `UnsupportedOption` naming `--sampling` when `ctx` samples.
+pub fn require_exact(ctx: &ExecCtx, experiment: &str) -> Result<(), depburst_core::DepburstError> {
+    match ctx.sampling {
+        None => Ok(()),
+        Some(_) => Err(depburst_core::DepburstError::UnsupportedOption {
+            option: "--sampling".to_owned(),
+            detail: format!(
+                "{experiment} characterizes machines from full two-point runs; \
+                 the sampled tier applies to the point pipeline only"
+            ),
+        }),
+    }
+}
+
+/// Reads the test-only `DEPBURST_BREAK_INVARIANT` sabotage hook: CI sets
+/// it to an invariant name to deliberately weaken that check and prove
+/// the detector (and its reporting path) actually fires. Unset in every
+/// real run.
+///
+/// # Errors
+/// Returns a usage error when the value names no invariant.
+pub fn sabotage_from_env() -> Result<Option<simx::Invariant>, String> {
+    match std::env::var("DEPBURST_BREAK_INVARIANT") {
+        Err(_) => Ok(None),
+        Ok(name) => match simx::Invariant::from_name(name.trim()) {
+            Some(inv) => Ok(Some(inv)),
+            None => Err(format!(
+                "DEPBURST_BREAK_INVARIANT={name:?} names no invariant (see simx::invariants)"
+            )),
+        },
+    }
+}
+
+/// Writes a binary's JSON report to `out` (its `--out PATH` value) or,
+/// without one, to `default`, creating the parent directory. Returns the
+/// path written.
+///
+/// # Errors
+/// Directory creation or the write itself failing.
+pub fn write_report(out: Option<&str>, default: &str, json: &str) -> std::io::Result<PathBuf> {
+    let path = PathBuf::from(out.unwrap_or(default));
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir)?;
+    }
+    std::fs::write(&path, json)?;
+    Ok(path)
 }
 
 /// Builds the execution context `opts` asks for: environment defaults,
@@ -378,42 +497,32 @@ pub fn build_ctx(opts: &CommonOpts) -> std::io::Result<ExecCtx> {
     Ok(ctx)
 }
 
-/// Parses the shared flags, builds the execution context, runs `body` on
-/// the remaining arguments, then writes/clears the experiment's failure
-/// report and translates the outcome into the standardized exit codes
-/// (0 ok, 1 usage/internal error, 2 point failures).
+/// Parses the command line (the shared flags plus the binary's own
+/// `flags` and positional `names`), builds the execution context, runs
+/// `body`, then writes/clears the experiment's failure report and
+/// translates the outcome into the standardized exit codes (0 ok, 1
+/// usage/internal error, 2 point failures).
 pub fn main_with(
     experiment: &str,
-    body: impl FnOnce(&ExecCtx, &[String]) -> CliResult,
-) -> ExitCode {
-    main_with_flags(experiment, &[], body)
-}
-
-/// [`main_with`] for binaries with their own flags (see
-/// [`parse_common_with`]): `extra_flags` pass through to the body's
-/// arguments and join the unknown-flag diagnostic's valid list.
-pub fn main_with_flags(
-    experiment: &str,
-    extra_flags: &[&str],
-    body: impl FnOnce(&ExecCtx, &[String]) -> CliResult,
+    flags: &[Flag],
+    names: &'static [&'static str],
+    body: impl FnOnce(&ExecCtx, &Args) -> CliResult,
 ) -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_common_with(&argv, extra_flags) {
-        Ok(opts) => opts,
+    let setup = || -> Result<(ExecCtx, Args), Box<dyn std::error::Error>> {
+        let opts = parse_common(&argv, flags, names)?;
+        Ok((build_ctx(&opts)?, opts.args))
+    };
+    match setup() {
+        Ok((ctx, args)) => {
+            let result = body(&ctx, &args);
+            finish(experiment, &ctx, result)
+        }
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    let ctx = match build_ctx(&opts) {
-        Ok(ctx) => ctx,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = body(&ctx, &opts.rest);
-    finish(experiment, &ctx, result)
+    }
 }
 
 /// The exit code for "the sweep ran but some points ultimately failed".
@@ -506,129 +615,224 @@ mod tests {
         v.iter().map(|s| (*s).to_owned()).collect()
     }
 
-    #[test]
-    fn split_jobs_extracts_both_forms() {
-        let (jobs, rest) = split_jobs(&strs(&["0.1", "--jobs", "4", "2"])).unwrap();
-        assert_eq!(jobs, Some(4));
-        assert_eq!(rest, strs(&["0.1", "2"]));
-        let (jobs, rest) = split_jobs(&strs(&["--jobs=2"])).unwrap();
-        assert_eq!(jobs, Some(2));
-        assert!(rest.is_empty());
-        let (jobs, rest) = split_jobs(&strs(&["a", "b"])).unwrap();
-        assert_eq!(jobs, None);
-        assert_eq!(rest, strs(&["a", "b"]));
+    /// The shared flags alone, with no positionals declared.
+    fn common(v: &[&str]) -> Result<CommonOpts, String> {
+        parse_common(&strs(v), &[], &[])
     }
 
     #[test]
-    fn split_jobs_rejects_bad_values() {
-        assert!(split_jobs(&strs(&["--jobs"])).is_err());
-        assert!(split_jobs(&strs(&["--jobs", "zero"])).is_err());
-        assert!(split_jobs(&strs(&["--jobs=0"])).is_err());
+    fn jobs_takes_both_forms_and_rejects_bad_values() {
+        let opts = parse_common(&strs(&["0.1", "--jobs", "4", "2"]), &[], &["scale", "seed"]);
+        let opts = opts.unwrap();
+        assert_eq!(opts.jobs, Some(4));
+        assert_eq!(opts.args.value("scale"), Some("0.1"));
+        assert_eq!(opts.args.value("seed"), Some("2"));
+        assert_eq!(common(&["--jobs=2"]).unwrap().jobs, Some(2));
+        assert_eq!(common(&[]).unwrap().jobs, None);
+        assert!(common(&["--jobs"]).is_err(), "missing value");
+        assert!(common(&["--jobs", "zero"]).is_err());
+        assert!(common(&["--jobs=0"]).is_err());
+        let err = common(&["--jobs", "0"]).expect_err("zero workers");
+        assert_eq!(err, "invalid --jobs value \"0\" (want a positive integer)");
     }
 
     #[test]
     fn parse_common_strips_all_shared_flags() {
-        let opts = parse_common(&strs(&[
-            "0.1",
-            "--jobs",
-            "4",
-            "--point-timeout=2.5",
-            "--retries",
-            "1",
-            "--run-id",
-            "nightly",
-            "7",
-        ]))
+        let opts = parse_common(
+            &strs(&[
+                "0.1",
+                "--jobs",
+                "4",
+                "--point-timeout=2.5",
+                "--retries",
+                "1",
+                "--run-id",
+                "nightly",
+                "7",
+            ]),
+            &[],
+            &["scale", "seed"],
+        )
         .unwrap();
         assert_eq!(opts.jobs, Some(4));
-        assert_eq!(
-            opts.point_timeout,
-            Some(Some(std::time::Duration::from_secs_f64(2.5)))
-        );
+        assert_eq!(opts.point_timeout, Some(Some(Duration::from_secs_f64(2.5))));
         assert_eq!(opts.retries, Some(1));
         assert_eq!(opts.run_id.as_deref(), Some("nightly"));
         assert_eq!(opts.resume, None);
-        assert_eq!(opts.rest, strs(&["0.1", "7"]), "positional order survives");
+        assert_eq!(
+            opts.args.value("scale"),
+            Some("0.1"),
+            "positional order survives"
+        );
+        assert_eq!(opts.args.value("seed"), Some("7"));
     }
 
     #[test]
     fn parse_common_timeout_zero_disables() {
-        let opts = parse_common(&strs(&["--point-timeout", "0"])).unwrap();
+        let opts = common(&["--point-timeout", "0"]).unwrap();
         assert_eq!(opts.point_timeout, Some(None));
-        assert!(parse_common(&strs(&["--point-timeout", "-1"])).is_err());
-        assert!(parse_common(&strs(&["--retries", "-1"])).is_err());
-        assert!(parse_common(&strs(&["--resume"])).is_err());
+        assert!(common(&["--point-timeout", "-1"]).is_err());
+        assert!(common(&["--point-timeout", "inf"]).is_err());
+        assert!(common(&["--retries", "-1"]).is_err());
+        assert!(common(&["--resume"]).is_err());
     }
 
     #[test]
-    fn split_flag_extracts_and_preserves_rest() {
-        let (v, rest) =
-            split_flag(&strs(&["a", "--panic-point", "0.5", "b"]), "--panic-point").unwrap();
-        assert_eq!(v.as_deref(), Some("0.5"));
-        assert_eq!(rest, strs(&["a", "b"]));
-        let (v, rest) = split_flag(&strs(&["--panic-point=1.0"]), "--panic-point").unwrap();
-        assert_eq!(v.as_deref(), Some("1.0"));
-        assert!(rest.is_empty());
-        assert!(split_flag(&strs(&["--panic-point"]), "--panic-point").is_err());
+    fn binary_flags_take_both_forms_in_one_path() {
+        let flags = [("--panic-point", Kind::Intensity), ("--out", Kind::Value)];
+        let args = parse(
+            &strs(&["a", "--panic-point", "0.5", "b"]),
+            &flags,
+            &["x", "y"],
+        )
+        .unwrap();
+        assert_eq!(args.get::<f64>("--panic-point").unwrap(), Some(0.5));
+        assert_eq!(args.value("x"), Some("a"));
+        assert_eq!(args.value("y"), Some("b"));
+        let args = parse(&strs(&["--panic-point=1.0"]), &flags, &[]).unwrap();
+        assert_eq!(args.get::<f64>("--panic-point").unwrap(), Some(1.0));
+        // Only the first `=` splits: the rest belongs to the value.
+        let args = parse(&strs(&["--out=a=b"]), &flags, &[]).unwrap();
+        assert_eq!(args.value("--out"), Some("a=b"));
+        // The last occurrence wins.
+        let args = parse(&strs(&["--out", "a", "--out=b"]), &flags, &[]).unwrap();
+        assert_eq!(args.value("--out"), Some("b"));
+        assert_eq!(args.value("--panic-point"), None);
+        let err = parse(&strs(&["--panic-point"]), &flags, &[]).expect_err("no value");
+        assert_eq!(err, "--panic-point requires a value");
+    }
+
+    #[test]
+    fn kinds_are_checked_while_parsing() {
+        let flags = [
+            ("--chaos", Kind::Intensity),
+            ("--shards", Kind::Positive),
+            ("--thermal", Kind::OnOff),
+            ("--shrink", Kind::Bare),
+        ];
+        let parse = |v: &[&str]| parse(&strs(v), &flags, &[]);
+        for bad in ["1.5", "-0.1", "NaN", "x"] {
+            let err = parse(&["--chaos", bad]).expect_err(bad);
+            assert!(err.contains("invalid --chaos value"), "{err}");
+            assert!(err.contains("(want an intensity in [0, 1])"), "{err}");
+        }
+        assert!(parse(&["--chaos=0"]).is_ok() && parse(&["--chaos", "1"]).is_ok());
+        for bad in ["0", "-1", "2.5"] {
+            let err = parse(&["--shards", bad]).expect_err(bad);
+            assert!(err.contains("(want a positive integer)"), "{err}");
+        }
+        assert_eq!(
+            parse(&["--shards=3"])
+                .unwrap()
+                .get::<usize>("--shards")
+                .unwrap(),
+            Some(3)
+        );
+        let err = parse(&["--thermal", "yes"]).expect_err("not on|off");
+        assert_eq!(err, "invalid --thermal value \"yes\" (want on or off)");
+        assert!(parse(&["--thermal=on"]).unwrap().on("--thermal"));
+        assert!(!parse(&["--thermal", "off"]).unwrap().on("--thermal"));
+        assert!(!parse(&[]).unwrap().on("--thermal"), "absent means off");
+        // A bare switch takes no value, so the next token stays positional.
+        assert!(parse(&["--shrink"]).unwrap().has("--shrink"));
+        assert!(!parse(&[]).unwrap().has("--shrink"));
+        assert_eq!(
+            parse(&["--shrink=1"]).expect_err("bare"),
+            "--shrink takes no value"
+        );
+        assert!(parse(&["--shrink", "1"]).is_err(), "no positional declared");
+    }
+
+    #[test]
+    fn positionals_are_strict_and_empty_means_absent() {
+        let names = &["scale", "seed"];
+        let args = parse(&strs(&["", "7"]), &[], names).unwrap();
+        assert_eq!(
+            args.get::<f64>("scale").unwrap(),
+            None,
+            "empty counts as absent"
+        );
+        assert_eq!(args.get::<u64>("seed").unwrap(), Some(7));
+        let args = parse(&strs(&["abc"]), &[], names).unwrap();
+        let err = args.get::<f64>("scale").expect_err("malformed");
+        assert_eq!(err, "invalid scale value \"abc\" (want f64)");
+        assert_eq!(args.get::<u64>("seed").unwrap(), None, "missing is absent");
+        assert_eq!(
+            args.required::<u64>("seed").expect_err("missing"),
+            "missing seed"
+        );
+        let err = parse(&strs(&["1", "2", "3"]), &[], names).expect_err("surplus");
+        assert_eq!(
+            err,
+            "unexpected argument \"3\" (positional arguments: scale seed)"
+        );
+        let err = parse(&strs(&["x"]), &[], &[]).expect_err("none declared");
+        assert_eq!(
+            err,
+            "unexpected argument \"x\" (positional arguments: none)"
+        );
+        // A final `name...` takes the rest.
+        let names = &["scale", "benchmarks..."];
+        let args = parse(&strs(&["0.1", "a", "b"]), &[], names).unwrap();
+        assert_eq!(args.rest("benchmarks..."), strs(&["a", "b"]));
+        let args = parse(&strs(&[]), &[], names).unwrap();
+        assert!(args.rest("benchmarks...").is_empty());
     }
 
     #[test]
     fn unknown_flags_are_diagnosed_with_suggestion_and_list() {
-        let err = parse_common(&strs(&["--job", "4"])).expect_err("unknown flag");
+        let err = common(&["--job", "4"]).expect_err("unknown flag");
         assert!(err.contains("unknown flag --job"), "got: {err}");
         assert!(err.contains("did you mean --jobs?"), "got: {err}");
-        for flag in COMMON_FLAGS {
+        for (flag, _) in COMMON_FLAGS {
             assert!(err.contains(flag), "valid list must include {flag}: {err}");
         }
         // The `=`-form reports the bare flag name.
-        let err = parse_common(&strs(&["--restries=1"])).expect_err("typo");
+        let err = common(&["--restries=1"]).expect_err("typo");
         assert!(err.contains("unknown flag --restries"), "got: {err}");
         assert!(err.contains("did you mean --retries?"), "got: {err}");
         // A flag nothing resembles gets the list but no suggestion.
-        let err = parse_common(&strs(&["--frobnicate"])).expect_err("unknown");
+        let err = common(&["--frobnicate"]).expect_err("unknown");
         assert!(!err.contains("did you mean"), "got: {err}");
         assert!(err.contains("valid flags:"), "got: {err}");
     }
 
     #[test]
-    fn extra_flags_pass_through_and_join_the_diagnostic() {
-        let opts = parse_common_with(
-            &strs(&["--panic-point", "0.5", "--jobs=2", "x"]),
-            &["--panic-point"],
-        )
-        .unwrap();
+    fn binary_flags_join_the_diagnostic() {
+        let flags = [("--panic-point", Kind::Intensity)];
+        let opts = parse_common(&strs(&["--panic-point", "0.5", "--jobs=2"]), &flags, &[]);
+        let opts = opts.unwrap();
         assert_eq!(opts.jobs, Some(2));
-        assert_eq!(opts.rest, strs(&["--panic-point", "0.5", "x"]));
-        let opts =
-            parse_common_with(&strs(&["--panic-point=1.0"]), &["--panic-point"]).unwrap();
-        assert_eq!(opts.rest, strs(&["--panic-point=1.0"]));
+        assert_eq!(opts.args.value("--panic-point"), Some("0.5"));
         // A typo of the binary-specific flag is suggested too.
-        let err = parse_common_with(&strs(&["--panic-pont=1.0"]), &["--panic-point"])
-            .expect_err("typo");
+        let err = parse_common(&strs(&["--panic-pont=1.0"]), &flags, &[]).expect_err("typo");
         assert!(err.contains("did you mean --panic-point?"), "got: {err}");
-        // Without the pass-through declaration it is unknown.
-        assert!(parse_common(&strs(&["--panic-point=1.0"])).is_err());
+        // Without the declaration it is unknown.
+        assert!(common(&["--panic-point=1.0"]).is_err());
+        // `parse` alone accepts only what it is given: no shared flags.
+        let err = parse(&strs(&["--jobs", "2"]), &flags, &[]).expect_err("not shared");
+        assert_eq!(err, "unknown flag --jobs; valid flags: --panic-point");
     }
 
     #[test]
     fn invariants_flag_parses_all_modes() {
-        let opts = parse_common(&strs(&["--invariants", "full"])).unwrap();
+        let opts = common(&["--invariants", "full"]).unwrap();
         assert_eq!(opts.invariants, Some(simx::InvariantMode::Full));
-        let opts = parse_common(&strs(&["--invariants=cheap"])).unwrap();
+        let opts = common(&["--invariants=cheap"]).unwrap();
         assert_eq!(opts.invariants, Some(simx::InvariantMode::Cheap));
-        let opts = parse_common(&strs(&["--invariants=off"])).unwrap();
+        let opts = common(&["--invariants=off"]).unwrap();
         assert_eq!(opts.invariants, Some(simx::InvariantMode::Off));
-        assert!(parse_common(&strs(&["--invariants", "loud"])).is_err());
-        assert_eq!(parse_common(&strs(&[])).unwrap().invariants, None);
+        assert!(common(&["--invariants", "loud"]).is_err());
+        assert_eq!(common(&[]).unwrap().invariants, None);
     }
 
     #[test]
     fn sampling_flag_parses_all_settings() {
-        let opts = parse_common(&strs(&["--sampling", "on"])).unwrap();
+        let opts = common(&["--sampling", "on"]).unwrap();
         assert_eq!(opts.sampling, Some(Some(simx::SamplingConfig::default())));
-        let opts = parse_common(&strs(&["--sampling=off"])).unwrap();
+        let opts = common(&["--sampling=off"]).unwrap();
         assert_eq!(opts.sampling, Some(None));
-        let opts = parse_common(&strs(&["--sampling=0.5"])).unwrap();
+        let opts = common(&["--sampling=0.5"]).unwrap();
         let cfg = opts.sampling.flatten().expect("fraction enables sampling");
         assert_eq!(cfg.measure_fraction, 0.5);
         assert_eq!(
@@ -636,27 +840,30 @@ mod tests {
             simx::SamplingConfig::default().probe_fraction
         );
         // Fractions outside (probe, 1) and junk are usage errors.
-        assert!(parse_common(&strs(&["--sampling", "1.5"])).is_err());
-        assert!(parse_common(&strs(&["--sampling", "0.01"])).is_err());
-        assert!(parse_common(&strs(&["--sampling", "sometimes"])).is_err());
-        assert_eq!(parse_common(&strs(&[])).unwrap().sampling, None);
+        assert!(common(&["--sampling", "1.5"]).is_err());
+        assert!(common(&["--sampling", "0.01"]).is_err());
+        assert!(common(&["--sampling", "sometimes"]).is_err());
+        assert_eq!(common(&[]).unwrap().sampling, None);
     }
 
     #[test]
     fn storage_faults_flag_parses_specs() {
-        let opts = parse_common(&strs(&["--storage-faults", "off"])).unwrap();
+        let opts = common(&["--storage-faults", "off"]).unwrap();
         assert_eq!(opts.storage_faults, Some(None));
-        let opts = parse_common(&strs(&["--storage-faults=0.2,seed=7"])).unwrap();
+        let opts = common(&["--storage-faults=0.2,seed=7"]).unwrap();
         let cfg = opts.storage_faults.flatten().expect("injector on");
         assert_eq!(cfg.seed, 7);
         assert!(cfg.torn_write > 0.0);
-        let opts = parse_common(&strs(&["--storage-faults=crash=12"])).unwrap();
+        let opts = common(&["--storage-faults=crash=12"]).unwrap();
         assert_eq!(
-            opts.storage_faults.flatten().expect("crash mode").crash_after,
+            opts.storage_faults
+                .flatten()
+                .expect("crash mode")
+                .crash_after,
             Some(12)
         );
-        assert!(parse_common(&strs(&["--storage-faults", "2.0"])).is_err());
-        assert_eq!(parse_common(&strs(&[])).unwrap().storage_faults, None);
+        assert!(common(&["--storage-faults", "2.0"]).is_err());
+        assert_eq!(common(&[]).unwrap().storage_faults, None);
     }
 
     #[test]
@@ -670,18 +877,14 @@ mod tests {
 
     #[test]
     fn build_ctx_applies_overrides() {
-        let opts = parse_common(&strs(&["--jobs=3", "--retries=0", "--point-timeout=1.5"]))
-            .unwrap();
+        let opts = common(&["--jobs=3", "--retries=0", "--point-timeout=1.5"]).unwrap();
         let ctx = build_ctx(&opts).expect("no journal requested");
         assert_eq!(ctx.jobs, 3);
         assert_eq!(ctx.policy.retries, 0);
-        assert_eq!(
-            ctx.point_timeout,
-            Some(std::time::Duration::from_secs_f64(1.5))
-        );
+        assert_eq!(ctx.point_timeout, Some(Duration::from_secs_f64(1.5)));
         assert!(ctx.journal().is_none());
         // A bad run id is a usage error, not a panic.
-        let bad = parse_common(&strs(&["--run-id", "../escape"])).unwrap();
+        let bad = common(&["--run-id", "../escape"]).unwrap();
         assert!(build_ctx(&bad).is_err());
     }
 
@@ -691,23 +894,11 @@ mod tests {
         // never be created: the context must still build — checkpointing
         // is best-effort — just without a journal. The id is still
         // validated strictly even on that path.
-        let opts = parse_common(&strs(&[
-            "--run-id",
-            "cli-degraded",
-            "--storage-faults",
-            "crash=0",
-        ]))
-        .unwrap();
+        let opts = common(&["--run-id", "cli-degraded", "--storage-faults", "crash=0"]).unwrap();
         let ctx = build_ctx(&opts).expect("degraded, not dead");
         assert!(ctx.journal().is_none());
         assert!(ctx.storage().expect("injector installed").crashed());
-        let bad = parse_common(&strs(&[
-            "--run-id",
-            "../escape",
-            "--storage-faults",
-            "crash=0",
-        ]))
-        .unwrap();
+        let bad = common(&["--run-id", "../escape", "--storage-faults", "crash=0"]).unwrap();
         assert!(build_ctx(&bad).is_err(), "id validation must stay hard");
     }
 }

@@ -1,0 +1,138 @@
+//! The binaries' command lines, driven through the real executables: a
+//! malformed argument fails before any simulation starts, naming the
+//! argument, and a well-formed one reaches the experiment unchanged.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// A fresh working directory per run, so no run touches the repo's
+/// `results/` and parallel tests never share one.
+fn workdir(test: &str) -> PathBuf {
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    let name = format!("depburst-cli-{}-{test}-{run}", std::process::id());
+    let dir = std::env::temp_dir().join(name);
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).expect("create the test's working directory");
+    dir
+}
+
+fn run(exe: &str, args: &[&str], dir: &Path) -> Output {
+    Command::new(exe)
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .unwrap_or_else(|e| panic!("spawn {exe}: {e}"))
+}
+
+/// Runs `exe args` and requires a usage failure (exit 1) whose stderr
+/// contains every one of `needles`.
+fn usage_error(exe: &str, args: &[&str], needles: &[&str]) {
+    let dir = workdir("usage");
+    let out = run(exe, args, &dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: stderr {stderr}");
+    for needle in needles {
+        assert!(
+            stderr.contains(needle),
+            "{args:?}: want {needle:?} in {stderr}"
+        );
+    }
+    assert!(out.stdout.is_empty(), "{args:?} printed before failing");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn malformed_positionals_name_the_argument() {
+    usage_error(
+        env!("CARGO_BIN_EXE_fleet"),
+        &["1O24"],
+        &["machines", "\"1O24\""],
+    );
+    usage_error(
+        env!("CARGO_BIN_EXE_fig3"),
+        &["both", "abc"],
+        &["scale", "\"abc\""],
+    );
+    usage_error(
+        env!("CARGO_BIN_EXE_dvfs-lab"),
+        &["run", "lusearch", "2", "x"],
+        &["scale", "\"x\""],
+    );
+    usage_error(
+        env!("CARGO_BIN_EXE_fuzz"),
+        &["5"],
+        &["unexpected argument \"5\""],
+    );
+}
+
+#[test]
+fn zero_shards_is_rejected_by_fleet_and_thermal() {
+    for exe in [env!("CARGO_BIN_EXE_fleet"), env!("CARGO_BIN_EXE_thermal")] {
+        usage_error(exe, &["--shards", "0"], &["invalid --shards value \"0\""]);
+        usage_error(exe, &["--shards=0"], &["invalid --shards value \"0\""]);
+    }
+}
+
+#[test]
+fn torture_shares_the_unknown_flag_diagnostic() {
+    let exe = env!("CARGO_BIN_EXE_torture");
+    usage_error(
+        exe,
+        &["--jbos", "3"],
+        &["unknown flag --jbos", "valid flags: --bitflips"],
+    );
+    usage_error(exe, &["--strdie", "3"], &["did you mean --stride?"]);
+    // The shared flags stay refused: torture builds its own contexts.
+    usage_error(exe, &["--jobs", "3"], &["unknown flag --jobs"]);
+}
+
+#[test]
+fn record_takes_an_output_path_where_run_takes_a_scale() {
+    let dir = workdir("record");
+    let exe = env!("CARGO_BIN_EXE_dvfs-lab");
+    let out = run(
+        exe,
+        &["record", "lusearch", "2", "trace.json", "0.02"],
+        &dir,
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "record failed: {stderr}");
+    assert!(dir.join("trace.json").is_file(), "record wrote no trace");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fleet_argv_reproduces_the_committed_evidence() {
+    let dir = workdir("fleet");
+    let out = run(
+        env!("CARGO_BIN_EXE_fleet"),
+        &[
+            "8",
+            "120",
+            "0.05",
+            "1",
+            "--shards=2",
+            "--chaos",
+            "0.5",
+            "--chaos-seed=7",
+            "--policy",
+            "depburst",
+            "--out",
+            "fleet.json",
+        ],
+        &dir,
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "fleet failed: {stderr}");
+    let committed = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/fleet.json");
+    let want = fs::read(&committed).expect("read the committed results/fleet.json");
+    let got = fs::read(dir.join("fleet.json")).expect("fleet wrote its --out report");
+    assert!(
+        got == want,
+        "fleet's argv path no longer reproduces results/fleet.json"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}

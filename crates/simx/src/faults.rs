@@ -304,7 +304,9 @@ impl SplitMix64 {
         SplitMix64 { state: seed }
     }
 
-    /// The next 64 random bits.
+    /// The next 64 random bits. Inlined: address generation draws one
+    /// per sampled random access.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;

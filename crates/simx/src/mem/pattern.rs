@@ -7,6 +7,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::faults::SplitMix64;
+
 /// How a memory work item touches its data.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum AccessPattern {
@@ -47,7 +49,7 @@ pub enum AccessPattern {
 #[derive(Debug, Clone)]
 pub struct AddressStream {
     pattern: AccessPattern,
-    state: u64,
+    rng: SplitMix64,
     index: u64,
     /// Strided patterns: `(index * stride) mod ws`, carried across calls.
     stride_pos: u64,
@@ -59,7 +61,7 @@ impl AddressStream {
     pub fn new(pattern: AccessPattern, seed: u64) -> Self {
         AddressStream {
             pattern,
-            state: seed ^ 0x9E37_79B9_7F4A_7C15,
+            rng: SplitMix64::new(seed ^ 0x9E37_79B9_7F4A_7C15),
             index: 0,
             stride_pos: 0,
         }
@@ -87,7 +89,7 @@ impl AddressStream {
                 addr
             }
             AccessPattern::Random { base, working_set } => {
-                let r = splitmix64(&mut self.state);
+                let r = self.rng.next_u64();
                 // Multiplicative range reduction: maps uniform u64 `r` to
                 // uniform [0, ws) with a high-half multiply.
                 let ws = working_set.max(1);
@@ -95,15 +97,6 @@ impl AddressStream {
             }
         }
     }
-}
-
-/// SplitMix64: tiny, fast, stable PRNG for address generation.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

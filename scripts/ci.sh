@@ -51,7 +51,9 @@ smoke table1   "$BIN/table1 $SCALE --jobs 2"
 smoke table2   "$BIN/table2"
 smoke ablation "$BIN/ablation $SCALE 1 --jobs 2"
 smoke percore  "$BIN/percore $SCALE 1 lusearch --jobs 2"
-smoke faults   "$BIN/faults $SCALE 1 10 --jobs 2"
+# faults writes results/faults.json; run it from /tmp so the committed
+# sweep stays untouched (the last step diffs all of results/).
+smoke faults   "(cd /tmp && $PWD/$BIN/faults $SCALE 1 10 --jobs 2)"
 smoke fleet    "$BIN/fleet 4 40 $SCALE 1 --shards 2 --jobs 2 --out /dev/null"
 smoke dvfs-lab "$BIN/dvfs-lab bench"
 
@@ -118,18 +120,20 @@ step "bench smoke + throughput floor (>= ${DEPBURST_BENCH_REGRESSION_PCT:-25}% o
 
 # A certain panic-point cell per benchmark: every other cell completes,
 # the dead cells land in results/faults_failures.json, and the process
-# exits 2.
+# exits 2. Run from /tmp, like the faults smoke, so the committed
+# results/faults.json stays untouched.
 resilience_panic() {
-    rm -f results/faults_failures.json
+    local report=/tmp/results/faults_failures.json
+    rm -f "$report"
     local rc=0
-    "$BIN/faults" "$SCALE" 1 10 --jobs 2 --retries 1 --panic-point 1.0 \
-        > /dev/null 2> /dev/null || rc=$?
+    (cd /tmp && "$OLDPWD/$BIN/faults" "$SCALE" 1 10 --jobs 2 --retries 1 \
+        --panic-point 1.0 > /dev/null 2> /dev/null) || rc=$?
     if [ "$rc" -ne 2 ]; then
         echo "faults --panic-point 1.0: want exit 2, got $rc"
         return 1
     fi
-    grep -q '"Panic"' results/faults_failures.json || {
-        echo "results/faults_failures.json lacks a Panic failure"
+    grep -q '"Panic"' "$report" || {
+        echo "$report lacks a Panic failure"
         return 1
     }
 }
@@ -482,9 +486,8 @@ sampling_accuracy_gate() {
 }
 step "sampling accuracy gate (≤ 2% vs exact goldens)" sampling_accuracy_gate
 
-# Nothing above may rewrite the committed fleet evidence; only
-# run_experiments.sh regenerates it.
-step "committed fleet evidence untouched" \
-    git diff --exit-code -- results/fleet.json results/thermal.json
+# Nothing above may rewrite committed evidence; only run_experiments.sh
+# (and the regeneration commands noted above) rewrite results/.
+step "committed evidence untouched" git diff --exit-code -- results/
 
 echo "ci: all green"
