@@ -2,7 +2,10 @@
 //! degradation under each fault class × intensity.
 //!
 //! Usage: `cargo run --release -p harness --bin faults -- [scale] [seed]
-//! [threshold-percent] [--panic-point P] [--jobs N]`
+//! [threshold-percent] [--panic-point P] [--out PATH] [--jobs N]`
+//!
+//! The JSON rows go to `--out PATH` (default `results/faults.json`, the
+//! committed sweep); the table goes to stdout.
 //!
 //! `--panic-point P` appends a seeded [`simx::FaultClass::PanicPoint`]
 //! cell per benchmark that panics inside point evaluation with
@@ -16,7 +19,7 @@ use harness::cli::{self, Kind};
 use harness::experiments::faults;
 
 fn main() -> ExitCode {
-    let flags = [("--panic-point", Kind::Intensity)];
+    let flags = [("--panic-point", Kind::Intensity), ("--out", Kind::Value)];
     let names = &["scale", "seed", "threshold-percent"];
     cli::main_with("faults", &flags, names, |ctx, args| {
         let panic_point: Option<f64> = args.get("--panic-point")?;
@@ -31,9 +34,8 @@ fn main() -> ExitCode {
         let rows = faults::collect_with(ctx, scale, seed, threshold, &intensities, panic_point)?;
         println!("{}", faults::render(&rows));
         let json = serde_json::to_string_pretty(&rows)?;
-        std::fs::create_dir_all("results")?;
-        std::fs::write("results/faults.json", &json)?;
-        eprintln!("wrote results/faults.json ({} rows)", rows.len());
+        let path = cli::write_report(args.value("--out"), "results/faults.json", &json)?;
+        eprintln!("wrote {} ({} rows)", path.display(), rows.len());
         Ok(())
     })
 }

@@ -1,20 +1,23 @@
 //! Sampled-vs-exact validation sweep: measures the sampled tier's
-//! extrapolation error across every workload × frequency and writes
-//! `results/sampling_error.{txt,json}` (the JSON feeds the CI accuracy
-//! gate).
+//! extrapolation error across every workload × frequency and writes a
+//! JSON report to `--out PATH` (default `results/sampling_error.json`,
+//! which feeds the CI accuracy gate) with the text report beside it
+//! (same path, `.txt` extension).
 //!
-//! Usage: `cargo run --release -p harness --bin sampling_error -- [scale] [seeds] [--jobs N] [--sampling CFG]`
+//! Usage: `cargo run --release -p harness --bin sampling_error -- [scale] [seeds] [--out PATH] [--jobs N] [--sampling CFG]`
 //!
 //! `--sampling` here selects the configuration under test (default: the
 //! default `SamplingConfig`); the exact arm always runs exactly.
 
 use std::process::ExitCode;
 
-use harness::cli;
+use harness::cli::{self, Kind};
 use harness::experiments::sampling_error;
 
 fn main() -> ExitCode {
-    cli::main_with("sampling_error", &[], &["scale", "seeds"], |ctx, args| {
+    let flags = [("--out", Kind::Value)];
+    let names = &["scale", "seeds"];
+    cli::main_with("sampling_error", &flags, names, |ctx, args| {
         let scale: f64 = args.get("scale")?.unwrap_or(1.0);
         let nseeds: usize = args.get("seeds")?.unwrap_or(1);
         let seeds: Vec<u64> = (1..=nseeds as u64).collect();
@@ -26,13 +29,14 @@ fn main() -> ExitCode {
         let report = sampling_error::collect_with(ctx, scale, &seeds, &cfg)?;
         let rendered = sampling_error::render(&report);
         print!("{rendered}");
-        std::fs::create_dir_all("results")?;
-        std::fs::write("results/sampling_error.txt", &rendered)?;
-        std::fs::write(
+        let json = serde_json::to_string_pretty(&report)?;
+        let path = cli::write_reports(
+            args.value("--out"),
             "results/sampling_error.json",
-            serde_json::to_string_pretty(&report)?,
+            &json,
+            &rendered,
         )?;
-        eprintln!("wrote results/sampling_error.txt and results/sampling_error.json");
+        eprintln!("wrote {} and its .txt report", path.display());
         Ok(())
     })
 }

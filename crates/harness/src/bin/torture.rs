@@ -6,7 +6,11 @@
 //!
 //! Usage: `cargo run --release -p harness --bin torture -- [scale] [seed]
 //! [--dense N] [--stride N] [--max-points N] [--bitflips N] [--soak F]
-//! [--storage-seed N]`
+//! [--storage-seed N] [--out PATH]`
+//!
+//! The JSON report goes to `--out PATH` (default `results/torture.json`,
+//! the committed full-matrix evidence) and the text report beside it, at
+//! the same path with a `.txt` extension.
 //!
 //! Unlike the other binaries this one does not take the shared harness
 //! flags: it builds its own execution contexts (a fresh one per crash
@@ -21,7 +25,8 @@ use std::process::ExitCode;
 use harness::cli::{self, Flag, Kind};
 use harness::experiments::torture::{self, TortureConfig};
 
-const FLAGS: [Flag; 6] = [
+const FLAGS: [Flag; 7] = [
+    ("--out", Kind::Value),
     ("--dense", Kind::Value),
     ("--stride", Kind::Value),
     ("--max-points", Kind::Value),
@@ -58,11 +63,16 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
     };
 
     let report = torture::run(&cfg)?;
-    print!("{}", report.render());
-    std::fs::create_dir_all("results")?;
-    std::fs::write("results/torture.txt", report.render())?;
-    std::fs::write("results/torture.json", serde_json::to_string_pretty(&report)?)?;
-    eprintln!("wrote results/torture.json");
+    let rendered = report.render();
+    print!("{rendered}");
+    let json = serde_json::to_string_pretty(&report)?;
+    let path = cli::write_reports(
+        args.value("--out"),
+        "results/torture.json",
+        &json,
+        &rendered,
+    )?;
+    eprintln!("wrote {}", path.display());
     Ok(if report.clean() {
         ExitCode::SUCCESS
     } else {

@@ -23,12 +23,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use dacapo_sim::Benchmark;
-use depburst_core::stablehash::StableHasher;
-use serde::{Deserialize, Serialize};
+use depburst_core::stablehash::{fnv1a64, StableHasher};
 use simx::{FaultConfig, MachineConfig};
 
 use crate::run::RunSummary;
-use crate::vfs::{fnv1a64, write_atomic, RealVfs, Vfs};
+use crate::vfs::{write_atomic, RealVfs, Vfs};
 
 /// Version of the cached-entry schema. Bump on any change to the
 /// simulator's observable behaviour, the workload models, or the
@@ -163,38 +162,99 @@ pub fn sim_key_from_digests(
     SimKey(h.finish())
 }
 
-/// The on-disk envelope around a cached summary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct CacheEnvelope {
-    /// Schema version the entry was written under.
-    schema: u32,
-    /// Hex content key, re-checked on load (defends against renamed files).
-    key: String,
-    /// FNV-1a 64 digest (16 hex digits) of the serialized `summary`
-    /// field, re-checked on load: bit rot anywhere in the payload is
-    /// detected and the envelope quarantined, never served.
-    checksum: String,
-    /// The cached result.
-    summary: RunSummary,
-}
-
 /// The checksum field's rendering of a serialized summary. Shared with
 /// the checkpoint journal, whose records carry the same framing.
 pub(crate) fn summary_checksum(summary_json: &str) -> String {
     format!("{:016x}", fnv1a64(summary_json.as_bytes()))
 }
 
-/// Composes the envelope text around an already-serialized summary,
-/// byte-identical to serializing a [`CacheEnvelope`] (asserted by a
-/// test) without re-walking the multi-KB summary a second time. The
-/// non-payload fields are plain hex/integers, so no JSON escaping is
-/// needed. Shared with the checkpoint journal: a journal record is the
-/// same `{schema, key, checksum, summary}` framing, one per line.
+/// Composes the envelope text around an already-serialized summary:
+/// `{"schema":N,"key":"<32 hex>","checksum":"<16 hex>","summary":<payload>}`
+/// with `N` the [`SCHEMA_VERSION`] and the checksum the FNV-1a of the
+/// payload bytes. That is the canonical serialization of a struct with
+/// those four fields (asserted by a test); the non-payload fields are
+/// plain hex/integers, so no JSON escaping is needed. Shared with the
+/// checkpoint journal: a journal record is the same framing, one per
+/// line. [`open_envelope`] reads it back.
 pub(crate) fn compose_envelope(key: SimKey, checksum: &str, summary_json: &str) -> String {
     format!(
         "{{\"schema\":{SCHEMA_VERSION},\"key\":\"{}\",\"checksum\":\"{checksum}\",\"summary\":{summary_json}}}",
         key.hex()
     )
+}
+
+/// Opens an envelope written by [`compose_envelope`]: matches its exact
+/// header, checks the 64-bit FNV-1a of the payload bytes *as stored*
+/// against the stored checksum, and returns the envelope's key with the
+/// payload slice (still to be parsed). Every byte outside the key is
+/// either fixed framing or covered by the checksum, so a change to any of
+/// them is rejected here; a changed key digit yields a different key,
+/// which the caller's lookup never matches to the original point.
+///
+/// # Errors
+/// Why the bytes are not a sound schema-[`SCHEMA_VERSION`] envelope: a
+/// foreign header or schema, malformed hex, a missing closing brace, or a
+/// checksum mismatch.
+pub(crate) fn open_envelope(bytes: &[u8]) -> Result<(SimKey, &[u8]), String> {
+    let rest = bytes
+        .strip_prefix(b"{\"schema\":")
+        .ok_or("not an envelope (no schema header)")?;
+    let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+    let (schema, rest) = rest.split_at(digits);
+    if schema != SCHEMA_VERSION.to_string().as_bytes() {
+        return Err(format!(
+            "schema {} (want {SCHEMA_VERSION})",
+            String::from_utf8_lossy(schema)
+        ));
+    }
+    let rest = rest
+        .strip_prefix(b",\"key\":\"")
+        .ok_or("malformed key field")?;
+    let (key, rest) = lower_hex(rest, 32).ok_or("malformed key field")?;
+    let rest = rest
+        .strip_prefix(b"\",\"checksum\":\"")
+        .ok_or("malformed checksum field")?;
+    let (stored, rest) = lower_hex(rest, 16).ok_or("malformed checksum field")?;
+    let payload = rest
+        .strip_prefix(b"\",\"summary\":")
+        .and_then(|r| r.strip_suffix(b"}"))
+        .ok_or("malformed summary field")?;
+    let computed = u128::from(fnv1a64(payload));
+    if computed != stored {
+        return Err(format!(
+            "checksum mismatch (stored {stored:016x}, computed {computed:016x})"
+        ));
+    }
+    Ok((SimKey(key), payload))
+}
+
+/// Splits `width` lowercase hex digits — the only case the writer emits,
+/// so an upper-cased digit is a changed byte — off the front of `bytes`.
+fn lower_hex(bytes: &[u8], width: usize) -> Option<(u128, &[u8])> {
+    let (digits, rest) = bytes.split_at_checked(width)?;
+    let value = digits.iter().try_fold(0u128, |acc, &b| {
+        let d = match b {
+            b'0'..=b'9' => b - b'0',
+            b'a'..=b'f' => b - b'a' + 10,
+            _ => return None,
+        };
+        Some(acc << 4 | u128::from(d))
+    })?;
+    Some((value, rest))
+}
+
+/// Decodes the envelope persisted in `key`'s slot. The checksum is
+/// verified over the stored payload bytes before anything is parsed, so
+/// the payload is parsed exactly once and any bit flipped since the write
+/// is rejected (and the entry quarantined), never served. A key other
+/// than `key` means a renamed file, rejected likewise rather than left
+/// shadowing the slot.
+fn decode_entry(key: SimKey, bytes: &[u8]) -> Result<RunSummary, String> {
+    let (stored, payload) = open_envelope(bytes)?;
+    if stored != key {
+        return Err(format!("envelope mismatch (key {})", stored.hex()));
+    }
+    serde_json::from_slice(payload).map_err(|e| e.to_string())
 }
 
 /// Hit/miss counters of a cache (for CI logs and tests).
@@ -379,44 +439,10 @@ impl SimCache {
         let path = self.entry_path(key)?;
         // An absent entry is the ordinary cold-cache case, not corruption.
         let bytes = self.vfs.read(&path).ok()?;
-        match serde_json::from_slice::<CacheEnvelope>(&bytes) {
-            Ok(envelope) if envelope.schema == SCHEMA_VERSION && envelope.key == key.hex() => {
-                // Integrity framing: the checksum was computed over the
-                // summary's serialization at store time. Re-serializing
-                // the parsed summary reproduces those exact bytes (the
-                // shim serializer is canonical and summaries roundtrip
-                // with exact f64 bit patterns — asserted by the golden
-                // suite), so any bit flip in the payload since the write
-                // lands here instead of in an experiment's numbers.
-                let reserialized = serde_json::to_string(&envelope.summary).ok()?;
-                let computed = summary_checksum(&reserialized);
-                if computed == envelope.checksum {
-                    Some(envelope.summary)
-                } else {
-                    self.quarantine(
-                        &path,
-                        &format!(
-                            "checksum mismatch (stored {}, computed {computed})",
-                            envelope.checksum
-                        ),
-                    );
-                    None
-                }
-            }
-            Ok(envelope) => {
-                // Stale schema or a renamed file: quarantine rather than
-                // leave a permanently-unusable entry shadowing the slot.
-                self.quarantine(
-                    &path,
-                    &format!(
-                        "envelope mismatch (schema {}, key {})",
-                        envelope.schema, envelope.key
-                    ),
-                );
-                None
-            }
-            Err(parse_err) => {
-                self.quarantine(&path, &parse_err.to_string());
+        match decode_entry(key, &bytes) {
+            Ok(summary) => Some(summary),
+            Err(why) => {
+                self.quarantine(&path, &why);
                 None
             }
         }
@@ -460,9 +486,8 @@ impl SimCache {
             return;
         };
         // Serialize the summary once; the envelope is composed around it
-        // (rather than cloning the summary into a CacheEnvelope and
-        // walking it a second time) and the checksum covers exactly the
-        // bytes between `"summary":` and the closing brace.
+        // and the checksum covers exactly the bytes between `"summary":`
+        // and the closing brace.
         let Ok(summary_json) = serde_json::to_string(summary) else {
             self.persist_failures.fetch_add(1, Ordering::Relaxed);
             return;
@@ -654,14 +679,22 @@ mod tests {
     #[test]
     fn composed_envelope_matches_the_derived_serializer() {
         // `store_to_disk` composes the envelope text manually around the
-        // once-serialized summary; the loader parses it with the derived
-        // Deserialize. The two must agree byte-for-byte, or the checksum
-        // verified on load would not be the checksum computed at store.
+        // once-serialized summary. It must stay the canonical
+        // serialization of the four-field envelope, byte for byte, so
+        // that the on-disk format is plain JSON of a fixed shape; and
+        // `open_envelope` must hand back exactly the payload bytes.
+        #[derive(Debug, serde::Serialize, serde::Deserialize)]
+        struct Envelope {
+            schema: u32,
+            key: String,
+            checksum: String,
+            summary: RunSummary,
+        }
         let summary = dummy_summary(23);
         let summary_json = serde_json::to_string(&summary).expect("serialize");
         let checksum = summary_checksum(&summary_json);
         let composed = compose_envelope(key_for(1), &checksum, &summary_json);
-        let parsed: CacheEnvelope = serde_json::from_str(&composed).expect("parses");
+        let parsed: Envelope = serde_json::from_str(&composed).expect("parses");
         assert_eq!(parsed.schema, SCHEMA_VERSION);
         assert_eq!(parsed.key, key_for(1).hex());
         assert_eq!(parsed.checksum, checksum);
@@ -671,6 +704,141 @@ mod tests {
             composed,
             "manual composition is byte-identical to the derived serializer"
         );
+        let (key, payload) = open_envelope(composed.as_bytes()).expect("opens");
+        assert_eq!(key, key_for(1));
+        assert_eq!(payload, summary_json.as_bytes());
+    }
+
+    #[test]
+    fn envelopes_written_before_stored_byte_verification_still_load() {
+        // Written by the loader's predecessor, which checked the checksum
+        // by re-serializing the parsed summary: the on-disk format did
+        // not change, so the entry must still be a disk hit.
+        const WRITTEN: &str = concat!(
+            r#"{"schema":3,"key":"0123456789abcdeffedcba9876543210","#,
+            r#""checksum":"2a41863b0465c0bd","summary":{"exec":0.023,"#,
+            r#""gc_time":0.0,"gc_count":23,"allocated":0,"total_active":0.0,"#,
+            r#""trace":{"base":1000,"start":0.0,"total":0.0,"epochs":[],"#,
+            r#""markers":[],"threads":[]}}}"#
+        );
+        let key = SimKey(0x0123_4567_89ab_cdef_fedc_ba98_7654_3210);
+        let dir = std::env::temp_dir().join(format!("depburst-cache-old-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = SimCache::persistent(&dir);
+        let path = cache.entry_path(key).expect("persistent");
+        std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
+        std::fs::write(&path, WRITTEN).expect("plant");
+        let served = cache
+            .get_or_compute(key, || panic!("must hit disk"))
+            .expect("ok");
+        assert_eq!(*served, dummy_summary(23));
+        assert_eq!(cache.stats().disk_hits, 1);
+        // The write side still produces exactly those bytes.
+        let fresh = SimCache::persistent(dir.join("rewrite"));
+        fresh
+            .get_or_compute(key, || Ok(dummy_summary(23)))
+            .expect("ok");
+        let rewritten = std::fs::read(fresh.entry_path(key).expect("persistent")).expect("read");
+        assert_eq!(rewritten, WRITTEN.as_bytes());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every single-bit flip of `bytes`, one at a time.
+    fn bit_flips(bytes: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+        (0..bytes.len() * 8).map(move |bit| {
+            let mut flipped = bytes.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            flipped
+        })
+    }
+
+    /// A summary whose payload carries float exponents (`1e-10`).
+    fn exponent_summary() -> RunSummary {
+        RunSummary {
+            gc_time: dvfs_trace::TimeDelta::from_secs(1e-10),
+            ..dummy_summary(3)
+        }
+    }
+
+    #[test]
+    fn every_bit_flip_of_a_stored_envelope_is_rejected() {
+        let dir = std::env::temp_dir().join(format!("depburst-cache-bits-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = SimCache::persistent(&dir);
+        cache
+            .get_or_compute(key_for(9), || Ok(exponent_summary()))
+            .expect("ok");
+        let stored =
+            std::fs::read(cache.entry_path(key_for(9)).expect("persistent")).expect("read");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(decode_entry(key_for(9), &stored), Ok(exponent_summary()));
+        for (bit, flipped) in bit_flips(&stored).enumerate() {
+            assert!(
+                decode_entry(key_for(9), &flipped).is_err(),
+                "flip of bit {bit} was served"
+            );
+        }
+    }
+
+    #[test]
+    fn every_bit_flip_of_a_journal_line_is_rejected_or_rekeyed() {
+        let path =
+            std::env::temp_dir().join(format!("depburst-cache-jbits-{}.jsonl", std::process::id()));
+        let journal = crate::checkpoint::Journal::create_at(&path).expect("create");
+        journal.record(key_for(10), &Arc::new(exponent_summary()));
+        drop(journal);
+        let bytes = std::fs::read(&path).expect("read");
+        let _ = std::fs::remove_file(&path);
+        let line = bytes.strip_suffix(b"\n").expect("one terminated line");
+        let (key, payload) = open_envelope(line).expect("intact line opens");
+        assert_eq!(key, key_for(10));
+        // The key sits outside the checksum (the format predates this
+        // check), so a flipped key digit that stays lowercase hex opens
+        // under a different key, which no lookup for this point matches.
+        // Every other flip is rejected outright.
+        let mut rekeyed = 0;
+        for (bit, flipped) in bit_flips(line).enumerate() {
+            match open_envelope(&flipped) {
+                Err(_) => {}
+                Ok((other, same)) => {
+                    assert_ne!(other, key, "flip of bit {bit} opened as the original key");
+                    assert_eq!(same, payload, "flip of bit {bit} changed the payload");
+                    rekeyed += 1;
+                }
+            }
+        }
+        let key_digit_flips = key
+            .hex()
+            .bytes()
+            .flat_map(|d| (0..8).map(move |b| d ^ (1 << b)))
+            .filter(|c| matches!(c, b'0'..=b'9' | b'a'..=b'f'))
+            .count();
+        assert_eq!(rekeyed, key_digit_flips, "only key digits can re-key");
+    }
+
+    #[test]
+    fn exponent_case_flip_is_rejected() {
+        // `e` -> `E` is a single bit (0x20). The flipped number parses to
+        // the same f64, so a check that re-serialized the parsed summary
+        // reproduced the original bytes and served the flipped entry.
+        // The stored-byte check rejects it.
+        let summary = exponent_summary();
+        let summary_json = serde_json::to_string(&summary).expect("serialize");
+        let composed =
+            compose_envelope(key_for(1), &summary_checksum(&summary_json), &summary_json);
+        let at = composed.find("1e-10").expect("exponent in payload") + 1;
+        let mut flipped = composed.into_bytes();
+        flipped[at] = b'E';
+        let header = flipped.len() - summary_json.len() - 1;
+        let payload = &flipped[header..flipped.len() - 1];
+        let reparsed: RunSummary = serde_json::from_slice(payload).expect("still parses");
+        assert_eq!(reparsed, summary, "the flip does not change the value");
+        assert_eq!(
+            serde_json::to_string(&reparsed).expect("serialize"),
+            summary_json
+        );
+        let why = open_envelope(&flipped).expect_err("flipped bytes rejected");
+        assert!(why.contains("checksum mismatch"), "{why}");
     }
 
     #[test]

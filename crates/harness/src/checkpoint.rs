@@ -14,11 +14,14 @@
 //! Torn writes: a run killed mid-append can leave a truncated final line.
 //! Replay tolerates it — the fragment is skipped with a warning, the file
 //! is re-terminated with a newline so subsequent appends start clean, and
-//! the lost point simply re-simulates. The `checksum` field (FNV-1a over
-//! the record's serialized summary, shared framing with the disk cache)
-//! extends the same fail-closed posture to *silent* corruption: a record
-//! whose payload rotted since the write is skipped and counted, never
-//! replayed into an experiment's numbers.
+//! the lost point simply re-simulates. The `checksum` field — FNV-1a over
+//! the record's summary bytes as written, checked against the stored
+//! bytes before parsing by `cache::open_envelope` — extends the same
+//! fail-closed posture to *silent* corruption: a record whose bytes
+//! rotted since the write is skipped and counted, never replayed into an
+//! experiment's numbers. Records share the disk cache's framing and
+//! [`SCHEMA_VERSION`](crate::cache::SCHEMA_VERSION): both persist the same
+//! `RunSummary` payload, so they go stale together.
 //!
 //! All file I/O routes through a [`Vfs`] ([`RealVfs`] by default), so the
 //! storage-fault torture harness can subject the journal to torn
@@ -32,9 +35,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
-use crate::cache::{compose_envelope, summary_checksum, SimKey, SCHEMA_VERSION};
+use crate::cache::{compose_envelope, open_envelope, summary_checksum, SimKey};
 use crate::run::RunSummary;
 use crate::vfs::{RealVfs, Vfs};
 
@@ -42,17 +45,6 @@ use crate::vfs::{RealVfs, Vfs};
 /// at most a few points, large enough to amortize the sync cost over a
 /// sweep writing multi-megabyte trace summaries.
 pub const FLUSH_BATCH: usize = 4;
-
-/// One journal line. Shares [`SCHEMA_VERSION`] and the
-/// `{schema, key, checksum, summary}` framing with the disk cache: both
-/// persist the same `RunSummary` payload, so they go stale together.
-#[derive(Debug, Serialize, Deserialize)]
-struct JournalRecord {
-    schema: u32,
-    key: String,
-    checksum: String,
-    summary: RunSummary,
-}
 
 #[derive(Debug)]
 struct JournalState {
@@ -220,70 +212,42 @@ impl Journal {
     }
 
     /// Tolerant line-by-line replay: skips (with a warning, and a count)
-    /// unparsable lines — expected for at most the final, torn one —
-    /// records from a different schema version, and records whose
-    /// checksum no longer matches their payload. Returns the surviving
-    /// records and how many lines were skipped.
+    /// lines that fail [`open_envelope`] — a torn fragment (expected for
+    /// at most the final line), a different schema version, or a payload
+    /// whose stored bytes no longer match their checksum — and lines whose
+    /// verified payload does not parse. Returns the surviving records and
+    /// how many lines were skipped.
     fn replay_lines(path: &Path, bytes: &[u8]) -> (HashMap<u128, Arc<RunSummary>>, u64) {
-        let text = String::from_utf8_lossy(bytes);
         let mut seen = HashMap::new();
         let mut corrupt = 0u64;
-        let lines: Vec<&str> = text.split('\n').filter(|l| !l.trim().is_empty()).collect();
+        let lines: Vec<&[u8]> = bytes
+            .split(|b| *b == b'\n')
+            .filter(|l| !l.trim_ascii().is_empty())
+            .collect();
         let last = lines.len().saturating_sub(1);
         for (i, line) in lines.iter().enumerate() {
-            match serde_json::from_str::<JournalRecord>(line) {
-                Ok(record) if record.schema == SCHEMA_VERSION => {
-                    let key = match u128::from_str_radix(&record.key, 16) {
-                        Ok(key) => key,
-                        Err(_) => {
-                            corrupt += 1;
-                            eprintln!(
-                                "warning: checkpoint journal {}: line {} has a malformed key; skipping",
-                                path.display(),
-                                i + 1
-                            );
-                            continue;
-                        }
-                    };
-                    // Same integrity argument as the cache: the shim
-                    // serializer is canonical, so re-serializing the
-                    // parsed summary reproduces the exact bytes the
-                    // store-time checksum covered.
-                    let verified = serde_json::to_string(&record.summary)
-                        .is_ok_and(|json| summary_checksum(&json) == record.checksum);
-                    if verified {
-                        seen.insert(key, Arc::new(record.summary));
-                    } else {
-                        corrupt += 1;
-                        eprintln!(
-                            "warning: checkpoint journal {}: line {} fails its checksum \
-                             (payload corrupted since the write); that point will re-simulate",
-                            path.display(),
-                            i + 1
-                        );
-                    }
+            let record = open_envelope(line).and_then(|(key, payload)| {
+                serde_json::from_slice::<RunSummary>(payload)
+                    .map(|summary| (key, summary))
+                    .map_err(|e| e.to_string())
+            });
+            match record {
+                Ok((key, summary)) => {
+                    seen.insert(key.0, Arc::new(summary));
                 }
-                Ok(record) => {
+                Err(why) if i == last => {
                     corrupt += 1;
                     eprintln!(
-                        "warning: checkpoint journal {}: line {} has schema {} (want {SCHEMA_VERSION}); skipping",
-                        path.display(),
-                        i + 1,
-                        record.schema
-                    );
-                }
-                Err(parse_err) if i == last => {
-                    corrupt += 1;
-                    eprintln!(
-                        "warning: checkpoint journal {}: final line is truncated (torn write); \
-                         that point will re-simulate: {parse_err}",
+                        "warning: checkpoint journal {}: final line is unusable ({why}), \
+                         likely a torn write; that point will re-simulate",
                         path.display()
                     );
                 }
-                Err(parse_err) => {
+                Err(why) => {
                     corrupt += 1;
                     eprintln!(
-                        "warning: checkpoint journal {}: skipping unparsable line {}: {parse_err}",
+                        "warning: checkpoint journal {}: skipping line {} ({why}); \
+                         that point will re-simulate",
                         path.display(),
                         i + 1
                     );
@@ -421,6 +385,7 @@ impl Drop for Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::SCHEMA_VERSION;
     use crate::vfs::{FaultyVfs, StorageFaultConfig};
     use dvfs_trace::{ExecutionTrace, Freq, Time, TimeDelta};
 

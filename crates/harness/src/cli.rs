@@ -430,6 +430,22 @@ pub fn write_report(out: Option<&str>, default: &str, json: &str) -> std::io::Re
     Ok(path)
 }
 
+/// [`write_report`] plus the rendered text report beside the JSON: same
+/// path, `.txt` extension. Returns the JSON path written.
+///
+/// # Errors
+/// Directory creation or either write failing.
+pub fn write_reports(
+    out: Option<&str>,
+    default: &str,
+    json: &str,
+    text: &str,
+) -> std::io::Result<PathBuf> {
+    let path = write_report(out, default, json)?;
+    std::fs::write(path.with_extension("txt"), text)?;
+    Ok(path)
+}
+
 /// Builds the execution context `opts` asks for: environment defaults,
 /// overridden by the explicit flags, plus the checkpoint journal when a
 /// run id was given (`--resume` wins over `--run-id`).
@@ -900,5 +916,21 @@ mod tests {
         assert!(ctx.storage().expect("injector installed").crashed());
         let bad = common(&["--run-id", "../escape", "--storage-faults", "crash=0"]).unwrap();
         assert!(build_ctx(&bad).is_err(), "id validation must stay hard");
+    }
+
+    #[test]
+    fn reports_go_to_out_with_the_text_beside_the_json() {
+        let dir = std::env::temp_dir().join(format!("depburst-cli-out-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = dir.join("nested").join("sweep.json");
+        let path = write_reports(out.to_str(), "results/never.json", "{}", "table\n")
+            .expect("writes both");
+        assert_eq!(path, out);
+        assert_eq!(std::fs::read_to_string(&out).expect("json"), "{}");
+        assert_eq!(
+            std::fs::read_to_string(dir.join("nested").join("sweep.txt")).expect("text"),
+            "table\n"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

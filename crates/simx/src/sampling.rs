@@ -741,11 +741,21 @@ mod tests {
         assert!((x.exec.as_secs() - 10.5).abs() < 1e-9, "{}", x.exec);
     }
 
-    /// Synthesises the measure-region view of a run with `total_gcs`
-    /// collections spaced `spacing` apart in mutator time, nursery
-    /// pauses of `nursery_dur`, and a full-heap pause every `period`-th
-    /// collection priced on the ramp `d_inf * (1 - q^n)`. Returns the
-    /// whole-run ground truth alongside the prefix measurements.
+    /// A synthetic run: `total_gcs` collections spaced `spacing` apart
+    /// in mutator time, nursery pauses of `nursery_dur`, and a full-heap
+    /// pause every `period`-th collection priced on the ramp
+    /// `d_inf * (1 - q^n)`.
+    struct Ramp {
+        total_gcs: usize,
+        spacing: f64,
+        nursery_dur: f64,
+        period: usize,
+        d_inf: f64,
+        q: f64,
+    }
+
+    /// The whole-run ground truth of a [`Ramp`] alongside its probe and
+    /// measure prefix measurements.
     struct RampRun {
         probe: RegionMeasurement,
         measure: RegionMeasurement,
@@ -755,18 +765,19 @@ mod tests {
         true_gcs: u64,
     }
 
-    fn ramp_run(
-        total_gcs: usize,
-        spacing: f64,
-        nursery_dur: f64,
-        period: usize,
-        d_inf: f64,
-        q: f64,
-        probe_fraction: f64,
-        measure_fraction: f64,
-    ) -> RampRun {
+    /// Synthesises the probe and measure views of `ramp` at the given
+    /// prefix fractions.
+    fn ramp_run(ramp: &Ramp, probe_fraction: f64, measure_fraction: f64) -> RampRun {
+        let Ramp {
+            total_gcs,
+            spacing,
+            nursery_dur,
+            period,
+            d_inf,
+            q,
+        } = *ramp;
         let dur = |k: usize| {
-            if (k + 1) % period == 0 {
+            if (k + 1).is_multiple_of(period) {
                 let n = ((k + 1) / period) as i32;
                 d_inf * (1.0 - q.powi(n))
             } else {
@@ -817,6 +828,17 @@ mod tests {
         }
     }
 
+    /// 30 collections 0.2 s apart in mutator time, nursery pauses of
+    /// 10 ms, every 8th a full-heap pause on the ramp 0.12 * (1 - 0.25^n).
+    const TEST_RAMP: Ramp = Ramp {
+        total_gcs: 30,
+        spacing: 0.2,
+        nursery_dur: 0.010,
+        period: 8,
+        d_inf: 0.12,
+        q: 0.25,
+    };
+
     #[test]
     fn gc_projection_recovers_periodic_ramp_exactly() {
         // 30 collections 0.2 s apart in mutator time, nursery pauses of
@@ -826,7 +848,7 @@ mod tests {
         // full — yet the projection must price the two unseen fulls at
         // their own ramp ordinals, recovering the run exactly: a flat
         // window mean would miss the ramp, a blended mean the mix.
-        let run = ramp_run(30, 0.2, 0.010, 8, 0.12, 0.25, 0.05, 0.35);
+        let run = ramp_run(&TEST_RAMP, 0.05, 0.35);
         assert_eq!(run.probe.gc_count, 1, "probe sees the first fill");
         assert_eq!(run.measure.gc_count, 10, "measure sees one full");
         let x = extrapolate(&run.probe, &run.measure, &run.trace, &SamplingConfig::default());
@@ -853,7 +875,7 @@ mod tests {
         // A wider measure region sees the fulls at ordinals 1 and 2;
         // their ratio determines q without consulting the configured
         // prior. Poison the prior to prove it: recovery stays exact.
-        let run = ramp_run(30, 0.2, 0.010, 8, 0.12, 0.25, 0.05, 0.55);
+        let run = ramp_run(&TEST_RAMP, 0.05, 0.55);
         assert_eq!(run.measure.gc_count, 16, "measure sees both early fulls");
         let cfg = SamplingConfig {
             full_ramp_ratio: 0.9,

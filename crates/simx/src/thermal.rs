@@ -589,7 +589,7 @@ mod tests {
     fn hardware_trip_ignores_the_sensor_and_black_starts_staggered() {
         let thermal = cfg();
         let config = ThrottleConfig::default();
-        let mut hold_of = |machine: usize| {
+        let hold_of = |machine: usize| {
             let mut l = ThrottleLadder::new(config, machine);
             // Sensor stuck cold; the truth trips the hardware.
             assert_eq!(l.observe(0, 50_000, 106_000, &thermal), ThrottleStage::Shutdown);

@@ -51,9 +51,9 @@ smoke table1   "$BIN/table1 $SCALE --jobs 2"
 smoke table2   "$BIN/table2"
 smoke ablation "$BIN/ablation $SCALE 1 --jobs 2"
 smoke percore  "$BIN/percore $SCALE 1 lusearch --jobs 2"
-# faults writes results/faults.json; run it from /tmp so the committed
-# sweep stays untouched (the last step diffs all of results/).
-smoke faults   "(cd /tmp && $PWD/$BIN/faults $SCALE 1 10 --jobs 2)"
+# faults defaults to the committed results/faults.json; --out keeps the
+# smoke sweep away from it (the last step diffs all of results/).
+smoke faults   "$BIN/faults $SCALE 1 10 --jobs 2 --out /tmp/depburst-ci-faults.json"
 smoke fleet    "$BIN/fleet 4 40 $SCALE 1 --shards 2 --jobs 2 --out /dev/null"
 smoke dvfs-lab "$BIN/dvfs-lab bench"
 
@@ -289,11 +289,11 @@ step "brownout gate: new chaos classes deterministic" brownout_gate
 torture_gate() {
     local json=/tmp/depburst-ci-torture.json
     local rc=0
-    # Run from /tmp so the smoke sweep does not clobber the committed
-    # full-matrix results/torture.json evidence.
-    (cd /tmp && "$OLDPWD/$BIN/torture" "$SCALE" 1 --dense 4 --stride 31 \
-        --max-points 10 --bitflips 48 > /dev/null 2> /dev/null \
-        && cp results/torture.json "$json") || rc=$?
+    rm -f "$json" "${json%.json}.txt"
+    # --out keeps the smoke sweep off the committed full-matrix
+    # results/torture.json evidence.
+    "$BIN/torture" "$SCALE" 1 --dense 4 --stride 31 --max-points 10 \
+        --bitflips 48 --out "$json" > /dev/null 2> /dev/null || rc=$?
     if [ "$rc" -ne 0 ]; then
         echo "torture sweep: want exit 0, got $rc"
         return 1
@@ -306,7 +306,7 @@ torture_gate() {
         echo "torture smoke served a flipped bit instead of quarantining it"
         return 1
     }
-    rm -f "$json"
+    rm -f "$json" "${json%.json}.txt"
 }
 step "durability: torture smoke + bit-flip sabotage" torture_gate
 
