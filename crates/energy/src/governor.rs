@@ -382,11 +382,10 @@ struct PowerTable {
 
 impl PowerTable {
     fn new(model: &PowerModel, ladder: &FreqLadder, cores: usize) -> Self {
-        let activity = vec![1.0; cores];
         let freqs: Vec<Freq> = ladder.iter().collect();
         let power_w = freqs
             .iter()
-            .map(|&f| model.power(f, &activity).total())
+            .map(|&f| model.power_uniform(f, 1.0, cores).total())
             .collect();
         PowerTable { freqs, power_w }
     }

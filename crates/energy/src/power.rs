@@ -71,9 +71,24 @@ impl PowerModel {
             .iter()
             .map(|&a| dyn_per_busy_core * a.clamp(0.0, 1.0))
             .sum();
+        self.breakdown(v, core_dynamic, core_activity.len())
+    }
+
+    /// [`power`](Self::power) with every one of `cores` cores at the same
+    /// `activity`, bit for bit, without an activity slice: the per-core
+    /// term is summed `cores` times from `-0.0`, as `Iterator::sum` does.
+    #[must_use]
+    pub fn power_uniform(&self, freq: Freq, activity: f64, cores: usize) -> PowerBreakdown {
+        let v = self.vf.voltage(freq);
+        let per_core = self.c_eff * v * v * freq.hz() * activity.clamp(0.0, 1.0);
+        let core_dynamic = (0..cores).fold(-0.0, |sum, _| sum + per_core);
+        self.breakdown(v, core_dynamic, cores)
+    }
+
+    fn breakdown(&self, v: f64, core_dynamic: f64, cores: usize) -> PowerBreakdown {
         PowerBreakdown {
             core_dynamic,
-            core_static: self.core_leak_per_volt * v * core_activity.len() as f64,
+            core_static: self.core_leak_per_volt * v * cores as f64,
             uncore: self.uncore_per_volt * v,
         }
     }
@@ -96,7 +111,7 @@ impl PowerModel {
         total_busy: TimeDelta,
         cores: usize,
     ) -> f64 {
-        let idle = self.power(freq, &vec![0.0; cores]).total();
+        let idle = self.power_uniform(freq, 0.0, cores).total();
         let v = self.vf.voltage(freq);
         let dyn_rate = self.c_eff * v * v * freq.hz();
         idle * exec.as_secs() + dyn_rate * total_busy.as_secs()
@@ -172,6 +187,28 @@ impl EnergyAccount {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn power_uniform_matches_power_over_a_uniform_slice_bit_for_bit() {
+        let m = PowerModel::haswell_22nm();
+        for ghz in [1.0, 2.3, 4.0] {
+            let f = Freq::from_ghz(ghz);
+            for a in [-0.5, -0.0, 0.0, 1e-9, 0.3, 0.1 + 0.2, 1.0, 1.7] {
+                for cores in [0, 1, 2, 3, 4, 7, 16, 64] {
+                    let slice = m.power(f, &vec![a; cores]);
+                    let uniform = m.power_uniform(f, a, cores);
+                    for (got, want) in [
+                        (uniform.core_dynamic, slice.core_dynamic),
+                        (uniform.core_static, slice.core_static),
+                        (uniform.uncore, slice.uncore),
+                        (uniform.total(), slice.total()),
+                    ] {
+                        assert_eq!(got.to_bits(), want.to_bits(), "{ghz} GHz, {a} x {cores}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn busy_chip_at_4ghz_is_haswell_class() {

@@ -195,13 +195,16 @@ pub(crate) fn compose_envelope(key: SimKey, checksum: &str, summary_json: &str) 
 /// Why the bytes are not a sound schema-[`SCHEMA_VERSION`] envelope: a
 /// foreign header or schema, malformed hex, a missing closing brace, or a
 /// checksum mismatch.
-pub(crate) fn open_envelope(bytes: &[u8]) -> Result<(SimKey, &[u8]), String> {
+pub fn open_envelope(bytes: &[u8]) -> Result<(SimKey, &[u8]), String> {
     let rest = bytes
         .strip_prefix(b"{\"schema\":")
         .ok_or("not an envelope (no schema header)")?;
     let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
     let (schema, rest) = rest.split_at(digits);
-    if schema != SCHEMA_VERSION.to_string().as_bytes() {
+    // The writer's exact digits: no leading zero, value SCHEMA_VERSION.
+    let canonical = schema.first() != Some(&b'0')
+        && std::str::from_utf8(schema).ok().and_then(|s| s.parse().ok()) == Some(SCHEMA_VERSION);
+    if !canonical {
         return Err(format!(
             "schema {} (want {SCHEMA_VERSION})",
             String::from_utf8_lossy(schema)
@@ -707,6 +710,12 @@ mod tests {
         let (key, payload) = open_envelope(composed.as_bytes()).expect("opens");
         assert_eq!(key, key_for(1));
         assert_eq!(payload, summary_json.as_bytes());
+        // Only the writer's exact schema digits open.
+        let header = format!("{{\"schema\":{SCHEMA_VERSION},");
+        for schema in ["0", "03", "30", "", "4294967299"] {
+            let foreign = composed.replacen(&header, &format!("{{\"schema\":{schema},"), 1);
+            assert!(open_envelope(foreign.as_bytes()).is_err(), "schema {schema:?}");
+        }
     }
 
     #[test]

@@ -733,7 +733,7 @@ fn step_machine(
 
     let latency = service_s * (1.0 + state.backlog / mu.max(1e-12));
     let util = (served / mu.max(1e-12)).min(1.0);
-    let power = model.power(freq, &vec![util; state.cores]).total();
+    let power = model.power_uniform(freq, util, state.cores).total();
     let (energy, breach) = if thermal_on {
         let (eff_w, breach) = state.thermal_round(round, power, chaos.sensor_stuck);
         (eff_w * ROUND_SECS, breach)

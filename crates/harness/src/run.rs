@@ -143,6 +143,42 @@ impl Deserialize for RunSummary {
             },
         })
     }
+
+    // The load path of every cache envelope and journal line: reads the
+    // payload text with no `Value` tree, accepting exactly what
+    // `from_value` accepts (first duplicate key wins, unknown keys skipped).
+    fn from_json(r: &mut serde::Reader<'_>) -> Result<Self, serde::DeError> {
+        if r.peek() != Some(b'{') {
+            return Self::from_value(&r.value()?);
+        }
+        let (mut exec, mut gc_time, mut gc_count, mut allocated) = (None, None, None, None);
+        let (mut total_active, mut trace, mut sampled) = (None, None, None);
+        let mut map = r.begin_map()?;
+        while let Some(key) = r.next_key(&mut map)? {
+            match &*key {
+                "exec" if exec.is_none() => exec = Some(TimeDelta::from_json(r)?),
+                "gc_time" if gc_time.is_none() => gc_time = Some(TimeDelta::from_json(r)?),
+                "gc_count" if gc_count.is_none() => gc_count = Some(u64::from_json(r)?),
+                "allocated" if allocated.is_none() => allocated = Some(u64::from_json(r)?),
+                "total_active" if total_active.is_none() => {
+                    total_active = Some(TimeDelta::from_json(r)?);
+                }
+                "trace" if trace.is_none() => trace = Some(ExecutionTrace::from_json(r)?),
+                "sampled" if sampled.is_none() => sampled = Some(Option::from_json(r)?),
+                _ => r.skip_value()?,
+            }
+        }
+        let field = |name| move || serde::DeError::missing_field(name);
+        Ok(RunSummary {
+            exec: exec.ok_or_else(field("exec"))?,
+            gc_time: gc_time.ok_or_else(field("gc_time"))?,
+            gc_count: gc_count.ok_or_else(field("gc_count"))?,
+            allocated: allocated.ok_or_else(field("allocated"))?,
+            total_active: total_active.ok_or_else(field("total_active"))?,
+            trace: trace.ok_or_else(field("trace"))?,
+            sampled: sampled.flatten(),
+        })
+    }
 }
 
 /// How a sampled summary was produced, and how much to trust it.

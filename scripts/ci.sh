@@ -29,6 +29,18 @@ step "test" cargo test -q --workspace
 
 step "golden suite" cargo test -q -p harness --test golden
 
+# The offline shims are excluded from the workspace, so the test step
+# above never reaches their own suites (the JSON grammar, the derive).
+for shim in serde serde_json serde_derive; do
+    step "shim tests: $shim" \
+        cargo test -q --offline --manifest-path "vendor/$shim/Cargo.toml"
+done
+
+# The benchmark package is a workspace of its own: its committed output
+# digests and its byte-for-byte reproduction of results/fig3.txt and
+# results/fig6.txt.
+step "perfbench tests" cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 step "clippy (-D warnings)" cargo clippy --all-targets -- -D warnings
 
 # Smoke-run every experiment binary at tiny scale: the point is driving
