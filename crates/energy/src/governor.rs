@@ -30,7 +30,7 @@
 
 use core::fmt;
 use std::collections::binary_heap::PeekMut;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use dvfs_trace::{Freq, FreqLadder};
 
@@ -357,7 +357,7 @@ impl MachineView<'_> {
 }
 
 /// One central allocation round's outcome.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Allocation {
     /// Chosen frequency per view, parallel to the input slice.
     pub freqs: Vec<Freq>,
@@ -372,58 +372,81 @@ pub struct Allocation {
 }
 
 /// A ladder's operating points with the full-activity power estimate of
-/// each, for one core count. A fleet has a handful of distinct
-/// `(ladder, cores)` pairs, so one table serves many machines.
+/// each, for one core count.
 #[derive(Debug)]
 struct PowerTable {
+    ladder: FreqLadder,
+    cores: usize,
     freqs: Vec<Freq>,
     power_w: Vec<f64>,
 }
 
-impl PowerTable {
-    fn new(model: &PowerModel, ladder: &FreqLadder, cores: usize) -> Self {
+/// The power tables of a fleet: one per distinct `(ladder, cores)` pair,
+/// each entry the model's full-activity power at one operating point. A
+/// fleet has a handful of such pairs, so one table serves many machines,
+/// and a set built once serves every allocation of a run through
+/// [`CentralGovernor::allocate_indexed`].
+#[derive(Debug)]
+pub struct TableSet {
+    model: PowerModel,
+    tables: Vec<PowerTable>,
+}
+
+impl TableSet {
+    /// An empty set whose tables `model` will fill.
+    #[must_use]
+    pub fn new(model: &PowerModel) -> Self {
+        TableSet {
+            model: *model,
+            tables: Vec::new(),
+        }
+    }
+
+    /// The index of the table for `ladder` at `cores` (at least one),
+    /// built on first use.
+    pub fn insert(&mut self, ladder: &FreqLadder, cores: usize) -> usize {
+        let cores = cores.max(1);
+        if let Some(i) = self
+            .tables
+            .iter()
+            .position(|t| t.ladder == *ladder && t.cores == cores)
+        {
+            return i;
+        }
         let freqs: Vec<Freq> = ladder.iter().collect();
         let power_w = freqs
             .iter()
-            .map(|&f| model.power_uniform(f, 1.0, cores).total())
+            .map(|&f| self.model.power_uniform(f, 1.0, cores).total())
             .collect();
-        PowerTable { freqs, power_w }
+        self.tables.push(PowerTable {
+            ladder: *ladder,
+            cores,
+            freqs,
+            power_w,
+        });
+        self.tables.len() - 1
+    }
+
+    /// The ladder of table `index`.
+    ///
+    /// # Panics
+    /// If `index` was not returned by [`TableSet::insert`] on this set.
+    #[must_use]
+    pub fn ladder(&self, index: usize) -> &FreqLadder {
+        &self.tables[index].ladder
     }
 }
 
-/// The power tables of one allocation call plus each view's table index.
-#[derive(Debug)]
-struct PowerTables {
-    tables: Vec<PowerTable>,
-    of_view: Vec<usize>,
-}
-
-impl PowerTables {
-    fn new(model: &PowerModel, views: &[MachineView<'_>]) -> Self {
-        let mut index: BTreeMap<(u32, u32, u32, usize), usize> = BTreeMap::new();
-        let mut tables = Vec::new();
-        let of_view = views
-            .iter()
-            .map(|v| {
-                let cores = v.cores.max(1);
-                let key = (
-                    v.ladder.min().mhz(),
-                    v.ladder.max().mhz(),
-                    v.ladder.step_mhz(),
-                    cores,
-                );
-                *index.entry(key).or_insert_with(|| {
-                    tables.push(PowerTable::new(model, v.ladder, cores));
-                    tables.len() - 1
-                })
-            })
-            .collect();
-        PowerTables { tables, of_view }
-    }
-
-    fn of(&self, view: usize) -> &PowerTable {
-        &self.tables[self.of_view[view]]
-    }
+/// Reusable memory of [`CentralGovernor::allocate_indexed`]: the last
+/// call's [`Allocation`] and the working buffers. Calls that reuse one
+/// scratch allocate nothing once its buffers have grown to the largest
+/// slice.
+#[derive(Debug, Default)]
+pub struct AllocScratch {
+    result: Allocation,
+    by_rank: Vec<usize>,
+    notch: Vec<usize>,
+    heap: BinaryHeap<Candidate>,
 }
 
 /// A machine waiting for its next notch, as one integer heap key: its
@@ -475,61 +498,107 @@ impl CentralGovernor {
     /// is frozen. Deterministic — no randomness, order fixed by
     /// (latency, id).
     ///
+    /// Builds the views' power tables and delegates to
+    /// [`CentralGovernor::allocate_indexed`]; a caller allocating every
+    /// round builds its [`TableSet`] once instead.
+    #[must_use]
+    pub fn allocate(
+        &self,
+        model: &PowerModel,
+        views: &[MachineView<'_>],
+        fleet_machines: usize,
+    ) -> Allocation {
+        let mut tables = TableSet::new(model);
+        let table_of: Vec<usize> = views
+            .iter()
+            .map(|v| tables.insert(v.ladder, v.cores))
+            .collect();
+        let mut scratch = AllocScratch::default();
+        self.allocate_indexed(&tables, views, &table_of, fleet_machines, &mut scratch);
+        scratch.result
+    }
+
+    /// [`CentralGovernor::allocate`] over prebuilt power tables: view `i`
+    /// reads table `table_of[i]` of `tables`, which must be the table of
+    /// its ladder and core count. The result lives in `scratch` until its
+    /// next use.
+    ///
     /// The candidates live in a max-heap, so a call costs
     /// O(notches · log |views|) rather than a rescan of every view per
-    /// notch. Power estimates come from one table per distinct
-    /// `(ladder, cores)` pair, built once per call.
-    #[must_use]
-    pub fn allocate(&self, model: &PowerModel, views: &[MachineView<'_>], fleet_machines: usize) -> Allocation {
+    /// notch.
+    ///
+    /// # Panics
+    /// If `table_of` is not parallel to `views` or names a table `tables`
+    /// does not hold.
+    pub fn allocate_indexed<'s>(
+        &self,
+        tables: &TableSet,
+        views: &[MachineView<'_>],
+        table_of: &[usize],
+        fleet_machines: usize,
+        scratch: &'s mut AllocScratch,
+    ) -> &'s Allocation {
+        assert_eq!(table_of.len(), views.len(), "one table index per view");
         let fleet = fleet_machines.max(views.len()).max(1);
         let available_w = self.budget_w * views.len() as f64 / fleet as f64;
+        let table = |i: usize| &tables.tables[table_of[i]];
 
-        let tables = PowerTables::new(model, views);
-        let mut idx: Vec<usize> = vec![0; views.len()];
-        let mut power_w: f64 = (0..views.len()).map(|i| tables.of(i).power_w[0]).sum();
+        let AllocScratch {
+            result,
+            by_rank,
+            notch,
+            heap,
+        } = scratch;
+        notch.clear();
+        notch.resize(views.len(), 0);
+        let mut power_w: f64 = (0..views.len()).map(|i| table(i).power_w[0]).sum();
         let floor_w = power_w;
 
         // Ties go to the lower id, then the earlier position: rank the
-        // views in that order once (a stable sort, linear on the fleet's
-        // already id-ordered slices) so the heap key is a single integer.
-        let mut by_rank: Vec<usize> = (0..views.len()).collect();
-        by_rank.sort_by_key(|&i| views[i].id);
+        // views in that order once (the fleet passes them id-ordered, so
+        // the stable sort is usually skipped) so the heap key is a single
+        // integer.
+        by_rank.clear();
+        by_rank.extend(0..views.len());
+        if !views.is_sorted_by_key(|v| v.id) {
+            by_rank.sort_by_key(|&i| views[i].id);
+        }
 
         // Machines with headroom. A machine whose next notch does not fit
         // leaves the heap (frozen), as does one reaching its ladder top.
-        let mut heap: BinaryHeap<Candidate> = by_rank
-            .iter()
-            .enumerate()
-            .filter(|&(_, &i)| tables.of(i).freqs.len() > 1)
-            .map(|(rank, &i)| Candidate::new(views[i].service_time(tables.of(i).freqs[0]), rank))
-            .collect();
+        heap.clear();
+        heap.extend(
+            by_rank
+                .iter()
+                .enumerate()
+                .filter(|&(_, &i)| table(i).freqs.len() > 1)
+                .map(|(rank, &i)| Candidate::new(views[i].service_time(table(i).freqs[0]), rank)),
+        );
         while let Some(mut top) = heap.peek_mut() {
             let rank = top.rank();
             let i = by_rank[rank];
-            let table = tables.of(i);
-            let delta = table.power_w[idx[i] + 1] - table.power_w[idx[i]];
+            let t = table(i);
+            let delta = t.power_w[notch[i] + 1] - t.power_w[notch[i]];
             if power_w + delta <= available_w {
-                idx[i] += 1;
+                notch[i] += 1;
                 power_w += delta;
-                if idx[i] + 1 < table.freqs.len() {
+                if notch[i] + 1 < t.freqs.len() {
                     // Re-keyed in place: dropping `top` sifts it down.
-                    *top = Candidate::new(views[i].service_time(table.freqs[idx[i]]), rank);
+                    *top = Candidate::new(views[i].service_time(t.freqs[notch[i]]), rank);
                     continue;
                 }
             }
             PeekMut::pop(top);
         }
 
-        Allocation {
-            freqs: idx
-                .iter()
-                .enumerate()
-                .map(|(i, &k)| tables.of(i).freqs[k])
-                .collect(),
-            power_w,
-            available_w,
-            floor_w,
-        }
+        result.freqs.clear();
+        result
+            .freqs
+            .extend(notch.iter().enumerate().map(|(i, &k)| table(i).freqs[k]));
+        result.power_w = power_w;
+        result.available_w = available_w;
+        result.floor_w = floor_w;
+        result
     }
 
     /// The pre-heap allocator, kept as the reference the heap must match
@@ -716,27 +785,26 @@ impl HierarchicalGovernor {
         if total <= 0.0 || active_mass <= 0.0 {
             return;
         }
-        let desired: Vec<f64> = demand
+        // A frozen region's target is its current share, which no step
+        // before its own changes.
+        let desired = |r: usize, share: f64| {
+            if is_frozen(r) {
+                share
+            } else {
+                active_mass * demand[r].max(0.0) / total
+            }
+        };
+        let gap = self
+            .shares
             .iter()
             .enumerate()
-            .map(|(r, d)| {
-                if is_frozen(r) {
-                    self.shares[r]
-                } else {
-                    active_mass * d.max(0.0) / total
-                }
-            })
-            .collect();
-        let gap = desired
-            .iter()
-            .zip(&self.shares)
-            .map(|(d, s)| (d - s).abs())
+            .map(|(r, &s)| (desired(r, s) - s).abs())
             .fold(0.0f64, f64::max);
         if gap <= self.deadband {
             return;
         }
-        for (share, d) in self.shares.iter_mut().zip(&desired) {
-            *share += (d - *share) * self.damping;
+        for (r, share) in self.shares.iter_mut().enumerate() {
+            *share += (desired(r, *share) - *share) * self.damping;
         }
         // Renormalize only the active mass: rounding drift must never
         // leak into (or out of) a frozen region's share.
@@ -805,6 +873,8 @@ pub struct OvershootBreaker {
     /// Per machine: first round it is free again (0 = not tripped).
     tripped_until: Vec<u64>,
     trips: u64,
+    /// Trip candidates of the last overshooting round, kept for reuse.
+    candidates: Vec<(usize, f64)>,
 }
 
 impl OvershootBreaker {
@@ -815,6 +885,7 @@ impl OvershootBreaker {
             config,
             tripped_until: vec![0; machines],
             trips: 0,
+            candidates: Vec::new(),
         }
     }
 
@@ -841,16 +912,25 @@ impl OvershootBreaker {
             return 0;
         }
         let fair = effective_w / power_w.len().max(1) as f64;
-        let mut candidates: Vec<(usize, f64)> = power_w
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|&(m, p)| p > fair && !self.is_tripped(round + 1, m))
-            .collect();
-        candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(core::cmp::Ordering::Equal).then(a.0.cmp(&b.0)));
+        let mut candidates = std::mem::take(&mut self.candidates);
+        candidates.clear();
+        candidates.extend(
+            power_w
+                .iter()
+                .copied()
+                .enumerate()
+                .filter(|&(m, p)| p > fair && !self.is_tripped(round + 1, m)),
+        );
+        // Ids are distinct, so the order is total and an unstable sort
+        // (which needs no buffer) gives the stable one.
+        candidates.sort_unstable_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .unwrap_or(core::cmp::Ordering::Equal)
+                .then(a.0.cmp(&b.0))
+        });
         let mut shed = 0.0;
         let mut newly = 0usize;
-        for (m, p) in candidates {
+        for &(m, p) in &candidates {
             if shed >= excess {
                 break;
             }
@@ -862,6 +942,7 @@ impl OvershootBreaker {
             self.trips += 1;
             newly += 1;
         }
+        self.candidates = candidates;
         newly
     }
 }
@@ -1170,6 +1251,73 @@ mod tests {
                 prop_assert_eq!(heap.power_w.to_bits(), scan.power_w.to_bits());
                 prop_assert_eq!(heap.floor_w.to_bits(), scan.floor_w.to_bits());
                 prop_assert_eq!(heap.available_w.to_bits(), scan.available_w.to_bits());
+            }
+
+            /// One long-lived table set and scratch serve many slices, as
+            /// in the fleet's round loop: each slice mixes ladders and
+            /// core counts, arrives in shuffled order (ids unsorted, and
+            /// duplicated in pairs for some slices) and gets its own
+            /// budget. The indexed allocator must return `allocate`'s and
+            /// the reference scan's allocation bit for bit.
+            #[test]
+            fn indexed_allocator_reuses_one_table_set_across_slices(
+                slices in proptest::collection::vec(
+                    (
+                        proptest::collection::vec(
+                            (0usize..4, 1usize..=8, 0usize..8, 0.01f64..2.0, 0.001f64..0.5, 0u64..u64::MAX),
+                            0..121,
+                        ),
+                        (0u8..4, 0.0f64..=1.0),
+                        0usize..4,
+                        0u8..2,
+                    ),
+                    1..13,
+                ),
+            ) {
+                let ladders = shapes();
+                let pool = [(0.8, 0.2), (1.0, 0.1), (0.5, 0.05), (1.2, 0.3)];
+                let model = PowerModel::haswell_22nm();
+                let mut tables = TableSet::new(&model);
+                let mut scratch = AllocScratch::default();
+                for (machines, (kind, frac), unreachable, paired) in &slices {
+                    let mut order: Vec<usize> = (0..machines.len()).collect();
+                    order.sort_by_key(|&i| machines[i].5);
+                    let views: Vec<MachineView<'_>> = order
+                        .iter()
+                        .map(|&i| {
+                            let (shape, cores, tie, scaling_s, fixed_s, _) = machines[i];
+                            let (scaling_s, fixed_s) = pool.get(tie).copied().unwrap_or((scaling_s, fixed_s));
+                            let id = if *paired == 1 { i / 2 } else { i };
+                            MachineView { id, ladder: &ladders[shape], scaling_s, fixed_s, cores }
+                        })
+                        .collect();
+                    let table_of: Vec<usize> =
+                        views.iter().map(|v| tables.insert(v.ladder, v.cores)).collect();
+                    let at = |f: fn(&FreqLadder) -> Freq| -> f64 {
+                        views.iter().map(|v| model.power(f(v.ladder), &vec![1.0; v.cores]).total()).sum()
+                    };
+                    let (floor_w, max_w) = (at(FreqLadder::min), at(FreqLadder::max));
+                    let slice_w = match kind {
+                        0 => 0.0,
+                        1 => floor_w,
+                        2 => max_w,
+                        _ => floor_w + frac * (max_w - floor_w),
+                    };
+                    let fleet = views.len() + unreachable;
+                    let gov = CentralGovernor::new(slice_w * fleet.max(1) as f64 / views.len().max(1) as f64);
+                    let whole = gov.allocate(&model, &views, fleet);
+                    let scan = gov.allocate_scan(&model, &views, fleet);
+                    let indexed = gov.allocate_indexed(&tables, &views, &table_of, fleet, &mut scratch);
+                    for reference in [&whole, &scan] {
+                        prop_assert_eq!(&indexed.freqs, &reference.freqs);
+                        prop_assert_eq!(indexed.power_w.to_bits(), reference.power_w.to_bits());
+                        prop_assert_eq!(indexed.floor_w.to_bits(), reference.floor_w.to_bits());
+                        prop_assert_eq!(indexed.available_w.to_bits(), reference.available_w.to_bits());
+                    }
+                }
+                // Four ladder shapes × eight core counts bound the set,
+                // however many slices it served.
+                prop_assert!(tables.tables.len() <= 32);
             }
         }
     }

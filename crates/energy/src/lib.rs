@@ -26,9 +26,9 @@ mod power;
 mod vf;
 
 pub use governor::{
-    Allocation, BreakerConfig, CentralGovernor, DegradationConfig, DegradationLadder,
+    AllocScratch, Allocation, BreakerConfig, CentralGovernor, DegradationConfig, DegradationLadder,
     GovernorMode, GovernorPolicy, HierarchicalGovernor, LocalGovernor, MachineView,
-    OvershootBreaker, Transition,
+    OvershootBreaker, TableSet, Transition,
 };
 pub use manager::{EnergyManager, HardeningConfig, ManagerConfig, ManagerReport};
 pub use metrics::{select_best, Efficiency, Objective};

@@ -15,13 +15,15 @@
 //!    each shard's resume state independent. From the two points each
 //!    machine gets the DEP+BURST decomposition at request granularity:
 //!    `s(f) = scaling_s / f_ghz + fixed_s` over [`REQS`] requests.
-//! 2. **Round loop** — simulated time advances in [`ROUND_SECS`] rounds.
-//!    Per round, the central governor (sequential, pure) batches one
-//!    allocation from the telemetry it has; then every shard steps its
-//!    machines in parallel on the context's pool ([`ExecCtx::map`]
-//!    preserves order, each step is a pure function of its inputs), and
-//!    the machines' telemetry is batched back — delayed, staled, or
-//!    dropped per the chaos schedule.
+//! 2. **Round loop** — simulated time advances in [`ROUND_SECS`] rounds,
+//!    each a fixed sequence of stages over buffers that persist across
+//!    rounds: *deliver* the telemetry landing this round; *assign* — the
+//!    central governor (sequential, pure) batches one allocation from the
+//!    telemetry it has; *step* — every shard steps its machines in place,
+//!    in parallel on the context's pool ([`ExecCtx::for_each_mut`]; each
+//!    step is a pure function of its inputs); *gather* — check, account
+//!    and send the machines' telemetry back, delayed, staled, or dropped
+//!    per the chaos schedule; *breaker* — trip overshooting machines.
 //!
 //! # Chaos and degradation
 //!
@@ -60,16 +62,15 @@
 //! paper pipeline.
 
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::f64::consts::TAU;
 use std::sync::Arc;
 
 use dacapo_sim::{all_benchmarks, Benchmark};
 use dvfs_trace::{Freq, FreqLadder};
 use energyx::{
-    BreakerConfig, CentralGovernor, DegradationConfig, DegradationLadder, GovernorMode,
-    GovernorPolicy, HierarchicalGovernor, LocalGovernor, MachineView, OvershootBreaker,
-    PowerModel,
+    AllocScratch, BreakerConfig, CentralGovernor, DegradationConfig, DegradationLadder,
+    GovernorMode, GovernorPolicy, HierarchicalGovernor, LocalGovernor, MachineView,
+    OvershootBreaker, PowerModel, TableSet,
 };
 use serde::Serialize;
 use simx::faults::SplitMix64;
@@ -439,14 +440,11 @@ pub struct SyntheticMachine {
     pub gc_pause_s: f64,
 }
 
-/// Static per-machine parameters plus mutable round state; owned by the
-/// machine's shard and moved through the pool every round.
+/// Static per-machine parameters plus mutable round state: what a shard
+/// steps. The governor side's per-machine data lives in [`Columns`].
 #[derive(Debug, Clone)]
 struct MachineState {
     id: usize,
-    shard: usize,
-    region: usize,
-    bench: &'static str,
     ladder: FreqLadder,
     scaling_s: f64,
     fixed_s: f64,
@@ -457,7 +455,9 @@ struct MachineState {
     bytes_per_gc: f64,
     gc_pause_s: f64,
     traffic_seed: u64,
-    local: LocalGovernor,
+    /// The local DEP+BURST governor's choice: a function of the static
+    /// fields above, so made once.
+    local_freq: Freq,
     /// Largest ladder frequency the Proactive stage permits (mid-ladder).
     proactive_cap: Freq,
     sabotage_ceiling: bool,
@@ -491,6 +491,17 @@ struct MachineState {
 }
 
 impl MachineState {
+    /// The machine's unloaded characterization, as a governor sees it.
+    fn view(&self) -> MachineView<'_> {
+        MachineView {
+            id: self.id,
+            ladder: &self.ladder,
+            scaling_s: self.scaling_s,
+            fixed_s: self.fixed_s,
+            cores: self.cores,
+        }
+    }
+
     /// Advances the thermal/throttle state one round at `p_w` watts of
     /// electrical draw. Returns the leakage-corrected power and whether
     /// the post-emergency ceiling was breached. Thermal-disabled states
@@ -556,27 +567,68 @@ struct RoundOut {
     ceiling_breach: bool,
 }
 
-/// One machine's step input: chaos state, central assignment, breaker
-/// trip flag.
-type StepIn = (ChaosState, Option<Freq>, bool);
-
-/// One shard's step input: its machine states plus each machine's
-/// per-round inputs.
-type ShardStep = (Vec<MachineState>, Vec<StepIn>);
-
-/// A delayed telemetry datagram on the governor's ingest queue.
-#[derive(Debug, Clone, Copy)]
-struct Telemetry {
-    due: usize,
-    backlog: f64,
-    mode: GovernorMode,
+/// One shard: its machines' states and their outputs of the current
+/// round, both kept in place across rounds.
+#[derive(Debug)]
+struct Shard {
+    states: Vec<MachineState>,
+    outs: Vec<RoundOut>,
 }
 
-/// The governor's last-known view of one machine.
+/// The governor's last-known view of one machine, and the payload of a
+/// telemetry datagram.
 #[derive(Debug, Clone, Copy)]
 struct Known {
     backlog: f64,
     mode: GovernorMode,
+}
+
+/// The governor side's per-machine data, one flat vector per field,
+/// indexed by machine id.
+#[derive(Debug)]
+struct Columns {
+    /// The benchmark each machine serves.
+    bench: Vec<&'static str>,
+    /// The region aggregator each machine reports to.
+    region: Vec<usize>,
+    /// Each machine's power table in the run's [`TableSet`].
+    table: Vec<usize>,
+    /// What the governor currently believes (DepBurst policy).
+    known: Vec<Known>,
+    /// Telemetry in flight to the governor: `landing[r % LANDING_SLOTS]`
+    /// holds, in send order, the datagrams that land in round `r`.
+    landing: [Vec<(usize, Known)>; LANDING_SLOTS],
+    /// The round each machine's latest datagram lands.
+    lands: Vec<usize>,
+    /// Last round's backlog: what a stale harvest delivers.
+    prev_backlog: Vec<f64>,
+    /// This round's central assignment (`None`: no fresh assignment).
+    assigned: Vec<Option<Freq>>,
+    /// This round's measured power, watts: the breaker's input.
+    power: Vec<f64>,
+}
+
+/// Slots of the telemetry in flight, one per round a datagram can still
+/// land in. A machine's datagrams reach the governor in the order sent,
+/// so one held up by a slow link holds back those sent after it: each
+/// lands at the later of its own due round and its predecessor's
+/// landing. One round of transit plus a slow link's three puts every
+/// landing within four rounds of its sending.
+const LANDING_SLOTS: usize = 4;
+
+/// Rounds of the diurnal traffic wave.
+const WAVE_PERIOD: usize = 32;
+
+/// The traffic wave at each phase of its period.
+fn wave_table() -> [f64; WAVE_PERIOD] {
+    std::array::from_fn(|phase| 1.0 + 0.3 * (TAU * phase as f64 / 32.0).sin())
+}
+
+/// What every machine step reads and no step changes.
+#[derive(Debug)]
+struct StepEnv {
+    model: PowerModel,
+    wave: [f64; WAVE_PERIOD],
 }
 
 fn violation(invariant: Invariant, round: usize, detail: String) -> depburst_core::DepburstError {
@@ -592,11 +644,11 @@ fn violation(invariant: Invariant, round: usize, detail: String) -> depburst_cor
 /// [`BASE_UTIL`] of max-frequency capacity, with seeded jitter and rare
 /// bursts. Stateless — a pure function of (traffic seed, round) — so
 /// shard stepping order can never perturb it.
-fn arrivals(state: &MachineState, round: usize) -> f64 {
+fn arrivals(state: &MachineState, round: usize, wave: &[f64; WAVE_PERIOD]) -> f64 {
     let mut rng = SplitMix64::new(
         state.traffic_seed ^ (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
     );
-    let wave = 1.0 + 0.3 * (TAU * (round % 32) as f64 / 32.0).sin();
+    let wave = wave[round % WAVE_PERIOD];
     let burst = if rng.chance(0.1) { 1.8 } else { 1.0 };
     let jitter = 1.0 + 0.1 * rng.next_signed();
     BASE_UTIL * state.cap_max * wave * burst * jitter
@@ -612,7 +664,7 @@ fn step_machine(
     chaos: ChaosState,
     central: Option<Freq>,
     tripped: bool,
-    model: &PowerModel,
+    env: &StepEnv,
 ) -> RoundOut {
     let thermal_on = state.thermal.config().enabled;
     // The stage that actuates this round is last round's observation —
@@ -630,7 +682,7 @@ fn step_machine(
             state.freq = state.ladder.max();
         }
         state.was_crashed = chaos.crashed;
-        state.shed += state.backlog + arrivals(state, round);
+        state.shed += state.backlog + arrivals(state, round, &env.wave);
         state.backlog = 0.0;
         state.alloc_acc = 0.0;
         state.pending_gc_s = 0.0;
@@ -662,13 +714,6 @@ fn step_machine(
         !chaos.telemetry_lost,
         thermal_ok,
     );
-    let view = MachineView {
-        id: state.id,
-        ladder: &state.ladder,
-        scaling_s: state.scaling_s,
-        fixed_s: state.fixed_s,
-        cores: state.cores,
-    };
     let mut freq = match mode {
         GovernorMode::Central => {
             // A fresh assignment only lands when the control link is up;
@@ -680,7 +725,7 @@ fn step_machine(
             }
             state.freq
         }
-        GovernorMode::LocalDepBurst => state.local.choose(&view),
+        GovernorMode::LocalDepBurst => state.local_freq,
         GovernorMode::FallbackMax => state.ladder.max(),
     };
     if thermal_on {
@@ -711,11 +756,11 @@ fn step_machine(
     }
 
     // Service: capacity is the round minus last round's GC debt.
-    let service_s = view.service_time(freq);
+    let service_s = state.view().service_time(freq);
     let budget_s = (ROUND_SECS - state.pending_gc_s).max(ROUND_SECS * 0.25);
     state.pending_gc_s = 0.0;
     let mu = budget_s / service_s;
-    let arr = arrivals(state, round);
+    let arr = arrivals(state, round, &env.wave);
     let demand = state.backlog + arr;
     let served = demand.min(mu);
     state.backlog = demand - served;
@@ -733,7 +778,7 @@ fn step_machine(
 
     let latency = service_s * (1.0 + state.backlog / mu.max(1e-12));
     let util = (served / mu.max(1e-12)).min(1.0);
-    let power = model.power_uniform(freq, util, state.cores).total();
+    let power = env.model.power_uniform(freq, util, state.cores).total();
     let (energy, breach) = if thermal_on {
         let (eff_w, breach) = state.thermal_round(round, power, chaos.sensor_stuck);
         (eff_w * ROUND_SECS, breach)
@@ -757,141 +802,176 @@ fn step_machine(
     }
 }
 
-/// Builds the per-shard machine states from fitted (or synthetic)
-/// per-machine parameters, looked up by machine id.
-fn build_states(
+/// Builds the per-shard machine states and the governor-side columns
+/// from fitted (or synthetic) per-machine parameters, looked up by
+/// machine id, entering each machine's ladder into `tables`.
+fn build_fleet(
     config: &FleetConfig,
     topo: &FleetTopology,
     bench_name: &dyn Fn(usize) -> &'static str,
     params: &dyn Fn(usize) -> SyntheticMachine,
     cores: usize,
-) -> Vec<Vec<MachineState>> {
-    (0..topo.shards)
-        .map(|shard| {
-            topo.machines_in(shard)
-                .map(|m| {
-                    let p = params(m);
-                    let ladder = machine_ladder(m);
-                    let s_max = p.scaling_s / ladder.max().ghz() + p.fixed_s;
-                    let mid_mhz = (ladder.min().mhz() + ladder.max().mhz()) / 2;
-                    let proactive_cap = ladder.floor(Freq::from_mhz(mid_mhz));
-                    MachineState {
-                        id: m,
-                        shard,
-                        region: region_of(config.machines, config.regions, m),
-                        bench: bench_name(m),
-                        scaling_s: p.scaling_s,
-                        fixed_s: p.fixed_s,
-                        cores,
-                        slo_s: config.slo_factor * s_max,
-                        cap_max: ROUND_SECS / s_max,
-                        alloc_per_req: p.alloc_per_req,
-                        bytes_per_gc: p.bytes_per_gc,
-                        gc_pause_s: p.gc_pause_s,
-                        traffic_seed: topo.machine_seed(m) ^ TRAFFIC_SALT,
-                        local: LocalGovernor::new(config.local_slowdown),
-                        proactive_cap,
-                        sabotage_ceiling: config.sabotage == Some(Invariant::ThermalCeiling),
-                        ladder_state: DegradationLadder::new(config.degradation),
-                        thermal: ThermalModel::new(config.thermal, m),
-                        throttle: ThrottleLadder::new(config.throttle, m),
-                        freq: ladder.max(),
-                        ladder,
-                        backlog: 0.0,
-                        alloc_acc: 0.0,
-                        pending_gc_s: 0.0,
-                        was_crashed: false,
-                        ceiling_bound_mc: None,
-                        ceiling_since: 0,
-                        rounds_central: 0,
-                        rounds_local: 0,
-                        rounds_fallback: 0,
-                        rounds_down: 0,
-                        crashes: 0,
-                        served: 0.0,
-                        shed: 0.0,
-                        lat_sum: 0.0,
-                        lat_rounds: 0,
-                        slo_ok: 0,
-                        energy_j: 0.0,
-                        peak_temp_mc: i64::MIN,
-                        throttle_rounds: 0,
-                    }
-                })
-                .collect()
+    tables: &mut TableSet,
+) -> (Vec<Shard>, Columns) {
+    let local = LocalGovernor::new(config.local_slowdown);
+    let state = |m: usize| {
+        let p = params(m);
+        let ladder = machine_ladder(m);
+        let s_max = p.scaling_s / ladder.max().ghz() + p.fixed_s;
+        let mid_mhz = (ladder.min().mhz() + ladder.max().mhz()) / 2;
+        let mut state = MachineState {
+            id: m,
+            scaling_s: p.scaling_s,
+            fixed_s: p.fixed_s,
+            cores,
+            slo_s: config.slo_factor * s_max,
+            cap_max: ROUND_SECS / s_max,
+            alloc_per_req: p.alloc_per_req,
+            bytes_per_gc: p.bytes_per_gc,
+            gc_pause_s: p.gc_pause_s,
+            traffic_seed: topo.machine_seed(m) ^ TRAFFIC_SALT,
+            local_freq: ladder.max(),
+            proactive_cap: ladder.floor(Freq::from_mhz(mid_mhz)),
+            sabotage_ceiling: config.sabotage == Some(Invariant::ThermalCeiling),
+            ladder_state: DegradationLadder::new(config.degradation),
+            thermal: ThermalModel::new(config.thermal, m),
+            throttle: ThrottleLadder::new(config.throttle, m),
+            freq: ladder.max(),
+            ladder,
+            backlog: 0.0,
+            alloc_acc: 0.0,
+            pending_gc_s: 0.0,
+            was_crashed: false,
+            ceiling_bound_mc: None,
+            ceiling_since: 0,
+            rounds_central: 0,
+            rounds_local: 0,
+            rounds_fallback: 0,
+            rounds_down: 0,
+            crashes: 0,
+            served: 0.0,
+            shed: 0.0,
+            lat_sum: 0.0,
+            lat_rounds: 0,
+            slo_ok: 0,
+            energy_j: 0.0,
+            peak_temp_mc: i64::MIN,
+            throttle_rounds: 0,
+        };
+        state.local_freq = local.choose(&state.view());
+        state
+    };
+    let shards = (0..topo.shards)
+        .map(|shard| Shard {
+            states: topo.machines_in(shard).map(&state).collect(),
+            outs: Vec::new(),
         })
-        .collect()
+        .collect();
+    let machines = topo.machines;
+    let cols = Columns {
+        bench: (0..machines).map(bench_name).collect(),
+        region: (0..machines)
+            .map(|m| region_of(machines, config.regions, m))
+            .collect(),
+        table: (0..machines)
+            .map(|m| tables.insert(&machine_ladder(m), cores))
+            .collect(),
+        known: vec![
+            Known {
+                backlog: 0.0,
+                mode: GovernorMode::Central,
+            };
+            machines
+        ],
+        landing: Default::default(),
+        lands: vec![0; machines],
+        prev_backlog: vec![0.0; machines],
+        assigned: vec![None; machines],
+        power: vec![0.0; machines],
+    };
+    (shards, cols)
 }
 
-/// Can machine `m` reach its central allocator in `round`? Flat topology
-/// has no aggregator tier — every machine talks to the root, so a root
-/// outage orphans the *whole fleet at once*. The hierarchy answers from
-/// the machine's own region aggregator: a root outage merely freezes
-/// cross-region rebalancing, and an aggregator outage orphans one
-/// region, never the fleet.
+/// Can a machine of `region` reach its central allocator in `round`?
+/// Flat topology has no aggregator tier — every machine talks to the
+/// root, so a root outage orphans the *whole fleet at once*. The
+/// hierarchy answers from the machine's own region aggregator: a root
+/// outage merely freezes cross-region rebalancing, and an aggregator
+/// outage orphans one region, never the fleet.
 fn governor_unreachable(
-    config: &FleetConfig,
+    hierarchy: bool,
     schedule: &ChaosSchedule,
     round: usize,
-    m: usize,
+    region: usize,
 ) -> bool {
-    if config.hierarchy {
-        schedule.aggregator_down(round, schedule.region_of(m))
+    if hierarchy {
+        schedule.aggregator_down(round, region)
     } else {
         schedule.root_down(round)
     }
 }
 
-/// Load-weighted demand view: queued machines look slower, so the
-/// latency-levelling allocator feeds them first.
-fn demand_view(s: &MachineState, backlog: f64) -> MachineView<'_> {
-    MachineView {
-        id: s.id,
-        ladder: &s.ladder,
-        scaling_s: s.scaling_s * (1.0 + backlog / s.cap_max),
-        fixed_s: s.fixed_s,
-        cores: s.cores,
-    }
-}
-
 /// The round loop's central-allocation stage: turns the governor's view
 /// of the fleet into this round's per-machine frequency assignments.
-/// Owns the hierarchy root, whose shares persist across rounds.
+/// Owns the hierarchy root, whose shares persist across rounds, and the
+/// buffers every round refills.
 struct CentralStage<'a> {
     config: &'a FleetConfig,
     schedule: &'a ChaosSchedule,
-    model: &'a PowerModel,
+    tables: &'a TableSet,
     machines: usize,
     /// Machines per region: a region's pro-rata denominator.
     region_size: Vec<usize>,
     hier: HierarchicalGovernor,
+    /// This round's candidates as load-weighted demand views, in
+    /// ascending id order, so each allocation slice is one contiguous
+    /// run; with their power tables and (thermal runs) leak factors.
+    views: Vec<MachineView<'a>>,
+    table_of: Vec<usize>,
+    leak: Vec<f64>,
+    /// Candidates per slice: a region under the hierarchy, else the
+    /// whole fleet.
+    slice_len: Vec<usize>,
+    /// Per region: demand, orphaned aggregator, budget (hierarchy).
+    demand: Vec<f64>,
+    orphaned: Vec<bool>,
+    region_w: Vec<f64>,
+    scratch: AllocScratch,
 }
 
 impl<'a> CentralStage<'a> {
     fn new(
         config: &'a FleetConfig,
         schedule: &'a ChaosSchedule,
-        model: &'a PowerModel,
-        machines: usize,
+        tables: &'a TableSet,
+        region: &[usize],
     ) -> Self {
         let regions = schedule.regions();
         let mut region_size = vec![0usize; regions];
-        for m in 0..machines {
-            region_size[schedule.region_of(m)] += 1;
+        for &r in region {
+            region_size[r] += 1;
         }
         CentralStage {
             config,
             schedule,
-            model,
-            machines,
+            tables,
+            machines: region.len(),
             region_size,
             hier: HierarchicalGovernor::new(regions),
+            views: Vec::new(),
+            table_of: Vec::new(),
+            leak: Vec::new(),
+            slice_len: vec![0; if config.hierarchy { regions } else { 1 }],
+            demand: vec![0.0; regions],
+            orphaned: vec![false; regions],
+            region_w: vec![0.0; regions],
+            scratch: AllocScratch::default(),
         }
     }
 
-    /// This round's central assignments, indexed by machine id (`None`:
-    /// no fresh assignment). `eff_w` is the effective (browned-out)
-    /// budget every allocator sees.
+    /// Writes this round's central assignments into `cols.assigned`.
+    /// `eff_w` is the effective (browned-out) budget every allocator
+    /// sees.
     ///
     /// # Errors
     /// A hierarchy or power-budget conservation violation.
@@ -899,91 +979,128 @@ impl<'a> CentralStage<'a> {
         &mut self,
         round: usize,
         eff_w: f64,
-        shards: &[Vec<MachineState>],
-        known: &[Known],
-    ) -> depburst_core::Result<Vec<Option<Freq>>> {
-        let config = self.config;
-        let schedule = self.schedule;
-        let mut assigned: Vec<Option<Freq>> = vec![None; self.machines];
-        if config.policy == GovernorPolicy::NaiveStatic {
+        row: &[ChaosState],
+        shards: &[Shard],
+        cols: &mut Columns,
+    ) -> depburst_core::Result<()> {
+        cols.assigned.fill(None);
+        if self.config.policy == GovernorPolicy::NaiveStatic {
             // No budget awareness: central says "maximum" to every
             // reachable machine.
-            for s in shards.iter().flatten() {
-                assigned[s.id] = Some(s.ladder.max());
+            for s in shards.iter().flat_map(|shard| &shard.states) {
+                cols.assigned[s.id] = Some(s.ladder.max());
             }
-            return Ok(assigned);
+            return Ok(());
         }
+        self.candidates(round, row, shards, cols);
+        if self.config.hierarchy {
+            self.split_budget(round, eff_w)?;
+        }
+        self.allocate_slices(round, eff_w, &mut cols.assigned)
+    }
 
-        // Candidates: machines the governor believes are under central
-        // control and can reach right now. The oracle reads true state;
-        // DepBurst trusts its (possibly stale, lossy, delayed) telemetry.
-        // One pass buckets them by allocation slice — a region under the
-        // hierarchy, the whole fleet otherwise — in ascending id order.
-        let regions = schedule.regions();
-        let mut slices: Vec<Vec<(&MachineState, f64)>> =
-            vec![Vec::new(); if config.hierarchy { regions } else { 1 }];
-        for s in shards.iter().flatten() {
-            let chaos = schedule.state(round, s.id);
-            if chaos.crashed
-                || chaos.partitioned
-                || governor_unreachable(config, schedule, round, s.id)
+    /// Collects the candidates: machines the governor believes are under
+    /// central control and can reach right now. The oracle reads true
+    /// state; DepBurst trusts its (possibly stale, lossy, delayed)
+    /// telemetry. Queued machines look slower, so the latency-levelling
+    /// allocator feeds them first.
+    fn candidates(&mut self, round: usize, row: &[ChaosState], shards: &[Shard], cols: &Columns) {
+        let (config, tables) = (self.config, self.tables);
+        self.views.clear();
+        self.table_of.clear();
+        self.leak.clear();
+        self.slice_len.fill(0);
+        self.demand.fill(0.0);
+        for s in shards.iter().flat_map(|shard| &shard.states) {
+            let (m, region) = (s.id, cols.region[s.id]);
+            if row[m].crashed
+                || row[m].partitioned
+                || governor_unreachable(config.hierarchy, self.schedule, round, region)
             {
                 continue;
             }
             let (mode, backlog) = match config.policy {
                 GovernorPolicy::Oracle => (s.ladder_state.mode(), s.backlog),
-                _ => (known[s.id].mode, known[s.id].backlog),
+                _ => (cols.known[m].mode, cols.known[m].backlog),
             };
-            if mode == GovernorMode::Central {
-                slices[if config.hierarchy { s.region } else { 0 }].push((s, backlog));
-            }
-        }
-
-        // Each slice's budget and pro-rata denominator.
-        let budgets: Vec<(f64, usize)> = if config.hierarchy {
-            // Root tier: damped, dead-banded share rebalance toward
-            // per-region demand; frozen while the root itself is down
-            // (the regions run autonomously).
-            let mut demand = vec![0.0f64; regions];
-            for (r, slice) in slices.iter().enumerate() {
-                for (s, backlog) in slice {
-                    demand[r] += 1.0 + backlog / s.cap_max;
-                }
-            }
-            // Orphaned regions (aggregator down) report silence, not zero
-            // demand: freeze their shares so the outage cannot cascade
-            // into sibling windfalls and a starved rejoin.
-            let orphaned: Vec<bool> = (0..regions)
-                .map(|r| schedule.aggregator_down(round, r))
-                .collect();
-            self.hier
-                .rebalance_masked(&demand, &orphaned, schedule.root_down(round));
-            let mut region_w: Vec<f64> = (0..regions)
-                .map(|r| self.hier.region_budget(r, eff_w))
-                .collect();
-            if config.sabotage == Some(Invariant::HierarchyBudgetConservation) {
-                region_w[0] *= 1.10;
-            }
-            let total: f64 = region_w.iter().sum();
-            if total > eff_w * (1.0 + 1e-9) + 1e-9 {
-                return Err(violation(
-                    Invariant::HierarchyBudgetConservation,
-                    round,
-                    format!("region budgets sum to {total:.2} W over an effective {eff_w:.2} W"),
-                ));
-            }
-            region_w
-                .into_iter()
-                .zip(self.region_size.iter().copied())
-                .collect()
-        } else {
-            vec![(eff_w, self.machines)]
-        };
-
-        for (slice, (budget, fleet)) in slices.iter().zip(budgets) {
-            if slice.is_empty() {
+            if mode != GovernorMode::Central {
                 continue;
             }
+            if config.hierarchy {
+                self.slice_len[region] += 1;
+                self.demand[region] += 1.0 + backlog / s.cap_max;
+            } else {
+                self.slice_len[0] += 1;
+            }
+            self.views.push(MachineView {
+                id: m,
+                ladder: tables.ladder(cols.table[m]),
+                scaling_s: s.scaling_s * (1.0 + backlog / s.cap_max),
+                fixed_s: s.fixed_s,
+                cores: s.cores,
+            });
+            self.table_of.push(cols.table[m]);
+            if config.thermal.enabled {
+                self.leak.push(s.thermal.leak_factor());
+            }
+        }
+    }
+
+    /// The root tier: a damped, dead-banded share rebalance toward
+    /// per-region demand, frozen while the root itself is down (the
+    /// regions run autonomously), then each region's watts.
+    ///
+    /// # Errors
+    /// The region budgets sum past the effective budget.
+    fn split_budget(&mut self, round: usize, eff_w: f64) -> depburst_core::Result<()> {
+        // Orphaned regions (aggregator down) report silence, not zero
+        // demand: freeze their shares so the outage cannot cascade into
+        // sibling windfalls and a starved rejoin.
+        for (r, orphaned) in self.orphaned.iter_mut().enumerate() {
+            *orphaned = self.schedule.aggregator_down(round, r);
+        }
+        self.hier
+            .rebalance_masked(&self.demand, &self.orphaned, self.schedule.root_down(round));
+        for (r, w) in self.region_w.iter_mut().enumerate() {
+            *w = self.hier.region_budget(r, eff_w);
+        }
+        if self.config.sabotage == Some(Invariant::HierarchyBudgetConservation) {
+            self.region_w[0] *= 1.10;
+        }
+        let total: f64 = self.region_w.iter().sum();
+        if total > eff_w * (1.0 + 1e-9) + 1e-9 {
+            return Err(violation(
+                Invariant::HierarchyBudgetConservation,
+                round,
+                format!("region budgets sum to {total:.2} W over an effective {eff_w:.2} W"),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Water-fills each non-empty slice inside its budget and records
+    /// the assignments.
+    ///
+    /// # Errors
+    /// A slice's allocation spends budget it did not have.
+    fn allocate_slices(
+        &mut self,
+        round: usize,
+        eff_w: f64,
+        assigned: &mut [Option<Freq>],
+    ) -> depburst_core::Result<()> {
+        let mut start = 0;
+        for (slice, &len) in self.slice_len.iter().enumerate() {
+            let range = start..start + len;
+            start += len;
+            if len == 0 {
+                continue;
+            }
+            let (budget, fleet) = if self.config.hierarchy {
+                (self.region_w[slice], self.region_size[slice])
+            } else {
+                (eff_w, self.machines)
+            };
             // Thermal-aware derating: the allocator plans in raw
             // electrical watts, but hot silicon draws `leak × planned`
             // from the feed. A governor that ignores this allocates
@@ -991,19 +1108,22 @@ impl<'a> CentralStage<'a> {
             // punishes machines that obeyed every order. Divide each
             // slice's budget by its members' mean reported leak factor so
             // the *effective* draw is what fits the slice.
-            let leak = if config.thermal.enabled {
-                let sum: f64 = slice.iter().map(|(s, _)| s.thermal.leak_factor()).sum();
-                (sum / slice.len() as f64).max(1.0)
+            let leak = if self.config.thermal.enabled {
+                let sum: f64 = self.leak[range.clone()].iter().sum();
+                (sum / len as f64).max(1.0)
             } else {
                 1.0
             };
-            let views: Vec<MachineView<'_>> = slice
-                .iter()
-                .map(|&(s, backlog)| demand_view(s, backlog))
-                .collect();
-            let alloc = CentralGovernor::new(budget / leak).allocate(self.model, &views, fleet);
-            for ((s, _), freq) in slice.iter().zip(&alloc.freqs) {
-                assigned[s.id] = Some(*freq);
+            let views = &self.views[range.clone()];
+            let alloc = CentralGovernor::new(budget / leak).allocate_indexed(
+                self.tables,
+                views,
+                &self.table_of[range],
+                fleet,
+                &mut self.scratch,
+            );
+            for (view, &freq) in views.iter().zip(&alloc.freqs) {
+                assigned[view.id] = Some(freq);
             }
             // The water-filling cannot descend below the ladder minimum,
             // so a browned-out or starved-share slice smaller than the
@@ -1023,103 +1143,146 @@ impl<'a> CentralStage<'a> {
                 ));
             }
         }
-        Ok(assigned)
+        Ok(())
     }
 }
 
-/// Runs the round loop over prepared shard states and assembles the
-/// report. The heart of the fleet — shared by the simulator-backed
-/// [`run_with`] and the fuzzer's [`run_synthetic`].
+/// The round loop: one value holding the shards, the governor-side
+/// columns and the stages, each round running deliver → assign → step →
+/// gather → breaker over buffers that persist across rounds. Shared by
+/// the simulator-backed [`run_with`] and the fuzzer's [`run_synthetic`].
+struct RoundLoop<'a> {
+    ctx: &'a ExecCtx,
+    config: &'a FleetConfig,
+    schedule: &'a ChaosSchedule,
+    env: StepEnv,
+    shards: Vec<Shard>,
+    cols: Columns,
+    central: CentralStage<'a>,
+    breaker: OvershootBreaker,
+    overshoot_rounds: usize,
+    eff_budget_sum: f64,
+}
+
+/// Builds the fleet, runs every round, checks the post-run invariants
+/// and assembles the report.
 fn run_rounds(
     ctx: &ExecCtx,
     config: &FleetConfig,
     topo: &FleetTopology,
-    mut shards: Vec<Vec<MachineState>>,
+    bench_name: &dyn Fn(usize) -> &'static str,
+    params: &dyn Fn(usize) -> SyntheticMachine,
 ) -> depburst_core::Result<FleetReport> {
-    let machines = topo.machines;
     let model = PowerModel::haswell_22nm();
-    let schedule =
-        ChaosSchedule::generate_with_regions(&config.chaos, machines, config.rounds, config.regions);
-    let regions = schedule.regions();
-    let mut central = CentralStage::new(config, &schedule, &model, machines);
-    let mut breaker = OvershootBreaker::new(machines, config.breaker);
-    let breaker_on = config.thermal.enabled;
-
-    // The governor's delayed-telemetry ingest (DepBurst policy): what it
-    // currently believes, and the in-flight datagrams.
-    let mut known: Vec<Known> = (0..machines)
-        .map(|_| Known {
-            backlog: 0.0,
-            mode: GovernorMode::Central,
-        })
-        .collect();
-    let mut inflight: Vec<VecDeque<Telemetry>> = vec![VecDeque::new(); machines];
-    let mut prev_backlog: Vec<f64> = vec![0.0; machines];
-    let mut overshoot_rounds = 0usize;
-    let mut eff_budget_sum = 0.0f64;
-
+    let cores = simx::MachineConfig::haswell_quad().cores;
+    let mut tables = TableSet::new(&model);
+    let (shards, cols) = build_fleet(config, topo, bench_name, params, cores, &mut tables);
+    let schedule = ChaosSchedule::generate_with_regions(
+        &config.chaos,
+        topo.machines,
+        config.rounds,
+        config.regions,
+    );
+    let mut fleet = RoundLoop {
+        ctx,
+        config,
+        schedule: &schedule,
+        env: StepEnv {
+            model,
+            wave: wave_table(),
+        },
+        shards,
+        central: CentralStage::new(config, &schedule, &tables, &cols.region),
+        cols,
+        breaker: OvershootBreaker::new(topo.machines, config.breaker),
+        overshoot_rounds: 0,
+        eff_budget_sum: 0.0,
+    };
     for round in 0..config.rounds {
-        // Deliver due telemetry.
-        for (m, queue) in inflight.iter_mut().enumerate() {
-            while queue.front().is_some_and(|t| t.due <= round) {
-                let t = queue.pop_front().expect("front checked");
-                known[m] = Known {
-                    backlog: t.backlog,
-                    mode: t.mode,
-                };
-            }
-        }
+        fleet.round(round)?;
+    }
+    let mut rows = fleet.machine_rows()?;
+    // A no-op (shards hold ascending id ranges) kept for memory: its
+    // freed buffer lifts glibc's mmap threshold before the report is
+    // rendered, and without it perfbench's fleet-flat peak RSS rose by
+    // half a megabyte.
+    rows.sort_by_key(|r| r.machine);
+    let summary = fleet.summary(topo, &rows);
+    Ok(FleetReport {
+        machines: rows,
+        summary,
+    })
+}
 
+impl RoundLoop<'_> {
+    /// One round, stage by stage.
+    ///
+    /// # Errors
+    /// The first invariant violation of the round.
+    fn round(&mut self, round: usize) -> depburst_core::Result<()> {
+        let schedule = self.schedule;
+        let row = schedule.round_states(round);
+        self.deliver(round);
         // The effective (browned-out) budget every allocator sees.
-        let eff_w = config.budget_w * f64::from(schedule.budget_milli(round)) / 1000.0;
-        eff_budget_sum += eff_w;
+        let eff_w = self.config.budget_w * f64::from(schedule.budget_milli(round)) / 1000.0;
+        self.eff_budget_sum += eff_w;
+        self.central
+            .assign(round, eff_w, row, &self.shards, &mut self.cols)?;
+        self.step(round, row);
+        let round_power = self.gather(round, row)?;
+        self.breaker(round, eff_w, round_power);
+        Ok(())
+    }
 
-        // Central allocation for this round's batch.
-        let assigned = central.assign(round, eff_w, &shards, &known)?;
+    /// Delivers the telemetry landing in `round` to the governor's view.
+    fn deliver(&mut self, round: usize) {
+        let slot = &mut self.cols.landing[round % LANDING_SLOTS];
+        for &(m, datagram) in slot.iter() {
+            self.cols.known[m] = datagram;
+        }
+        slot.clear();
+    }
 
-        // Parallel shard step: pure per-machine functions, plan order.
-        let inputs: Vec<ShardStep> = shards
-            .drain(..)
-            .map(|states| {
-                let ins = states
-                    .iter()
-                    .map(|s| {
-                        let mut chaos = schedule.state(round, s.id);
-                        // Aggregator/root outages read as partitions at
-                        // the machine: no fresh assignment, no rejoin
-                        // credit.
-                        chaos.partitioned = chaos.partitioned
-                            || governor_unreachable(config, &schedule, round, s.id);
-                        let tripped = breaker_on && breaker.is_tripped(round as u64, s.id);
-                        (chaos, assigned[s.id], tripped)
-                    })
-                    .collect();
-                (states, ins)
-            })
-            .collect();
-        let stepped: Vec<(Vec<MachineState>, Vec<RoundOut>)> =
-            ctx.map(inputs, |(mut states, ins)| {
-                let outs = states
-                    .iter_mut()
-                    .zip(&ins)
-                    .map(|(state, &(chaos, central, tripped))| {
-                        step_machine(state, round, chaos, central, tripped, &model)
-                    })
-                    .collect();
-                (states, outs)
-            });
+    /// Steps every shard on the context's pool: pure per-machine
+    /// functions of this round's chaos row, assignments and breaker
+    /// state.
+    fn step(&mut self, round: usize, row: &[ChaosState]) {
+        let (hierarchy, breaker_on) = (self.config.hierarchy, self.config.thermal.enabled);
+        let (schedule, env, cols, breaker) = (self.schedule, &self.env, &self.cols, &self.breaker);
+        self.ctx.for_each_mut(&mut self.shards, |shard| {
+            shard.outs.clear();
+            for state in &mut shard.states {
+                let m = state.id;
+                let mut chaos = row[m];
+                // Aggregator/root outages read as partitions at the
+                // machine: no fresh assignment, no rejoin credit.
+                chaos.partitioned = chaos.partitioned
+                    || governor_unreachable(hierarchy, schedule, round, cols.region[m]);
+                let tripped = breaker_on && breaker.is_tripped(round as u64, m);
+                let out = step_machine(state, round, chaos, cols.assigned[m], tripped, env);
+                shard.outs.push(out);
+            }
+        });
+    }
 
-        // Gather: ladder membership, thermal ceiling, power accounting,
-        // telemetry batch.
+    /// Checks ladder membership and the thermal ceiling, records each
+    /// machine's power, and queues its telemetry. Returns the fleet's
+    /// power this round.
+    ///
+    /// # Errors
+    /// The first machine, in id order, that ran off its ladder or past
+    /// its post-emergency ceiling.
+    fn gather(&mut self, round: usize, row: &[ChaosState]) -> depburst_core::Result<f64> {
+        let cols = &mut self.cols;
         let mut round_power = 0.0;
-        let mut powers = vec![0.0f64; machines];
-        for (states, outs) in &stepped {
-            for (state, out) in states.iter().zip(outs) {
+        for shard in &self.shards {
+            for (state, out) in shard.states.iter().zip(&shard.outs) {
+                let m = out.machine;
                 if !state.ladder.contains(out.freq) {
                     return Err(violation(
                         Invariant::LadderMembership,
                         round,
-                        format!("machine {} ran off-ladder at {}", out.machine, out.freq),
+                        format!("machine {m} ran off-ladder at {}", out.freq),
                     ));
                 }
                 if out.ceiling_breach {
@@ -1127,185 +1290,188 @@ fn run_rounds(
                         Invariant::ThermalCeiling,
                         round,
                         format!(
-                            "machine {} coasted past its post-emergency ceiling at {} m°C",
-                            out.machine,
+                            "machine {m} coasted past its post-emergency ceiling at {} m°C",
                             state.thermal.true_mc()
                         ),
                     ));
                 }
-                round_power += out.energy / ROUND_SECS;
-                powers[out.machine] = out.energy / ROUND_SECS;
-                let chaos = schedule.state(round, out.machine);
-                if let Some(mode) = out.mode {
-                    if !chaos.telemetry_lost {
-                        // Stale harvests deliver the previous round's
-                        // value; slow links arrive late; both on
-                        // time-ordered queues so delivery order is
-                        // deterministic.
-                        let content = if chaos.stale {
-                            prev_backlog[out.machine]
-                        } else {
-                            out.backlog
-                        };
-                        inflight[out.machine].push_back(Telemetry {
-                            due: round + 1 + chaos.link_delay as usize,
-                            backlog: content,
-                            mode,
-                        });
-                    }
+                cols.power[m] = out.energy / ROUND_SECS;
+                round_power += cols.power[m];
+                let chaos = row[m];
+                if let Some(mode) = out.mode.filter(|_| !chaos.telemetry_lost) {
+                    // Stale harvests deliver the previous round's value;
+                    // slow links arrive late, in send order, so delivery
+                    // order is deterministic.
+                    let due = round + 1 + usize::from(chaos.link_delay);
+                    let lands = due.max(cols.lands[m]);
+                    assert!(lands - round <= LANDING_SLOTS, "link delay past the slots");
+                    cols.lands[m] = lands;
+                    let backlog = if chaos.stale {
+                        cols.prev_backlog[m]
+                    } else {
+                        out.backlog
+                    };
+                    cols.landing[lands % LANDING_SLOTS].push((m, Known { backlog, mode }));
                 }
-                prev_backlog[out.machine] = out.backlog;
+                cols.prev_backlog[m] = out.backlog;
             }
         }
-        if round_power > eff_w * (1.0 + OVERSHOOT_REL_TOL) {
-            overshoot_rounds += 1;
-        }
-        if breaker_on {
-            // The feed's anti-cascade backstop: trip the heaviest
-            // overshooters to the floor, release them staggered.
-            breaker.observe(round as u64, eff_w, &powers);
-        }
-        shards = stepped.into_iter().map(|(states, _)| states).collect();
+        Ok(round_power)
     }
 
-    // Post-run invariants and report assembly.
-    let thermal_on = config.thermal.enabled;
-    let sabotage_throttle = config.sabotage == Some(Invariant::ThrottleMonotonicity);
-    let mut rows = Vec::with_capacity(machines);
-    for states in &mut shards {
-        for s in states.iter_mut() {
-            if let Some(issue) = s.ladder_state.monotonicity_issue() {
-                return Err(violation(
-                    Invariant::RejoinMonotonicity,
-                    config.rounds,
-                    format!("machine {}: {issue}", s.id),
-                ));
-            }
-            if thermal_on {
-                if sabotage_throttle && s.id == 0 {
-                    s.throttle.forge_transition(ThrottleTransition {
-                        round: config.rounds as u64,
-                        from: ThrottleStage::Emergency,
-                        to: ThrottleStage::Normal,
-                        reason: "sabotage",
-                    });
-                }
-                if let Some(issue) = s.throttle.monotonicity_issue() {
+    /// Counts a budget overshoot and, on thermal runs, lets the feed's
+    /// anti-cascade breaker trip the heaviest overshooters to the floor
+    /// and release them staggered.
+    fn breaker(&mut self, round: usize, eff_w: f64, round_power: f64) {
+        if round_power > eff_w * (1.0 + OVERSHOOT_REL_TOL) {
+            self.overshoot_rounds += 1;
+        }
+        if self.config.thermal.enabled {
+            self.breaker.observe(round as u64, eff_w, &self.cols.power);
+        }
+    }
+
+    /// Post-run invariants: checks every machine's transition logs and
+    /// renders its row.
+    ///
+    /// # Errors
+    /// A rejoin- or throttle-monotonicity violation.
+    fn machine_rows(&mut self) -> depburst_core::Result<Vec<MachineRow>> {
+        let config = self.config;
+        let thermal_on = config.thermal.enabled;
+        let sabotage_throttle = config.sabotage == Some(Invariant::ThrottleMonotonicity);
+        let mut rows = Vec::with_capacity(self.cols.bench.len());
+        for (shard, states) in self.shards.iter_mut().enumerate() {
+            for s in &mut states.states {
+                if let Some(issue) = s.ladder_state.monotonicity_issue() {
                     return Err(violation(
-                        Invariant::ThrottleMonotonicity,
+                        Invariant::RejoinMonotonicity,
                         config.rounds,
                         format!("machine {}: {issue}", s.id),
                     ));
                 }
+                if thermal_on {
+                    if sabotage_throttle && s.id == 0 {
+                        s.throttle.forge_transition(ThrottleTransition {
+                            round: config.rounds as u64,
+                            from: ThrottleStage::Emergency,
+                            to: ThrottleStage::Normal,
+                            reason: "sabotage",
+                        });
+                    }
+                    if let Some(issue) = s.throttle.monotonicity_issue() {
+                        return Err(violation(
+                            Invariant::ThrottleMonotonicity,
+                            config.rounds,
+                            format!("machine {}: {issue}", s.id),
+                        ));
+                    }
+                }
+                let per_round = |x: f64| {
+                    if s.lat_rounds > 0 {
+                        x / f64::from(s.lat_rounds)
+                    } else {
+                        0.0
+                    }
+                };
+                rows.push(MachineRow {
+                    machine: s.id,
+                    shard,
+                    benchmark: self.cols.bench[s.id].to_owned(),
+                    rounds_central: s.rounds_central,
+                    rounds_local: s.rounds_local,
+                    rounds_fallback: s.rounds_fallback,
+                    rounds_down: s.rounds_down,
+                    crashes: s.crashes,
+                    served: s.served,
+                    shed: s.shed,
+                    slo_attainment: per_round(f64::from(s.slo_ok)),
+                    mean_latency_s: per_round(s.lat_sum),
+                    energy_j: s.energy_j,
+                    transitions: s
+                        .ladder_state
+                        .transitions()
+                        .iter()
+                        .map(|t| t.to_string())
+                        .collect(),
+                    peak_temp_mc: thermal_on.then_some(s.peak_temp_mc),
+                    throttle_rounds: thermal_on.then_some(s.throttle_rounds),
+                    thermal_transitions: if thermal_on {
+                        s.throttle
+                            .transitions()
+                            .iter()
+                            .map(|t| t.to_string())
+                            .collect()
+                    } else {
+                        Vec::new()
+                    },
+                });
             }
-            rows.push(MachineRow {
-                machine: s.id,
-                shard: s.shard,
-                benchmark: s.bench.to_owned(),
-                rounds_central: s.rounds_central,
-                rounds_local: s.rounds_local,
-                rounds_fallback: s.rounds_fallback,
-                rounds_down: s.rounds_down,
-                crashes: s.crashes,
-                served: s.served,
-                shed: s.shed,
-                slo_attainment: if s.lat_rounds > 0 {
-                    f64::from(s.slo_ok) / f64::from(s.lat_rounds)
-                } else {
-                    0.0
-                },
-                mean_latency_s: if s.lat_rounds > 0 {
-                    s.lat_sum / f64::from(s.lat_rounds)
-                } else {
-                    0.0
-                },
-                energy_j: s.energy_j,
-                transitions: s
-                    .ladder_state
-                    .transitions()
-                    .iter()
-                    .map(|t| t.to_string())
-                    .collect(),
-                peak_temp_mc: if thermal_on { Some(s.peak_temp_mc) } else { None },
-                throttle_rounds: if thermal_on { Some(s.throttle_rounds) } else { None },
-                thermal_transitions: if thermal_on {
-                    s.throttle.transitions().iter().map(|t| t.to_string()).collect()
-                } else {
-                    Vec::new()
-                },
-            });
+        }
+        Ok(rows)
+    }
+
+    /// The fleet-level aggregates over the rows and the final states.
+    fn summary(&self, topo: &FleetTopology, rows: &[MachineRow]) -> FleetSummary {
+        let config = self.config;
+        let schedule = self.schedule;
+        let states = || self.shards.iter().flat_map(|shard| &shard.states);
+        let served: f64 = rows.iter().map(|r| r.served).sum();
+        let slo = if served > 0.0 {
+            rows.iter()
+                .map(|r| r.slo_attainment * r.served)
+                .sum::<f64>()
+                / served
+        } else {
+            0.0
+        };
+        let slo_ok_total: u64 = states().map(|s| u64::from(s.slo_ok)).sum();
+        let machine_rounds = (topo.machines * config.rounds).max(1) as f64;
+        let thermal_on = config.thermal.enabled;
+        let extended = config.extended();
+        let throttle_reason_count = |reason: &str| -> u64 {
+            states()
+                .map(|s| {
+                    s.throttle
+                        .transitions()
+                        .iter()
+                        .filter(|t| t.reason == reason)
+                        .count() as u64
+                })
+                .sum()
+        };
+        FleetSummary {
+            machines: topo.machines,
+            shards: topo.shards,
+            rounds: config.rounds,
+            policy: config.policy.name().to_owned(),
+            chaos_seed: config.chaos.seed,
+            crash_events: schedule.crash_events(),
+            partition_events: schedule.partition_events(),
+            budget_w: config.budget_w,
+            overshoot_rounds: self.overshoot_rounds,
+            served,
+            shed: rows.iter().map(|r| r.shed).sum(),
+            slo_attainment: slo,
+            strict_slo_attainment: extended.then(|| slo_ok_total as f64 / machine_rounds),
+            energy_j: rows.iter().map(|r| r.energy_j).sum(),
+            degraded_machine_rounds: rows
+                .iter()
+                .map(|r| u64::from(r.rounds_local + r.rounds_fallback + r.rounds_down))
+                .sum(),
+            regions: extended.then_some(schedule.regions()),
+            hierarchy: extended.then_some(config.hierarchy),
+            brownout_rounds: extended.then_some(schedule.brownout_rounds()),
+            aggregator_events: extended.then_some(schedule.aggregator_events()),
+            emergency_throttles: thermal_on.then(|| throttle_reason_count("emergency-throttle")),
+            thermal_shutdowns: thermal_on.then(|| throttle_reason_count("thermal-shutdown")),
+            black_starts: thermal_on.then(|| throttle_reason_count("black-start")),
+            breaker_trips: thermal_on.then(|| self.breaker.trips()),
+            peak_temp_mc: thermal_on.then(|| states().map(|s| s.peak_temp_mc).max().unwrap_or(0)),
+            mean_effective_budget_w: extended
+                .then(|| self.eff_budget_sum / (config.rounds.max(1)) as f64),
         }
     }
-    rows.sort_by_key(|r| r.machine);
-
-    let served: f64 = rows.iter().map(|r| r.served).sum();
-    let shed: f64 = rows.iter().map(|r| r.shed).sum();
-    let energy_j: f64 = rows.iter().map(|r| r.energy_j).sum();
-    let slo = if served > 0.0 {
-        rows.iter().map(|r| r.slo_attainment * r.served).sum::<f64>() / served
-    } else {
-        0.0
-    };
-    let degraded: u64 = rows
-        .iter()
-        .map(|r| u64::from(r.rounds_local + r.rounds_fallback + r.rounds_down))
-        .sum();
-    let slo_ok_total: u64 = shards.iter().flatten().map(|s| u64::from(s.slo_ok)).sum();
-    let machine_rounds = (machines * config.rounds).max(1) as f64;
-    let extended = config.extended();
-    let throttle_reason_count = |reason: &str| -> u64 {
-        shards
-            .iter()
-            .flatten()
-            .map(|s| {
-                s.throttle
-                    .transitions()
-                    .iter()
-                    .filter(|t| t.reason == reason)
-                    .count() as u64
-            })
-            .sum()
-    };
-
-    let summary = FleetSummary {
-        machines,
-        shards: topo.shards,
-        rounds: config.rounds,
-        policy: config.policy.name().to_owned(),
-        chaos_seed: config.chaos.seed,
-        crash_events: schedule.crash_events(),
-        partition_events: schedule.partition_events(),
-        budget_w: config.budget_w,
-        overshoot_rounds,
-        served,
-        shed,
-        slo_attainment: slo,
-        strict_slo_attainment: extended.then(|| slo_ok_total as f64 / machine_rounds),
-        energy_j,
-        degraded_machine_rounds: degraded,
-        regions: extended.then_some(regions),
-        hierarchy: extended.then_some(config.hierarchy),
-        brownout_rounds: extended.then_some(schedule.brownout_rounds()),
-        aggregator_events: extended.then_some(schedule.aggregator_events()),
-        emergency_throttles: thermal_on.then(|| throttle_reason_count("emergency-throttle")),
-        thermal_shutdowns: thermal_on.then(|| throttle_reason_count("thermal-shutdown")),
-        black_starts: thermal_on.then(|| throttle_reason_count("black-start")),
-        breaker_trips: thermal_on.then(|| breaker.trips()),
-        peak_temp_mc: thermal_on.then(|| {
-            shards
-                .iter()
-                .flatten()
-                .map(|s| s.peak_temp_mc)
-                .max()
-                .unwrap_or(0)
-        }),
-        mean_effective_budget_w: extended
-            .then(|| eff_budget_sum / (config.rounds.max(1)) as f64),
-    };
-    Ok(FleetReport {
-        machines: rows,
-        summary,
-    })
 }
 
 /// Runs the fleet on `ctx`: characterization through the memoized,
@@ -1366,7 +1532,6 @@ pub fn run_with(ctx: &ExecCtx, config: &FleetConfig) -> depburst_core::Result<Fl
         }
     }
 
-    let cores = simx::MachineConfig::haswell_quad().cores;
     let params = |m: usize| {
         let bench = bench_of[m];
         let (t1, t4) = &fit[bench.name];
@@ -1392,8 +1557,7 @@ pub fn run_with(ctx: &ExecCtx, config: &FleetConfig) -> depburst_core::Result<Fl
             },
         }
     };
-    let shards = build_states(config, &topo, &|m| bench_of[m].name, &params, cores);
-    let report = run_rounds(ctx, config, &topo, shards)?;
+    let report = run_rounds(ctx, config, &topo, &|m| bench_of[m].name, &params)?;
     Ok(FleetOutcome { report, charact })
 }
 
@@ -1413,15 +1577,13 @@ pub fn run_synthetic(
 ) -> depburst_core::Result<FleetReport> {
     assert!(!params.is_empty(), "synthetic fleet needs at least one machine profile");
     let topo = FleetTopology::new(config.machines, config.shards, config.seed);
-    let cores = simx::MachineConfig::haswell_quad().cores;
-    let shards = build_states(
+    run_rounds(
+        &ExecCtx::sequential(),
         config,
         &topo,
         &|_| "synthetic",
         &|m| params[m % params.len()],
-        cores,
-    );
-    run_rounds(&ExecCtx::sequential(), config, &topo, shards)
+    )
 }
 
 /// Renders the fleet report as the experiment's text table plus the
@@ -1503,4 +1665,54 @@ pub fn render(report: &FleetReport) -> String {
 #[must_use]
 pub fn run(config: &FleetConfig) -> FleetOutcome {
     run_with(&ExecCtx::sequential(), config).unwrap_or_else(|e| panic!("fleet: {e}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fuzz::fleet_profile;
+
+    #[test]
+    fn wave_table_is_the_sine_formula_at_every_phase() {
+        let table = wave_table();
+        for round in 0..3 * WAVE_PERIOD {
+            let formula = 1.0 + 0.3 * (TAU * (round % 32) as f64 / 32.0).sin();
+            assert_eq!(
+                table[round % WAVE_PERIOD].to_bits(),
+                formula.to_bits(),
+                "round {round}"
+            );
+        }
+    }
+
+    #[test]
+    fn precomputed_local_choice_is_the_local_governor_on_every_ladder_class() {
+        let mut below_max = 0;
+        for slowdown in [0.0, 0.05, 0.10, 0.5] {
+            let mut config = FleetConfig::new(12, 2, 1, 0.02, 3);
+            config.local_slowdown = slowdown;
+            let topo = FleetTopology::new(config.machines, config.shards, config.seed);
+            let mut tables = TableSet::new(&PowerModel::haswell_22nm());
+            let profile = |m: usize| fleet_profile(m % 4);
+            let (shards, _) =
+                build_fleet(&config, &topo, &|_| "synthetic", &profile, 4, &mut tables);
+            let states: Vec<&MachineState> = shards.iter().flat_map(|s| &s.states).collect();
+            assert_eq!(states.len(), 12, "every machine, so every ladder class");
+            for s in states {
+                let ladder = machine_ladder(s.id);
+                let p = profile(s.id);
+                let view = MachineView {
+                    id: s.id,
+                    ladder: &ladder,
+                    scaling_s: p.scaling_s,
+                    fixed_s: p.fixed_s,
+                    cores: 4,
+                };
+                let chosen = LocalGovernor::new(slowdown).choose(&view);
+                assert_eq!(s.local_freq, chosen, "machine {} at {slowdown}", s.id);
+                below_max += usize::from(chosen < ladder.max());
+            }
+        }
+        assert!(below_max > 0, "some choice must leave the ladder top");
+    }
 }

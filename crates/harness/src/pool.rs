@@ -87,6 +87,41 @@ where
     out
 }
 
+/// Runs `f` on every item in place, on up to `jobs` workers that each
+/// take one contiguous run of items. For state updated round after round
+/// (the fleet's shards): nothing moves, and with `jobs <= 1` (or a single
+/// item) nothing is spawned or allocated. `f` must depend only on its
+/// item and what it captures immutably, so every split of the items gives
+/// the same result.
+///
+/// # Panics
+/// If `f` panics: the sequential path stops at that item; the parallel
+/// path lets every run finish, then re-raises the earliest run's panic.
+pub fn for_each_mut<T, F>(items: &mut [T], jobs: usize, f: F)
+where
+    T: Send,
+    F: Fn(&mut T) + Sync,
+{
+    if jobs <= 1 || items.len() <= 1 {
+        items.iter_mut().for_each(f);
+        return;
+    }
+    let run = items.len().div_ceil(jobs.min(items.len()));
+    let f = &f;
+    let outcomes: Vec<std::thread::Result<()>> = std::thread::scope(|scope| {
+        let runs: Vec<_> = items
+            .chunks_mut(run)
+            .map(|chunk| scope.spawn(move || chunk.iter_mut().for_each(f)))
+            .collect();
+        runs.into_iter().map(|worker| worker.join()).collect()
+    });
+    for outcome in outcomes {
+        if let Err(payload) = outcome {
+            resume_unwind(payload);
+        }
+    }
+}
+
 /// Like [`map`], but panic-isolated: each item's result arrives as
 /// `Ok(r)` or `Err(payload)` when `f` panicked on it. All items run to
 /// completion regardless of how many panic.
@@ -187,6 +222,37 @@ mod tests {
             let par = map(items.clone(), jobs, |x| x * x + 1);
             assert_eq!(seq, par, "jobs={jobs}");
         }
+    }
+
+    #[test]
+    fn for_each_mut_matches_sequential_for_every_split() {
+        let reference: Vec<u64> = (0..23).map(|x| x * 3 + 1).collect();
+        for jobs in [1, 2, 4, 23, 40] {
+            let mut items: Vec<u64> = (0..23).collect();
+            for_each_mut(&mut items, jobs, |x| *x = *x * 3 + 1);
+            assert_eq!(items, reference, "jobs={jobs}");
+        }
+        let mut none: Vec<u64> = Vec::new();
+        for_each_mut(&mut none, 4, |x| *x += 1);
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn for_each_mut_finishes_every_run_then_reraises() {
+        let mut items: Vec<u32> = (0..8).collect();
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            for_each_mut(&mut items, 4, |x| {
+                if *x == 1 {
+                    panic!("item one");
+                }
+                *x += 100;
+            });
+        }))
+        .expect_err("the panic propagates");
+        assert_eq!(panic_message(&caught), "item one");
+        // Runs of two: the panicking run stops at its item, the others
+        // complete.
+        assert_eq!(items, vec![100, 1, 102, 103, 104, 105, 106, 107]);
     }
 
     #[test]

@@ -1020,6 +1020,16 @@ impl ExecCtx {
         pool::map(items, self.jobs, f)
     }
 
+    /// Runs `f` on every item in place on this context's pool (see
+    /// [`pool::for_each_mut`]): for state that persists across rounds.
+    pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F)
+    where
+        T: Send,
+        F: Fn(&mut T) + Sync,
+    {
+        pool::for_each_mut(items, self.jobs, f);
+    }
+
     /// Maps a fallible, labelled evaluation over `items` with this
     /// context's full resilience stack (panic isolation, watchdog,
     /// retry/backoff), preserving input order. `f` receives the item and

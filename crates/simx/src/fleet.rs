@@ -265,6 +265,10 @@ pub struct ChaosSchedule {
     /// Per round: the global-budget multiplier in thousandths
     /// (1000 = full budget; a brownout window holds a drawn fraction).
     budget_milli: Vec<u16>,
+    /// Distinct crash outages, counted while generating.
+    crash_events: usize,
+    /// Distinct partition outages, counted while generating.
+    partition_events: usize,
 }
 
 impl ChaosSchedule {
@@ -291,6 +295,7 @@ impl ChaosSchedule {
     ) -> Self {
         let regions = regions.clamp(1, machines.max(1));
         let mut states = vec![ChaosState::default(); rounds * machines];
+        let (mut crash_events, mut partition_events) = (0, 0);
         for machine in 0..machines {
             let msalt = (machine as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let mut crash = OutageWalk::new(
@@ -311,10 +316,14 @@ impl ChaosSchedule {
             let mut loss = SplitMix64::new(config.seed ^ LOSS_SALT ^ msalt);
             let mut stale = SplitMix64::new(config.seed ^ STALE_SALT ^ msalt);
             let mut link = SplitMix64::new(config.seed ^ LINK_SALT ^ msalt);
+            let (mut was_crashed, mut was_partitioned) = (false, false);
             for round in 0..rounds {
                 let state = &mut states[round * machines + machine];
                 state.crashed = crash.step();
                 state.partitioned = partition.step();
+                crash_events += usize::from(state.crashed && !was_crashed);
+                partition_events += usize::from(state.partitioned && !was_partitioned);
+                (was_crashed, was_partitioned) = (state.crashed, state.partitioned);
                 state.sensor_stuck = stuck.step();
                 state.telemetry_lost = loss.chance(config.telemetry_loss * BERNOULLI_RATE);
                 state.stale = stale.chance(config.stale_telemetry * BERNOULLI_RATE);
@@ -379,6 +388,8 @@ impl ChaosSchedule {
             aggregator_down,
             root_down,
             budget_milli,
+            crash_events,
+            partition_events,
         }
     }
 
@@ -447,6 +458,16 @@ impl ChaosSchedule {
         events
     }
 
+    /// Every machine's chaos in `round`, indexed by machine id: one row of
+    /// the schedule, so a fleet round reads its states without a range
+    /// check per machine. Past the horizon the row is empty.
+    #[must_use]
+    pub fn round_states(&self, round: usize) -> &[ChaosState] {
+        self.states
+            .get(round * self.machines..(round + 1) * self.machines)
+            .unwrap_or(&[])
+    }
+
     /// The chaos on `machine` in `round`. Out-of-range queries (a fleet
     /// loop probing past the horizon) are clear.
     #[must_use]
@@ -477,15 +498,18 @@ impl ChaosSchedule {
     /// contains, summed over machines.
     #[must_use]
     pub fn crash_events(&self) -> usize {
-        self.transitions(|s| s.crashed)
+        self.crash_events
     }
 
     /// How many distinct partition outages the schedule contains.
     #[must_use]
     pub fn partition_events(&self) -> usize {
-        self.transitions(|s| s.partitioned)
+        self.partition_events
     }
 
+    /// The down-transitions of `flag` by rescanning every cell: the
+    /// definition the counts kept while generating must equal.
+    #[cfg(test)]
     fn transitions(&self, flag: impl Fn(&ChaosState) -> bool) -> usize {
         let mut events = 0;
         for machine in 0..self.machines {
@@ -684,6 +708,47 @@ mod tests {
         }
         assert_eq!(config.intensity(FaultClass::CounterNoise), None);
         assert_eq!(config.intensity(FaultClass::PanicPoint), None);
+    }
+
+    #[test]
+    fn generation_time_event_counts_equal_a_rescan() {
+        for (config, machines, rounds, regions) in [
+            (ChaosConfig::none(5), 8, 64, 1),
+            (ChaosConfig::uniform(0.7, 42), 6, 80, 1),
+            (ChaosConfig::uniform(1.0, 3), 33, 200, 4),
+            (
+                ChaosConfig {
+                    mean_outage_rounds: 1,
+                    ..ChaosConfig::uniform(0.9, 8)
+                },
+                5,
+                150,
+                2,
+            ),
+            (ChaosConfig::uniform(0.5, 9), 7, 0, 1),
+        ] {
+            let s = ChaosSchedule::generate_with_regions(&config, machines, rounds, regions);
+            assert_eq!(s.crash_events(), s.transitions(|c| c.crashed), "{config:?}");
+            assert_eq!(
+                s.partition_events(),
+                s.transitions(|c| c.partitioned),
+                "{config:?}"
+            );
+        }
+        assert!(ChaosSchedule::generate(&ChaosConfig::uniform(1.0, 3), 33, 200).crash_events() > 0);
+    }
+
+    #[test]
+    fn round_rows_are_the_per_machine_states() {
+        let schedule = ChaosSchedule::generate(&ChaosConfig::uniform(0.8, 4), 5, 30);
+        for round in 0..30 {
+            let row = schedule.round_states(round);
+            assert_eq!(row.len(), 5);
+            for (m, state) in row.iter().enumerate() {
+                assert_eq!(*state, schedule.state(round, m));
+            }
+        }
+        assert!(schedule.round_states(30).is_empty());
     }
 
     fn storm(seed: u64) -> ChaosConfig {

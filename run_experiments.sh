@@ -15,9 +15,10 @@ echo "== fig6 =="     && $BIN/fig6 "" $SCALE         > results/fig6.txt   2>resu
 echo "== fig7 =="     && $BIN/fig7 10 $SCALE 1 250   > results/fig7.txt   2>results/fig7.log
 echo "== ablation ==" && $BIN/ablation $SCALE        > results/ablation.txt 2>results/ablation.log
 echo "== percore =="  && $BIN/percore $SCALE         > results/percore.txt 2>results/percore.log
-echo "== faults =="   && $BIN/faults $SCALE $SEEDS   > results/faults.txt  2>results/faults.log
-# The committed fleet evidence has fixed configs, whatever the scale and
-# seeds above (README's fleet quickstart, EXPERIMENTS.md's thermal matrix).
+# The committed fault-sweep and fleet evidence have fixed configs,
+# whatever the scale and seeds above (EXPERIMENTS.md's fault sweep at
+# scale 0.1, README's fleet quickstart, EXPERIMENTS.md's thermal matrix).
+echo "== faults =="   && $BIN/faults 0.1 1           > results/faults.txt  2>results/faults.log
 echo "== fleet =="    && $BIN/fleet 8 120 0.05 1 --shards 2 --chaos 0.5 --chaos-seed 7 \
                              --policy depburst --out results/fleet.json > /dev/null
 echo "== thermal =="  && $BIN/thermal 12 160 0.02 1 --out results/thermal.json > /dev/null

@@ -132,8 +132,9 @@ step "bench smoke + throughput floor (>= ${DEPBURST_BENCH_REGRESSION_PCT:-25}% o
 
 # A certain panic-point cell per benchmark: every other cell completes,
 # the dead cells land in results/faults_failures.json, and the process
-# exits 2. Run from /tmp, like the faults smoke, so the committed
-# results/faults.json stays untouched.
+# exits 2. The failure report always goes to ./results/ (and, without
+# --out, so does the sweep's JSON), so this runs from /tmp to keep both
+# off the committed results/faults.json.
 resilience_panic() {
     local report=/tmp/results/faults_failures.json
     rm -f "$report"
@@ -284,6 +285,34 @@ brownout_gate() {
     rm -f "$out".*
 }
 step "brownout gate: new chaos classes deterministic" brownout_gate
+
+# Many-slices gate: a 256-machine hierarchical thermal fleet in 16
+# regions under every chaos class must be byte-identical at --jobs 1 and
+# --jobs 4. The gates above run 8-12 machines in at most 3 regions; here
+# the round loop reuses its buffers across 16 allocation slices a round.
+many_slices_gate() {
+    local out=/tmp/depburst-ci-slices
+    local flags="--shards 4 --regions 16 --hierarchy on --thermal on \
+        --brownout 0.5 --region-crash 0.5 --sensor-stuck 0.5 \
+        --chaos 0.5 --chaos-seed 7 --policy depburst"
+    rm -f "$out".*
+    # shellcheck disable=SC2086
+    "$BIN/fleet" 256 40 "$SCALE" 1 $flags --jobs 1 --out "$out.j1.json" \
+        > "$out.j1.out" 2> /dev/null
+    # shellcheck disable=SC2086
+    "$BIN/fleet" 256 40 "$SCALE" 1 $flags --jobs 4 --out "$out.j4.json" \
+        > "$out.j4.out" 2> /dev/null
+    cmp "$out.j1.out" "$out.j4.out" && cmp "$out.j1.json" "$out.j4.json" || {
+        echo "16-region fleet is not byte-identical across --jobs 1 / --jobs 4"
+        return 1
+    }
+    grep -q '"regions": 16' "$out.j1.json" || {
+        echo "16-region fleet report does not record 16 regions"
+        return 1
+    }
+    rm -f "$out".*
+}
+step "many-slices gate: 16-region fleet determinism" many_slices_gate
 
 # Durability gates: the storage layer must never serve corrupted bytes.
 # The torture binary crash-tests a small fig3 run at a handful of VFS
