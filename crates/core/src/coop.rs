@@ -7,15 +7,15 @@
 //! pause being treated as scalable work) but remains blind to fine-grained
 //! synchronization inside each phase.
 
-use dvfs_trace::{ExecutionTrace, Freq, TimeDelta};
+use dvfs_trace::{ExecutionTrace, Freq, TimeDelta, WindowTotals};
 
 use crate::{DvfsPredictor, NonScalingModel};
 
 /// The COOP predictor (optionally with BURST).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Coop {
-    model: NonScalingModel,
-    burst: bool,
+    pub(crate) model: NonScalingModel,
+    pub(crate) burst: bool,
 }
 
 impl Coop {
@@ -41,9 +41,10 @@ impl Coop {
 impl DvfsPredictor for Coop {
     fn predict(&self, trace: &ExecutionTrace, target: Freq) -> TimeDelta {
         let ratio = trace.base.scaling_ratio_to(target);
+        let mut counters = WindowTotals::new(trace);
         let mut total = TimeDelta::ZERO;
         for window in trace.phase_windows() {
-            let counters = trace.totals_in_window(window.start, window.end);
+            counters.fill(window.start, window.end);
             // COOP's phase split exists precisely to attribute each phase
             // to the threads that execute in it: the phase's critical
             // thread is chosen among threads that were substantially
@@ -59,7 +60,7 @@ impl DvfsPredictor for Coop {
                         continue;
                     }
                     let active = counters
-                        .get(&info.id)
+                        .get(info.id)
                         .map(|c| c.active)
                         .unwrap_or(TimeDelta::ZERO);
                     let qualifies = active.as_secs() >= 0.3 * presence.as_secs();
@@ -68,7 +69,7 @@ impl DvfsPredictor for Coop {
                     }
                     any_active |= qualifies;
                     let ns = counters
-                        .get(&info.id)
+                        .get(info.id)
                         .map(|c| self.model.non_scaling(c, self.burst))
                         .unwrap_or(TimeDelta::ZERO)
                         .min(presence);

@@ -24,9 +24,7 @@
 //! epoch can flip with the scaling ratio, changing how slack accumulates
 //! downstream.
 
-use std::collections::BTreeMap;
-
-use dvfs_trace::{EpochRecord, ExecutionTrace, Freq, ThreadId, TimeDelta};
+use dvfs_trace::{EpochRecord, ExecutionTrace, Freq, TimeDelta};
 
 use crate::{DvfsPredictor, NonScalingModel};
 
@@ -43,9 +41,9 @@ pub enum CtpMode {
 /// The DEP predictor (optionally +BURST), the paper's contribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dep {
-    model: NonScalingModel,
-    burst: bool,
-    ctp: CtpMode,
+    pub(crate) model: NonScalingModel,
+    pub(crate) burst: bool,
+    pub(crate) ctp: CtpMode,
 }
 
 impl Dep {
@@ -75,12 +73,15 @@ impl Dep {
     }
 
     /// Estimated duration of one epoch at the target frequency, updating
-    /// the delta counters per Algorithm 1.
+    /// the delta counters (indexed by [`dvfs_trace::ThreadId::index`]) per
+    /// Algorithm 1. `active` is scratch space for the epoch's per-slice
+    /// estimates.
     fn epoch_estimate(
         &self,
         epoch: &EpochRecord,
         ratio: f64,
-        deltas: &mut BTreeMap<ThreadId, TimeDelta>,
+        deltas: &mut Vec<TimeDelta>,
+        active: &mut Vec<TimeDelta>,
     ) -> TimeDelta {
         if epoch.threads.is_empty() {
             // No thread ran (everyone blocked on timers/IO): wall time that
@@ -88,34 +89,29 @@ impl Dep {
             return epoch.duration;
         }
 
-        // Line 1-4: per-thread estimates a_t and delta-adjusted e_t.
-        let mut estimates: Vec<(ThreadId, TimeDelta, TimeDelta)> =
-            Vec::with_capacity(epoch.threads.len());
+        // Line 1-5: per-thread estimates a_t and delta-adjusted e_t; the
+        // epoch lasts as long as its (slack-adjusted) critical thread. The
+        // deltas only change below, after every e_t is taken.
+        active.clear();
+        let mut epoch_len = TimeDelta::ZERO;
         for slice in &epoch.threads {
             let a_t = self.model.predict_active(&slice.counters, self.burst, ratio);
-            let delta = deltas.get(&slice.thread).copied().unwrap_or(TimeDelta::ZERO);
-            let e_t = a_t - delta;
-            estimates.push((slice.thread, a_t, e_t));
+            active.push(a_t);
+            let e_t = match self.ctp {
+                CtpMode::PerEpoch => a_t,
+                CtpMode::AcrossEpoch => {
+                    let delta = deltas.get(slice.thread.index()).copied();
+                    a_t - delta.unwrap_or(TimeDelta::ZERO)
+                }
+            };
+            epoch_len = epoch_len.max(e_t);
         }
-
-        // Line 5: the epoch lasts as long as its (slack-adjusted) critical
-        // thread.
-        let epoch_len = match self.ctp {
-            CtpMode::PerEpoch => estimates
-                .iter()
-                .map(|&(_, a_t, _)| a_t)
-                .fold(TimeDelta::ZERO, TimeDelta::max),
-            CtpMode::AcrossEpoch => estimates
-                .iter()
-                .map(|&(_, _, e_t)| e_t)
-                .fold(TimeDelta::ZERO, TimeDelta::max),
-        };
 
         if self.ctp == CtpMode::AcrossEpoch {
             // Line 6-8: every active thread accrues the slack it gained on
             // the critical thread.
-            for &(tid, a_t, _) in &estimates {
-                let d = deltas.entry(tid).or_insert(TimeDelta::ZERO);
+            for (slice, &a_t) in epoch.threads.iter().zip(active.iter()) {
+                let d = slice.thread.slot(deltas);
                 *d = (epoch_len - a_t) + *d;
                 // Slack is never negative: a thread cannot be ahead of an
                 // epoch it participated in.
@@ -123,7 +119,9 @@ impl Dep {
             }
             // Line 9: the stalled thread's future is gated by its waker.
             if let Some(stalled) = epoch.end.stalled_thread() {
-                deltas.insert(stalled, TimeDelta::ZERO);
+                if let Some(d) = deltas.get_mut(stalled.index()) {
+                    *d = TimeDelta::ZERO;
+                }
             }
         }
 
@@ -134,10 +132,11 @@ impl Dep {
 impl DvfsPredictor for Dep {
     fn predict(&self, trace: &ExecutionTrace, target: Freq) -> TimeDelta {
         let ratio = trace.base.scaling_ratio_to(target);
-        let mut deltas: BTreeMap<ThreadId, TimeDelta> = BTreeMap::new();
+        let mut deltas = Vec::new();
+        let mut active = Vec::new();
         let mut total = TimeDelta::ZERO;
         for epoch in &trace.epochs {
-            total += self.epoch_estimate(epoch, ratio, &mut deltas);
+            total += self.epoch_estimate(epoch, ratio, &mut deltas, &mut active);
         }
         total
     }
@@ -158,7 +157,7 @@ impl DvfsPredictor for Dep {
 mod tests {
     use super::*;
     use dvfs_trace::{
-        DvfsCounters, EpochEnd, EpochRecord, ThreadInfo, ThreadRole, ThreadSlice, Time,
+        DvfsCounters, EpochEnd, EpochRecord, ThreadId, ThreadInfo, ThreadRole, ThreadSlice, Time,
     };
 
     fn compute(secs: f64) -> DvfsCounters {

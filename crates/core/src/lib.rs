@@ -47,6 +47,8 @@ mod mcrit;
 mod metrics;
 mod nonscaling;
 mod predictor;
+#[doc(hidden)]
+pub mod reference;
 mod regression;
 
 pub use coop::Coop;

@@ -17,8 +17,8 @@ use crate::{DvfsPredictor, NonScalingModel};
 /// model despite the name — the paper instantiates it with CRIT).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MCrit {
-    model: NonScalingModel,
-    burst: bool,
+    pub(crate) model: NonScalingModel,
+    pub(crate) burst: bool,
 }
 
 impl MCrit {
@@ -45,7 +45,7 @@ impl DvfsPredictor for MCrit {
     fn predict(&self, trace: &ExecutionTrace, target: Freq) -> TimeDelta {
         let ratio = trace.base.scaling_ratio_to(target);
         let mut best = TimeDelta::ZERO;
-        for totals in trace.thread_totals().values() {
+        for (_, totals) in &trace.thread_totals_by_id() {
             // The naive model: everything that is not measured non-scaling
             // — including sleep — is assumed to scale.
             let ns = self

@@ -246,12 +246,7 @@ impl EnergyManager {
             } else {
                 0.0
             };
-            account.add(
-                &self.config.power,
-                freq,
-                duration,
-                &vec![activity; cores],
-            );
+            account.add_uniform(&self.config.power, freq, duration, activity, cores);
 
             // Ground-truth energy from the machine's own busy-time ledger
             // (immune to counter faults; diverges from `account` exactly
@@ -263,12 +258,7 @@ impl EnergyManager {
                 0.0
             };
             prev_busy = busy_now;
-            true_account.add(
-                &self.config.power,
-                freq,
-                duration,
-                &vec![true_activity; cores],
-            );
+            true_account.add_uniform(&self.config.power, freq, duration, true_activity, cores);
 
             match freq_time.iter_mut().find(|(f, _)| *f == freq) {
                 Some((_, t)) => *t += duration,

@@ -155,9 +155,18 @@ impl EnergyAccount {
         Self::default()
     }
 
-    /// Adds one interval.
-    pub fn add(&mut self, model: &PowerModel, freq: Freq, duration: TimeDelta, activity: &[f64]) {
-        self.joules += model.energy(freq, duration, activity);
+    /// Adds one interval at `freq` with every one of `cores` cores at the
+    /// same `activity`: the joules of [`PowerModel::energy`] over a slice
+    /// of `cores` copies of `activity`, bit for bit, without the slice.
+    pub fn add_uniform(
+        &mut self,
+        model: &PowerModel,
+        freq: Freq,
+        duration: TimeDelta,
+        activity: f64,
+        cores: usize,
+    ) {
+        self.joules += model.power_uniform(freq, activity, cores).total() * duration.as_secs();
         self.elapsed += duration;
     }
 
@@ -255,20 +264,32 @@ mod tests {
     fn account_accumulates() {
         let m = PowerModel::haswell_22nm();
         let mut acc = EnergyAccount::new();
-        acc.add(
-            &m,
-            Freq::from_ghz(4.0),
-            TimeDelta::from_millis(10.0),
-            &[1.0; 4],
-        );
-        acc.add(
-            &m,
-            Freq::from_ghz(1.0),
-            TimeDelta::from_millis(10.0),
-            &[1.0; 4],
-        );
+        let interval = TimeDelta::from_millis(10.0);
+        acc.add_uniform(&m, Freq::from_ghz(4.0), interval, 1.0, 4);
+        acc.add_uniform(&m, Freq::from_ghz(1.0), interval, 1.0, 4);
         assert!(acc.joules() > 0.0);
         assert!((acc.elapsed().as_millis() - 20.0).abs() < 1e-9);
         assert!(acc.mean_power() > 0.0);
+    }
+
+    #[test]
+    fn uniform_account_matches_energy_over_a_slice_bit_for_bit() {
+        let m = PowerModel::haswell_22nm();
+        let mut acc = EnergyAccount::new();
+        let mut want = 0.0;
+        for (ghz, ms, a, cores) in [
+            (4.0, 1.0, 0.3, 4),
+            (2.3, 0.7, 0.1 + 0.2, 7),
+            (1.0, 3.0, 1.7, 2),
+        ] {
+            let (f, d) = (Freq::from_ghz(ghz), TimeDelta::from_millis(ms));
+            acc.add_uniform(&m, f, d, a, cores);
+            want += m.energy(f, d, &vec![a; cores]);
+            assert_eq!(
+                acc.joules().to_bits(),
+                want.to_bits(),
+                "{ghz} GHz, {a} x {cores}"
+            );
+        }
     }
 }

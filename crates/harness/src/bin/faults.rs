@@ -26,12 +26,12 @@ fn main() -> ExitCode {
         let scale: f64 = args.get("scale")?.unwrap_or(0.05);
         let seed: u64 = args.get("seed")?.unwrap_or(1);
         let threshold: f64 = args.get("threshold-percent")?.unwrap_or(10.0) / 100.0;
-        let intensities = [0.1, 0.25, 0.5, 1.0];
         eprintln!(
             "fault sweep at scale {scale}, seed {seed}, threshold {:.0}%...",
             threshold * 100.0
         );
-        let rows = faults::collect_with(ctx, scale, seed, threshold, &intensities, panic_point)?;
+        let rows =
+            faults::collect_with(ctx, scale, seed, threshold, &faults::INTENSITIES, panic_point)?;
         println!("{}", faults::render(&rows));
         let json = serde_json::to_string_pretty(&rows)?;
         let path = cli::write_report(args.value("--out"), "results/faults.json", &json)?;

@@ -33,6 +33,9 @@ const PREDICTION_SAMPLES: u64 = 8;
 /// The benchmarks swept (one memory-intensive, one compute-intensive).
 pub const SWEEP_BENCHMARKS: [&str; 2] = ["lusearch", "sunflow"];
 
+/// The fault intensities the `faults` binary sweeps.
+pub const INTENSITIES: [f64; 4] = [0.1, 0.25, 0.5, 1.0];
+
 /// One (benchmark, fault class, intensity) cell of the sweep.
 #[derive(Debug, Clone, Serialize)]
 pub struct FaultsRow {

@@ -1,13 +1,15 @@
-//! The committed fleet evidence reproduces byte for byte: rerunning, in
-//! process, the configs behind `results/fleet.json` and
-//! `results/thermal.json` serializes exactly the committed files. Any
-//! change that moves a fleet or thermal number fails here until
-//! `run_experiments.sh` regenerates the evidence.
+//! The committed JSON evidence reproduces byte for byte: rerunning, in
+//! process, the configs behind `results/fleet.json`,
+//! `results/thermal.json` and `results/faults.json` serializes exactly
+//! the committed files. Any change that moves a fleet, thermal or fault
+//! sweep number fails here until `run_experiments.sh` regenerates the
+//! evidence.
 
 use std::fs;
 use std::path::PathBuf;
 
 use energyx::GovernorPolicy;
+use harness::experiments::faults;
 use harness::experiments::fleet::{self, FleetConfig};
 use harness::experiments::thermal::{self, ThermalConfigExp};
 use harness::ExecCtx;
@@ -44,5 +46,19 @@ fn committed_thermal_json_reproduces() {
     assert!(
         json == committed("thermal.json"),
         "results/thermal.json no longer reproduces; regenerate it with run_experiments.sh"
+    );
+}
+
+#[test]
+fn committed_faults_json_reproduces() {
+    // EXPERIMENTS.md's fault sweep: faults 0.1 1 (threshold 10%). The only
+    // committed result whose DRAM jitter and counter faults reach the
+    // predictors.
+    let rows = faults::collect_with(&ExecCtx::new(2), 0.1, 1, 0.10, &faults::INTENSITIES, None)
+        .expect("fault sweep");
+    let json = serde_json::to_string_pretty(&rows).expect("serialize fault rows");
+    assert!(
+        json == committed("faults.json"),
+        "results/faults.json no longer reproduces; regenerate it with run_experiments.sh"
     );
 }

@@ -13,7 +13,7 @@ use simx::Machine;
 
 use crate::config::RuntimeConfig;
 use crate::heap::HeapState;
-use crate::sync::{SyncCell, SyncRefCell};
+use crate::sync::{SyncCell, SyncRefCell, Word};
 
 /// The collector phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,6 +27,23 @@ pub enum GcPhase {
     Stopping,
     /// The world is stopped; GC workers are collecting.
     Collecting,
+}
+
+impl Word for GcPhase {
+    #[inline]
+    fn to_word(self) -> u64 {
+        self as u64
+    }
+
+    #[inline]
+    fn from_word(word: u64) -> Self {
+        [
+            GcPhase::Running,
+            GcPhase::Requested,
+            GcPhase::Stopping,
+            GcPhase::Collecting,
+        ][word as usize]
+    }
 }
 
 /// A futex-backed mutex (word protocol: 0 free, 1 held, 2 held with
@@ -319,6 +336,20 @@ mod tests {
         let config = RuntimeConfig::with_heap(64 << 20);
         let shared = RuntimeShared::new(&mut machine, config, 4, 2, &[4]);
         (machine, shared)
+    }
+
+    #[test]
+    fn gc_phase_cell_roundtrips_every_phase() {
+        let cell = SyncCell::new(GcPhase::Running);
+        for phase in [
+            GcPhase::Requested,
+            GcPhase::Stopping,
+            GcPhase::Collecting,
+            GcPhase::Running,
+        ] {
+            cell.set(phase);
+            assert_eq!(cell.get(), phase);
+        }
     }
 
     #[test]

@@ -300,14 +300,15 @@ fn memory_chunk(env: &mut ChunkEnv<'_>, spec: MemoryChunkSpec) -> Chunk {
     // observe the same (issue, completion) intervals through their
     // published streaming algorithms.
     //
-    // This loop is the simulator's hottest code (profiling: >80% of a
-    // single-point run at tens of millions of iterations), and it is
-    // latency-bound on the serial FP dependence t_cursor → read →
-    // round_max → t_cursor, so shaving instructions barely helps. Instead,
-    // a chunk with more rounds than `dram_round_sample_cap` simulates only
-    // that many rounds exactly and extrapolates the rest from the sample's
-    // mean round timing (the cap guarantees every sampled round is
-    // full-width, since `rounds > cap` implies `miss_count > cap * width`).
+    // This loop is the simulator's hottest code (cycle counters around it
+    // put 44–47% of a perfbench `fig3-exact` operation here, DRAM reads
+    // included, on a 2-vCPU Intel Xeon VM), and it is latency-bound on the
+    // serial FP dependence t_cursor → read → round_max → t_cursor, so
+    // shaving instructions barely helps. Instead, a chunk with more rounds
+    // than `dram_round_sample_cap` simulates only that many rounds exactly
+    // and extrapolates the rest from the sample's mean round timing (the
+    // cap guarantees every sampled round is full-width, since
+    // `rounds > cap` implies `miss_count > cap * width`).
     let cap = u64::from(env.config.dram_round_sample_cap);
     let sim_rounds = if cap > 0 { rounds.min(cap) } else { rounds };
     let stats_before = env.dram.stats();

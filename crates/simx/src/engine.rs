@@ -7,10 +7,14 @@
 //! handful of events per core — so almost every push lands in a bucket at
 //! or just ahead of the cursor, and almost every pop scans one short
 //! bucket. Events beyond the calendar horizon (timers, long sleeps) wait
-//! in an overflow band and are folded in when the cursor reaches them.
+//! in an overflow band — a binary heap in the same order — and are folded
+//! in when the cursor reaches them.
 //! Ordering is exactly the heap's contract: earliest `time` first, FIFO by
 //! insertion `seq` among equal times (see [`reference::HeapQueue`], kept
 //! as the oracle for the equivalence proptest).
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use dvfs_trace::{CoreId, ThreadId, Time};
 
@@ -58,6 +62,31 @@ impl Scheduled {
     }
 }
 
+impl PartialEq for Scheduled {
+    fn eq(&self, other: &Self) -> bool {
+        self.time == other.time && self.seq == other.seq
+    }
+}
+
+impl Eq for Scheduled {}
+
+impl PartialOrd for Scheduled {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Scheduled {
+    /// Reversed [`Scheduled::key`] order: `BinaryHeap` is a max-heap, so
+    /// the earliest event (lowest seq among equal times) is its top.
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .time
+            .cmp(&self.time)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
 /// Number of day-buckets in the calendar ring (power of two).
 const N_BUCKETS: usize = 64;
 /// Bucket width in seconds. Chunk events arrive a few microseconds apart,
@@ -85,8 +114,9 @@ pub struct EventQueue {
     /// Bucket number (global, not ring slot) of the current bucket; the
     /// ring covers bucket numbers `[base_idx, base_idx + N_BUCKETS)`.
     base_idx: u64,
-    /// Events in buckets at or beyond `base_idx + N_BUCKETS`.
-    overflow: Vec<Scheduled>,
+    /// Events whose bucket was at or beyond `base_idx + N_BUCKETS` when
+    /// they were pushed, earliest on top.
+    overflow: BinaryHeap<Scheduled>,
     /// Events currently stored in `buckets` (not `overflow`).
     in_buckets: usize,
     /// Occupancy bitmask: bit `i` set iff `buckets[i]` is non-empty.
@@ -100,9 +130,6 @@ pub struct EventQueue {
     /// The earliest pending `(time, seq)`, maintained across push/pop so
     /// `peek_time` is O(1) (the run loop peeks before every dispatch).
     cached_min: Option<(Time, u64)>,
-    /// Cached minimum key of the overflow band (recomputed only when an
-    /// overflow event is removed, which is rare).
-    over_min: Option<(Time, u64)>,
 }
 
 // The occupancy mask is a u64: one bit per bucket.
@@ -113,13 +140,12 @@ impl Default for EventQueue {
         EventQueue {
             buckets: (0..N_BUCKETS).map(|_| Vec::new()).collect(),
             base_idx: 0,
-            overflow: Vec::new(),
+            overflow: BinaryHeap::new(),
             in_buckets: 0,
             occupied: 0,
             len: 0,
             next_seq: 0,
             cached_min: None,
-            over_min: None,
         }
     }
 }
@@ -172,9 +198,6 @@ impl EventQueue {
         let idx = Self::bucket_index(time.as_secs());
         if idx >= self.base_idx + N_BUCKETS as u64 {
             self.overflow.push(s);
-            if self.over_min.is_none_or(|m| s.key() < m) {
-                self.over_min = Some(s.key());
-            }
         } else {
             self.file(s, idx);
         }
@@ -215,8 +238,10 @@ impl EventQueue {
                 best = i;
             }
         }
-        let s = match self.over_min {
-            Some(m) if m < bucket[best].key() => self.take_overflow(m),
+        let s = match self.overflow.peek() {
+            Some(o) if o.key() < bucket[best].key() => {
+                self.overflow.pop().expect("peeked overflow event")
+            }
             _ => {
                 self.in_buckets -= 1;
                 let s = self.buckets[cur].swap_remove(best);
@@ -231,45 +256,28 @@ impl EventQueue {
         Some((s.time, s.event))
     }
 
-    /// Removes the overflow event whose key is `m` (the cached overflow
-    /// minimum) and recomputes the cache.
-    fn take_overflow(&mut self, m: (Time, u64)) -> Scheduled {
-        let i = self
-            .overflow
-            .iter()
-            .position(|s| s.key() == m)
-            .expect("cached overflow minimum must be present");
-        let s = self.overflow.swap_remove(i);
-        self.over_min = self.overflow.iter().map(Scheduled::key).min();
-        s
-    }
-
     /// Jumps the calendar to the earliest overflow event and moves every
     /// overflow event within the new horizon into the ring. Only called
-    /// when all buckets are empty and overflow is not.
+    /// when all buckets are empty and overflow is not. Bucket numbers are
+    /// monotone in time, so those events are exactly the heap's top run.
     fn refill_from_overflow(&mut self) {
         debug_assert!(self.in_buckets == 0 && !self.overflow.is_empty());
         // Re-anchor the ring at the minimum's bucket (never behind the
         // current base — time only moves forward).
-        let min_idx = self
+        let min = self
             .overflow
-            .iter()
-            .map(|s| Self::bucket_index(s.time.as_secs()))
-            .min()
+            .peek()
             .expect("refill requires a non-empty overflow band");
-        self.base_idx = self.base_idx.max(min_idx);
+        self.base_idx = self.base_idx.max(Self::bucket_index(min.time.as_secs()));
         let horizon_end = self.base_idx + N_BUCKETS as u64;
-        let mut i = 0;
-        while i < self.overflow.len() {
-            let idx = Self::bucket_index(self.overflow[i].time.as_secs());
-            if idx < horizon_end {
-                let s = self.overflow.swap_remove(i);
-                self.file(s, idx);
-            } else {
-                i += 1;
+        while let Some(top) = self.overflow.peek() {
+            let idx = Self::bucket_index(top.time.as_secs());
+            if idx >= horizon_end {
+                break;
             }
+            let s = self.overflow.pop().expect("peeked overflow event");
+            self.file(s, idx);
         }
-        self.over_min = self.overflow.iter().map(Scheduled::key).min();
     }
 
     /// The earliest pending `(time, seq)` without mutating the calendar:
@@ -290,7 +298,7 @@ impl EventQueue {
                 .min()
                 .expect("occupied bucket must be non-empty")
         });
-        match (bucket_min, self.over_min) {
+        match (bucket_min, self.overflow.peek().map(Scheduled::key)) {
             (Some(b), Some(o)) => Some(b.min(o)),
             (m, None) | (None, m) => m,
         }
@@ -322,35 +330,10 @@ impl EventQueue {
 /// the calendar queue's equivalence proptest.
 #[doc(hidden)]
 pub mod reference {
-    use std::cmp::Ordering;
     use std::collections::BinaryHeap;
 
     use super::{Event, Scheduled};
     use dvfs_trace::Time;
-
-    impl PartialEq for Scheduled {
-        fn eq(&self, other: &Self) -> bool {
-            self.time == other.time && self.seq == other.seq
-        }
-    }
-
-    impl Eq for Scheduled {}
-
-    impl PartialOrd for Scheduled {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    impl Ord for Scheduled {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // BinaryHeap is a max-heap; invert so the earliest pops first.
-            other
-                .time
-                .cmp(&self.time)
-                .then_with(|| other.seq.cmp(&self.seq))
-        }
-    }
 
     /// Deterministic discrete-event queue backed by a binary heap.
     #[derive(Debug, Default)]
@@ -514,8 +497,8 @@ mod tests {
                 prop_assert!(cal.is_empty());
             }
 
-            /// Adversarial schedules aimed squarely at the cached-minima
-            /// bookkeeping (`cached_min` / `over_min`): clusters of exact
+            /// Adversarial schedules aimed squarely at the minimum
+            /// bookkeeping (`cached_min`, the overflow heap): clusters of exact
             /// ties placed on bucket-boundary multiples (FP clamp paths),
             /// deep far-future clusters that make the overflow band the
             /// true minimum while buckets are still occupied, pushes tied
@@ -565,7 +548,7 @@ mod tests {
                         2 => {
                             // Deep far-future cluster: overflow band holds
                             // these for many horizons; identical times
-                            // exercise over_min's FIFO tie handling.
+                            // exercise the overflow heap's FIFO ties.
                             let tm = Time::from_secs(now + 1e-3 + r * 1e-2);
                             for _ in 0..count {
                                 let ev = Event::TimerFire { thread: ThreadId(thread % 8) };

@@ -28,7 +28,10 @@ pub struct TraceBuilder {
     epoch_start: Time,
     epochs: Vec<EpochRecord>,
     markers: Vec<PhaseMarker>,
-    at_start: BTreeMap<ThreadId, DvfsCounters>,
+    /// The current epoch's participants with their cumulative counters
+    /// when they joined it, sorted by thread id (so slices come out in
+    /// ascending thread id). Reused from epoch to epoch.
+    at_start: Vec<(ThreadId, DvfsCounters)>,
     threads: BTreeMap<ThreadId, Registered>,
 }
 
@@ -41,7 +44,7 @@ impl TraceBuilder {
             epoch_start: start,
             epochs: Vec::new(),
             markers: Vec::new(),
-            at_start: BTreeMap::new(),
+            at_start: Vec::new(),
             threads: BTreeMap::new(),
         }
     }
@@ -71,8 +74,11 @@ impl TraceBuilder {
 
     /// Marks that `thread` is running during the current epoch, with its
     /// cumulative counters at the moment it (re)joined the epoch.
+    /// A thread already in the epoch keeps its first snapshot.
     pub fn note_running(&mut self, thread: ThreadId, counters_now: DvfsCounters) {
-        self.at_start.entry(thread).or_insert(counters_now);
+        if let Err(i) = self.at_start.binary_search_by_key(&thread, |&(t, _)| t) {
+            self.at_start.insert(i, (thread, counters_now));
+        }
     }
 
     /// Emits a runtime phase marker.
@@ -83,35 +89,47 @@ impl TraceBuilder {
     /// Closes the current epoch at `now` with reason `end`. `snapshot`
     /// must return each thread's *cumulative* counters at `now`.
     ///
-    /// After the boundary the epoch participant set is empty; the machine
-    /// re-registers still-running threads via [`Self::note_running`].
+    /// After a recorded boundary the epoch participant set is empty (a
+    /// coalesced one leaves it as it was); the machine re-registers
+    /// still-running threads via [`Self::note_running`].
     pub fn boundary(
         &mut self,
         now: Time,
         end: EpochEnd,
-        mut snapshot: impl FnMut(ThreadId) -> DvfsCounters,
+        snapshot: impl FnMut(ThreadId) -> DvfsCounters,
     ) {
+        if self.close_epoch(now, end, snapshot) {
+            self.at_start.clear();
+        }
+    }
+
+    /// Records the epoch ending at `now` from the participants' counters,
+    /// or, when it is shorter than the coalescing window, folds `end`
+    /// into the previous epoch's reason instead. Returns whether an epoch
+    /// was recorded; either way the participant set is left as it was.
+    fn close_epoch(
+        &mut self,
+        now: Time,
+        end: EpochEnd,
+        mut snapshot: impl FnMut(ThreadId) -> DvfsCounters,
+    ) -> bool {
         let duration = now.since(self.epoch_start);
-        let participants = std::mem::take(&mut self.at_start);
         if duration.as_secs() < COALESCE {
             // Coalesce with the previous boundary: keep the stronger reason
-            // on the last recorded epoch, re-seed participants.
+            // on the last recorded epoch; the participants stay.
             if let Some(last) = self.epochs.last_mut() {
                 last.end = stronger(last.end, end);
             }
-            for (tid, start) in participants {
-                self.at_start.insert(tid, start);
-            }
-            return;
+            return false;
         }
-        let mut slices = Vec::with_capacity(participants.len());
-        for (tid, start) in participants {
-            let delta = snapshot(tid).delta_since(&start);
-            slices.push(ThreadSlice {
+        let slices = self
+            .at_start
+            .iter()
+            .map(|&(tid, start)| ThreadSlice {
                 thread: tid,
-                counters: delta,
-            });
-        }
+                counters: snapshot(tid).delta_since(&start),
+            })
+            .collect();
         self.epochs.push(EpochRecord {
             start: self.epoch_start,
             duration,
@@ -119,6 +137,7 @@ impl TraceBuilder {
             end,
         });
         self.epoch_start = now;
+        true
     }
 
     /// True if the segment holds no measured time at all at `now`: no
@@ -139,15 +158,11 @@ impl TraceBuilder {
         base: Freq,
         mut snapshot: impl FnMut(ThreadId) -> DvfsCounters,
     ) -> ExecutionTrace {
-        // Preserve the participant set across the cut: epochs continue.
-        let participants: Vec<(ThreadId, DvfsCounters)> = self
-            .at_start
-            .iter()
-            .map(|(&t, &c)| (t, c))
-            .collect();
-        self.boundary(now, EpochEnd::QuantumBoundary, &mut snapshot);
-        for (tid, _) in participants {
-            self.at_start.insert(tid, snapshot(tid));
+        // The participant set survives the cut (epochs continue), each
+        // re-based at its counters at the cut.
+        self.close_epoch(now, EpochEnd::QuantumBoundary, &mut snapshot);
+        for (tid, start) in &mut self.at_start {
+            *start = snapshot(*tid);
         }
 
         let start = self.seg_start;

@@ -84,6 +84,25 @@ impl DvfsCounters {
             && self.stores == 0
     }
 
+    /// Every field multiplied by `frac`, event counts rounded: the share of
+    /// an epoch's counters that falls inside a window covering `frac` of
+    /// it (counters are treated as uniform within an epoch).
+    #[must_use]
+    #[inline]
+    pub fn scaled(&self, frac: f64) -> DvfsCounters {
+        DvfsCounters {
+            active: self.active * frac,
+            crit: self.crit * frac,
+            leading_loads: self.leading_loads * frac,
+            stall: self.stall * frac,
+            sq_full: self.sq_full * frac,
+            instructions: (self.instructions as f64 * frac).round() as u64,
+            loads: (self.loads as f64 * frac).round() as u64,
+            stores: (self.stores as f64 * frac).round() as u64,
+            llc_misses: (self.llc_misses as f64 * frac).round() as u64,
+        }
+    }
+
     /// The scaling component under a given non-scaling estimate: active time
     /// minus the estimate, clamped at zero (a non-scaling estimate may
     /// slightly exceed measured active time at epoch granularity).

@@ -17,6 +17,18 @@ impl ThreadId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// This thread's entry in a table indexed by [`Self::index`], growing
+    /// the table with default entries up to it. Simulated thread ids are
+    /// dense from zero, so such a table stays as small as the thread count.
+    #[inline]
+    pub fn slot<T: Default>(self, table: &mut Vec<T>) -> &mut T {
+        let i = self.index();
+        if i >= table.len() {
+            table.resize_with(i + 1, T::default);
+        }
+        &mut table[i]
+    }
 }
 
 impl fmt::Display for ThreadId {
@@ -58,5 +70,14 @@ mod tests {
         assert_eq!(format!("{}", CoreId(1)), "core1");
         assert_eq!(ThreadId(7).index(), 7);
         assert_eq!(CoreId(2).index(), 2);
+    }
+
+    #[test]
+    fn slot_grows_the_table_to_the_id() {
+        let mut table: Vec<u32> = vec![5];
+        *ThreadId(3).slot(&mut table) += 2;
+        assert_eq!(table, [5, 0, 0, 2]);
+        *ThreadId(0).slot(&mut table) += 1;
+        assert_eq!(table, [6, 0, 0, 2]);
     }
 }

@@ -43,4 +43,4 @@ pub use signature::{
 pub use summary::{RoleSummary, TraceSummary};
 pub use thread_info::{ThreadInfo, ThreadRole};
 pub use time::{Time, TimeDelta};
-pub use trace::{ExecutionTrace, PhaseWindow, ThreadTotals, TraceError};
+pub use trace::{ExecutionTrace, PhaseWindow, ThreadTotals, TraceError, WindowTotals};

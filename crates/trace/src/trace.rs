@@ -75,26 +75,39 @@ impl ExecutionTrace {
         self.threads.iter().find(|t| t.id == id)
     }
 
-    /// Whole-window per-thread aggregates (presence + summed counters),
-    /// keyed by thread id.
+    /// Whole-window per-thread aggregates (presence + summed counters), in
+    /// thread-id order: every registered thread, plus any thread that
+    /// appears only in epochs (with zero presence). A later registration
+    /// of the same id replaces an earlier one; counters sum in epoch order.
     #[must_use]
-    pub fn thread_totals(&self) -> BTreeMap<ThreadId, ThreadTotals> {
-        let mut totals: BTreeMap<ThreadId, ThreadTotals> = BTreeMap::new();
+    pub fn thread_totals_by_id(&self) -> Vec<(ThreadId, ThreadTotals)> {
+        let mut slots: Vec<Option<ThreadTotals>> = Vec::new();
         for info in &self.threads {
-            totals.insert(
-                info.id,
-                ThreadTotals {
-                    presence: info.presence_in(self.start, self.end()),
-                    counters: DvfsCounters::zero(),
-                },
-            );
+            *info.id.slot(&mut slots) = Some(ThreadTotals {
+                presence: info.presence_in(self.start, self.end()),
+                counters: DvfsCounters::zero(),
+            });
         }
         for epoch in &self.epochs {
             for slice in &epoch.threads {
-                totals.entry(slice.thread).or_default().counters += slice.counters;
+                slice
+                    .thread
+                    .slot(&mut slots)
+                    .get_or_insert_with(ThreadTotals::default)
+                    .counters += slice.counters;
             }
         }
-        totals
+        slots
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, totals)| Some((ThreadId(i as u32), totals?)))
+            .collect()
+    }
+
+    /// [`Self::thread_totals_by_id`] keyed by thread id.
+    #[must_use]
+    pub fn thread_totals(&self) -> BTreeMap<ThreadId, ThreadTotals> {
+        self.thread_totals_by_id().into_iter().collect()
     }
 
     /// Splits the traced window into alternating application / collector
@@ -158,30 +171,12 @@ impl ExecutionTrace {
     }
 
     /// Per-thread counter sums restricted to epochs that fall inside the
-    /// window `[start, end]`. Epochs straddling a boundary are attributed
-    /// proportionally (counters are treated as uniform within an epoch).
+    /// window `[start, end]`, keyed by thread id (see [`WindowTotals`]).
     #[must_use]
     pub fn totals_in_window(&self, start: Time, end: Time) -> BTreeMap<ThreadId, DvfsCounters> {
-        let mut totals: BTreeMap<ThreadId, DvfsCounters> = BTreeMap::new();
-        for epoch in &self.epochs {
-            let e_start = epoch.start;
-            let e_end = epoch.end_time();
-            let lo = e_start.max(start);
-            let hi = e_end.min(end);
-            if hi <= lo {
-                continue;
-            }
-            let frac = if epoch.duration == TimeDelta::ZERO {
-                1.0
-            } else {
-                hi.since(lo) / epoch.duration
-            };
-            for slice in &epoch.threads {
-                let scaled = scale_counters(&slice.counters, frac);
-                *totals.entry(slice.thread).or_default() += scaled;
-            }
-        }
-        totals
+        let mut totals = WindowTotals::new(self);
+        totals.fill(start, end);
+        totals.iter().collect()
     }
 
     /// Checks structural invariants; returns the first violation found.
@@ -225,17 +220,97 @@ impl ExecutionTrace {
     }
 }
 
-fn scale_counters(c: &DvfsCounters, frac: f64) -> DvfsCounters {
-    DvfsCounters {
-        active: c.active * frac,
-        crit: c.crit * frac,
-        leading_loads: c.leading_loads * frac,
-        stall: c.stall * frac,
-        sq_full: c.sq_full * frac,
-        instructions: (c.instructions as f64 * frac).round() as u64,
-        loads: (c.loads as f64 * frac).round() as u64,
-        stores: (c.stores as f64 * frac).round() as u64,
-        llc_misses: (c.llc_misses as f64 * frac).round() as u64,
+/// Per-thread counter sums over one window of a trace at a time, in a
+/// table indexed by thread id that is reused from window to window.
+///
+/// Epochs straddling a window boundary are attributed proportionally
+/// (counters are treated as uniform within an epoch); each thread's sum
+/// accumulates in epoch order. When the epochs are in time order (starts
+/// and ends both non-decreasing, as built traces are) only the run of
+/// epochs overlapping the window is visited, found by binary search;
+/// otherwise every epoch is checked.
+#[derive(Debug)]
+pub struct WindowTotals<'a> {
+    trace: &'a ExecutionTrace,
+    /// True when the epochs are in time order.
+    ordered: bool,
+    /// `(window stamp, sums)` per thread index: an entry belongs to the
+    /// current window only when its stamp is [`Self::stamp`].
+    slots: Vec<(u64, DvfsCounters)>,
+    /// Number of the current window; 0 (every entry's initial stamp)
+    /// means none yet.
+    stamp: u64,
+}
+
+impl<'a> WindowTotals<'a> {
+    /// An empty table over `trace`.
+    #[must_use]
+    pub fn new(trace: &'a ExecutionTrace) -> Self {
+        let ordered = trace
+            .epochs
+            .windows(2)
+            .all(|w| w[0].start <= w[1].start && w[0].end_time() <= w[1].end_time());
+        WindowTotals {
+            trace,
+            ordered,
+            slots: Vec::new(),
+            stamp: 0,
+        }
+    }
+
+    /// Replaces the sums with those of the window `[start, end]`.
+    pub fn fill(&mut self, start: Time, end: Time) {
+        self.stamp += 1;
+        let epochs = &self.trace.epochs;
+        // The binary searches agree with the per-epoch test below only for
+        // ordered epochs and a window with comparable bounds (f64 `max` and
+        // `min` skip a NaN bound that `<=` cannot place).
+        let (first, last) = if self.ordered && start <= end {
+            let first = epochs.partition_point(|e| e.end_time() <= start);
+            let last = epochs.partition_point(|e| e.start < end);
+            (first, last.max(first))
+        } else {
+            (0, epochs.len())
+        };
+        for epoch in &epochs[first..last] {
+            let lo = epoch.start.max(start);
+            let hi = epoch.end_time().min(end);
+            if hi <= lo {
+                continue;
+            }
+            let frac = if epoch.duration == TimeDelta::ZERO {
+                1.0
+            } else {
+                hi.since(lo) / epoch.duration
+            };
+            for slice in &epoch.threads {
+                let (stamp, sums) = slice.thread.slot(&mut self.slots);
+                if *stamp != self.stamp {
+                    *stamp = self.stamp;
+                    *sums = DvfsCounters::default();
+                }
+                *sums += slice.counters.scaled(frac);
+            }
+        }
+    }
+
+    /// The current window's sums for `thread`, if it ran in the window.
+    #[must_use]
+    #[inline]
+    pub fn get(&self, thread: ThreadId) -> Option<&DvfsCounters> {
+        match self.slots.get(thread.index()) {
+            Some((stamp, sums)) if *stamp == self.stamp => Some(sums),
+            _ => None,
+        }
+    }
+
+    /// The current window's sums in thread-id order.
+    pub fn iter(&self) -> impl Iterator<Item = (ThreadId, DvfsCounters)> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, (stamp, _))| *stamp == self.stamp)
+            .map(|(i, &(_, sums))| (ThreadId(i as u32), sums))
     }
 }
 

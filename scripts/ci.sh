@@ -463,6 +463,31 @@ invariant_sweep() {
 }
 step "invariants: monitored fig3 sweep" invariant_sweep
 
+# The same contract on the energy-manager path: fig6 (DEP+BURST manager
+# per benchmark) and fig7 (threshold sweep) re-predict every quantum, so
+# the monitored runs must print the exact bytes of unmonitored ones too.
+invariant_manager_sweep() {
+    local out=/tmp/depburst-ci-inv-manager
+    rm -f "$out".*.out
+    local fig args
+    for fig in fig6 fig7; do
+        case "$fig" in
+            fig6) args="10 $SCALE 1 --jobs 2" ;;
+            fig7) args="10 $SCALE 1 500 --jobs 2" ;;
+        esac
+        # shellcheck disable=SC2086
+        DEPBURST_INVARIANTS=full "$BIN/$fig" $args > "$out.$fig.full.out"
+        # shellcheck disable=SC2086
+        "$BIN/$fig" $args > "$out.$fig.plain.out"
+        cmp "$out.$fig.full.out" "$out.$fig.plain.out" || {
+            echo "$fig under DEPBURST_INVARIANTS=full is not byte-identical"
+            return 1
+        }
+    done
+    rm -f "$out".*.out
+}
+step "invariants: monitored fig6/fig7 sweep" invariant_manager_sweep
+
 # Sampled-tier invariant gate: the monitor must not perturb the sampled
 # pipeline either — probe/measure sub-runs execute under the monitor, so
 # a sampled sweep under the cheap and full tiers must print the exact
