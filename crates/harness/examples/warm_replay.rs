@@ -13,7 +13,7 @@ use harness::{SimCache, SimKey};
 fn main() {
     let root = std::env::args().nth(1).expect("usage: warm_replay <cache-root>");
     let cache = SimCache::persistent(&root);
-    let dir = std::path::Path::new(&root).join("v1");
+    let dir = std::path::Path::new(&root).join(format!("v{}", harness::cache::SCHEMA_VERSION));
     let mut entries: Vec<_> = std::fs::read_dir(&dir)
         .expect("cache dir exists")
         .map(|e| e.expect("dir entry").path())

@@ -16,6 +16,10 @@
 //! whenever the simulator's observable behaviour or the summary layout
 //! changes — retires every old entry by moving to a fresh subdirectory;
 //! envelopes whose schema or key do not match are ignored and recomputed.
+//! v4 changed only the envelope checksum, from FNV-1a to
+//! [`checksum64`]: a warm sweep verifies every byte it loads, and
+//! FNV-1a's one-byte-at-a-time multiply chain cost about a quarter of
+//! the load, where four independent word lanes run at memory speed.
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -23,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use dacapo_sim::Benchmark;
-use depburst_core::stablehash::{fnv1a64, StableHasher};
+use depburst_core::stablehash::{checksum64, StableHasher};
 use simx::{FaultConfig, MachineConfig};
 
 use crate::run::RunSummary;
@@ -37,7 +41,11 @@ use crate::vfs::{write_atomic, RealVfs, Vfs};
 /// v3: FNV-1a integrity checksum on every envelope and journal record
 /// (backward compatible by construction: old entries live under `v2/`
 /// and are simply never read).
-pub const SCHEMA_VERSION: u32 = 3;
+/// v4: the checksum is [`checksum64`] (four word lanes) instead of
+/// FNV-1a, whose byte-serial multiply chain cost a quarter of a warm
+/// load. Same framing and field widths; v3 entries stay under `v3/`
+/// and are never read, stale journal lines are skipped and re-simulated.
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// The content digest keying one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -165,13 +173,13 @@ pub fn sim_key_from_digests(
 /// The checksum field's rendering of a serialized summary. Shared with
 /// the checkpoint journal, whose records carry the same framing.
 pub(crate) fn summary_checksum(summary_json: &str) -> String {
-    format!("{:016x}", fnv1a64(summary_json.as_bytes()))
+    format!("{:016x}", checksum64(summary_json.as_bytes()))
 }
 
 /// Composes the envelope text around an already-serialized summary:
 /// `{"schema":N,"key":"<32 hex>","checksum":"<16 hex>","summary":<payload>}`
-/// with `N` the [`SCHEMA_VERSION`] and the checksum the FNV-1a of the
-/// payload bytes. That is the canonical serialization of a struct with
+/// with `N` the [`SCHEMA_VERSION`] and the checksum the [`checksum64`] of
+/// the payload bytes. That is the canonical serialization of a struct with
 /// those four fields (asserted by a test); the non-payload fields are
 /// plain hex/integers, so no JSON escaping is needed. Shared with the
 /// checkpoint journal: a journal record is the same framing, one per
@@ -184,7 +192,7 @@ pub(crate) fn compose_envelope(key: SimKey, checksum: &str, summary_json: &str) 
 }
 
 /// Opens an envelope written by [`compose_envelope`]: matches its exact
-/// header, checks the 64-bit FNV-1a of the payload bytes *as stored*
+/// header, checks the [`checksum64`] of the payload bytes *as stored*
 /// against the stored checksum, and returns the envelope's key with the
 /// payload slice (still to be parsed). Every byte outside the key is
 /// either fixed framing or covered by the checksum, so a change to any of
@@ -222,7 +230,7 @@ pub fn open_envelope(bytes: &[u8]) -> Result<(SimKey, &[u8]), String> {
         .strip_prefix(b"\",\"summary\":")
         .and_then(|r| r.strip_suffix(b"}"))
         .ok_or("malformed summary field")?;
-    let computed = u128::from(fnv1a64(payload));
+    let computed = u128::from(checksum64(payload));
     if computed != stored {
         return Err(format!(
             "checksum mismatch (stored {stored:016x}, computed {computed:016x})"
@@ -650,12 +658,8 @@ mod tests {
 
     #[test]
     fn corrupt_or_mismatched_entries_recompute() {
-        let dir = std::env::temp_dir().join(format!("depburst-cache-bad-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = SimCache::persistent(&dir);
+        let (cache, dir) = planted("bad", key_for(4), "{ not json");
         let path = cache.entry_path(key_for(4)).expect("persistent");
-        std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
-        std::fs::write(&path, b"{ not json").expect("write");
         let s = cache
             .get_or_compute(key_for(4), || Ok(dummy_summary(11)))
             .expect("ok");
@@ -712,43 +716,96 @@ mod tests {
         assert_eq!(payload, summary_json.as_bytes());
         // Only the writer's exact schema digits open.
         let header = format!("{{\"schema\":{SCHEMA_VERSION},");
-        for schema in ["0", "03", "30", "", "4294967299"] {
+        let v = SCHEMA_VERSION;
+        let near = [
+            format!("0{v}"),
+            format!("{v}0"),
+            format!("{}", v - 1),
+            format!("{}", u64::from(v) + (1 << 32)),
+        ];
+        for schema in near.iter().map(String::as_str).chain(["0", ""]) {
             let foreign = composed.replacen(&header, &format!("{{\"schema\":{schema},"), 1);
             assert!(open_envelope(foreign.as_bytes()).is_err(), "schema {schema:?}");
         }
     }
 
-    #[test]
-    fn envelopes_written_before_stored_byte_verification_still_load() {
-        // Written by the loader's predecessor, which checked the checksum
-        // by re-serializing the parsed summary: the on-disk format did
-        // not change, so the entry must still be a disk hit.
-        const WRITTEN: &str = concat!(
-            r#"{"schema":3,"key":"0123456789abcdeffedcba9876543210","#,
-            r#""checksum":"2a41863b0465c0bd","summary":{"exec":0.023,"#,
-            r#""gc_time":0.0,"gc_count":23,"allocated":0,"total_active":0.0,"#,
-            r#""trace":{"base":1000,"start":0.0,"total":0.0,"epochs":[],"#,
-            r#""markers":[],"threads":[]}}}"#
-        );
-        let key = SimKey(0x0123_4567_89ab_cdef_fedc_ba98_7654_3210);
-        let dir = std::env::temp_dir().join(format!("depburst-cache-old-{}", std::process::id()));
+    /// The payload of `dummy_summary(23)` as the writer renders it.
+    const PAYLOAD_23: &str = concat!(
+        r#"{"exec":0.023,"gc_time":0.0,"gc_count":23,"allocated":0,"#,
+        r#""total_active":0.0,"trace":{"base":1000,"start":0.0,"total":0.0,"#,
+        r#""epochs":[],"markers":[],"threads":[]}}"#
+    );
+
+    const KEY_23: SimKey = SimKey(0x0123_4567_89ab_cdef_fedc_ba98_7654_3210);
+
+    /// The envelope of [`PAYLOAD_23`] under [`KEY_23`], spelled out by
+    /// hand rather than by [`compose_envelope`].
+    fn envelope_23(schema: u32, checksum: &str) -> String {
+        format!(
+            r#"{{"schema":{schema},"key":"{}","checksum":"{checksum}","summary":{PAYLOAD_23}}}"#,
+            KEY_23.hex()
+        )
+    }
+
+    /// Plants `bytes` in `key`'s slot of a fresh persistent cache under a
+    /// per-test directory.
+    fn planted(tag: &str, key: SimKey, bytes: &str) -> (SimCache, PathBuf) {
+        let dir =
+            std::env::temp_dir().join(format!("depburst-cache-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = SimCache::persistent(&dir);
         let path = cache.entry_path(key).expect("persistent");
         std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
-        std::fs::write(&path, WRITTEN).expect("plant");
+        std::fs::write(&path, bytes).expect("plant");
+        (cache, dir)
+    }
+
+    #[test]
+    fn a_pinned_v4_envelope_loads_and_is_rewritten_byte_for_byte() {
+        // Pins the schema-4 on-disk format: the header, the checksum
+        // algorithm and its rendering. A change that moves these bytes
+        // needs a schema bump.
+        let written = envelope_23(4, "63af00f4e45f819f");
+        let (cache, dir) = planted("v4", KEY_23, &written);
         let served = cache
-            .get_or_compute(key, || panic!("must hit disk"))
+            .get_or_compute(KEY_23, || panic!("must hit disk"))
             .expect("ok");
         assert_eq!(*served, dummy_summary(23));
         assert_eq!(cache.stats().disk_hits, 1);
-        // The write side still produces exactly those bytes.
+        // The write side produces exactly those bytes.
         let fresh = SimCache::persistent(dir.join("rewrite"));
         fresh
-            .get_or_compute(key, || Ok(dummy_summary(23)))
+            .get_or_compute(KEY_23, || Ok(dummy_summary(23)))
             .expect("ok");
-        let rewritten = std::fs::read(fresh.entry_path(key).expect("persistent")).expect("read");
-        assert_eq!(rewritten, WRITTEN.as_bytes());
+        let rewritten = std::fs::read(fresh.entry_path(KEY_23).expect("persistent")).expect("read");
+        assert_eq!(rewritten, written.as_bytes());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_v3_envelope_in_the_slot_is_recomputed_not_served() {
+        // A schema-3 envelope (FNV-1a checksum), exactly as the v3 writer
+        // left it. v3 entries live under `v3/` and are never looked at;
+        // one copied into the v4 slot is rejected, quarantined and
+        // recomputed.
+        let v3 = envelope_23(3, "2a41863b0465c0bd");
+        assert_eq!(
+            depburst_core::stablehash::fnv1a64(PAYLOAD_23.as_bytes()),
+            0x2a41_863b_0465_c0bd,
+            "the planted bytes are a sound v3 envelope"
+        );
+        let (cache, dir) = planted("v3", KEY_23, &v3);
+        let mut computed = false;
+        let served = cache
+            .get_or_compute(KEY_23, || {
+                computed = true;
+                Ok(dummy_summary(24))
+            })
+            .expect("ok");
+        assert!(computed, "the v3 envelope was served");
+        assert_eq!(served.gc_count, 24);
+        let stats = cache.stats();
+        assert_eq!((stats.disk_hits, stats.misses, stats.quarantined), (0, 1, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

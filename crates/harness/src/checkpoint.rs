@@ -14,14 +14,17 @@
 //! Torn writes: a run killed mid-append can leave a truncated final line.
 //! Replay tolerates it — the fragment is skipped with a warning, the file
 //! is re-terminated with a newline so subsequent appends start clean, and
-//! the lost point simply re-simulates. The `checksum` field — FNV-1a over
-//! the record's summary bytes as written, checked against the stored
-//! bytes before parsing by `cache::open_envelope` — extends the same
+//! the lost point simply re-simulates. The `checksum` field —
+//! `stablehash::checksum64` over the record's summary bytes as written,
+//! checked against the stored bytes before parsing by
+//! `cache::open_envelope` — extends the same
 //! fail-closed posture to *silent* corruption: a record whose bytes
 //! rotted since the write is skipped and counted, never replayed into an
 //! experiment's numbers. Records share the disk cache's framing and
 //! [`SCHEMA_VERSION`](crate::cache::SCHEMA_VERSION): both persist the same
-//! `RunSummary` payload, so they go stale together.
+//! `RunSummary` payload, so they go stale together: a schema-3 line
+//! (FNV-1a checksum) in a journal resumed at schema 4 is skipped and its
+//! point re-simulated.
 //!
 //! All file I/O routes through a [`Vfs`] ([`RealVfs`] by default), so the
 //! storage-fault torture harness can subject the journal to torn

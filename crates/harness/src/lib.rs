@@ -21,8 +21,8 @@
 //! points checkpoint to an append-only journal for `--resume`
 //! ([`checkpoint`]), and ultimate failures surface as a structured
 //! end-of-run report with a nonzero exit code ([`cli`]). All durable I/O
-//! — cache envelopes and journal records, both carrying FNV-1a integrity
-//! checksums — routes through the [`vfs`] storage abstraction, whose
+//! — cache envelopes and journal records, both carrying word-lane
+//! integrity checksums — routes through the [`vfs`] storage abstraction, whose
 //! deterministic fault injector the torture harness drives.
 
 #![warn(missing_docs)]

@@ -53,8 +53,9 @@ use std::sync::Mutex;
 use serde::Serialize;
 use simx::faults::SplitMix64;
 
-/// The envelope checksum, re-exported for callers that still name it by
-/// its former home; new code imports `depburst_core::stablehash::fnv1a64`.
+/// FNV-1a, re-exported for the benchmark, which digests its outputs with
+/// it under this path. Envelopes are checksummed with
+/// `depburst_core::stablehash::checksum64`, not with this.
 pub use depburst_core::stablehash::fnv1a64;
 
 /// The filesystem surface the durable layers consume. Small on purpose:

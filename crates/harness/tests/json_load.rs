@@ -5,9 +5,10 @@
 //! reject the same texts, and agree bit for bit on what they accept. The
 //! texts are serialized values with shuffled key order, extra
 //! whitespace, escaped keys, unknown keys (nested ones too), duplicated
-//! keys, missing fields, wrongly typed values, and truncation or trailing
-//! garbage. A disagreement is shrunk to the shortest prefix of the case's
-//! mutations that still shows it.
+//! keys, missing fields, wrongly typed values, edge-case and non-JSON
+//! number tokens, and truncation or trailing garbage. A disagreement is
+//! shrunk to the shortest prefix of the case's mutations that still
+//! shows it.
 
 use dvfs_trace::{
     DvfsCounters, EpochEnd, EpochRecord, ExecutionTrace, Freq, PhaseKind, PhaseMarker, ThreadId,
@@ -156,6 +157,54 @@ fn junk(rng: &mut TestRng, depth: usize) -> Value {
     }
 }
 
+/// Number tokens at the scanner's edges: the integer range limits, `f64`
+/// limits and subnormals, signed zeros, exponent signs, floats where
+/// integers go, and forms RFC 8259 forbids, which both paths must reject.
+const NUMBER_TOKENS: [&str; 30] = [
+    "18446744073709551615",
+    "18446744073709551616",
+    "-9223372036854775808",
+    "-9223372036854775809",
+    "-0",
+    "-0.0",
+    "0",
+    "5e-324",
+    "2.2250738585072014e-308",
+    "1e-320",
+    "1e308",
+    "1e309",
+    "-1e309",
+    "1e+5",
+    "1E-5",
+    "2.5e+0",
+    "1.5",
+    "3.0",
+    "4294967296",
+    "-7",
+    "01",
+    "1.",
+    "-.5",
+    "00.5",
+    "1.e3",
+    "-01",
+    "1e",
+    "--1",
+    "+1",
+    ".5",
+];
+
+/// Marks a `Value::Str` that [`render`] writes as a raw token, so a
+/// mutation can place text no `Value` would render (a non-JSON number).
+const RAW: &str = "\u{0}raw:";
+
+fn raw(token: &str) -> Value {
+    Value::Str(format!("{RAW}{token}"))
+}
+
+fn is_number(v: &Value) -> bool {
+    matches!(v, Value::U64(_) | Value::I64(_) | Value::F64(_))
+}
+
 /// Paths (child indices) to every node of `v`, the root included.
 fn paths(v: &Value, path: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
     out.push(path.clone());
@@ -189,7 +238,17 @@ fn mutate(v: &mut Value, seed: u64) -> String {
         .iter()
         .filter(|p| matches!(node(v, p), Value::Map(e) if !e.is_empty()))
         .collect();
-    let op = pick(&mut rng, 5);
+    let op = pick(&mut rng, 6);
+    if op == 5 {
+        let numbers: Vec<&Vec<usize>> = all.iter().filter(|p| is_number(node(v, p))).collect();
+        let path = match numbers.len() {
+            0 => all[pick(&mut rng, all.len())].clone(),
+            n => numbers[pick(&mut rng, n)].clone(),
+        };
+        let token = NUMBER_TOKENS[pick(&mut rng, NUMBER_TOKENS.len())];
+        *node(v, &path) = raw(token);
+        return format!("number {token} at {path:?}");
+    }
     if op == 4 || maps.is_empty() {
         let path = all[pick(&mut rng, all.len())].clone();
         let replacement = junk(&mut rng, 2);
@@ -250,7 +309,10 @@ fn render(v: &Value, rng: &mut TestRng, out: &mut String) {
         Value::U64(n) => out.push_str(&n.to_string()),
         Value::I64(n) => out.push_str(&n.to_string()),
         Value::F64(x) => out.push_str(&format!("{x:?}")),
-        Value::Str(s) => out.push_str(&serde_json::to_string(s).expect("strings serialize")),
+        Value::Str(s) => match s.strip_prefix(RAW) {
+            Some(token) => out.push_str(token),
+            None => out.push_str(&serde_json::to_string(s).expect("strings serialize")),
+        },
         Value::Seq(items) => {
             out.push('[');
             for (i, item) in items.iter().enumerate() {
@@ -433,4 +495,51 @@ fn a_missing_or_null_sampled_reads_as_none() {
         let back: RunSummary = serde_json::from_str(t).expect("loads");
         assert_eq!(back, s);
     }
+}
+
+#[test]
+fn every_number_token_reads_alike_in_every_numeric_field() {
+    // A summary with every field kind: u64 counters, f64 times, the u32
+    // frequency and thread ids, and the sampled block's usize.
+    let mut s = summary(&mut proptest::rng_for("number_tokens", 0));
+    s.sampled.get_or_insert(SampledInfo {
+        probe_fraction: 0.25,
+        measure_fraction: 0.5,
+        extended: false,
+        exec_half_ci: TimeDelta::from_secs(1e-3),
+        gc_half_ci: TimeDelta::ZERO,
+        recurrence: 0.75,
+        clusters: 3,
+    });
+    let base = s.to_value();
+    let mut all = Vec::new();
+    paths(&base, &mut Vec::new(), &mut all);
+    let mut probe = base.clone();
+    all.retain(|p| is_number(node(&mut probe, p)));
+    assert!(all.len() >= 20, "only {} numeric fields", all.len());
+    let (mut accepted, mut rejected) = (0, 0);
+    for token in NUMBER_TOKENS {
+        for path in &all {
+            let mut v = base.clone();
+            *node(&mut v, path) = raw(token);
+            let mut text = String::new();
+            render(&v, &mut TestRng::new(0), &mut text);
+            match agree::<RunSummary>(&text) {
+                Ok(true) => accepted += 1,
+                Ok(false) => rejected += 1,
+                Err(why) => panic!("{token} at {path:?}: {why}"),
+            }
+        }
+    }
+    assert!(
+        accepted > 0 && rejected > 0,
+        "{accepted} accepted, {rejected} rejected"
+    );
+    // The signed zero survives into an f64 field on the streamed path.
+    let text = serde_json::to_string(&s).expect("serializes");
+    let at = text.find("\"exec\":").expect("exec field") + "\"exec\":".len();
+    let end = at + text[at..].find(',').expect("next field");
+    let text = format!("{}-0{}", &text[..at], &text[end..]);
+    let loaded: RunSummary = serde_json::from_str(&text).expect("loads");
+    assert_eq!(loaded.exec.as_secs().to_bits(), (-0.0f64).to_bits());
 }

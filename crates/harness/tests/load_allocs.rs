@@ -79,7 +79,7 @@ fn loading_an_envelope_allocates_only_arrays_and_thread_names() {
     SimCache::persistent(&dir)
         .get_or_compute(key, || Ok(summary.clone()))
         .expect("stores");
-    let entry = fs::read_dir(dir.join("v3"))
+    let entry = fs::read_dir(dir.join(format!("v{}", harness::cache::SCHEMA_VERSION)))
         .expect("schema dir")
         .map(|e| e.expect("dir entry").path())
         .find(|p| p.extension().is_some_and(|x| x == "json"))

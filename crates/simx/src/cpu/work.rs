@@ -238,10 +238,7 @@ fn offset_pattern(pattern: AccessPattern, issued: u64) -> AccessPattern {
 
 /// A 16-bit hash of (seed, index), used to jitter miss line addresses.
 fn mix16(seed: u64, idx: u64) -> u64 {
-    let mut z = seed ^ idx.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    (z ^ (z >> 31)) & 0xFFFF
+    depburst_core::stablehash::fmix64(seed ^ idx.wrapping_mul(0x9E37_79B9_7F4A_7C15)) & 0xFFFF
 }
 
 struct MemoryChunkSpec {

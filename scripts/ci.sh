@@ -371,6 +371,36 @@ storage_identity() {
 }
 step "durability: fault-soaked sweep identity" storage_identity
 
+# A warm cache must serve, not re-simulate: a fig3 sweep run a second
+# time over the cache its first run filled must take every point from
+# disk (with DEPBURST_TRACE_POINTS=1, no point may log a `miss`) and
+# print exactly the first run's bytes. storage_identity above only ever
+# writes its cache; this is the step that loads envelopes.
+warm_replay_identity() {
+    local out=/tmp/depburst-ci-warm
+    local cache=/tmp/depburst-ci-warm-cache
+    rm -rf "$out".* "$cache"
+    DEPBURST_CACHE="$cache" "$BIN/fig3" both "$SCALE" 1 --jobs 2 \
+        > "$out.cold.out" 2> /dev/null
+    DEPBURST_CACHE="$cache" DEPBURST_TRACE_POINTS=1 "$BIN/fig3" both "$SCALE" 1 --jobs 2 \
+        > "$out.warm.out" 2> "$out.warm.log"
+    grep -q "^point " "$out.warm.log" || {
+        echo "warm fig3 run logged no points (DEPBURST_TRACE_POINTS ignored?)"
+        return 1
+    }
+    if grep -q ": miss" "$out.warm.log"; then
+        echo "warm fig3 run re-simulated points the cold run had persisted:"
+        grep ": miss" "$out.warm.log" | head -5
+        return 1
+    fi
+    cmp "$out.cold.out" "$out.warm.out" || {
+        echo "warm-cache fig3 is not byte-identical to the cold run that filled it"
+        return 1
+    }
+    rm -rf "$out".* "$cache"
+}
+step "durability: warm-cache replay identity" warm_replay_identity
+
 # Invariant gates: the simulator self-checks under the sanitizer-style
 # monitor, and the fuzzer both stays quiet on the honest simulator and
 # catches (and shrinks) a deliberately weakened invariant.
