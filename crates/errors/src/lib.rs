@@ -12,6 +12,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod num;
 pub mod stablehash;
 
 use core::fmt;

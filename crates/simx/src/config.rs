@@ -135,8 +135,11 @@ pub struct MachineConfig {
     /// Upper bound on sampled addresses per chunk (variance/cost knob).
     pub cache_sample_cap: u32,
     /// Upper bound on DRAM miss rounds *simulated in full* per memory
-    /// chunk. The per-miss DRAM round loop is the simulator's hottest code
-    /// by far (profiling: >80% of a single-point run); a chunk whose round
+    /// chunk. The DRAM miss-round loop (`Dram::miss_rounds`) is the
+    /// simulator's hottest code: a sampling profile put about half of a
+    /// perfbench `fig3-exact` operation in it while it called `Dram::read`
+    /// and libm `round` out of line, and about 40% once those calls were
+    /// inlined (EXPERIMENTS.md, simulator-core section). A chunk whose round
     /// count exceeds this cap simulates the first `dram_round_sample_cap`
     /// rounds exactly through the banked DRAM model and extrapolates the
     /// remainder from the sampled rounds' mean timing. `0` disables

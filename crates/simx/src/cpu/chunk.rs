@@ -9,6 +9,7 @@
 //! interpolation — exact for compute, and a faithful first-order
 //! approximation for memory chunks at the 10–50 µs granularity used here.
 
+use depburst_core::num::round_u64;
 use dvfs_trace::{DvfsCounters, TimeDelta};
 
 /// One slice of timed execution on a core.
@@ -56,10 +57,10 @@ impl Chunk {
             leading_loads: self.counters.leading_loads * f,
             stall: self.counters.stall * f,
             sq_full: self.counters.sq_full * f,
-            instructions: (self.counters.instructions as f64 * f).round() as u64,
-            loads: (self.counters.loads as f64 * f).round() as u64,
-            stores: (self.counters.stores as f64 * f).round() as u64,
-            llc_misses: (self.counters.llc_misses as f64 * f).round() as u64,
+            instructions: round_u64(self.counters.instructions as f64 * f),
+            loads: round_u64(self.counters.loads as f64 * f),
+            stores: round_u64(self.counters.stores as f64 * f),
+            llc_misses: round_u64(self.counters.llc_misses as f64 * f),
         }
     }
 

@@ -19,11 +19,12 @@
 //! serialization gaps, queueing shifts at the target frequency — is what
 //! gives the predictors realistic error behaviour.
 
+use depburst_core::num::round_u64;
 use dvfs_trace::{CoreId, DvfsCounters, Freq, Time, TimeDelta};
 
 use super::{Chunk, StoreQueues};
 use crate::config::MachineConfig;
-use crate::mem::{AccessPattern, Dram, MemoryHierarchy};
+use crate::mem::{AccessPattern, Dram, MemoryHierarchy, MissRounds};
 use crate::program::WorkItem;
 
 /// Everything a cursor needs to time one chunk.
@@ -236,11 +237,6 @@ fn offset_pattern(pattern: AccessPattern, issued: u64) -> AccessPattern {
     }
 }
 
-/// A 16-bit hash of (seed, index), used to jitter miss line addresses.
-fn mix16(seed: u64, idx: u64) -> u64 {
-    depburst_core::stablehash::fmix64(seed ^ idx.wrapping_mul(0x9E37_79B9_7F4A_7C15)) & 0xFFFF
-}
-
 struct MemoryChunkSpec {
     accesses: u64,
     pattern: AccessPattern,
@@ -262,9 +258,9 @@ fn memory_chunk(env: &mut ChunkEnv<'_>, spec: MemoryChunkSpec) -> Chunk {
         .sample_mix(env.core, spec.pattern, spec.seed, a);
     let l2_count = a as f64 * mix.l2;
     let l3_count = a as f64 * mix.l3;
-    let miss_count = (a as f64 * mix.dram).round() as u64;
+    let miss_count = round_u64(a as f64 * mix.dram);
 
-    let width = spec.mlp.round().max(1.0) as u64;
+    let width = round_u64(spec.mlp).max(1);
     let rounds = miss_count.div_ceil(width.max(1));
 
     // --- Shared L3 hits: fixed uncore latency, partially hidden by the ROB
@@ -278,7 +274,7 @@ fn memory_chunk(env: &mut ChunkEnv<'_>, spec: MemoryChunkSpec) -> Chunk {
     // and per-round dependence gaps. Computed before the miss loop so the
     // per-round stall contribution can be folded in as rounds complete
     // instead of buffering every round's critical latency.
-    let instructions = (a as f64 * spec.compute_per_access).round() as u64;
+    let instructions = round_u64(a as f64 * spec.compute_per_access);
     let l2_cycles = f64::from(env.config.l2.latency_cycles);
     let compute_time = instructions as f64 / (spec.ipc * f)
         + l2_count * l2_cycles * cycle / 2.0
@@ -295,64 +291,43 @@ fn memory_chunk(env: &mut ChunkEnv<'_>, spec: MemoryChunkSpec) -> Chunk {
     // rounds are serialized by dependence. Ground truth comes from the
     // per-round critical latency; the CRIT and leading-loads *counters*
     // observe the same (issue, completion) intervals through their
-    // published streaming algorithms.
+    // published streaming algorithms. `Dram::miss_rounds` runs the loop.
     //
-    // This loop is the simulator's hottest code (cycle counters around it
-    // put 44–47% of a perfbench `fig3-exact` operation here, DRAM reads
-    // included, on a 2-vCPU Intel Xeon VM), and it is latency-bound on the
-    // serial FP dependence t_cursor → read → round_max → t_cursor, so
-    // shaving instructions barely helps. Instead, a chunk with more rounds
-    // than `dram_round_sample_cap` simulates only that many rounds exactly
-    // and extrapolates the rest from the sample's mean round timing (the
-    // cap guarantees every sampled round is full-width, since
-    // `rounds > cap` implies `miss_count > cap * width`).
+    // The loop is the simulator's hottest code. A SIGPROF sampling profile
+    // of a perfbench `fig3-exact` operation (2-vCPU Intel Xeon VM) put
+    // about half of the operation in it while it still made out-of-line
+    // calls: `Dram::read` once per read (21% of samples), libm `round` at
+    // three sites per chunk (3%), and the loop body itself inside
+    // `next_chunk` (most of that function's 30%). `Dram::miss_rounds` now
+    // runs it without a call. What is left is latency-bound on the serial
+    // FP dependence t_cursor → read → round_max → t_cursor, whose operation
+    // order the bit-identical outputs pin, so a chunk with more rounds than
+    // `dram_round_sample_cap` simulates only that many rounds exactly and
+    // extrapolates the rest from the sample's mean round timing (the cap
+    // guarantees every sampled round is full-width, since `rounds > cap`
+    // implies `miss_count > cap * width`).
     let cap = u64::from(env.config.dram_round_sample_cap);
     let sim_rounds = if cap > 0 { rounds.min(cap) } else { rounds };
     let stats_before = env.dram.stats();
-    let mut dram_time = 0.0; // ground truth: sum of per-round critical latency
-    let mut stall = 0.0f64; // per-round stall, folded in round order
-    let mut crit_est = super::CritEstimator::new();
-    let mut ll_est = super::LeadingLoadsEstimator::new();
-    let mut issued = 0u64;
-    let mut t_cursor = env.now;
-    // The representative-line cursor walks the sample buffer cyclically;
-    // tracking it incrementally avoids a u64 modulo per miss.
-    let n_lines = mix.dram_lines.len() as u64;
-    let mut line_cursor = 0u64;
-    for _ in 0..sim_rounds {
-        let in_round = width.min(miss_count - issued);
-        let mut round_max = 0.0f64;
-        for k in 0..in_round {
-            let idx = issued + k;
-            // Spread successive misses across banks/rows with a cheap hash
-            // of the request index (a linear stride would alias with the
-            // bank interleave and create systematic conflicts).
-            let base = if n_lines == 0 {
-                idx
-            } else {
-                mix.dram_lines.get(line_cursor as usize)
-            };
-            line_cursor += 1;
-            if line_cursor == n_lines {
-                line_cursor = 0;
-            }
-            let line = base.wrapping_add(mix16(spec.seed, idx));
-            let lat = env.dram.read(t_cursor, line).as_secs();
-            crit_est.observe(t_cursor, t_cursor + TimeDelta::from_secs(lat));
-            ll_est.observe(t_cursor, t_cursor + TimeDelta::from_secs(lat));
-            round_max = round_max.max(lat);
-        }
-        issued += in_round;
-        dram_time += round_max;
-        stall += (round_max - compute_per_round - slack).max(0.0);
-        // Advance the issue clock past this round plus its dependence gap.
-        t_cursor += TimeDelta::from_secs(round_max + round_gap);
-    }
+    let timing = env.dram.miss_rounds(&MissRounds {
+        start: env.now,
+        misses: miss_count,
+        width,
+        rounds: sim_rounds,
+        seed: spec.seed,
+        lines: mix.dram_lines.as_slice(),
+        compute_per_round,
+        slack,
+        round_gap,
+    });
+    let issued = timing.issued;
+    let mut dram_time = timing.dram_time; // ground truth: sum of per-round critical latency
+    let mut stall = timing.stall; // per-round stall, folded in round order
     // Counter estimates from the simulated rounds (the estimators saw the
     // same miss stream the ground truth was built from, but through their
     // own algorithms).
-    let mut crit = crit_est.non_scaling().as_secs();
-    let mut ll = ll_est.non_scaling();
+    let mut crit = timing.crit.as_secs();
+    let mut ll = timing.leading_loads;
     if sim_rounds < rounds {
         // Extrapolate the unsimulated tail: remaining rounds are charged
         // the sampled rounds' mean timing, and the DRAM device is credited
@@ -370,7 +345,7 @@ fn memory_chunk(env: &mut ChunkEnv<'_>, spec: MemoryChunkSpec) -> Chunk {
         let hits = sampled.read_row_hits - stats_before.read_row_hits;
         env.dram.credit_extrapolated_reads(
             rem_misses,
-            (hits as f64 * miss_ratio).round() as u64,
+            round_u64(hits as f64 * miss_ratio),
             (sampled.total_read_latency - stats_before.total_read_latency) * miss_ratio,
             (sampled.total_queue_delay - stats_before.total_queue_delay) * miss_ratio,
         );
@@ -414,7 +389,7 @@ fn store_chunk(
     // through the shared DRAM write path (slow, contended); lines hitting
     // on-chip caches retire quickly.
     let mix = env.hierarchy.sample_mix(env.core, pattern, seed, lines);
-    let dram_lines = (lines as f64 * mix.dram).round() as u64;
+    let dram_lines = round_u64(lines as f64 * mix.dram);
     let dram_line_time = if dram_lines > 0 {
         let done = env.dram.drain_writes(env.now, dram_lines);
         let shared_path = done.since(env.now).as_secs() / dram_lines as f64;

@@ -15,28 +15,6 @@ use dvfs_trace::CoreId;
 use super::{AccessPattern, AddressStream, Cache};
 use crate::config::MachineConfig;
 
-/// Which level serviced an access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessClass {
-    /// L1 data cache hit.
-    L1,
-    /// L2 hit.
-    L2,
-    /// Shared L3 hit (fixed uncore clock — non-scaling!).
-    L3,
-    /// DRAM access.
-    Dram,
-}
-
-/// Outcome of classifying one sampled access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AccessOutcome {
-    /// The servicing level.
-    pub class: AccessClass,
-    /// The line address (byte address >> 6), for DRAM bank mapping.
-    pub line_addr: u64,
-}
-
 /// Fractions of accesses serviced per level. Sums to 1 (within fp noise)
 /// whenever at least one access was sampled.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -70,39 +48,11 @@ impl SampleLines {
         }
     }
 
-    /// The `i`-th representative line, cycling if fewer were sampled.
-    #[must_use]
-    pub fn get_cyclic(&self, i: u64) -> u64 {
-        if self.len == 0 {
-            // No DRAM access sampled: derive a line from the index.
-            i
-        } else {
-            self.lines[(i % u64::from(self.len)) as usize]
-        }
-    }
-
-    /// The `i`-th recorded line without cycling. Hot callers that already
-    /// track a wrapped cursor use this to skip `get_cyclic`'s modulo.
-    ///
-    /// # Panics
-    /// Panics if `i >= self.len()`.
+    /// The recorded lines, in sample order.
     #[must_use]
     #[inline]
-    pub fn get(&self, i: usize) -> u64 {
-        assert!(i < self.len as usize, "SampleLines index out of range");
-        self.lines[i]
-    }
-
-    /// Number of recorded lines.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// True if no lines were recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    pub fn as_slice(&self) -> &[u64] {
+        &self.lines[..usize::from(self.len)]
     }
 }
 
@@ -144,34 +94,6 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Classifies one access from `core`, updating all levels touched.
-    pub fn access(&mut self, core: CoreId, addr: u64) -> AccessOutcome {
-        let line_addr = addr >> 6;
-        let c = core.index();
-        if self.l1d[c].access(addr) {
-            return AccessOutcome {
-                class: AccessClass::L1,
-                line_addr,
-            };
-        }
-        if self.l2[c].access(addr) {
-            return AccessOutcome {
-                class: AccessClass::L2,
-                line_addr,
-            };
-        }
-        if self.l3.access(addr) {
-            return AccessOutcome {
-                class: AccessClass::L3,
-                line_addr,
-            };
-        }
-        AccessOutcome {
-            class: AccessClass::Dram,
-            line_addr,
-        }
-    }
-
     /// Samples one access in `sample_ratio` of the `accesses`-long stream
     /// described by `pattern` and returns the per-level service mix.
     /// Sampled addresses are compressed by the same ratio before probing
@@ -201,10 +123,9 @@ impl MemoryHierarchy {
         let mut stream = AddressStream::new(scaled_pattern(pattern, k), seed);
         let mut mix = SampledMix::default();
         // Hoisted borrows + integer tallies: this loop runs for every
-        // sampled access of every chunk, so the per-level walk is inlined
-        // here (same levels, same order, same state updates as `access`)
-        // instead of paying two indexed lookups and an enum round-trip per
-        // sample.
+        // sampled access of every chunk. It is the hierarchy's only walk:
+        // L1, then L2, then the shared L3, each a forced-inline
+        // `Cache::access`, a miss at every level counting as DRAM.
         let c = core.index();
         let l1 = &mut self.l1d[c];
         let l2 = &mut self.l2[c];
@@ -233,12 +154,6 @@ impl MemoryHierarchy {
         mix.l3 = n_l3 as f64 / total;
         mix.dram = n_dram as f64 / total;
         mix
-    }
-
-    /// L3 miss count so far (reads that reached DRAM).
-    #[must_use]
-    pub fn l3_misses(&self) -> u64 {
-        self.l3.misses()
     }
 
     /// Walks every cache and returns a description of each accounting
@@ -348,7 +263,7 @@ mod tests {
         };
         let mix = warmed_mix(&mut h, CoreId(0), p, 100_000, 2);
         assert!(mix.dram > 0.9, "expected mostly DRAM, got {mix:?}");
-        assert!(!mix.dram_lines.is_empty());
+        assert!(!mix.dram_lines.as_slice().is_empty());
     }
 
     #[test]
@@ -420,15 +335,12 @@ mod tests {
     }
 
     #[test]
-    fn sample_lines_cycle() {
+    fn sample_lines_keep_the_first_eight_in_order() {
         let mut s = SampleLines::default();
-        s.push(10);
-        s.push(20);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.get_cyclic(0), 10);
-        assert_eq!(s.get_cyclic(1), 20);
-        assert_eq!(s.get_cyclic(2), 10);
-        let empty = SampleLines::default();
-        assert_eq!(empty.get_cyclic(5), 5);
+        assert!(s.as_slice().is_empty());
+        for line in 10..20 {
+            s.push(line);
+        }
+        assert_eq!(s.as_slice(), &[10, 11, 12, 13, 14, 15, 16, 17]);
     }
 }

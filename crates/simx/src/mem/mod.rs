@@ -7,6 +7,6 @@ mod hierarchy;
 mod pattern;
 
 pub use cache::Cache;
-pub use dram::{Dram, DramStats};
-pub use hierarchy::{AccessClass, AccessOutcome, MemoryHierarchy, SampledMix};
+pub use dram::{Dram, DramStats, MissRounds, RoundsOutcome};
+pub use hierarchy::{MemoryHierarchy, SampledMix};
 pub use pattern::{AccessPattern, AddressStream};

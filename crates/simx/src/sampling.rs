@@ -49,6 +49,7 @@
 //! the region scheduler widens the measure region when the late window
 //! keeps founding clusters the early window never saw.
 
+use depburst_core::num::round_u64;
 use dvfs_trace::{ExecutionTrace, PhaseKind, Time, TimeDelta};
 
 /// Configuration of the sampled tier: region placement, phase-recurrence
@@ -253,7 +254,7 @@ pub fn extrapolate(
         probe.gc_count as usize,
         probe.exec,
         r,
-        (r * window_gcs as f64).round() as u64,
+        round_u64(r * window_gcs as f64),
         window_gc,
         window_gcs,
         cfg,
@@ -276,7 +277,7 @@ pub fn extrapolate(
         exec: mut_total + gc_time,
         gc_time,
         gc_count: measure.gc_count + gc.tail_gcs,
-        allocated: measure.allocated + (r * window_alloc as f64).round() as u64,
+        allocated: measure.allocated + round_u64(r * window_alloc as f64),
         total_active: measure.total_active + window_active * r,
         exec_half_ci,
         gc_half_ci,
@@ -577,8 +578,8 @@ fn linear_fallback(
     Extrapolation {
         exec,
         gc_time,
-        gc_count: (measure.gc_count as f64 * inv).round() as u64,
-        allocated: (measure.allocated as f64 * inv).round() as u64,
+        gc_count: round_u64(measure.gc_count as f64 * inv),
+        allocated: round_u64(measure.allocated as f64 * inv),
         total_active: measure.total_active * inv,
         exec_half_ci: exec,
         gc_half_ci: gc_time,

@@ -7,6 +7,7 @@
 
 use core::ops::{Add, AddAssign, Sub};
 
+use depburst_core::num::round_u64;
 use serde::{Deserialize, Serialize};
 
 use crate::TimeDelta;
@@ -96,10 +97,10 @@ impl DvfsCounters {
             leading_loads: self.leading_loads * frac,
             stall: self.stall * frac,
             sq_full: self.sq_full * frac,
-            instructions: (self.instructions as f64 * frac).round() as u64,
-            loads: (self.loads as f64 * frac).round() as u64,
-            stores: (self.stores as f64 * frac).round() as u64,
-            llc_misses: (self.llc_misses as f64 * frac).round() as u64,
+            instructions: round_u64(self.instructions as f64 * frac),
+            loads: round_u64(self.loads as f64 * frac),
+            stores: round_u64(self.stores as f64 * frac),
+            llc_misses: round_u64(self.llc_misses as f64 * frac),
         }
     }
 

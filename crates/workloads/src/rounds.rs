@@ -6,6 +6,7 @@
 //! rounds vary realistically while the total work is deterministic per
 //! seed.
 
+use depburst_core::num::round_u64;
 use mrt::{Step, StepContext, WorkSource};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -76,7 +77,7 @@ impl RoundParams {
     /// preserved. Used to shrink runs for tests.
     #[must_use]
     pub fn scaled(mut self, scale: f64) -> Self {
-        self.rounds = ((self.rounds as f64 * scale).round() as u64).max(1);
+        self.rounds = (round_u64(self.rounds as f64 * scale)).max(1);
         self
     }
 }
@@ -139,7 +140,7 @@ impl RoundSource {
         }
         let j = self.params.jitter;
         let factor = 1.0 + self.rng.gen_range(-j..j);
-        ((value as f64 * factor).round() as u64).max(1)
+        (round_u64(value as f64 * factor)).max(1)
     }
 
     fn every(round: u64, n: u64) -> bool {

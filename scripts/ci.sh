@@ -493,6 +493,24 @@ invariant_sweep() {
 }
 step "invariants: monitored fig3 sweep" invariant_sweep
 
+# The same contract on the fault sweep: its DramJitter class perturbs
+# DRAM read latency, so this is the identity check that drives the
+# jitter branch of the DRAM round kernel (the sweeps above never enable
+# jitter). Stdout and the --out report must both match an unmonitored run.
+invariant_faults_sweep() {
+    local out=/tmp/depburst-ci-inv-faults
+    rm -f "$out".*
+    DEPBURST_INVARIANTS=full "$BIN/faults" "$SCALE" 1 10 --jobs 2 \
+        --out "$out.full.json" > "$out.full.out"
+    "$BIN/faults" "$SCALE" 1 10 --jobs 2 --out "$out.plain.json" > "$out.plain.out"
+    cmp "$out.full.out" "$out.plain.out" && cmp "$out.full.json" "$out.plain.json" || {
+        echo "faults under DEPBURST_INVARIANTS=full is not byte-identical"
+        return 1
+    }
+    rm -f "$out".*
+}
+step "invariants: monitored fault sweep" invariant_faults_sweep
+
 # The same contract on the energy-manager path: fig6 (DEP+BURST manager
 # per benchmark) and fig7 (threshold sweep) re-predict every quantum, so
 # the monitored runs must print the exact bytes of unmonitored ones too.
