@@ -33,6 +33,7 @@ use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use dvfs_trace::{Freq, FreqLadder};
+use serde::{JsonWriter, Serialize, Value};
 
 use crate::power::PowerModel;
 
@@ -134,6 +135,17 @@ impl fmt::Display for Transition {
             self.to.name(),
             self.reason
         )
+    }
+}
+
+/// A transition serializes as its `Display` text.
+impl Serialize for Transition {
+    fn to_value(&self) -> Value {
+        Value::Str(self.to_string())
+    }
+
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.display_str(self);
     }
 }
 

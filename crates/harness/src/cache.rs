@@ -20,6 +20,12 @@
 //! [`checksum64`]: a warm sweep verifies every byte it loads, and
 //! FNV-1a's one-byte-at-a-time multiply chain cost about a quarter of
 //! the load, where four independent word lanes run at memory speed.
+//!
+//! Both directions stream: a store writes the summary's JSON straight
+//! from the typed value (`Serialize::write_json`, no `serde::Value`
+//! tree; the tree walk wrote the same bytes, so the schema stands), and
+//! a load reads it back the same way (`Deserialize::from_json`). A cold
+//! store's serialization was mostly building and freeing that tree.
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};

@@ -66,11 +66,12 @@ use std::f64::consts::TAU;
 use std::sync::Arc;
 
 use dacapo_sim::{all_benchmarks, Benchmark};
+use depburst_core::num::round_i64;
 use dvfs_trace::{Freq, FreqLadder};
 use energyx::{
     AllocScratch, BreakerConfig, CentralGovernor, DegradationConfig, DegradationLadder,
     GovernorMode, GovernorPolicy, HierarchicalGovernor, LocalGovernor, MachineView,
-    OvershootBreaker, PowerModel, TableSet,
+    OvershootBreaker, PowerModel, TableSet, Transition,
 };
 use serde::Serialize;
 use simx::faults::SplitMix64;
@@ -218,10 +219,9 @@ pub struct CharactPoint {
     pub summary: Arc<RunSummary>,
 }
 
-/// Per-machine fleet outcome. `Serialize` is hand-written: the thermal
-/// fields are emitted only on thermal runs, so legacy reports stay
-/// byte-identical (the vendored serde shim has no `skip_serializing_if`).
-#[derive(Debug, Clone)]
+/// Per-machine fleet outcome. The thermal fields are serialized only on
+/// thermal runs, so legacy reports stay byte-identical.
+#[derive(Debug, Clone, Serialize)]
 pub struct MachineRow {
     /// Fleet-wide machine id.
     pub machine: usize,
@@ -249,19 +249,23 @@ pub struct MachineRow {
     pub mean_latency_s: f64,
     /// Energy consumed, joules.
     pub energy_j: f64,
-    /// Every degradation-ladder transition, rendered.
-    pub transitions: Vec<String>,
+    /// Every degradation-ladder transition (serialized as its text).
+    pub transitions: Vec<Transition>,
     /// Peak true die temperature over the run, milli-°C (thermal runs).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub peak_temp_mc: Option<i64>,
     /// Up-rounds spent above the Normal throttle stage (thermal runs).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub throttle_rounds: Option<u32>,
-    /// Every throttle-ladder transition, rendered (thermal runs).
-    pub thermal_transitions: Vec<String>,
+    /// Every throttle-ladder transition (thermal runs; serialized as its
+    /// text).
+    #[serde(skip_serializing_if = "Vec::is_empty")]
+    pub thermal_transitions: Vec<ThrottleTransition>,
 }
 
-/// Fleet-level aggregates. `Serialize` is hand-written like
-/// [`MachineRow`]'s: the `Option` fields appear only on extended runs.
-#[derive(Debug, Clone)]
+/// Fleet-level aggregates. Like [`MachineRow`]'s thermal fields, the
+/// `Option` fields are serialized only on extended runs.
+#[derive(Debug, Clone, Serialize)]
 pub struct FleetSummary {
     /// Machines simulated.
     pub machines: usize,
@@ -288,120 +292,50 @@ pub struct FleetSummary {
     pub shed: f64,
     /// Served-weighted mean SLO attainment over machines.
     pub slo_attainment: f64,
-    /// Strict SLO attainment over *all* machine-rounds (extended runs):
-    /// a crashed or thermally-shut-down round serves nobody, so it counts
-    /// as a miss instead of vanishing from the denominator. This is the
-    /// lens that makes budget-oblivious "run hot, crash, restart empty"
-    /// behaviour cost what it should.
-    pub strict_slo_attainment: Option<f64>,
     /// Fleet energy, joules.
     pub energy_j: f64,
     /// Machine-rounds spent below central control (local + fallback +
     /// down).
     pub degraded_machine_rounds: u64,
+    /// Strict SLO attainment over *all* machine-rounds (extended runs):
+    /// a crashed or thermally-shut-down round serves nobody, so it counts
+    /// as a miss instead of vanishing from the denominator. This is the
+    /// lens that makes budget-oblivious "run hot, crash, restart empty"
+    /// behaviour cost what it should.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub strict_slo_attainment: Option<f64>,
     /// Region aggregators (extended runs).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub regions: Option<usize>,
     /// Hierarchical governance on (extended runs).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub hierarchy: Option<bool>,
     /// Rounds spent under a brownout (extended runs).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub brownout_rounds: Option<usize>,
     /// Aggregator + root outage windows (extended runs).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub aggregator_events: Option<usize>,
     /// Emergency-throttle engagements fleet-wide (thermal runs).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub emergency_throttles: Option<u64>,
     /// Thermal shutdowns fleet-wide (thermal runs).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub thermal_shutdowns: Option<u64>,
     /// Staggered black-start recoveries fleet-wide (thermal runs).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub black_starts: Option<u64>,
     /// Overshoot-breaker trips fleet-wide (thermal runs).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub breaker_trips: Option<u64>,
     /// Hottest true die temperature any machine reached, milli-°C
     /// (thermal runs).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub peak_temp_mc: Option<i64>,
     /// Mean effective (browned-out) budget over the run, watts
     /// (extended runs).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub mean_effective_budget_w: Option<f64>,
-}
-
-impl Serialize for MachineRow {
-    fn to_value(&self) -> serde::Value {
-        let mut map = vec![
-            ("machine".to_owned(), self.machine.to_value()),
-            ("shard".to_owned(), self.shard.to_value()),
-            ("benchmark".to_owned(), self.benchmark.to_value()),
-            ("rounds_central".to_owned(), self.rounds_central.to_value()),
-            ("rounds_local".to_owned(), self.rounds_local.to_value()),
-            ("rounds_fallback".to_owned(), self.rounds_fallback.to_value()),
-            ("rounds_down".to_owned(), self.rounds_down.to_value()),
-            ("crashes".to_owned(), self.crashes.to_value()),
-            ("served".to_owned(), self.served.to_value()),
-            ("shed".to_owned(), self.shed.to_value()),
-            ("slo_attainment".to_owned(), self.slo_attainment.to_value()),
-            ("mean_latency_s".to_owned(), self.mean_latency_s.to_value()),
-            ("energy_j".to_owned(), self.energy_j.to_value()),
-            ("transitions".to_owned(), self.transitions.to_value()),
-        ];
-        if let Some(v) = self.peak_temp_mc {
-            map.push(("peak_temp_mc".to_owned(), v.to_value()));
-        }
-        if let Some(v) = self.throttle_rounds {
-            map.push(("throttle_rounds".to_owned(), v.to_value()));
-        }
-        if !self.thermal_transitions.is_empty() {
-            map.push((
-                "thermal_transitions".to_owned(),
-                self.thermal_transitions.to_value(),
-            ));
-        }
-        serde::Value::Map(map)
-    }
-}
-
-impl Serialize for FleetSummary {
-    fn to_value(&self) -> serde::Value {
-        let mut map = vec![
-            ("machines".to_owned(), self.machines.to_value()),
-            ("shards".to_owned(), self.shards.to_value()),
-            ("rounds".to_owned(), self.rounds.to_value()),
-            ("policy".to_owned(), self.policy.to_value()),
-            ("chaos_seed".to_owned(), self.chaos_seed.to_value()),
-            ("crash_events".to_owned(), self.crash_events.to_value()),
-            ("partition_events".to_owned(), self.partition_events.to_value()),
-            ("budget_w".to_owned(), self.budget_w.to_value()),
-            ("overshoot_rounds".to_owned(), self.overshoot_rounds.to_value()),
-            ("served".to_owned(), self.served.to_value()),
-            ("shed".to_owned(), self.shed.to_value()),
-            ("slo_attainment".to_owned(), self.slo_attainment.to_value()),
-            ("energy_j".to_owned(), self.energy_j.to_value()),
-            (
-                "degraded_machine_rounds".to_owned(),
-                self.degraded_machine_rounds.to_value(),
-            ),
-        ];
-        let mut opt = |key: &str, v: Option<serde::Value>| {
-            if let Some(v) = v {
-                map.push((key.to_owned(), v));
-            }
-        };
-        opt(
-            "strict_slo_attainment",
-            self.strict_slo_attainment.map(|v| v.to_value()),
-        );
-        opt("regions", self.regions.map(|v| v.to_value()));
-        opt("hierarchy", self.hierarchy.map(|v| v.to_value()));
-        opt("brownout_rounds", self.brownout_rounds.map(|v| v.to_value()));
-        opt("aggregator_events", self.aggregator_events.map(|v| v.to_value()));
-        opt("emergency_throttles", self.emergency_throttles.map(|v| v.to_value()));
-        opt("thermal_shutdowns", self.thermal_shutdowns.map(|v| v.to_value()));
-        opt("black_starts", self.black_starts.map(|v| v.to_value()));
-        opt("breaker_trips", self.breaker_trips.map(|v| v.to_value()));
-        opt("peak_temp_mc", self.peak_temp_mc.map(|v| v.to_value()));
-        opt(
-            "mean_effective_budget_w",
-            self.mean_effective_budget_w.map(|v| v.to_value()),
-        );
-        serde::Value::Map(map)
-    }
 }
 
 /// The serializable fleet report.
@@ -509,7 +443,7 @@ impl MachineState {
     fn thermal_round(&mut self, round: usize, p_w: f64, stuck: bool) -> (f64, bool) {
         let tcfg = *self.thermal.config();
         let prev_sev = self.throttle.stage().severity();
-        let p_mw = (p_w * 1e3).round() as i64;
+        let p_mw = round_i64(p_w * 1e3);
         let eff_mw = self.thermal.update(p_mw);
         let sensor = self.thermal.read_sensor(stuck);
         let stage = self
@@ -1201,12 +1135,7 @@ fn run_rounds(
     for round in 0..config.rounds {
         fleet.round(round)?;
     }
-    let mut rows = fleet.machine_rows()?;
-    // A no-op (shards hold ascending id ranges) kept for memory: its
-    // freed buffer lifts glibc's mmap threshold before the report is
-    // rendered, and without it perfbench's fleet-flat peak RSS rose by
-    // half a megabyte.
-    rows.sort_by_key(|r| r.machine);
+    let rows = fleet.machine_rows()?;
     let summary = fleet.summary(topo, &rows);
     Ok(FleetReport {
         machines: rows,
@@ -1388,20 +1317,11 @@ impl RoundLoop<'_> {
                     slo_attainment: per_round(f64::from(s.slo_ok)),
                     mean_latency_s: per_round(s.lat_sum),
                     energy_j: s.energy_j,
-                    transitions: s
-                        .ladder_state
-                        .transitions()
-                        .iter()
-                        .map(|t| t.to_string())
-                        .collect(),
+                    transitions: s.ladder_state.transitions().to_vec(),
                     peak_temp_mc: thermal_on.then_some(s.peak_temp_mc),
                     throttle_rounds: thermal_on.then_some(s.throttle_rounds),
                     thermal_transitions: if thermal_on {
-                        s.throttle
-                            .transitions()
-                            .iter()
-                            .map(|t| t.to_string())
-                            .collect()
+                        s.throttle.transitions().to_vec()
                     } else {
                         Vec::new()
                     },

@@ -79,7 +79,7 @@ pub struct RunResult {
 /// consume from a plain (unmanaged, whole-chip) run, in a serializable
 /// form. `RunStats` itself does not persist — the only statistic the
 /// figures need from it is the total active time, captured here.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunSummary {
     /// Wall-clock execution time.
     pub exec: TimeDelta,
@@ -96,89 +96,12 @@ pub struct RunSummary {
     /// prefix of the full run (see `simx::sampling`), not the whole run.
     pub trace: ExecutionTrace,
     /// Present when this summary was extrapolated by the sampled tier
-    /// rather than simulated in full. Absent (and skipped during
-    /// serialization, keeping exact envelopes byte-identical to the
-    /// pre-sampling schema) for exact runs.
+    /// rather than simulated in full. Absent for exact runs: not
+    /// serialized when `None`, so exact envelopes stay byte-identical to
+    /// the pre-sampling schema, and read as `None` when missing, so
+    /// envelopes written before the field existed still load.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub sampled: Option<SampledInfo>,
-}
-
-// Hand-written (the vendored serde shim has no field attributes): the
-// `sampled` entry is omitted when `None`, so exact summaries serialize
-// byte-identically to the pre-sampling schema, and envelopes written
-// before the field existed still deserialize.
-impl Serialize for RunSummary {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = vec![
-            ("exec".to_string(), self.exec.to_value()),
-            ("gc_time".to_string(), self.gc_time.to_value()),
-            ("gc_count".to_string(), self.gc_count.to_value()),
-            ("allocated".to_string(), self.allocated.to_value()),
-            ("total_active".to_string(), self.total_active.to_value()),
-            ("trace".to_string(), self.trace.to_value()),
-        ];
-        if let Some(sampled) = &self.sampled {
-            entries.push(("sampled".to_string(), sampled.to_value()));
-        }
-        serde::Value::Map(entries)
-    }
-}
-
-impl Deserialize for RunSummary {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
-        let serde::Value::Map(entries) = value else {
-            return Err(serde::DeError::new(format!(
-                "expected map for RunSummary, found {value:?}"
-            )));
-        };
-        Ok(RunSummary {
-            exec: serde::de_field(entries, "exec")?,
-            gc_time: serde::de_field(entries, "gc_time")?,
-            gc_count: serde::de_field(entries, "gc_count")?,
-            allocated: serde::de_field(entries, "allocated")?,
-            total_active: serde::de_field(entries, "total_active")?,
-            trace: serde::de_field(entries, "trace")?,
-            sampled: match value.get("sampled") {
-                None | Some(serde::Value::Null) => None,
-                Some(v) => Some(SampledInfo::from_value(v)?),
-            },
-        })
-    }
-
-    // The load path of every cache envelope and journal line: reads the
-    // payload text with no `Value` tree, accepting exactly what
-    // `from_value` accepts (first duplicate key wins, unknown keys skipped).
-    fn from_json(r: &mut serde::Reader<'_>) -> Result<Self, serde::DeError> {
-        if r.peek() != Some(b'{') {
-            return Self::from_value(&r.value()?);
-        }
-        let (mut exec, mut gc_time, mut gc_count, mut allocated) = (None, None, None, None);
-        let (mut total_active, mut trace, mut sampled) = (None, None, None);
-        let mut map = r.begin_map()?;
-        while let Some(key) = r.next_key(&mut map)? {
-            match &*key {
-                "exec" if exec.is_none() => exec = Some(TimeDelta::from_json(r)?),
-                "gc_time" if gc_time.is_none() => gc_time = Some(TimeDelta::from_json(r)?),
-                "gc_count" if gc_count.is_none() => gc_count = Some(u64::from_json(r)?),
-                "allocated" if allocated.is_none() => allocated = Some(u64::from_json(r)?),
-                "total_active" if total_active.is_none() => {
-                    total_active = Some(TimeDelta::from_json(r)?);
-                }
-                "trace" if trace.is_none() => trace = Some(ExecutionTrace::from_json(r)?),
-                "sampled" if sampled.is_none() => sampled = Some(Option::from_json(r)?),
-                _ => r.skip_value()?,
-            }
-        }
-        let field = |name| move || serde::DeError::missing_field(name);
-        Ok(RunSummary {
-            exec: exec.ok_or_else(field("exec"))?,
-            gc_time: gc_time.ok_or_else(field("gc_time"))?,
-            gc_count: gc_count.ok_or_else(field("gc_count"))?,
-            allocated: allocated.ok_or_else(field("allocated"))?,
-            total_active: total_active.ok_or_else(field("total_active"))?,
-            trace: trace.ok_or_else(field("trace"))?,
-            sampled: sampled.flatten(),
-        })
-    }
 }
 
 /// How a sampled summary was produced, and how much to trust it.

@@ -39,6 +39,8 @@
 
 use core::fmt;
 
+use serde::{JsonWriter, Serialize, Value};
+
 use crate::faults::SplitMix64;
 
 /// Stream salt of the per-machine sensor-noise draws.
@@ -317,6 +319,17 @@ impl fmt::Display for ThrottleTransition {
             self.to.name(),
             self.reason
         )
+    }
+}
+
+/// A transition serializes as its `Display` text.
+impl Serialize for ThrottleTransition {
+    fn to_value(&self) -> Value {
+        Value::Str(self.to_string())
+    }
+
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.display_str(self);
     }
 }
 

@@ -116,9 +116,57 @@ pub struct SignatureCluster {
     pub members: usize,
     /// Summed duration of the members.
     pub weight: TimeDelta,
+    /// The centroid's `Logs`, kept beside it so a distance takes no
+    /// `ln_1p` on the centroid's side.
+    logs: Logs,
+}
+
+/// `ln_1p` of a signature's `ipus` and `mpki`: the compressed scale
+/// [`EpochSignature::distance_sq`] compares those two components in.
+#[derive(Debug, Clone, Copy)]
+struct Logs {
+    ipus: f64,
+    mpki: f64,
+}
+
+impl Logs {
+    fn of(sig: &EpochSignature) -> Self {
+        Logs {
+            ipus: sig.ipus.ln_1p(),
+            mpki: sig.mpki.ln_1p(),
+        }
+    }
 }
 
 impl SignatureCluster {
+    fn new(sig: &EpochSignature, logs: Logs, duration: TimeDelta) -> Self {
+        SignatureCluster {
+            centroid: *sig,
+            members: 1,
+            weight: duration,
+            logs,
+        }
+    }
+
+    /// `sig.distance_sq(&self.centroid)`, bit for bit, from `sig`'s
+    /// precomputed logs and the centroid's kept ones.
+    #[inline]
+    fn distance_sq(&self, sig: &EpochSignature, logs: Logs) -> f64 {
+        let c = &self.centroid;
+        if sig.in_gc != c.in_gc {
+            return f64::INFINITY;
+        }
+        let d_ipus = (logs.ipus - self.logs.ipus) / 4.0;
+        let d_mpki = (logs.mpki - self.logs.mpki) / 4.0;
+        let d_par = (sig.parallelism - c.parallelism) / 8.0;
+        (sig.crit_frac - c.crit_frac).powi(2)
+            + (sig.stall_frac - c.stall_frac).powi(2)
+            + (sig.sq_full_frac - c.sq_full_frac).powi(2)
+            + d_ipus * d_ipus
+            + d_mpki * d_mpki
+            + d_par * d_par
+    }
+
     fn absorb(&mut self, sig: &EpochSignature, duration: TimeDelta) {
         let w_old = self.weight.as_secs();
         let w_new = duration.as_secs();
@@ -134,6 +182,7 @@ impl SignatureCluster {
                 parallelism: lerp(self.centroid.parallelism, sig.parallelism),
                 in_gc: self.centroid.in_gc,
             };
+            self.logs = Logs::of(&self.centroid);
         }
         self.members += 1;
         self.weight += duration;
@@ -166,11 +215,15 @@ impl SignatureClusterer {
     }
 
     /// Assigns `sig` (an epoch of the given `duration`) to a cluster and
-    /// returns the cluster index.
+    /// returns the cluster index: the first cluster at the strictly
+    /// smallest [`EpochSignature::distance_sq`], if within the threshold.
+    /// The signature's two logs are taken once here, not once per
+    /// cluster.
     pub fn observe(&mut self, sig: &EpochSignature, duration: TimeDelta) -> usize {
+        let logs = Logs::of(sig);
         let mut best: Option<(usize, f64)> = None;
         for (i, cluster) in self.clusters.iter().enumerate() {
-            let d = sig.distance_sq(&cluster.centroid);
+            let d = cluster.distance_sq(sig, logs);
             if best.is_none_or(|(_, bd)| d < bd) {
                 best = Some((i, d));
             }
@@ -181,11 +234,7 @@ impl SignatureClusterer {
                 return i;
             }
         }
-        self.clusters.push(SignatureCluster {
-            centroid: *sig,
-            members: 1,
-            weight: duration,
-        });
+        self.clusters.push(SignatureCluster::new(sig, logs, duration));
         self.clusters.len() - 1
     }
 
@@ -317,6 +366,129 @@ mod tests {
         let mut c = SignatureClusterer::new(1e9); // even an absurd threshold
         assert_eq!(c.observe(&sig, TimeDelta::from_micros(10.0)), 0);
         assert_eq!(c.observe(&gc_sig, TimeDelta::from_micros(10.0)), 1);
+    }
+
+    /// The clusterer as it was before the logs were kept: every distance
+    /// through [`EpochSignature::distance_sq`].
+    fn reference_observe(
+        clusters: &mut Vec<(EpochSignature, TimeDelta)>,
+        threshold_sq: f64,
+        sig: &EpochSignature,
+        duration: TimeDelta,
+    ) -> usize {
+        let mut best: Option<(usize, f64)> = None;
+        for (i, (centroid, _)) in clusters.iter().enumerate() {
+            let d = sig.distance_sq(centroid);
+            if best.is_none_or(|(_, bd)| d < bd) {
+                best = Some((i, d));
+            }
+        }
+        if let Some((i, d)) = best {
+            if d <= threshold_sq {
+                let (centroid, weight) = &mut clusters[i];
+                let mut cluster = SignatureCluster::new(centroid, Logs::of(centroid), *weight);
+                cluster.absorb(sig, duration);
+                (*centroid, *weight) = (cluster.centroid, cluster.weight);
+                return i;
+            }
+        }
+        clusters.push((*sig, duration));
+        clusters.len() - 1
+    }
+
+    fn bits(s: &EpochSignature) -> [u64; 7] {
+        [
+            s.crit_frac.to_bits(),
+            s.stall_frac.to_bits(),
+            s.sq_full_frac.to_bits(),
+            s.ipus.to_bits(),
+            s.mpki.to_bits(),
+            s.parallelism.to_bits(),
+            u64::from(s.in_gc),
+        ]
+    }
+
+    #[test]
+    fn kept_logs_cluster_exactly_like_distance_sq() {
+        // A seeded stream mixing GC and mutator epochs, zero-activity
+        // signatures, repeats (distance ties), extreme and non-finite
+        // rates, and zero-duration epochs (no centroid move).
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let rates = [
+            0.0,
+            1e-300,
+            f64::MIN_POSITIVE,
+            0.5,
+            3.0,
+            1e3,
+            1e12,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for (seed, threshold) in [(1u64, 0.05), (2, 0.2), (3, 1.0), (4, 0.0), (5, 1e9)] {
+            for _ in 0..seed {
+                next();
+            }
+            let mut pool = Vec::new();
+            let mut c = SignatureClusterer::new(threshold);
+            let mut reference = Vec::new();
+            for _ in 0..3000 {
+                let r = next();
+                let frac = |shift: u32| ((r >> shift) & 0xff) as f64 / 255.0;
+                let sig = if r % 7 == 0 && !pool.is_empty() {
+                    pool[(r >> 8) as usize % pool.len()]
+                } else if r % 11 == 0 {
+                    EpochSignature::of(
+                        &EpochRecord {
+                            start: Time::ZERO,
+                            duration: TimeDelta::from_micros(1.0),
+                            threads: vec![],
+                            end: EpochEnd::QuantumBoundary,
+                        },
+                        r % 2 == 0,
+                    )
+                } else {
+                    EpochSignature {
+                        crit_frac: frac(8),
+                        stall_frac: frac(16),
+                        sq_full_frac: frac(24) * 0.1,
+                        ipus: if r % 5 == 0 {
+                            rates[(r >> 32) as usize % rates.len()]
+                        } else {
+                            frac(32) * 4e3
+                        },
+                        mpki: if r % 3 == 0 {
+                            rates[(r >> 40) as usize % rates.len()]
+                        } else {
+                            frac(40) * 50.0
+                        },
+                        parallelism: ((r >> 48) % 9) as f64,
+                        in_gc: (r >> 56) % 4 == 0,
+                    }
+                };
+                pool.push(sig);
+                let duration = TimeDelta::from_micros(((r >> 20) % 50) as f64);
+                let got = c.observe(&sig, duration);
+                let want = reference_observe(&mut reference, threshold * threshold, &sig, duration);
+                assert_eq!(got, want, "seed {seed}: assignment of {sig:?}");
+            }
+            assert_eq!(c.clusters().len(), reference.len(), "seed {seed}");
+            for (cluster, (centroid, weight)) in c.clusters().iter().zip(&reference) {
+                assert_eq!(bits(&cluster.centroid), bits(centroid), "seed {seed}");
+                assert_eq!(cluster.weight.as_secs().to_bits(), weight.as_secs().to_bits());
+                let logs = Logs::of(&cluster.centroid);
+                assert_eq!(cluster.logs.ipus.to_bits(), logs.ipus.to_bits());
+                assert_eq!(cluster.logs.mpki.to_bits(), logs.mpki.to_bits());
+            }
+        }
     }
 
     #[test]

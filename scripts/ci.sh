@@ -375,13 +375,22 @@ step "durability: fault-soaked sweep identity" storage_identity
 # time over the cache its first run filled must take every point from
 # disk (with DEPBURST_TRACE_POINTS=1, no point may log a `miss`) and
 # print exactly the first run's bytes. storage_identity above only ever
-# writes its cache; this is the step that loads envelopes.
+# writes its cache; this is the step that loads envelopes. Before that, a
+# second cold run with one worker fills a cache of its own, and every
+# envelope it wrote must equal, byte for byte, the two-worker run's.
 warm_replay_identity() {
     local out=/tmp/depburst-ci-warm
     local cache=/tmp/depburst-ci-warm-cache
-    rm -rf "$out".* "$cache"
+    rm -rf "$out".* "$cache" "$cache-j1"
     DEPBURST_CACHE="$cache" "$BIN/fig3" both "$SCALE" 1 --jobs 2 \
         > "$out.cold.out" 2> /dev/null
+    DEPBURST_CACHE="$cache-j1" "$BIN/fig3" both "$SCALE" 1 --jobs 1 \
+        > "$out.cold-j1.out" 2> /dev/null
+    diff -r "$cache" "$cache-j1" > "$out.envelopes.diff" || {
+        echo "cold caches written with 2 and 1 workers differ:"
+        head -5 "$out.envelopes.diff"
+        return 1
+    }
     DEPBURST_CACHE="$cache" DEPBURST_TRACE_POINTS=1 "$BIN/fig3" both "$SCALE" 1 --jobs 2 \
         > "$out.warm.out" 2> "$out.warm.log"
     grep -q "^point " "$out.warm.log" || {
@@ -397,7 +406,7 @@ warm_replay_identity() {
         echo "warm-cache fig3 is not byte-identical to the cold run that filled it"
         return 1
     }
-    rm -rf "$out".* "$cache"
+    rm -rf "$out".* "$cache" "$cache-j1"
 }
 step "durability: warm-cache replay identity" warm_replay_identity
 
