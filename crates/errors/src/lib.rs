@@ -82,11 +82,11 @@ pub enum DepburstError {
         total: usize,
     },
     /// Durable storage failed underneath the harness: a cache or
-    /// checkpoint-journal operation hit an unrecoverable I/O error, or a
+    /// checkpoint operation hit an unrecoverable I/O error, or a
     /// simulated crash point fired (see `harness::vfs`). The run fails
     /// closed rather than continuing on untrustworthy state.
     Storage {
-        /// The storage operation that failed (e.g. `append`, `rename`).
+        /// The storage operation that failed (e.g. `write`, `rename`).
         op: String,
         /// The rendered I/O error.
         detail: String,
@@ -220,10 +220,10 @@ mod tests {
             ),
             (
                 DepburstError::Storage {
-                    op: "append".into(),
+                    op: "write".into(),
                     detail: "no space left on device".into(),
                 },
-                "storage error during append",
+                "storage error during write",
             ),
             (
                 DepburstError::UnsupportedOption {

@@ -11,9 +11,9 @@
 //!   and spec digests. It hashes a few hundred bytes per key, so its
 //!   byte-serial speed does not matter.
 //! * [`checksum64`] — four [`fmix64`] lanes over little-endian words: the
-//!   integrity checksum of the harness's persisted cache envelopes and
-//!   journal records (schema 4). It runs over every byte a warm cache
-//!   loads, so it is built to run at memory speed.
+//!   integrity checksum of the harness's persisted cache envelopes, in
+//!   the memo cache and in checkpoints (schema 4). It runs over every
+//!   byte a warm cache loads, so it is built to run at memory speed.
 //! * [`fnv1a64`] — 64-bit FNV-1a, kept only as the benchmark's output
 //!   digest: committed digests were computed with it, so its published
 //!   vectors stay pinned.
@@ -154,8 +154,8 @@ const LANES: [u64; 4] = [
     0x082E_FA98_EC4E_6C89,
 ];
 
-/// The integrity checksum of persisted cache envelopes and journal
-/// records, computed over the payload bytes exactly as stored.
+/// The integrity checksum of persisted cache envelopes, computed over
+/// the payload bytes exactly as stored.
 ///
 /// Little-endian word `i` of `bytes` goes to lane `i % 4` as
 /// `lane = fmix64(lane ^ word)`; a trailing partial word is zero-padded
@@ -216,7 +216,7 @@ mod tests {
     #[test]
     fn checksum64_matches_pinned_vectors() {
         // The on-disk format of schema-4 envelopes: a change here retires
-        // every persisted cache entry and journal line, so it must come
+        // every persisted cache and checkpoint entry, so it must come
         // with a schema bump. Input: bytes 0, 1, 2, ... of each length,
         // covering the empty input, a lone tail byte, a full block minus
         // one, one block, and a block plus a tail.

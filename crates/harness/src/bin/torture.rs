@@ -1,8 +1,8 @@
 //! Runs the storage-fault crash-consistency torture sweep over a small
 //! fig. 3 run: crash at every selected VFS operation, resume, and demand
 //! byte-identical output or a structured storage failure; flip bits in a
-//! persisted envelope and demand quarantine; soak both cache and journal
-//! in every probabilistic fault class at once.
+//! persisted envelope and demand quarantine; soak both the cache and the
+//! checkpoint in every probabilistic fault class at once.
 //!
 //! Usage: `cargo run --release -p harness --bin torture -- [scale] [seed]
 //! [--dense N] [--stride N] [--max-points N] [--bitflips N] [--soak F]

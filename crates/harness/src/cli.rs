@@ -30,9 +30,10 @@
 //!   `DEPBURST_POINT_TIMEOUT`; `0` disables).
 //! * `--retries N` — retry budget for failed points (env
 //!   `DEPBURST_RETRIES`; default 2).
-//! * `--run-id ID` — start a fresh checkpoint journal at
-//!   `results/checkpoints/<ID>.jsonl`.
-//! * `--resume ID` — resume that journal, replaying completed points;
+//! * `--run-id ID` — start a fresh checkpoint store at
+//!   `results/checkpoints/<ID>/` (directory `DEPBURST_CHECKPOINT_DIR`);
+//!   every completed point is committed there as a cache envelope.
+//! * `--resume ID` — resume that store, replaying completed points;
 //!   output is byte-identical to an uninterrupted run.
 //! * `--invariants MODE` — runtime invariant monitor mode (`off`,
 //!   `cheap`, or `full`; env `DEPBURST_INVARIANTS`; default off). See
@@ -41,7 +42,7 @@
 //!   measure fraction in (probe, 1); env `DEPBURST_SAMPLING`; default
 //!   off). See `simx::sampling`.
 //! * `--storage-faults SPEC` — storage-fault injection on the cache and
-//!   checkpoint journal (`off`, an intensity in `[0, 1]`, `seed=N`,
+//!   checkpoint stores (`off`, an intensity in `[0, 1]`, `seed=N`,
 //!   `crash=N`, comma-separated; env `DEPBURST_STORAGE_FAULTS`; default
 //!   off — all durable I/O goes straight through the real filesystem).
 //!   See `harness::vfs`.
@@ -57,7 +58,7 @@ use std::process::ExitCode;
 use std::str::FromStr;
 use std::time::Duration;
 
-use crate::checkpoint::Journal;
+use crate::cache::{CacheStats, SimCache};
 use crate::run::ExecCtx;
 
 /// The boxed error a binary's command body returns: `depburst_core`
@@ -447,7 +448,7 @@ pub fn write_reports(
 }
 
 /// Builds the execution context `opts` asks for: environment defaults,
-/// overridden by the explicit flags, plus the checkpoint journal when a
+/// overridden by the explicit flags, plus the checkpoint store when a
 /// run id was given (`--resume` wins over `--run-id`).
 pub fn build_ctx(opts: &CommonOpts) -> std::io::Result<ExecCtx> {
     if let Some(mode) = opts.invariants {
@@ -472,43 +473,24 @@ pub fn build_ctx(opts: &CommonOpts) -> std::io::Result<ExecCtx> {
         Some(Some(cfg)) => ctx = ctx.with_storage_faults(cfg),
         None => {}
     }
-    // Build the journal *after* storage so it shares the injector. An
-    // invalid run id is a usage error, but a journal that cannot be
-    // created or read is a *degraded* run, not a dead one: checkpointing
-    // is best-effort (mirroring how append/fsync failures are counted,
-    // never fatal), so the sweep proceeds non-resumable with a loud
-    // warning instead of dying before it starts.
-    let journal = match (&opts.resume, &opts.run_id) {
-        (Some(id), _) => {
-            Journal::path_for(id)?;
-            match Journal::resume_with(id, ctx.storage_vfs()) {
-                Ok(journal) => Some(journal),
-                Err(e) => {
-                    eprintln!(
-                        "warning: cannot resume checkpoint journal {id}: {e}; \
-                         continuing without checkpointing"
-                    );
-                    None
-                }
-            }
-        }
-        (None, Some(id)) => {
-            Journal::path_for(id)?;
-            match Journal::create_with(id, ctx.storage_vfs()) {
-                Ok(journal) => Some(journal),
-                Err(e) => {
-                    eprintln!(
-                        "warning: cannot create checkpoint journal {id}: {e}; \
-                         this run will not be resumable"
-                    );
-                    None
-                }
-            }
-        }
+    // An invalid run id is a usage error, but a checkpoint store that
+    // cannot be prepared is a *degraded* run, not a dead one:
+    // checkpointing is best-effort (mirroring how persist and fsync
+    // failures are counted, never fatal), so the sweep proceeds
+    // non-resumable with a loud warning instead of dying before it starts.
+    let checkpoint = match (&opts.resume, &opts.run_id) {
+        (Some(id), _) => Some((id, false)),
+        (None, Some(id)) => Some((id, true)),
         (None, None) => None,
     };
-    if let Some(journal) = journal {
-        ctx = ctx.with_journal(journal);
+    if let Some((id, fresh)) = checkpoint {
+        let root = SimCache::checkpoint_root(id)?;
+        if let Err(e) = ctx.open_checkpoint(&root, fresh) {
+            eprintln!(
+                "warning: cannot open checkpoint {}: {e}; this run will not be resumable",
+                root.display()
+            );
+        }
     }
     Ok(ctx)
 }
@@ -541,31 +523,30 @@ pub fn main_with(
     }
 }
 
+/// Warns about a store's lost entries: failed persists (those points
+/// `lost`) and failed fsyncs.
+fn warn_store(store: &str, stats: CacheStats, lost: &str) {
+    if stats.persist_failures > 0 {
+        eprintln!(
+            "warning: {} {store} persist attempt(s) failed; those points {lost}",
+            stats.persist_failures
+        );
+    }
+    if stats.fsync_failures > 0 {
+        eprintln!(
+            "warning: {} {store} fsync(s) failed; those entries may not survive a crash",
+            stats.fsync_failures
+        );
+    }
+}
+
 /// The exit code for "the sweep ran but some points ultimately failed".
 pub const EXIT_POINT_FAILURES: u8 = 2;
 
 fn finish(experiment: &str, ctx: &ExecCtx, result: CliResult) -> ExitCode {
-    let cache = ctx.cache.stats();
-    if cache.persist_failures > 0 {
-        eprintln!(
-            "warning: {} cache persist attempt(s) failed; those points will re-simulate next run",
-            cache.persist_failures
-        );
-    }
-    if let Some(journal) = ctx.journal() {
-        let js = journal.stats();
-        if js.append_failures > 0 {
-            eprintln!(
-                "warning: {} checkpoint append(s) failed; those points are not resumable",
-                js.append_failures
-            );
-        }
-        if js.fsync_failures > 0 {
-            eprintln!(
-                "warning: {} checkpoint fsync(s) failed; recent appends may not survive a crash",
-                js.fsync_failures
-            );
-        }
+    warn_store("cache", ctx.cache.stats(), "will re-simulate next run");
+    if let Some(checkpoint) = ctx.checkpoint() {
+        warn_store("checkpoint", checkpoint.stats(), "are not resumable");
     }
     if let Some(storage) = ctx.storage() {
         let s = storage.stats();
@@ -894,11 +875,11 @@ mod tests {
     #[test]
     fn build_ctx_applies_overrides() {
         let opts = common(&["--jobs=3", "--retries=0", "--point-timeout=1.5"]).unwrap();
-        let ctx = build_ctx(&opts).expect("no journal requested");
+        let ctx = build_ctx(&opts).expect("no checkpoint requested");
         assert_eq!(ctx.jobs, 3);
         assert_eq!(ctx.policy.retries, 0);
         assert_eq!(ctx.point_timeout, Some(Duration::from_secs_f64(1.5)));
-        assert!(ctx.journal().is_none());
+        assert!(ctx.checkpoint().is_none());
         // A bad run id is a usage error, not a panic.
         let bad = common(&["--run-id", "../escape"]).unwrap();
         assert!(build_ctx(&bad).is_err());
@@ -906,13 +887,13 @@ mod tests {
 
     #[test]
     fn unwritable_journal_degrades_the_run_instead_of_killing_it() {
-        // crash=0 fails the very first VFS operation, so the journal can
-        // never be created: the context must still build — checkpointing
-        // is best-effort — just without a journal. The id is still
-        // validated strictly even on that path.
+        // crash=0 fails the very first VFS operation, so the checkpoint
+        // store can never be prepared: the context must still build —
+        // checkpointing is best-effort — just without a checkpoint. The id
+        // is still validated strictly even on that path.
         let opts = common(&["--run-id", "cli-degraded", "--storage-faults", "crash=0"]).unwrap();
         let ctx = build_ctx(&opts).expect("degraded, not dead");
-        assert!(ctx.journal().is_none());
+        assert!(ctx.checkpoint().is_none());
         assert!(ctx.storage().expect("injector installed").crashed());
         let bad = common(&["--run-id", "../escape", "--storage-faults", "crash=0"]).unwrap();
         assert!(build_ctx(&bad).is_err(), "id validation must stay hard");

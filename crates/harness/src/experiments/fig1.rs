@@ -6,7 +6,7 @@
 //! All points run through [`crate::run::ExecCtx::execute`], so the
 //! figure inherits the full resilience stack: a point that still fails
 //! after retries turns the run into `SweepIncomplete` — but only after
-//! every surviving point finished and was cached/journaled for the
+//! every surviving point finished and was cached/checkpointed for the
 //! retry.
 
 use serde::Serialize;

@@ -6,9 +6,9 @@
 //!
 //! The grid executes on [`crate::run::ExecCtx`], which makes the figure
 //! complete-or-failed: every surviving point is simulated (and
-//! cached/journaled) before a dead point surfaces as `SweepIncomplete`,
+//! cached/checkpointed) before a dead point surfaces as `SweepIncomplete`,
 //! so an interrupted or partially failed sweep resumes from its
-//! checkpoint journal instead of restarting.
+//! checkpoint instead of restarting.
 
 use dacapo_sim::all_benchmarks;
 use depburst::{paper_roster, relative_error, ErrorStats};

@@ -3,7 +3,7 @@
 //!
 //! Points execute on [`crate::run::ExecCtx`] and share its resilience
 //! semantics: the figure is complete-or-failed (`SweepIncomplete` only
-//! after the surviving points finished and were cached/journaled).
+//! after the surviving points finished and were cached/checkpointed).
 
 use dacapo_sim::all_benchmarks;
 use depburst::{relative_error, Dep, DvfsPredictor, ErrorStats};

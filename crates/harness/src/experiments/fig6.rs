@@ -119,7 +119,7 @@ pub fn collect(threshold: f64, scale: f64, seed: u64) -> Vec<Fig6Row> {
 /// execute one per worker, rows return in benchmark order. Each
 /// benchmark runs under the context's resilience stack (panic isolation,
 /// watchdog, retry): the figure is complete-or-failed, so every
-/// surviving benchmark finishes (and is cached/journaled) before a dead
+/// surviving benchmark finishes (and is cached/checkpointed) before a dead
 /// one turns the sweep into `SweepIncomplete`.
 pub fn collect_with(
     ctx: &ExecCtx,

@@ -95,7 +95,7 @@ pub fn collect(threshold: f64, scale: f64, seed: u64, step_mhz: u32) -> Vec<Fig7
 /// point, for instance, is shared with the fig6 baseline). Benchmarks
 /// run under the context's resilience stack; a benchmark that still
 /// fails after retries fails the whole figure (`SweepIncomplete`) only
-/// after the surviving ones finished and were cached/journaled.
+/// after the surviving ones finished and were cached/checkpointed.
 pub fn collect_with(
     ctx: &ExecCtx,
     threshold: f64,

@@ -9,9 +9,9 @@
 //! The fleet layers on the existing point pipeline twice over:
 //!
 //! 1. **Characterization** — each shard runs its benchmarks at 1 GHz and
-//!    4 GHz through [`ExecCtx::execute_in`] with a per-shard journal
+//!    4 GHz through [`ExecCtx::execute_in`] with a per-shard checkpoint
 //!    namespace; the memo cache shares the points fleet-wide (they are
-//!    the exact points of the golden grid), the checkpoint journal keeps
+//!    the exact points of the golden grid), the checkpoint keeps
 //!    each shard's resume state independent. From the two points each
 //!    machine gets the DEP+BURST decomposition at request granularity:
 //!    `s(f) = scaling_s / f_ghz + fixed_s` over [`REQS`] requests.
@@ -106,7 +106,7 @@ const OVERSHOOT_REL_TOL: f64 = 0.05;
 pub struct FleetConfig {
     /// Simulated machines.
     pub machines: usize,
-    /// Shards (parallel step granularity and journal namespaces).
+    /// Shards (parallel step granularity and checkpoint namespaces).
     pub shards: usize,
     /// Fleet rounds to simulate.
     pub rounds: usize,
@@ -1395,7 +1395,7 @@ impl RoundLoop<'_> {
 }
 
 /// Runs the fleet on `ctx`: characterization through the memoized,
-/// journaled point pipeline (per-shard namespaces), then the round loop
+/// checkpointed point pipeline (per-shard namespaces), then the round loop
 /// with per-shard parallel stepping. The outcome is a pure function of
 /// the config — any worker count, any cache temperature.
 ///
@@ -1410,7 +1410,7 @@ pub fn run_with(ctx: &ExecCtx, config: &FleetConfig) -> depburst_core::Result<Fl
         .map(|m| config.benches[m % config.benches.len()])
         .collect();
 
-    // Characterization: per shard (its own journal namespace), each
+    // Characterization: per shard (its own checkpoint namespace), each
     // distinct benchmark at 1 GHz and 4 GHz. The memo cache collapses
     // repeats across shards into one simulation each.
     let mut charact = Vec::new();

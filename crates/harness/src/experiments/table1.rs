@@ -3,7 +3,7 @@
 //!
 //! Rows execute on [`crate::run::ExecCtx`] with its resilience
 //! semantics: the table is complete-or-failed (`SweepIncomplete` only
-//! after the surviving rows finished and were cached/journaled).
+//! after the surviving rows finished and were cached/checkpointed).
 
 use dacapo_sim::{all_benchmarks, BenchClass};
 use serde::Serialize;

@@ -21,7 +21,7 @@
 //!    of a persisted cache envelope; every flip must be detected (the
 //!    envelope quarantined, the truth recomputed), never served.
 //! 3. **Soak** — two passes at a uniform fault intensity over one shared
-//!    cache directory and a resumed journal, exercising torn appends,
+//!    cache directory and a resumed checkpoint, exercising torn writes,
 //!    dropped fsyncs, failed renames, ENOSPC windows, and read-side bit
 //!    rot together; both outputs must equal the reference.
 //!
@@ -35,7 +35,6 @@ use std::sync::Arc;
 use serde::Serialize;
 
 use crate::cache::{SimCache, SimKey};
-use crate::checkpoint::Journal;
 use crate::experiments::fig3::{self, Direction};
 use crate::resilience::{FailureCause, PointFailure, RetryPolicy};
 use crate::run::ExecCtx;
@@ -198,29 +197,30 @@ struct PassOutcome {
 /// The per-pass scratch locations inside the torture workdir.
 struct PassDirs {
     cache: PathBuf,
-    journal: PathBuf,
+    checkpoint: PathBuf,
 }
 
 impl PassDirs {
     fn under(workdir: &Path, name: &str) -> Self {
         PassDirs {
             cache: workdir.join(format!("{name}-cache")),
-            journal: workdir.join(format!("{name}.jsonl")),
+            checkpoint: workdir.join(format!("{name}-checkpoint")),
         }
     }
 
     /// Removes every byte this pass family has written.
     fn clean(&self) {
         let _ = std::fs::remove_dir_all(&self.cache);
-        let _ = std::fs::remove_file(&self.journal);
+        let _ = std::fs::remove_dir_all(&self.checkpoint);
     }
 }
 
 /// Runs one fig. 3 pass: fresh context, one worker (the fault schedule
 /// must be a pure function of the operation sequence), no retries (a
 /// retried storage failure would consume extra fault draws), persistent
-/// cache and journal in `dirs`, all durable I/O through `storage` when
-/// given. `resume` replays the existing journal instead of truncating.
+/// cache and checkpoint in `dirs`, all durable I/O through `storage` when
+/// given. `resume` replays the existing checkpoint instead of starting
+/// a fresh one.
 fn run_pass(
     dirs: &PassDirs,
     scale: f64,
@@ -234,17 +234,11 @@ fn run_pass(
     if let Some(vfs) = storage {
         ctx = ctx.with_storage(vfs);
     }
-    let journal = if resume {
-        Journal::resume_at_with(&dirs.journal, ctx.storage_vfs())
-    } else {
-        Journal::create_at_with(&dirs.journal, ctx.storage_vfs())
-    };
-    match journal {
-        Ok(journal) => ctx = ctx.with_journal(journal),
-        // A crash or fault during journal creation: the pass continues
-        // journal-less, exactly like a binary whose journal directory
-        // filled up. The crash itself still fails the sweep's points.
-        Err(create_err) => eprintln!("torture: pass has no journal ({create_err})"),
+    if let Err(open_err) = ctx.open_checkpoint(&dirs.checkpoint, !resume) {
+        // A crash or fault while preparing the checkpoint: the pass
+        // continues without one, exactly like a binary whose checkpoint
+        // directory filled up. The crash itself still fails the points.
+        eprintln!("torture: pass has no checkpoint ({open_err})");
     }
     let output = fig3_output(&ctx, scale, seed);
     PassOutcome {
@@ -374,7 +368,7 @@ pub fn run(cfg: &TortureConfig) -> Result<TortureReport, Box<dyn std::error::Err
         bitflip_sweep(&workdir, cfg).map_err(|e| format!("bit-flip sweep: {e}"))?;
 
     // Phase 3: the soak — every probabilistic fault class at once, two
-    // passes over one cache directory and a resumed journal.
+    // passes over one cache directory and a resumed checkpoint.
     eprintln!("torture: soak @ intensity {}", cfg.soak_intensity);
     let soak_dirs = PassDirs::under(&workdir, "soak");
     let soak_a = run_pass(
@@ -387,7 +381,7 @@ pub fn run(cfg: &TortureConfig) -> Result<TortureReport, Box<dyn std::error::Err
         )))),
         false,
     );
-    // Pass B reads pass A's surviving envelopes and journal through a
+    // Pass B reads pass A's surviving cache and checkpoint through a
     // *differently seeded* injector: replay and load paths meet read-side
     // corruption and fresh write faults.
     let soak_b = run_pass(

@@ -18,18 +18,18 @@
 //! The [`run`] module holds the single-run plumbing shared by everything.
 //! Long sweeps run resiliently: points are panic-isolated and
 //! watchdog-bounded with deterministic retry ([`resilience`]), completed
-//! points checkpoint to an append-only journal for `--resume`
-//! ([`checkpoint`]), and ultimate failures surface as a structured
-//! end-of-run report with a nonzero exit code ([`cli`]). All durable I/O
-//! — cache envelopes and journal records, both carrying word-lane
-//! integrity checksums — routes through the [`vfs`] storage abstraction, whose
-//! deterministic fault injector the torture harness drives.
+//! points checkpoint for `--resume` into a second persistent [`cache`]
+//! store rooted at the run id, and ultimate failures surface as a
+//! structured end-of-run report with a nonzero exit code ([`cli`]). All
+//! durable I/O — cache envelopes carrying word-lane integrity checksums,
+//! each committed by an fsynced temp-file rename — routes through the
+//! [`vfs`] storage abstraction, whose deterministic fault injector the
+//! torture harness drives.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod cache;
-pub mod checkpoint;
 pub mod cli;
 pub mod experiments;
 pub mod fuzz;
@@ -40,7 +40,6 @@ pub mod run;
 pub mod vfs;
 
 pub use cache::{bench_digest, fault_digest, sim_key, sim_key_from_digests, CacheStats, SimCache, SimKey};
-pub use checkpoint::Journal;
 pub use resilience::{FailureCause, FailureReport, PointFailure, RetryPolicy};
 pub use run::{
     run_benchmark, try_run_benchmark, try_run_benchmark_monitored, ExecCtx, RunConfig, RunResult,

@@ -110,7 +110,7 @@ pub enum FailureCause {
     /// A runtime invariant monitor check failed (see `simx::invariants`).
     Invariant,
     /// Durable storage failed underneath the harness (crash point fired,
-    /// unrecoverable cache/journal I/O — see `harness::vfs`). The point
+    /// unrecoverable cache or checkpoint I/O — see `harness::vfs`). The point
     /// fails closed rather than continuing on untrustworthy state.
     Storage,
     /// The evaluation returned an error.
@@ -177,11 +177,11 @@ pub struct FailureReport {
     pub quarantined: u64,
     /// Cache persist attempts that failed.
     pub cache_persist_failures: u64,
-    /// Checkpoint-journal appends that failed (points not resumable).
-    pub journal_append_failures: u64,
-    /// Checkpoint-journal fsyncs that failed (recent appends may not
-    /// survive a crash).
-    pub journal_fsync_failures: u64,
+    /// Checkpoint persist attempts that failed (points not resumable).
+    pub checkpoint_persist_failures: u64,
+    /// Checkpoint entries committed although their fsync failed (they
+    /// may not survive a crash).
+    pub checkpoint_fsync_failures: u64,
     /// The per-point failures.
     pub failures: Vec<PointFailure>,
 }
@@ -445,8 +445,8 @@ mod tests {
             timeouts: 1,
             quarantined: 1,
             cache_persist_failures: 0,
-            journal_append_failures: 0,
-            journal_fsync_failures: 2,
+            checkpoint_persist_failures: 0,
+            checkpoint_fsync_failures: 2,
             failures: vec![],
         };
         let line = report.summary_line();

@@ -5,6 +5,7 @@
 //! in plan order, and identical points are memoized via [`SimCache`].
 
 use std::collections::HashMap;
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -14,7 +15,6 @@ use serde::{Deserialize, Serialize};
 use simx::{Machine, MachineConfig, RunOutcome, RunStats};
 
 use crate::cache::{SimCache, SimKey};
-use crate::checkpoint::Journal;
 use crate::pool;
 use crate::resilience::{
     attempt_resilient, FailureCause, FailureReport, PointFailure, ResilienceStats, RetryPolicy,
@@ -328,7 +328,7 @@ impl SweepPlan {
 /// The execution context experiments run under: how many pool workers to
 /// use, the simulation memo shared by every plan executed through it,
 /// and the resilience machinery — retry policy, per-point watchdog,
-/// checkpoint journal, and the run's accumulated point failures.
+/// checkpoint store, and the run's accumulated point failures.
 #[derive(Debug)]
 pub struct ExecCtx {
     /// Pool width. 1 = run points in place, exactly like the historical
@@ -346,12 +346,13 @@ pub struct ExecCtx {
     /// `simx::sampling`. Sampled results key under
     /// [`SimKey::with_sampling`], so they never collide with exact ones.
     pub sampling: Option<simx::SamplingConfig>,
-    /// The checkpoint journal, when the run is resumable.
-    journal: Option<Journal>,
+    /// The checkpoint store, when the run is resumable: a second
+    /// persistent [`SimCache`] keyed like the memo (namespaced per
+    /// [`execute_in`](Self::execute_in)).
+    checkpoint: Option<SimCache>,
     /// The storage-fault injector, when one is installed (torture runs
-    /// and `--storage-faults`). Shared with the cache; the journal is
-    /// built over it via [`storage_vfs`](Self::storage_vfs). `None` means
-    /// all durable I/O goes straight through [`RealVfs`].
+    /// and `--storage-faults`). Shared by the cache and the checkpoint.
+    /// `None` means all durable I/O goes straight through [`RealVfs`].
     storage: Option<Arc<FaultyVfs>>,
     /// Ultimate point failures accumulated across this context's sweeps.
     failures: Mutex<Vec<PointFailure>>,
@@ -364,7 +365,7 @@ pub struct ExecCtx {
 
 impl ExecCtx {
     /// A context with `jobs` workers, a fresh in-memory cache, the
-    /// default retry policy, and no watchdog or journal.
+    /// default retry policy, and no watchdog or checkpoint.
     #[must_use]
     pub fn new(jobs: usize) -> Self {
         ExecCtx {
@@ -373,7 +374,7 @@ impl ExecCtx {
             policy: RetryPolicy::default(),
             point_timeout: None,
             sampling: None,
-            journal: None,
+            checkpoint: None,
             storage: None,
             failures: Mutex::new(Vec::new()),
             stashed: Mutex::new(HashMap::new()),
@@ -446,28 +447,46 @@ impl ExecCtx {
         self
     }
 
-    /// Installs a checkpoint journal (builder style).
-    #[must_use]
-    pub fn with_journal(mut self, journal: Journal) -> Self {
-        self.journal = Some(journal);
-        self
+    /// Opens the checkpoint store rooted at `root` (see
+    /// [`SimCache::checkpoint_root`]) through this context's storage
+    /// layer. `fresh` starts a new run, dropping whatever an earlier run
+    /// with the same root stored; otherwise the run resumes from it.
+    ///
+    /// # Errors
+    /// The store's directory could not be prepared. The context is left
+    /// without a checkpoint: the run still works, but is not resumable.
+    pub fn open_checkpoint(&mut self, root: &Path, fresh: bool) -> std::io::Result<()> {
+        let mut store = SimCache::persistent(root);
+        if let Some(vfs) = &self.storage {
+            store.set_vfs(Arc::clone(vfs) as Arc<dyn Vfs>);
+        }
+        store.begin_checkpoint(fresh)?;
+        self.checkpoint = Some(store);
+        Ok(())
     }
 
-    /// The installed checkpoint journal, if any.
+    /// The checkpoint store, if the run is resumable.
     #[must_use]
-    pub fn journal(&self) -> Option<&Journal> {
-        self.journal.as_ref()
+    pub fn checkpoint(&self) -> Option<&SimCache> {
+        self.checkpoint.as_ref()
     }
 
-    /// Installs a storage-fault injector (builder style): the cache's
-    /// disk I/O routes through it immediately, and journals built via
-    /// [`storage_vfs`](Self::storage_vfs) share it. Install the injector
-    /// *before* the journal so both layers see one fault schedule.
+    /// Installs a storage-fault injector (builder style): the disk I/O of
+    /// the cache and of the checkpoint, opened before or after, routes
+    /// through it.
     #[must_use]
     pub fn with_storage(mut self, vfs: Arc<FaultyVfs>) -> Self {
-        self.cache.set_vfs(Arc::clone(&vfs) as Arc<dyn Vfs>);
+        self.set_vfs(Arc::clone(&vfs) as Arc<dyn Vfs>);
         self.storage = Some(vfs);
         self
+    }
+
+    /// Routes both stores' I/O through `vfs`.
+    fn set_vfs(&mut self, vfs: Arc<dyn Vfs>) {
+        if let Some(checkpoint) = &mut self.checkpoint {
+            checkpoint.set_vfs(Arc::clone(&vfs));
+        }
+        self.cache.set_vfs(vfs);
     }
 
     /// [`with_storage`](Self::with_storage) from a fault configuration.
@@ -480,7 +499,7 @@ impl ExecCtx {
     /// (an explicit `--storage-faults off` over an env-installed one).
     #[must_use]
     pub fn without_storage(mut self) -> Self {
-        self.cache.set_vfs(Arc::new(RealVfs));
+        self.set_vfs(Arc::new(RealVfs));
         self.storage = None;
         self
     }
@@ -489,17 +508,6 @@ impl ExecCtx {
     #[must_use]
     pub fn storage(&self) -> Option<&Arc<FaultyVfs>> {
         self.storage.as_ref()
-    }
-
-    /// The storage layer journals (and any other durable consumer)
-    /// should be built over: the installed injector, or [`RealVfs`].
-    #[must_use]
-    pub fn storage_vfs(&self) -> Arc<dyn Vfs> {
-        self.storage
-            .as_ref()
-            .map_or_else(|| Arc::new(RealVfs) as Arc<dyn Vfs>, |s| {
-                Arc::clone(s) as Arc<dyn Vfs>
-            })
     }
 
     /// When the injected crash point has fired, the structured
@@ -547,7 +555,7 @@ impl ExecCtx {
             return None;
         }
         let cache = self.cache.stats();
-        let journal = self.journal.as_ref().map(Journal::stats).unwrap_or_default();
+        let checkpoint = self.checkpoint.as_ref().map(SimCache::stats).unwrap_or_default();
         Some(FailureReport {
             experiment: experiment.to_owned(),
             failed_points: failures.len(),
@@ -556,8 +564,8 @@ impl ExecCtx {
             timeouts: self.rstats.timeouts(),
             quarantined: cache.quarantined,
             cache_persist_failures: cache.persist_failures,
-            journal_append_failures: journal.append_failures,
-            journal_fsync_failures: journal.fsync_failures,
+            checkpoint_persist_failures: checkpoint.persist_failures,
+            checkpoint_fsync_failures: checkpoint.fsync_failures,
             failures,
         })
     }
@@ -565,7 +573,7 @@ impl ExecCtx {
     /// Executes every point of `plan` — memoized, on up to
     /// [`jobs`](ExecCtx::jobs) workers — and returns the summaries in plan
     /// order. The output is a pure function of the plan: neither the
-    /// worker count, the cache temperature, nor a journal resume can
+    /// worker count, the cache temperature, nor a checkpoint resume can
     /// change it.
     ///
     /// # Errors
@@ -581,15 +589,15 @@ impl ExecCtx {
         self.execute_in(None, plan)
     }
 
-    /// [`execute`](Self::execute) with a checkpoint-journal namespace.
+    /// [`execute`](Self::execute) with a checkpoint namespace.
     ///
     /// Fleet sweeps run the same characterization point for many shards.
     /// The memo cache *should* share those (the simulation is one pure
-    /// function), but the journal must not: shard-labelled rows replayed
-    /// across shards would let `--resume` complete shard B from shard A's
-    /// journal rows even if B never ran. Namespacing the journal key by
-    /// shard keeps every shard's resume state independent while cache
-    /// sharing stays fleet-wide.
+    /// function), but the checkpoint must not: shard-labelled rows
+    /// replayed across shards would let `--resume` complete shard B from
+    /// shard A's entries even if B never ran. Namespacing the checkpoint
+    /// key by shard keeps every shard's resume state independent while
+    /// cache sharing stays fleet-wide.
     ///
     /// # Errors
     /// As [`execute`](Self::execute).
@@ -604,7 +612,7 @@ impl ExecCtx {
     /// [`execute`](Self::execute) with an explicit sampling setting,
     /// overriding this context's [`sampling`](ExecCtx::sampling) field.
     /// The sampled-vs-exact validation experiment uses this to run both
-    /// tiers of the same plan through one shared cache and journal
+    /// tiers of the same plan through one shared cache and checkpoint
     /// (sampled keys never collide with exact ones, so the arms coexist).
     ///
     /// # Errors
@@ -652,8 +660,8 @@ impl ExecCtx {
         self.execute_outcomes_in(None, plan)
     }
 
-    /// The per-point form of [`execute_in`](Self::execute_in): journal
-    /// lookups and records use the namespaced key, the memo cache the raw
+    /// The per-point form of [`execute_in`](Self::execute_in): checkpoint
+    /// loads and stores use the namespaced key, the memo cache the raw
     /// one.
     pub fn execute_outcomes_in(
         &self,
@@ -711,7 +719,7 @@ impl ExecCtx {
                 (*point, key, (bd, md))
             })
             .collect();
-        let outcomes = pool::map(keyed, self.jobs, |(point, key, (bd, md))| {
+        pool::map(keyed, self.jobs, |(point, key, (bd, md))| {
             // A fired crash point means the simulated machine lost power:
             // remaining points fail closed instead of simulating against
             // storage that no longer accepts writes.
@@ -726,15 +734,15 @@ impl ExecCtx {
                     detail: "simulated power loss: storage crashed; abandoning the sweep".into(),
                 });
             }
-            let journal_key = namespace.map_or(key, |ns| key.in_namespace(ns));
+            let checkpoint_key = namespace.map_or(key, |ns| key.in_namespace(ns));
             let t0 = std::time::Instant::now();
-            // Journal replay first: a resumed run serves completed points
-            // without touching the simulator or the cache statistics.
-            if let Some(journal) = &self.journal {
-                if let Some(summary) = journal.lookup(journal_key) {
+            // Checkpoint replay first: a resumed run serves completed
+            // points without touching the simulator or the cache statistics.
+            if let Some(checkpoint) = &self.checkpoint {
+                if let Some(summary) = checkpoint.load(checkpoint_key) {
                     self.cache.seed(key, &summary);
                     if tracing {
-                        eprintln!("  {}: replayed from checkpoint journal", key.hex());
+                        eprintln!("  {}: replayed from checkpoint", key.hex());
                     }
                     return Ok(summary);
                 }
@@ -794,8 +802,8 @@ impl ExecCtx {
             }
             match out {
                 Ok(summary) => {
-                    if let Some(journal) = &self.journal {
-                        journal.record(journal_key, &summary);
+                    if let Some(checkpoint) = &self.checkpoint {
+                        checkpoint.store(checkpoint_key, &summary);
                     }
                     Ok(summary)
                 }
@@ -821,11 +829,7 @@ impl ExecCtx {
                     Err(failure)
                 }
             }
-        });
-        if let Some(journal) = &self.journal {
-            journal.flush();
-        }
-        outcomes
+        })
     }
 
     /// Computes one sampled point: simulate the probe and measure prefix
@@ -986,7 +990,7 @@ impl ExecCtx {
     /// structurally complete-or-failed: every item runs, ultimate
     /// failures are recorded on the context, and any failure turns the
     /// whole sweep into `SweepIncomplete` — after the surviving items
-    /// finished, so their simulations are cached/journaled for a retry.
+    /// finished, so their simulations are cached/checkpointed for a retry.
     pub fn collect_resilient<T, R, F>(
         &self,
         items: Vec<(String, T)>,

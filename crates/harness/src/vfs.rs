@@ -1,8 +1,9 @@
 //! Storage abstraction with deterministic fault injection.
 //!
-//! The durable layers of the harness — the on-disk simulation cache
-//! ([`crate::cache`]) and the checkpoint journal ([`crate::checkpoint`])
-//! — route every filesystem operation through the [`Vfs`] trait.
+//! The durable layer of the harness — the simulation cache
+//! ([`crate::cache`]), persisted as the memo cache and as a run's
+//! checkpoint — routes every filesystem operation through the [`Vfs`]
+//! trait, and commits every entry with [`write_atomic`].
 //! [`RealVfs`] is the zero-cost passthrough default. [`FaultyVfs`] is a
 //! seeded deterministic injector in the spirit of `simx::faults`: each
 //! fault class draws from its own [`SplitMix64`] stream, so enabling one
@@ -12,8 +13,8 @@
 //!
 //! Fault classes:
 //!
-//! * **Torn writes** — a write or append persists a random prefix of its
-//!   bytes, then fails. Models a crash or I/O error mid-`write(2)`.
+//! * **Torn writes** — a write persists a random prefix of its bytes,
+//!   then fails. Models a crash or I/O error mid-`write(2)`.
 //! * **Dropped fsyncs** — `fsync` returns `Ok` without making anything
 //!   durable. The silent failure mode of consumer drives and some
 //!   virtualized block devices; only observable through the crash-point
@@ -23,11 +24,10 @@
 //!   commit point.
 //! * **ENOSPC windows** — a triggered "disk full" persists for a few
 //!   subsequent operations (real disks do not un-fill between two
-//!   writes), failing writes and appends inside the window.
+//!   writes), failing writes inside the window.
 //! * **Read corruption** — a read succeeds but one drawn bit of the
 //!   returned buffer is flipped. Models bit rot and bus corruption; the
-//!   checksum framing on envelopes and journal records must catch every
-//!   such flip.
+//!   checksum framing on envelopes must catch every such flip.
 //! * **Crash point** — after the Nth VFS operation the injector
 //!   simulates power loss: every file with writes not yet covered by a
 //!   successful `fsync` (or committed by `rename`) is truncated to a
@@ -45,7 +45,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -58,16 +58,14 @@ use simx::faults::SplitMix64;
 /// `depburst_core::stablehash::checksum64`, not with this.
 pub use depburst_core::stablehash::fnv1a64;
 
-/// The filesystem surface the durable layers consume. Small on purpose:
-/// everything the cache and journal do decomposes into these nine
-/// operations, and every one of them is a place storage can lie.
+/// The filesystem surface the durable layer consumes. Small on purpose:
+/// everything the cache does decomposes into these eight operations, and
+/// every one of them is a place storage can lie.
 pub trait Vfs: Send + Sync + fmt::Debug {
     /// Reads a whole file.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
     /// Creates or truncates `path` with `bytes`.
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
-    /// Appends `bytes` to `path`, creating it if absent.
-    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
     /// Syncs `path`'s data to stable storage.
     fn fsync(&self, path: &Path) -> io::Result<()>;
     /// Renames `from` to `to` (the commit point of atomic writes).
@@ -96,14 +94,6 @@ impl Vfs for RealVfs {
 
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         std::fs::write(path, bytes)
-    }
-
-    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(path)?
-            .write_all(bytes)
     }
 
     fn fsync(&self, path: &Path) -> io::Result<()> {
@@ -136,20 +126,30 @@ impl Vfs for RealVfs {
 /// process; the pid alone distinguishes processes.
 static ATOMIC_WRITE_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Writes via a unique temp file + rename so concurrent writers of the
-/// same path (or an interrupted run) never leave a torn file behind. The
-/// temp name carries the pid *and* a per-process counter: two threads
-/// persisting the same key at once each get their own temp file instead
-/// of racing on one (the loser of the rename simply commits second,
-/// which is fine — both wrote identical content-addressed bytes).
-pub fn write_atomic(vfs: &dyn Vfs, path: &Path, bytes: &[u8]) -> io::Result<()> {
+/// The durable atomic write: a unique temp file, fsynced, then renamed
+/// over `path`, so concurrent writers of the same path (or an
+/// interrupted run) never leave a torn file behind. The temp name
+/// carries the pid *and* a per-process counter: two threads persisting
+/// the same key at once each get their own temp file instead of racing
+/// on one (the loser of the rename simply commits second, which is fine
+/// — both wrote identical content-addressed bytes).
+///
+/// A failed fsync does not stop the commit: `Ok(Some(err))` means the
+/// bytes are in place but may not survive a crash. Callers checksum what
+/// they write, so a lost entry is at worst recomputed.
+///
+/// # Errors
+/// The write or the rename failed; nothing was committed.
+pub fn write_atomic(vfs: &dyn Vfs, path: &Path, bytes: &[u8]) -> io::Result<Option<io::Error>> {
     let seq = ATOMIC_WRITE_SEQ.fetch_add(1, Ordering::Relaxed);
     let tmp = path.with_extension(format!("tmp.{}.{seq}", std::process::id()));
     vfs.write(&tmp, bytes)?;
+    let synced = vfs.fsync(&tmp);
     vfs.rename(&tmp, path).inspect_err(|_| {
         // Don't leave the orphaned temp file shadowing the directory.
         let _ = vfs.remove(&tmp);
-    })
+    })?;
+    Ok(synced.err())
 }
 
 /// The configuration of a [`FaultyVfs`]: per-class intensities in
@@ -158,13 +158,13 @@ pub fn write_atomic(vfs: &dyn Vfs, path: &Path, bytes: &[u8]) -> io::Result<()> 
 pub struct StorageFaultConfig {
     /// Master seed; each class derives its own stream from it.
     pub seed: u64,
-    /// Probability a write/append persists only a drawn prefix.
+    /// Probability a write persists only a drawn prefix.
     pub torn_write: f64,
     /// Probability an fsync silently does nothing.
     pub dropped_fsync: f64,
     /// Probability a rename fails at the commit point.
     pub rename_fail: f64,
-    /// Probability a write/append opens an ENOSPC window.
+    /// Probability a write opens an ENOSPC window.
     pub enospc: f64,
     /// Probability a read comes back with one bit flipped.
     pub read_corrupt: f64,
@@ -287,13 +287,13 @@ pub fn parse_storage_faults(spec: &str) -> Result<Option<StorageFaultConfig>, St
 pub struct StorageFaultStats {
     /// VFS operations issued.
     pub ops: u64,
-    /// Writes/appends that persisted only a prefix.
+    /// Writes that persisted only a prefix.
     pub torn_writes: u64,
     /// Fsyncs that silently did nothing.
     pub dropped_fsyncs: u64,
     /// Renames failed at the commit point.
     pub rename_failures: u64,
-    /// Writes/appends failed inside an ENOSPC window.
+    /// Writes failed inside an ENOSPC window.
     pub enospc_failures: u64,
     /// Reads returned with a flipped bit.
     pub corrupted_reads: u64,
@@ -561,26 +561,6 @@ impl Vfs for FaultyVfs {
         Ok(())
     }
 
-    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let index = self.tick()?;
-        let mut st = self.state.lock().expect("fault state lock");
-        self.enospc_gate(&mut st, index)?;
-        let torn = self.torn_gate(&mut st, bytes.len());
-        let payload = torn.map_or(bytes, |prefix| &bytes[..prefix]);
-        let appended = OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(path)
-            .and_then(|mut f| f.write_all(payload));
-        if appended.is_ok() {
-            FaultyVfs::entry(&mut st, path).len += payload.len() as u64;
-        }
-        match torn {
-            Some(_) => Err(torn_error()),
-            None => appended,
-        }
-    }
-
     fn fsync(&self, path: &Path) -> io::Result<()> {
         self.tick()?;
         let mut st = self.state.lock().expect("fault state lock");
@@ -649,8 +629,7 @@ mod tests {
         let dir = scratch("real");
         let vfs = RealVfs;
         let a = dir.join("a.txt");
-        vfs.write(&a, b"hello").expect("write");
-        vfs.append(&a, b" world").expect("append");
+        vfs.write(&a, b"hello world").expect("write");
         vfs.fsync(&a).expect("fsync");
         assert_eq!(vfs.read(&a).expect("read"), b"hello world");
         let b = dir.join("b.txt");
@@ -668,8 +647,8 @@ mod tests {
         let vfs = FaultyVfs::new(StorageFaultConfig::none(7));
         let path = dir.join("x.json");
         vfs.write(&path, b"payload").expect("write");
-        vfs.append(&path, b"+tail").expect("append");
         vfs.fsync(&path).expect("fsync");
+        vfs.write(&path, b"payload+tail").expect("rewrite");
         assert_eq!(vfs.read(&path).expect("read"), b"payload+tail");
         assert_eq!(vfs.op_count(), 4);
         assert!(!vfs.crashed());
@@ -717,24 +696,26 @@ mod tests {
     #[test]
     fn crash_point_truncates_unsynced_tail_and_kills_the_vfs() {
         let dir = scratch("crash");
-        let path = dir.join("journal.jsonl");
-        // Ops: 1 write, 2 fsync, 3 append, 4 append, 5 append → crash.
+        let synced = dir.join("synced.json");
+        let unsynced = dir.join("unsynced.json");
+        // Ops: 1 write, 2 fsync, 3 write, 4 fsync, 5 write → crash.
         let vfs = FaultyVfs::new(StorageFaultConfig::crash_at(4, 42));
-        vfs.write(&path, b"AAAA\n").expect("write");
-        vfs.fsync(&path).expect("fsync");
-        vfs.append(&path, b"BBBB\n").expect("append");
-        vfs.append(&path, b"CCCC\n").expect("append");
-        let err = vfs.append(&path, b"DDDD\n").expect_err("crash point");
+        vfs.write(&synced, b"AAAA\n").expect("write");
+        vfs.fsync(&synced).expect("fsync");
+        vfs.write(&unsynced, b"BBBBBBBBBB").expect("write");
+        vfs.fsync(&synced).expect("fsync of the other file");
+        let err = vfs.write(&dir.join("late"), b"DDDD\n").expect_err("crash point");
         assert!(err.to_string().contains("power loss"), "{err}");
         assert!(vfs.crashed());
         // Everything after it fails fast, even reads.
-        assert!(vfs.read(&path).is_err());
+        assert!(vfs.read(&synced).is_err());
         assert!(vfs.write(&dir.join("other"), b"x").is_err());
-        // The synced prefix survived; some drawn amount of the unsynced
-        // tail (10 bytes) was lost.
-        let on_disk = std::fs::read(&path).expect("file still on real disk");
-        assert!(on_disk.starts_with(b"AAAA\n"), "synced prefix survives");
-        assert!(on_disk.len() >= 5 && on_disk.len() <= 15, "tail truncated: {on_disk:?}");
+        // The synced file survived whole; a drawn part of the unsynced
+        // one (10 bytes) was lost.
+        assert_eq!(std::fs::read(&synced).expect("on real disk"), b"AAAA\n");
+        let on_disk = std::fs::read(&unsynced).expect("file still on real disk");
+        assert!(on_disk.len() < 10, "tail truncated: {on_disk:?}");
+        assert!(!dir.join("late").exists(), "the crashing op did nothing");
         assert!(vfs.stats().crashed);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -854,6 +835,7 @@ mod tests {
             ..StorageFaultConfig::none(1)
         });
         assert!(write_atomic(&vfs, &path, b"payload").is_err());
+        assert_eq!(vfs.op_count(), 4, "write, fsync, rename, remove");
         assert!(!path.exists());
         assert!(RealVfs.list(&dir).expect("list").is_empty(), "tmp removed");
         let _ = std::fs::remove_dir_all(&dir);
@@ -884,8 +866,8 @@ mod tests {
 
     #[test]
     fn injector_is_shareable_across_threads() {
-        // The executor hands Arc<FaultyVfs> to cache + journal on pool
-        // workers; the injector must be Sync.
+        // The executor hands Arc<FaultyVfs> to the cache and the
+        // checkpoint on pool workers; the injector must be Sync.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<FaultyVfs>();
         assert_send_sync::<Arc<dyn Vfs>>();

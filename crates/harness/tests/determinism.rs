@@ -5,15 +5,52 @@
 //!
 //! One test shares the simulated points across all four comparisons so
 //! the suite simulates each (benchmark, frequency) point at most twice.
-//! A second test interrupts a checkpoint journal mid-write (truncating
-//! it to a torn final line, as a crash or SIGINT would) and proves the
-//! resumed run is byte-identical too.
+//! Two more interrupt a finished checkpoint the way a crash or SIGINT
+//! would (half its entries never written, one torn mid-write) and prove
+//! the resumed run is byte-identical too.
+
+use std::path::{Path, PathBuf};
 
 use harness::experiments::fig1;
-use harness::{ExecCtx, Journal, SimCache};
+use harness::{ExecCtx, SimCache};
 
 const SCALE: f64 = 0.01;
 const SEEDS: [u64; 1] = [1];
+
+/// The envelopes a checkpoint rooted at `root` holds, sorted.
+fn checkpoint_entries(root: &Path) -> Vec<PathBuf> {
+    let schema_dir = root.join(format!("v{}", harness::cache::SCHEMA_VERSION));
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(schema_dir)
+        .expect("checkpoint written")
+        .map(|e| e.expect("readable entry").path())
+        .collect();
+    entries.sort();
+    entries
+}
+
+/// Interrupts the finished checkpoint at `root` as a crash would: the
+/// second half of its entries are deleted (never written) and the first
+/// survivor is truncated mid-write. Returns how many intact entries
+/// remain.
+fn interrupt(root: &Path) -> u64 {
+    let entries = checkpoint_entries(root);
+    assert!(entries.len() >= 4, "need enough entries to interrupt");
+    let half = entries.len() / 2;
+    for lost in &entries[half..] {
+        std::fs::remove_file(lost).expect("delete entry");
+    }
+    let bytes = std::fs::read(&entries[0]).expect("read entry");
+    std::fs::write(&entries[0], &bytes[..bytes.len() / 2]).expect("truncate entry");
+    (half - 1) as u64
+}
+
+/// A context with `jobs` workers and the checkpoint at `root` open,
+/// fresh or resumed.
+fn checkpointed(jobs: usize, root: &Path, fresh: bool) -> ExecCtx {
+    let mut ctx = ExecCtx::new(jobs);
+    ctx.open_checkpoint(root, fresh).expect("checkpoint opens");
+    ctx
+}
 
 fn fig1_report(ctx: &ExecCtx) -> String {
     let (rows, cells) = fig1::run_with(ctx, SCALE, &SEEDS).expect("fig1 succeeds");
@@ -122,48 +159,37 @@ fn sampled_runs_are_byte_identical_across_jobs_and_cache_states() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A sampled sweep interrupted mid-journal must resume byte-identically,
-/// exactly like the exact tier: surviving sampled envelopes replay, the
-/// lost tail re-runs its probe/measure sub-runs and re-extrapolates.
+/// A sampled sweep interrupted mid-checkpoint must resume
+/// byte-identically, exactly like the exact tier: surviving sampled
+/// envelopes replay, the lost ones re-run their probe/measure sub-runs
+/// and re-extrapolate.
 #[test]
 fn sampled_interrupted_journal_resumes_byte_identical() {
     let dir = std::env::temp_dir().join(format!("depburst-sampled-resume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let journal_path = dir.join("run.jsonl");
+    let root = dir.join("run");
     let cfg = Some(simx::SamplingConfig::default());
 
     let baseline = fig1_report(&ExecCtx::sequential().with_sampling(cfg));
 
     {
-        let ctx = ExecCtx::new(4)
-            .with_journal(Journal::create_at(&journal_path).expect("create journal"))
-            .with_sampling(cfg);
+        let ctx = checkpointed(4, &root, true).with_sampling(cfg);
         let full = fig1_report(&ctx);
-        assert_eq!(baseline, full, "journaled sampled run changed the bytes");
+        assert_eq!(baseline, full, "checkpointed sampled run changed the bytes");
         assert!(
-            ctx.journal().expect("journal attached").appends() > 2,
-            "journal must record the sampled points"
+            checkpoint_entries(&root).len() > 2,
+            "the checkpoint must record the sampled points"
         );
     }
 
-    // Tear the journal mid-line, as a crash would.
-    let text = std::fs::read_to_string(&journal_path).expect("journal readable");
-    let lines: Vec<&str> = text.lines().collect();
-    assert!(lines.len() >= 4, "need enough records to interrupt");
-    let half = lines.len() / 2;
-    let mut torn = lines[..half].join("\n");
-    torn.push('\n');
-    torn.push_str(&lines[half][..lines[half].len() / 2]);
-    std::fs::write(&journal_path, &torn).expect("truncate journal");
+    let intact = interrupt(&root);
 
-    let ctx = ExecCtx::new(2)
-        .with_journal(Journal::resume_at(&journal_path).expect("resume journal"))
-        .with_sampling(cfg);
+    let ctx = checkpointed(2, &root, false).with_sampling(cfg);
     let resumed = fig1_report(&ctx);
     assert_eq!(baseline, resumed, "resumed sampled run differs from baseline");
-    let journal = ctx.journal().expect("journal attached");
-    assert!(journal.replays() > 0, "resume must replay sampled records");
-    assert_eq!(journal.loaded(), half, "torn final line must be dropped");
+    let stats = ctx.checkpoint().expect("checkpoint attached").stats();
+    assert_eq!(stats.disk_hits, intact, "every intact sampled entry must replay");
+    assert_eq!(stats.quarantined, 1, "the torn entry must be rejected");
     assert!(
         ctx.cache.stats().misses > 0,
         "lost sampled tail must be recomputed"
@@ -200,46 +226,35 @@ fn invariant_monitor_mode_never_changes_the_physics() {
 fn interrupted_journal_resumes_byte_identical() {
     let dir = std::env::temp_dir().join(format!("depburst-resume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let journal_path = dir.join("run.jsonl");
+    let root = dir.join("run");
 
-    // The uninterrupted reference run (no journal, no cache dir).
+    // The uninterrupted reference run (no checkpoint, no cache dir).
     let baseline = fig1_report(&ExecCtx::sequential());
 
-    // A full journaled run: every cacheable point lands in the journal.
+    // A full checkpointed run: every cacheable point lands in the store.
     let full_misses = {
-        let ctx = ExecCtx::new(4)
-            .with_journal(Journal::create_at(&journal_path).expect("create journal"));
+        let ctx = checkpointed(4, &root, true);
         let full = fig1_report(&ctx);
-        assert_eq!(baseline, full, "journaled run changed the report bytes");
+        assert_eq!(baseline, full, "checkpointed run changed the report bytes");
         assert!(
-            ctx.journal().expect("journal attached").appends() > 2,
-            "journal must record the sweep's points"
+            checkpoint_entries(&root).len() > 2,
+            "the checkpoint must record the sweep's points"
         );
         ctx.cache.stats().misses
     };
 
-    // Interrupt: keep the first half of the journal and tear the next
-    // line in half with no trailing newline — exactly what a crash
-    // mid-append leaves behind.
-    let text = std::fs::read_to_string(&journal_path).expect("journal readable");
-    let lines: Vec<&str> = text.lines().collect();
-    assert!(lines.len() >= 4, "need enough records to interrupt");
-    let half = lines.len() / 2;
-    let mut torn = lines[..half].join("\n");
-    torn.push('\n');
-    torn.push_str(&lines[half][..lines[half].len() / 2]);
-    std::fs::write(&journal_path, &torn).expect("truncate journal");
+    // Interrupt: half the entries lost, one torn mid-write.
+    let intact = interrupt(&root);
 
-    // Resume: the surviving records replay (zero cache misses for them),
-    // the lost tail recomputes, and the bytes match exactly.
+    // Resume: the intact entries replay (zero cache misses for them),
+    // the lost and torn ones recompute, and the bytes match exactly.
     let resumed_misses = {
-        let ctx = ExecCtx::new(2)
-            .with_journal(Journal::resume_at(&journal_path).expect("resume journal"));
+        let ctx = checkpointed(2, &root, false);
         let resumed = fig1_report(&ctx);
         assert_eq!(baseline, resumed, "resumed run differs from baseline");
-        let journal = ctx.journal().expect("journal attached");
-        assert!(journal.replays() > 0, "resume must replay journal records");
-        assert_eq!(journal.loaded(), half, "torn final line must be dropped");
+        let stats = ctx.checkpoint().expect("checkpoint attached").stats();
+        assert_eq!(stats.disk_hits, intact, "every intact entry must replay");
+        assert_eq!(stats.quarantined, 1, "the torn entry must be rejected");
         ctx.cache.stats().misses
     };
     assert!(resumed_misses > 0, "lost tail must be recomputed");
@@ -248,16 +263,15 @@ fn interrupted_journal_resumes_byte_identical() {
         "replayed records must not be recomputed ({resumed_misses} vs {full_misses})"
     );
 
-    // The resumed run healed the torn tail and re-appended the lost
-    // records, so a third pass replays everything: zero simulations.
-    let ctx = ExecCtx::new(2)
-        .with_journal(Journal::resume_at(&journal_path).expect("resume healed journal"));
+    // The resumed run re-stored the lost and torn entries, so a third
+    // pass replays everything: zero simulations.
+    let ctx = checkpointed(2, &root, false);
     let third = fig1_report(&ctx);
-    assert_eq!(baseline, third, "healed-journal run differs from baseline");
+    assert_eq!(baseline, third, "healed-checkpoint run differs from baseline");
     assert_eq!(
         ctx.cache.stats().misses,
         0,
-        "a healed journal must satisfy every cacheable point"
+        "a healed checkpoint must satisfy every cacheable point"
     );
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -8,7 +8,7 @@ use dvfs_trace::Freq;
 use energyx::{DegradationConfig, DegradationLadder};
 use harness::experiments::fleet::{self, machine_ladder, FleetConfig};
 use harness::run::{ExecCtx, SimPoint, SweepPlan};
-use harness::{sim_key, Journal, SimKey};
+use harness::{sim_key, SimCache, SimKey};
 use proptest::prelude::*;
 use simx::fleet::ChaosConfig;
 use simx::{MachineConfig, ThermalConfig};
@@ -111,42 +111,39 @@ fn shard_namespaces_keep_journal_entries_apart() {
     assert_ne!(key.in_namespace("shard0"), key);
 
     let dir = std::env::temp_dir().join(format!("depburst-fleet-ns-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    let path = dir.join("ns.jsonl");
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 
     let mut plan = SweepPlan::new();
     plan.push(SimPoint::new(bench, Freq::from_ghz(1.0), 0.02, SEED));
-    let ctx = ExecCtx::sequential().with_journal(Journal::create_at(&path).expect("create"));
+    let mut ctx = ExecCtx::sequential();
+    ctx.open_checkpoint(&dir, true).expect("open checkpoint");
     ctx.execute_in(Some("shard0"), &plan).expect("shard0 run");
 
-    let resumed = Journal::resume_at(&path).expect("resume");
+    let resumed = SimCache::persistent(&dir);
     assert!(
-        resumed.lookup(key.in_namespace("shard0")).is_some(),
+        resumed.load(key.in_namespace("shard0")).is_some(),
         "shard0's own entry must replay"
     );
     assert!(
-        resumed.lookup(key.in_namespace("shard1")).is_none(),
+        resumed.load(key.in_namespace("shard1")).is_none(),
         "shard0's entry must not replay into shard1"
     );
     assert!(
-        resumed.lookup(key).is_none(),
-        "a namespaced record must not satisfy an un-namespaced lookup"
+        resumed.load(key).is_none(),
+        "a namespaced entry must not satisfy an un-namespaced lookup"
     );
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn interrupted_fleet_run_resumes_byte_identically() {
     let dir = std::env::temp_dir().join(format!("depburst-fleet-resume-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    let path = dir.join("fleet.jsonl");
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 
     let config = tiny_config(4, 2, 0.5, 9);
     let reference = report_json(&ExecCtx::new(2), &config);
 
-    // "Interrupt": journal only shard 0's characterization, as if the
+    // "Interrupt": checkpoint only shard 0's characterization, as if the
     // run died mid-sweep after one shard's points completed.
     {
         let bench_pool = &config.benches;
@@ -157,18 +154,21 @@ fn interrupted_fleet_run_resumes_byte_identically() {
                 plan.push(SimPoint::new(bench, Freq::from_ghz(ghz), config.scale, config.seed));
             }
         }
-        let ctx = ExecCtx::sequential().with_journal(Journal::create_at(&path).expect("create"));
+        let mut ctx = ExecCtx::sequential();
+        ctx.open_checkpoint(&dir, true).expect("open checkpoint");
         ctx.execute_in(Some("shard0"), &plan).expect("partial run");
     }
 
-    // Resume: a fresh context (cold cache) with the torn journal must
-    // replay shard 0, re-simulate the rest, and produce the reference
-    // bytes.
-    let resumed_ctx =
-        ExecCtx::new(2).with_journal(Journal::resume_at(&path).expect("resume"));
+    // Resume: a fresh context (cold cache) with the partial checkpoint
+    // must replay shard 0, re-simulate the rest, and produce the
+    // reference bytes.
+    let mut resumed_ctx = ExecCtx::new(2);
+    resumed_ctx.open_checkpoint(&dir, false).expect("resume checkpoint");
     let resumed = report_json(&resumed_ctx, &config);
     assert_eq!(reference, resumed, "resumed fleet diverged");
-    let _ = std::fs::remove_file(&path);
+    let stats = resumed_ctx.checkpoint().expect("checkpoint attached").stats();
+    assert!(stats.disk_hits > 0, "shard 0's points must replay");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {

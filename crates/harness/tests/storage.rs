@@ -5,8 +5,8 @@
 use std::sync::{Arc, Barrier};
 
 use harness::{
-    ExecCtx, FailureCause, FaultyVfs, Journal, RetryPolicy, RunConfig, SimCache, SimKey,
-    SimPoint, StorageFaultConfig, SweepPlan,
+    ExecCtx, FailureCause, FaultyVfs, RetryPolicy, RunConfig, SimCache, SimKey, SimPoint,
+    StorageFaultConfig, SweepPlan,
 };
 
 const SCALE: f64 = 0.01;
@@ -127,7 +127,7 @@ fn crash_interrupted_sweep_fails_closed_then_resumes_byte_identical() {
     let dir = std::env::temp_dir().join(format!("depburst-storage-crash-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cache_dir = dir.join("cache");
-    let journal_path = dir.join("run.jsonl");
+    let checkpoint_root = dir.join("checkpoint");
 
     let mut plan = SweepPlan::new();
     for name in ["lusearch", "sunflow"] {
@@ -143,17 +143,17 @@ fn crash_interrupted_sweep_fails_closed_then_resumes_byte_identical() {
         .map(|s| serde_json::to_string(&**s).expect("serializes"))
         .collect();
 
-    // Crash after the first point's envelope commit (ops: journal
-    // create_dir_all + write, then read-miss + create_dir_all + write +
-    // rename for the first envelope = 6) — the first journal append is
-    // the op that dies.
-    let faulty = Arc::new(FaultyVfs::new(StorageFaultConfig::crash_at(6, 99)));
-    let ctx = ExecCtx::new(1)
+    // Crash after the first point's cache envelope commit. Ops: the
+    // checkpoint's create_dir_all (1); for the first point the
+    // checkpoint's read-miss (2), the cache's read-miss (3), then the
+    // cache envelope's create_dir_all, write, fsync and rename (4-7).
+    // The checkpoint's own store of that point is the op that dies.
+    let faulty = Arc::new(FaultyVfs::new(StorageFaultConfig::crash_at(7, 99)));
+    let mut ctx = ExecCtx::new(1)
         .with_policy(RetryPolicy::none())
         .with_cache(SimCache::persistent(&cache_dir))
         .with_storage(Arc::clone(&faulty));
-    let journal = Journal::create_at_with(&journal_path, ctx.storage_vfs()).expect("journal");
-    let ctx = ctx.with_journal(journal);
+    ctx.open_checkpoint(&checkpoint_root, true).expect("checkpoint");
     let crashed = ctx.execute(&plan);
     assert!(crashed.is_err(), "a crashed sweep must not return results");
     assert!(faulty.crashed());
@@ -164,10 +164,17 @@ fn crash_interrupted_sweep_fails_closed_then_resumes_byte_identical() {
         "every post-crash failure must be structured as Storage: {failures:?}"
     );
 
+    assert_eq!(
+        ctx.checkpoint().expect("checkpoint attached").stats().persist_failures,
+        1,
+        "the checkpoint store of the first point died at the crash"
+    );
+
     // "Reboot": plain filesystem over whatever survived the power loss.
-    let resumed_ctx = ExecCtx::new(1)
-        .with_cache(SimCache::persistent(&cache_dir))
-        .with_journal(Journal::resume_at(&journal_path).expect("resume journal"));
+    let mut resumed_ctx = ExecCtx::new(1).with_cache(SimCache::persistent(&cache_dir));
+    resumed_ctx
+        .open_checkpoint(&checkpoint_root, false)
+        .expect("resume checkpoint");
     let resumed: Vec<String> = resumed_ctx
         .execute(&plan)
         .expect("resumed sweep completes")

@@ -127,8 +127,8 @@ step "bench smoke + throughput floor (>= ${DEPBURST_BENCH_REGRESSION_PCT:-25}% o
 
 # Resilience gates: the failure paths must be structured — a dead point
 # yields a failure report and exit code 2, never a crashed sweep — and
-# an interrupted run must resume byte-identically from its checkpoint
-# journal. (FailureCause serializes by variant name: "Panic"/"Timeout".)
+# an interrupted run must resume byte-identically from its checkpoint.
+# (FailureCause serializes by variant name: "Panic"/"Timeout".)
 
 # A certain panic-point cell per benchmark: every other cell completes,
 # the dead cells land in results/faults_failures.json, and the process
@@ -170,30 +170,47 @@ resilience_watchdog() {
 }
 step "resilience: point watchdog" resilience_watchdog
 
-# SIGINT a journaled fig3 sweep mid-run, resume it, and require the
-# resumed stdout to be byte-identical to an uninterrupted run's.
+# SIGINT a checkpointed fig3 sweep mid-run, resume it, and require the
+# resumed stdout to be byte-identical to an uninterrupted run's. Bytes
+# alone would pass a resume that re-simulated everything, so both runs
+# trace their points: the resume must log at least one "replayed from
+# checkpoint" line and fewer simulated misses than the reference.
 resilience_resume() {
     local id="ci-resume-$$"
-    local journal="results/checkpoints/${id}.jsonl"
+    local checkpoint="results/checkpoints/${id}"
     local out=/tmp/depburst-ci
-    rm -f "$journal" "$out".*.out
+    rm -rf "$checkpoint" "$out".*.out "$out".*.log
     "$BIN/fig3" both 0.3 1 --jobs 2 --run-id "$id" \
         > "$out.interrupted.out" 2> /dev/null &
     local pid=$!
     sleep 3
     kill -INT "$pid" 2> /dev/null || true
     wait "$pid" || true
-    if [ ! -s "$journal" ]; then
-        echo "interrupted run left no checkpoint journal at $journal"
+    if ! ls "$checkpoint"/v*/*.json > /dev/null 2>&1; then
+        echo "interrupted run left no checkpoint entries under $checkpoint/"
         return 1
     fi
-    "$BIN/fig3" both 0.3 1 --jobs 2 --resume "$id" > "$out.resumed.out"
-    "$BIN/fig3" both 0.3 1 --jobs 2 > "$out.reference.out"
+    DEPBURST_TRACE_POINTS=1 "$BIN/fig3" both 0.3 1 --jobs 2 --resume "$id" \
+        > "$out.resumed.out" 2> "$out.resumed.log"
+    DEPBURST_TRACE_POINTS=1 "$BIN/fig3" both 0.3 1 --jobs 2 \
+        > "$out.reference.out" 2> "$out.reference.log"
     cmp "$out.resumed.out" "$out.reference.out" || {
         echo "resumed run is not byte-identical to an uninterrupted one"
         return 1
     }
-    rm -f "$journal" "$out".*.out
+    grep -q "replayed from checkpoint" "$out.resumed.log" || {
+        echo "the resumed run replayed no point from its checkpoint"
+        return 1
+    }
+    local resumed_misses reference_misses
+    resumed_misses=$(grep -c ": miss" "$out.resumed.log" || true)
+    reference_misses=$(grep -c ": miss" "$out.reference.log" || true)
+    if [ "$resumed_misses" -ge "$reference_misses" ]; then
+        echo "the resumed run simulated $resumed_misses points, the uninterrupted one" \
+             "$reference_misses: nothing was replayed"
+        return 1
+    fi
+    rm -rf "$checkpoint" "$out".*.out "$out".*.log
 }
 step "resilience: interrupt + resume" resilience_resume
 
@@ -326,7 +343,7 @@ step "many-slices gate: 16-region fleet determinism" many_slices_gate
 #
 #   target/release/torture
 #
-# after touching the vfs, cache, or checkpoint layers.
+# after touching the vfs or cache layers.
 torture_gate() {
     local json=/tmp/depburst-ci-torture.json
     local rc=0
@@ -353,7 +370,7 @@ step "durability: torture smoke + bit-flip sabotage" torture_gate
 
 # Fault-soaked runs may lose durability, never bytes: a fig3 sweep with
 # every probabilistic storage fault active (over a persistent cache and
-# a journal, so the injector actually sees traffic) must print exactly
+# a checkpoint, so the injector actually sees traffic) must print exactly
 # the bytes of a clean run and exit 0.
 storage_identity() {
     local out=/tmp/depburst-ci-storage
@@ -367,7 +384,7 @@ storage_identity() {
         echo "fig3 under --storage-faults is not byte-identical to a clean run"
         return 1
     }
-    rm -rf "$out".*.out "$cache" "results/checkpoints/${id}.jsonl"
+    rm -rf "$out".*.out "$cache" "results/checkpoints/${id}"
 }
 step "durability: fault-soaked sweep identity" storage_identity
 
