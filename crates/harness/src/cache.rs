@@ -29,7 +29,7 @@
 //!
 //! The same store is the checkpoint of a resumable run: `--run-id ID`
 //! roots a second, always-persistent `SimCache` at
-//! `results/checkpoints/<ID>/` ([`SimCache::checkpoint_root`]), the point
+//! `results/checkpoints/<ID>/` ([`crate::checkpoint`]), the point
 //! pipeline [`load`](SimCache::load)s through it before simulating and
 //! [`store`](SimCache::store)s each completed point into it, and
 //! `--resume ID` serves the stored points instead of re-simulating them.
@@ -37,7 +37,7 @@
 //! [`write_atomic`](crate::vfs::write_atomic): temp file, fsync, rename.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{self, Write as _};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -202,7 +202,7 @@ const SUMMARY_FIELD: &str = "\",\"summary\":";
 /// the buffer first with a zero checksum, the payload streams in after it,
 /// and the checksum is then written over the zeros: the payload is
 /// serialized once and never copied. [`open_envelope`] reads it back.
-fn write_envelope(key: SimKey, summary: &RunSummary) -> Vec<u8> {
+pub(crate) fn write_envelope(key: SimKey, summary: &RunSummary) -> Vec<u8> {
     const HEADER_CAP: usize = 128;
     let mut header = [0u8; HEADER_CAP];
     let mut free = &mut header[..];
@@ -330,10 +330,10 @@ pub struct SimCache {
     /// same key wait for the one computation instead of duplicating it.
     in_flight: Mutex<HashSet<u128>>,
     flight_done: Condvar,
-    dir: Option<PathBuf>,
+    pub(crate) dir: Option<PathBuf>,
     /// The storage layer all persistence I/O routes through. [`RealVfs`]
     /// by default; the storage-fault harness swaps in a `FaultyVfs`.
-    vfs: Arc<dyn Vfs>,
+    pub(crate) vfs: Arc<dyn Vfs>,
     memory_hits: AtomicU64,
     disk_hits: AtomicU64,
     misses: AtomicU64,
@@ -482,7 +482,7 @@ impl SimCache {
         Ok(summary)
     }
 
-    fn entry_path(&self, key: SimKey) -> Option<PathBuf> {
+    pub(crate) fn entry_path(&self, key: SimKey) -> Option<PathBuf> {
         self.dir.as_ref().map(|d| d.join(format!("{}.json", key.hex())))
     }
 
@@ -586,74 +586,6 @@ impl SimCache {
             mem.insert(key.0, Arc::clone(summary));
         }
         self.store_to_disk(key, summary);
-    }
-
-    /// The root of run `run_id`'s checkpoint store: `<dir>/<ID>`, where
-    /// `<dir>` is `DEPBURST_CHECKPOINT_DIR`, or `results/checkpoints`.
-    ///
-    /// # Errors
-    /// An invalid run id (it becomes a directory name): use
-    /// `[A-Za-z0-9._-]`, at most 128 characters, not starting with `.`.
-    pub fn checkpoint_root(run_id: &str) -> io::Result<PathBuf> {
-        let ok = !run_id.is_empty()
-            && run_id.len() <= 128
-            && run_id
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'))
-            && !run_id.starts_with('.');
-        if !ok {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("invalid run id {run_id:?} (use [A-Za-z0-9._-], not starting with '.')"),
-            ));
-        }
-        let dir = std::env::var_os("DEPBURST_CHECKPOINT_DIR")
-            .map_or_else(|| PathBuf::from("results/checkpoints"), PathBuf::from);
-        Ok(dir.join(run_id))
-    }
-
-    /// Prepares this persistent store as a run's checkpoint, through its
-    /// storage layer. `fresh` (a new `--run-id`) removes every entry an
-    /// earlier run with the same id left in the schema directory, so a
-    /// new run never replays an old one's points. Otherwise (`--resume`)
-    /// the entries stay and load on demand; a missing store starts from
-    /// scratch with a warning, which names a journal file the checkpoint
-    /// format before this one left at `<root>.jsonl`, since it is not
-    /// read.
-    ///
-    /// # Errors
-    /// Listing, removing or creating the directory failed: the caller
-    /// runs without a checkpoint.
-    pub fn begin_checkpoint(&self, fresh: bool) -> io::Result<()> {
-        let Some(dir) = self.dir.as_deref() else {
-            return Ok(());
-        };
-        if fresh {
-            if self.vfs.exists(dir) {
-                for entry in self.vfs.list(dir)? {
-                    self.vfs.remove(&entry)?;
-                }
-            }
-        } else if !self.vfs.exists(dir) {
-            let root = dir.parent().unwrap_or(dir);
-            let mut journal = root.as_os_str().to_owned();
-            journal.push(".jsonl");
-            let journal = PathBuf::from(journal);
-            if self.vfs.exists(&journal) {
-                eprintln!(
-                    "warning: no checkpoint at {}; {} is an older journal and is not read; \
-                     starting from scratch",
-                    root.display(),
-                    journal.display()
-                );
-            } else {
-                eprintln!(
-                    "warning: no checkpoint at {}; starting from scratch",
-                    root.display()
-                );
-            }
-        }
-        self.vfs.create_dir_all(dir)
     }
 
     /// Quarantines `key`'s cache envelope (and drops the in-process
@@ -992,6 +924,45 @@ mod tests {
     }
 
     #[test]
+    fn every_bit_flip_of_a_journal_line_is_rejected_or_rekeyed() {
+        // A checkpoint entry is what a journal line was: the same
+        // envelope, now one per file.
+        let dir =
+            std::env::temp_dir().join(format!("depburst-cache-jbits-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = SimCache::persistent(&dir);
+        store.begin_checkpoint(true).expect("checkpoint opens");
+        store.store(key_for(10), &Arc::new(exponent_summary()));
+        let line =
+            std::fs::read(store.entry_path(key_for(10)).expect("persistent")).expect("read");
+        let _ = std::fs::remove_dir_all(&dir);
+        let (key, payload) = open_envelope(&line).expect("intact entry opens");
+        assert_eq!(key, key_for(10));
+        // The key sits outside the checksum, so a flipped key digit that
+        // stays lowercase hex opens under a different key, which no
+        // lookup for this point matches. Every other flip is rejected
+        // outright.
+        let mut rekeyed = 0;
+        for (bit, flipped) in bit_flips(&line).enumerate() {
+            match open_envelope(&flipped) {
+                Err(_) => {}
+                Ok((other, same)) => {
+                    assert_ne!(other, key, "flip of bit {bit} opened as the original key");
+                    assert_eq!(same, payload, "flip of bit {bit} changed the payload");
+                    rekeyed += 1;
+                }
+            }
+        }
+        let key_digit_flips = key
+            .hex()
+            .bytes()
+            .flat_map(|d| (0..8).map(move |b| d ^ (1 << b)))
+            .filter(|c| matches!(c, b'0'..=b'9' | b'a'..=b'f'))
+            .count();
+        assert_eq!(rekeyed, key_digit_flips, "only key digits can re-key");
+    }
+
+    #[test]
     fn exponent_case_flip_is_rejected() {
         // `e` -> `E` is a single bit (0x20). The flipped number parses to
         // the same f64, so a check that re-serialized the parsed summary
@@ -1194,153 +1165,5 @@ mod tests {
         assert_ne!(sim_key(lu, &mc, None, 0.05, 1), sim_key(sf, &mc, None, 0.05, 1));
         assert_ne!(key_for(1), key_for(2));
         assert_eq!(key_for(1), key_for(1));
-    }
-
-    /// A fresh per-test checkpoint root.
-    fn checkpoint_root(tag: &str) -> PathBuf {
-        let root =
-            std::env::temp_dir().join(format!("depburst-checkpoint-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        root
-    }
-
-    /// Opens the store at `root` as a checkpoint, fresh or resumed.
-    fn open_checkpoint(root: &Path, fresh: bool) -> SimCache {
-        let store = SimCache::persistent(root);
-        store.begin_checkpoint(fresh).expect("checkpoint opens");
-        store
-    }
-
-    #[test]
-    fn checkpoint_store_load_roundtrip() {
-        let root = checkpoint_root("roundtrip");
-        let store = open_checkpoint(&root, true);
-        for k in 1..=5u64 {
-            store.store(SimKey(u128::from(k)), &Arc::new(dummy_summary(k)));
-        }
-        // Idempotent: a key the store holds is not rewritten, even when
-        // its persisted bytes have since changed.
-        let path = store.entry_path(SimKey(3)).expect("persistent");
-        std::fs::write(&path, b"overwritten").expect("overwrite");
-        store.store(SimKey(3), &Arc::new(dummy_summary(3)));
-        assert_eq!(std::fs::read(&path).expect("read"), b"overwritten");
-        assert_eq!(store.load(SimKey(3)).expect("memo").gc_count, 3);
-        assert_eq!(store.stats().memory_hits, 1);
-        drop(store);
-
-        let resumed = open_checkpoint(&root, false);
-        for k in [1u64, 2, 4, 5] {
-            let s = resumed.load(SimKey(u128::from(k))).expect("replayed");
-            assert_eq!(*s, dummy_summary(k));
-        }
-        assert!(resumed.load(SimKey(3)).is_none(), "the overwritten entry is not served");
-        assert!(resumed.load(SimKey(99)).is_none());
-        let stats = resumed.stats();
-        assert_eq!((stats.disk_hits, stats.quarantined, stats.misses), (4, 1, 0));
-        // A loaded key is held: storing it again writes nothing.
-        resumed.store(SimKey(1), &Arc::new(dummy_summary(1)));
-        assert_eq!(resumed.stats().persist_failures, 0);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn missing_checkpoint_resumes_from_scratch() {
-        let root = checkpoint_root("missing");
-        let store = open_checkpoint(&root, false);
-        assert!(store.load(SimKey(7)).is_none());
-        store.store(SimKey(7), &Arc::new(dummy_summary(7)));
-        assert!(store.entry_path(SimKey(7)).expect("persistent").exists());
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn a_fresh_run_id_drops_stale_entries() {
-        let root = checkpoint_root("fresh");
-        let first = open_checkpoint(&root, true);
-        first.store(SimKey(1), &Arc::new(dummy_summary(1)));
-        first.store(SimKey(2), &Arc::new(dummy_summary(2)));
-        // Beside the schema directory, nothing is touched.
-        std::fs::write(root.join("keep"), b"unrelated").expect("plant");
-        drop(first);
-        let second = open_checkpoint(&root, true);
-        assert!(second.load(SimKey(1)).is_none(), "a new run replays nothing");
-        assert!(second.load(SimKey(2)).is_none());
-        let schema_dir = root.join(format!("v{SCHEMA_VERSION}"));
-        assert_eq!(std::fs::read_dir(&schema_dir).expect("kept").count(), 0);
-        assert!(root.join("keep").exists());
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn a_legacy_journal_is_ignored_not_read() {
-        let root = checkpoint_root("legacy");
-        let journal = root.with_file_name(format!(
-            "{}.jsonl",
-            root.file_name().and_then(|n| n.to_str()).expect("name")
-        ));
-        std::fs::create_dir_all(root.parent().expect("parent")).expect("mkdir");
-        let line = String::from_utf8(write_envelope(SimKey(1), &dummy_summary(1))).expect("utf8");
-        std::fs::write(&journal, format!("{line}\n")).expect("plant journal");
-        let store = open_checkpoint(&root, false);
-        assert!(store.load(SimKey(1)).is_none(), "journal lines are not replayed");
-        assert_eq!(std::fs::read_to_string(&journal).expect("left alone"), format!("{line}\n"));
-        let _ = std::fs::remove_file(&journal);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn run_ids_are_validated() {
-        let root = SimCache::checkpoint_root("fig3-2026-08-06").expect("valid");
-        assert!(root.ends_with("fig3-2026-08-06"));
-        let long = "x".repeat(129);
-        for bad in ["", "../escape", ".hidden", "has space", long.as_str()] {
-            assert!(SimCache::checkpoint_root(bad).is_err(), "{bad:?}");
-        }
-    }
-
-    /// The real filesystem, except that every fsync fails.
-    #[derive(Debug)]
-    struct FailingFsync;
-
-    impl Vfs for FailingFsync {
-        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-            RealVfs.read(path)
-        }
-        fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-            RealVfs.write(path, bytes)
-        }
-        fn fsync(&self, _path: &Path) -> io::Result<()> {
-            Err(io::Error::other("fsync refused"))
-        }
-        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-            RealVfs.rename(from, to)
-        }
-        fn remove(&self, path: &Path) -> io::Result<()> {
-            RealVfs.remove(path)
-        }
-        fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-            RealVfs.create_dir_all(path)
-        }
-        fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
-            RealVfs.list(dir)
-        }
-    }
-
-    #[test]
-    fn fsync_failures_are_counted_and_the_entry_commits() {
-        let root = checkpoint_root("fsync");
-        let store = SimCache::persistent(&root).with_vfs(Arc::new(FailingFsync));
-        store.begin_checkpoint(true).expect("opens");
-        store.store(SimKey(1), &Arc::new(dummy_summary(1)));
-        store.store(SimKey(2), &Arc::new(dummy_summary(2)));
-        let stats = store.stats();
-        assert_eq!((stats.fsync_failures, stats.persist_failures), (2, 0));
-        let resumed = open_checkpoint(&root, false);
-        assert_eq!(*resumed.load(SimKey(2)).expect("committed"), dummy_summary(2));
-        let leftovers = std::fs::read_dir(root.join(format!("v{SCHEMA_VERSION}")))
-            .expect("schema dir")
-            .count();
-        assert_eq!(leftovers, 2, "no temp file is left behind");
-        let _ = std::fs::remove_dir_all(&root);
     }
 }

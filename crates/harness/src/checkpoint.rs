@@ -1,399 +1,102 @@
-//! Append-only checkpoint journal for interruptible sweeps.
+//! A run's checkpoint: the persistent [`SimCache`] that `--run-id ID`
+//! opens, and `--resume ID` reopens, at `<checkpoint dir>/<ID>/`.
 //!
-//! Every completed simulation point is appended as one JSON line —
-//! `{schema, key, checksum, summary}` — to
-//! `results/checkpoints/<run-id>.jsonl` (directory overridable via
-//! `DEPBURST_CHECKPOINT_DIR`), fsynced in batches of [`FLUSH_BATCH`]. A
-//! SIGINT'd or crashed sweep restarted with `--resume <run-id>` replays
-//! the journaled points instead of re-simulating them, and — because
-//! summaries roundtrip JSON with exact f64 bit patterns (asserted by the
-//! golden suite) and results assemble in plan order — the resumed run's
-//! output is byte-identical to an uninterrupted one (asserted by
-//! `tests/determinism.rs` and the CI interrupt-resume step).
-//!
-//! Torn writes: a run killed mid-append can leave a truncated final line.
-//! Replay tolerates it — the fragment is skipped with a warning, the file
-//! is re-terminated with a newline so subsequent appends start clean, and
-//! the lost point simply re-simulates. The `checksum` field —
-//! `stablehash::checksum64` over the record's summary bytes as written,
-//! checked against the stored bytes before parsing by
-//! `cache::open_envelope` — extends the same
-//! fail-closed posture to *silent* corruption: a record whose bytes
-//! rotted since the write is skipped and counted, never replayed into an
-//! experiment's numbers. Records share the disk cache's framing and
-//! [`SCHEMA_VERSION`](crate::cache::SCHEMA_VERSION): both persist the same
-//! `RunSummary` payload, so they go stale together: a schema-3 line
-//! (FNV-1a checksum) in a journal resumed at schema 4 is skipped and its
-//! point re-simulated.
-//!
-//! All file I/O routes through a [`Vfs`] ([`RealVfs`] by default), so the
-//! storage-fault torture harness can subject the journal to torn
-//! appends, dropped fsyncs, and crash points. Fsync errors are *counted*
-//! (surfaced in [`JournalStats`] and the end-of-run report), not
-//! swallowed: a journal that cannot sync still works in-process, but the
-//! operator learns resumability is at risk.
+//! A checkpoint is not a store of its own. It is the memo cache's
+//! envelope store rooted at the run id, so its entries have the cache's
+//! framing, checksum, quarantine and atomic commit ([`crate::cache`]),
+//! and the point pipeline reads and writes it with
+//! [`load`](SimCache::load) and [`store`](SimCache::store). What belongs
+//! to the role alone lives here: turning a run id into a root directory,
+//! and what opening that root fresh or for a resume does to the entries
+//! an earlier run left.
 
-use std::collections::HashMap;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::io;
+use std::path::PathBuf;
 
-use serde::Serialize;
+use crate::cache::SimCache;
 
-use crate::cache::{compose_envelope, open_envelope, summary_checksum, SimKey};
-use crate::run::RunSummary;
-use crate::vfs::{RealVfs, Vfs};
-
-/// Records appended between fsyncs. Small enough that an interrupt loses
-/// at most a few points, large enough to amortize the sync cost over a
-/// sweep writing multi-megabyte trace summaries.
-pub const FLUSH_BATCH: usize = 4;
-
-#[derive(Debug)]
-struct JournalState {
-    /// Appends since the last fsync.
-    unsynced: usize,
-    /// Everything known to be in the journal (replayed + appended).
-    seen: HashMap<u128, Arc<RunSummary>>,
-}
-
-/// Counters describing a journal's health, for the end-of-run report.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct JournalStats {
-    /// Records loaded from the file at open.
-    pub loaded: usize,
-    /// Points served from the journal instead of simulating.
-    pub replays: u64,
-    /// Records appended by this process.
-    pub appends: u64,
-    /// Appends that failed (full disk, torn write, crash): those points
-    /// are not resumable.
-    pub append_failures: u64,
-    /// Fsyncs that returned an error: recent appends may not survive a
-    /// crash.
-    pub fsync_failures: u64,
-    /// Lines skipped at open (torn, unparsable, stale schema, or
-    /// checksum mismatch).
-    pub corrupt_lines: u64,
-}
-
-/// An append-only journal of completed point results, keyed by
-/// [`SimKey`]. Shared by reference across pool workers; a coarse mutex is
-/// fine because journal traffic is rare next to simulation cost.
-#[derive(Debug)]
-pub struct Journal {
-    path: PathBuf,
-    vfs: Arc<dyn Vfs>,
-    state: Mutex<JournalState>,
-    replays: AtomicU64,
-    appends: AtomicU64,
-    append_failures: AtomicU64,
-    fsync_failures: AtomicU64,
-    /// Lines skipped during replay at open.
-    corrupt_lines: u64,
-    /// Records loaded from the file at open.
-    loaded: usize,
-}
-
-impl Journal {
-    /// The checkpoint directory: `DEPBURST_CHECKPOINT_DIR` or
-    /// `results/checkpoints`.
-    #[must_use]
-    pub fn default_dir() -> PathBuf {
-        std::env::var_os("DEPBURST_CHECKPOINT_DIR")
-            .map_or_else(|| PathBuf::from("results/checkpoints"), PathBuf::from)
-    }
-
-    /// Validates a user-supplied run id (it becomes a file name).
-    fn checked_id(run_id: &str) -> std::io::Result<&str> {
+impl SimCache {
+    /// The root of run `run_id`'s checkpoint store: `<dir>/<ID>`, where
+    /// `<dir>` is `DEPBURST_CHECKPOINT_DIR`, or `results/checkpoints`.
+    ///
+    /// # Errors
+    /// An invalid run id (it becomes a directory name): use
+    /// `[A-Za-z0-9._-]`, at most 128 characters, not starting with `.`.
+    pub fn checkpoint_root(run_id: &str) -> io::Result<PathBuf> {
         let ok = !run_id.is_empty()
             && run_id.len() <= 128
             && run_id
                 .chars()
                 .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'))
             && !run_id.starts_with('.');
-        if ok {
-            Ok(run_id)
-        } else {
-            Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
+        if !ok {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
                 format!("invalid run id {run_id:?} (use [A-Za-z0-9._-], not starting with '.')"),
-            ))
+            ));
         }
+        let dir = std::env::var_os("DEPBURST_CHECKPOINT_DIR")
+            .map_or_else(|| PathBuf::from("results/checkpoints"), PathBuf::from);
+        Ok(dir.join(run_id))
     }
 
-    /// The journal path for `run_id` under the default directory.
-    pub fn path_for(run_id: &str) -> std::io::Result<PathBuf> {
-        Ok(Self::default_dir().join(format!("{}.jsonl", Self::checked_id(run_id)?)))
-    }
-
-    /// Starts a fresh journal for `run_id` (truncating any previous one —
-    /// a new `--run-id` means a new run).
-    pub fn create(run_id: &str) -> std::io::Result<Self> {
-        Self::create_with(run_id, Arc::new(RealVfs))
-    }
-
-    /// [`create`](Self::create) with an explicit storage layer.
-    pub fn create_with(run_id: &str, vfs: Arc<dyn Vfs>) -> std::io::Result<Self> {
-        Self::create_at_with(Self::path_for(run_id)?, vfs)
-    }
-
-    /// Resumes the journal for `run_id`, replaying its completed points.
-    /// A missing journal is not an error — the run starts from nothing,
-    /// with a warning.
-    pub fn resume(run_id: &str) -> std::io::Result<Self> {
-        Self::resume_with(run_id, Arc::new(RealVfs))
-    }
-
-    /// [`resume`](Self::resume) with an explicit storage layer.
-    pub fn resume_with(run_id: &str, vfs: Arc<dyn Vfs>) -> std::io::Result<Self> {
-        Self::resume_at_with(Self::path_for(run_id)?, vfs)
-    }
-
-    /// [`create`](Self::create) at an explicit path (tests).
-    pub fn create_at(path: impl Into<PathBuf>) -> std::io::Result<Self> {
-        Self::create_at_with(path, Arc::new(RealVfs))
-    }
-
-    /// [`create_at`](Self::create_at) with an explicit storage layer.
-    pub fn create_at_with(path: impl Into<PathBuf>, vfs: Arc<dyn Vfs>) -> std::io::Result<Self> {
-        let path = path.into();
-        if let Some(parent) = path.parent() {
-            vfs.create_dir_all(parent)?;
-        }
-        vfs.write(&path, b"")?;
-        Ok(Journal {
-            path,
-            vfs,
-            state: Mutex::new(JournalState {
-                unsynced: 0,
-                seen: HashMap::new(),
-            }),
-            replays: AtomicU64::new(0),
-            appends: AtomicU64::new(0),
-            append_failures: AtomicU64::new(0),
-            fsync_failures: AtomicU64::new(0),
-            corrupt_lines: 0,
-            loaded: 0,
-        })
-    }
-
-    /// [`resume`](Self::resume) at an explicit path (tests).
-    pub fn resume_at(path: impl Into<PathBuf>) -> std::io::Result<Self> {
-        Self::resume_at_with(path, Arc::new(RealVfs))
-    }
-
-    /// [`resume_at`](Self::resume_at) with an explicit storage layer.
-    pub fn resume_at_with(path: impl Into<PathBuf>, vfs: Arc<dyn Vfs>) -> std::io::Result<Self> {
-        let path = path.into();
-        if !vfs.exists(&path) {
-            eprintln!(
-                "warning: no checkpoint journal at {}; starting from scratch",
-                path.display()
-            );
-            return Self::create_at_with(path, vfs);
-        }
-        let bytes = vfs.read(&path)?;
-        let (seen, corrupt_lines) = Self::replay_lines(&path, &bytes);
-        let loaded = seen.len();
-        if bytes.last().is_some_and(|b| *b != b'\n') {
-            // A torn final line: terminate it so our appends start on a
-            // fresh line (the fragment stays behind, skipped on replay).
-            vfs.append(&path, b"\n")?;
-        }
-        Ok(Journal {
-            path,
-            vfs,
-            state: Mutex::new(JournalState { unsynced: 0, seen }),
-            replays: AtomicU64::new(0),
-            appends: AtomicU64::new(0),
-            append_failures: AtomicU64::new(0),
-            fsync_failures: AtomicU64::new(0),
-            corrupt_lines,
-            loaded,
-        })
-    }
-
-    /// Tolerant line-by-line replay: skips (with a warning, and a count)
-    /// lines that fail [`open_envelope`] — a torn fragment (expected for
-    /// at most the final line), a different schema version, or a payload
-    /// whose stored bytes no longer match their checksum — and lines whose
-    /// verified payload does not parse. Returns the surviving records and
-    /// how many lines were skipped.
-    fn replay_lines(path: &Path, bytes: &[u8]) -> (HashMap<u128, Arc<RunSummary>>, u64) {
-        let mut seen = HashMap::new();
-        let mut corrupt = 0u64;
-        let lines: Vec<&[u8]> = bytes
-            .split(|b| *b == b'\n')
-            .filter(|l| !l.trim_ascii().is_empty())
-            .collect();
-        let last = lines.len().saturating_sub(1);
-        for (i, line) in lines.iter().enumerate() {
-            let record = open_envelope(line).and_then(|(key, payload)| {
-                serde_json::from_slice::<RunSummary>(payload)
-                    .map(|summary| (key, summary))
-                    .map_err(|e| e.to_string())
-            });
-            match record {
-                Ok((key, summary)) => {
-                    seen.insert(key.0, Arc::new(summary));
-                }
-                Err(why) if i == last => {
-                    corrupt += 1;
-                    eprintln!(
-                        "warning: checkpoint journal {}: final line is unusable ({why}), \
-                         likely a torn write; that point will re-simulate",
-                        path.display()
-                    );
-                }
-                Err(why) => {
-                    corrupt += 1;
-                    eprintln!(
-                        "warning: checkpoint journal {}: skipping line {} ({why}); \
-                         that point will re-simulate",
-                        path.display(),
-                        i + 1
-                    );
+    /// Prepares this persistent store as a run's checkpoint, through its
+    /// storage layer. `fresh` (a new `--run-id`) removes every entry an
+    /// earlier run with the same id left in the schema directory, so a
+    /// new run never replays an old one's points. Otherwise (`--resume`)
+    /// the entries stay and load on demand; a missing store starts from
+    /// scratch with a warning, which names a journal file the checkpoint
+    /// format before this one left at `<root>.jsonl`, since it is not
+    /// read.
+    ///
+    /// # Errors
+    /// Listing, removing or creating the directory failed: the caller
+    /// runs without a checkpoint.
+    pub fn begin_checkpoint(&self, fresh: bool) -> io::Result<()> {
+        let Some(dir) = self.dir.as_deref() else {
+            return Ok(());
+        };
+        if fresh {
+            if self.vfs.exists(dir) {
+                for entry in self.vfs.list(dir)? {
+                    self.vfs.remove(&entry)?;
                 }
             }
-        }
-        (seen, corrupt)
-    }
-
-    /// The journal's on-disk path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Looks up a completed point. Counts a replay on hit.
-    #[must_use]
-    pub fn lookup(&self, key: SimKey) -> Option<Arc<RunSummary>> {
-        let hit = self
-            .state
-            .lock()
-            .expect("journal lock")
-            .seen
-            .get(&key.0)
-            .cloned();
-        if hit.is_some() {
-            self.replays.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
-    }
-
-    /// Appends a completed point (idempotent: a key already in the
-    /// journal — replayed or appended — is skipped). Append errors are
-    /// counted and reported to stderr but otherwise non-fatal: a full
-    /// disk must not kill the sweep, it only costs resumability of later
-    /// points. A failed append may have persisted a partial line, so a
-    /// best-effort newline re-terminates the file — replay skips the
-    /// fragment and subsequent appends start clean.
-    pub fn record(&self, key: SimKey, summary: &Arc<RunSummary>) {
-        let mut state = self.state.lock().expect("journal lock");
-        if state.seen.contains_key(&key.0) {
-            return;
-        }
-        let Ok(summary_json) = serde_json::to_string(&**summary) else {
-            eprintln!(
-                "warning: checkpoint journal: unserializable record for {}",
-                key.hex()
-            );
-            return;
-        };
-        let mut line = compose_envelope(key, &summary_checksum(&summary_json), &summary_json);
-        line.push('\n');
-        if let Err(write_err) = self.vfs.append(&self.path, line.as_bytes()) {
-            self.append_failures.fetch_add(1, Ordering::Relaxed);
-            eprintln!(
-                "warning: checkpoint journal {}: append failed ({write_err}); \
-                 this point will not be resumable",
-                self.path.display()
-            );
-            let _ = self.vfs.append(&self.path, b"\n"); // heal a torn partial line
-            return;
-        }
-        state.seen.insert(key.0, Arc::clone(summary));
-        state.unsynced += 1;
-        if state.unsynced >= FLUSH_BATCH {
-            self.sync(&mut state);
-        }
-        self.appends.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Fsyncs the journal, counting (and reporting once) failures
-    /// instead of swallowing them: an fsync that errors means recent
-    /// appends may not survive a crash, which the operator — and the
-    /// end-of-run report — should know about.
-    fn sync(&self, state: &mut JournalState) {
-        if let Err(sync_err) = self.vfs.fsync(&self.path) {
-            let prior = self.fsync_failures.fetch_add(1, Ordering::Relaxed);
-            if prior == 0 {
+        } else if !self.vfs.exists(dir) {
+            let root = dir.parent().unwrap_or(dir);
+            let mut journal = root.as_os_str().to_owned();
+            journal.push(".jsonl");
+            let journal = PathBuf::from(journal);
+            if self.vfs.exists(&journal) {
                 eprintln!(
-                    "warning: checkpoint journal {}: fsync failed ({sync_err}); \
-                     recent appends may not survive a crash",
-                    self.path.display()
+                    "warning: no checkpoint at {}; {} is an older journal and is not read; \
+                     starting from scratch",
+                    root.display(),
+                    journal.display()
+                );
+            } else {
+                eprintln!(
+                    "warning: no checkpoint at {}; starting from scratch",
+                    root.display()
                 );
             }
         }
-        state.unsynced = 0;
-    }
-
-    /// Flushes and fsyncs any unsynced appends (end of an execute pass).
-    pub fn flush(&self) {
-        let mut state = self.state.lock().expect("journal lock");
-        if state.unsynced > 0 {
-            self.sync(&mut state);
-        }
-    }
-
-    /// Points this process served from the journal.
-    #[must_use]
-    pub fn replays(&self) -> u64 {
-        self.replays.load(Ordering::Relaxed)
-    }
-
-    /// Records this process appended.
-    #[must_use]
-    pub fn appends(&self) -> u64 {
-        self.appends.load(Ordering::Relaxed)
-    }
-
-    /// Records loaded from the file when the journal was opened.
-    #[must_use]
-    pub fn loaded(&self) -> usize {
-        self.loaded
-    }
-
-    /// The journal's health counters so far.
-    #[must_use]
-    pub fn stats(&self) -> JournalStats {
-        JournalStats {
-            loaded: self.loaded,
-            replays: self.replays.load(Ordering::Relaxed),
-            appends: self.appends.load(Ordering::Relaxed),
-            append_failures: self.append_failures.load(Ordering::Relaxed),
-            fsync_failures: self.fsync_failures.load(Ordering::Relaxed),
-            corrupt_lines: self.corrupt_lines,
-        }
-    }
-}
-
-impl Drop for Journal {
-    fn drop(&mut self) {
-        self.flush();
+        self.vfs.create_dir_all(dir)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::SCHEMA_VERSION;
-    use crate::vfs::{FaultyVfs, StorageFaultConfig};
+    use crate::cache::{write_envelope, SimKey, SCHEMA_VERSION};
+    use crate::run::RunSummary;
+    use crate::vfs::{FaultyVfs, RealVfs, StorageFaultConfig, Vfs};
     use dvfs_trace::{ExecutionTrace, Freq, Time, TimeDelta};
+    use std::path::Path;
+    use std::sync::Arc;
 
-    fn summary(marker: u64) -> Arc<RunSummary> {
-        Arc::new(RunSummary {
+    fn summary(marker: u64) -> RunSummary {
+        RunSummary {
             exec: TimeDelta::from_millis(marker as f64 + 0.1),
             gc_time: TimeDelta::ZERO,
             gc_count: marker,
@@ -408,188 +111,258 @@ mod tests {
                 threads: vec![],
             },
             sampled: None,
-        })
+        }
     }
 
-    fn tmp(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("depburst-journal-{}-{name}.jsonl", std::process::id()))
+    /// A fresh per-test checkpoint root.
+    fn checkpoint_root(tag: &str) -> PathBuf {
+        let root =
+            std::env::temp_dir().join(format!("depburst-checkpoint-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        root
+    }
+
+    /// Opens the store at `root` as a checkpoint, fresh or resumed.
+    fn open_checkpoint(root: &Path, fresh: bool) -> SimCache {
+        let store = SimCache::persistent(root);
+        store.begin_checkpoint(fresh).expect("checkpoint opens");
+        store
     }
 
     #[test]
     fn append_replay_roundtrip() {
-        let path = tmp("roundtrip");
-        let _ = std::fs::remove_file(&path);
-        let journal = Journal::create_at(&path).expect("create");
+        let root = checkpoint_root("roundtrip");
+        let store = open_checkpoint(&root, true);
         for k in 1..=5u64 {
-            journal.record(SimKey(u128::from(k)), &summary(k));
+            store.store(SimKey(u128::from(k)), &Arc::new(summary(k)));
         }
-        // Idempotent: re-recording an existing key appends nothing.
-        journal.record(SimKey(3), &summary(3));
-        assert_eq!(journal.appends(), 5);
-        drop(journal); // flush
+        // Idempotent: a key the store holds is not rewritten, even when
+        // its persisted bytes have since changed.
+        let path = store.entry_path(SimKey(3)).expect("persistent");
+        std::fs::write(&path, b"overwritten").expect("overwrite");
+        store.store(SimKey(3), &Arc::new(summary(3)));
+        assert_eq!(std::fs::read(&path).expect("read"), b"overwritten");
+        assert_eq!(store.load(SimKey(3)).expect("memo").gc_count, 3);
+        assert_eq!(store.stats().memory_hits, 1);
+        drop(store);
 
-        let resumed = Journal::resume_at(&path).expect("resume");
-        assert_eq!(resumed.loaded(), 5);
-        for k in 1..=5u64 {
-            let s = resumed.lookup(SimKey(u128::from(k))).expect("replayed");
-            assert_eq!(s.gc_count, k);
-            assert_eq!(s.exec, TimeDelta::from_millis(k as f64 + 0.1));
+        let resumed = open_checkpoint(&root, false);
+        for k in [1u64, 2, 4, 5] {
+            let s = resumed.load(SimKey(u128::from(k))).expect("replayed");
+            assert_eq!(*s, summary(k));
         }
-        assert_eq!(resumed.replays(), 5);
-        assert!(resumed.lookup(SimKey(99)).is_none());
+        assert!(resumed.load(SimKey(3)).is_none(), "the overwritten entry is not served");
+        assert!(resumed.load(SimKey(99)).is_none());
         let stats = resumed.stats();
-        assert_eq!(stats.corrupt_lines, 0);
-        assert_eq!(stats.append_failures, 0);
-        let _ = std::fs::remove_file(&path);
+        assert_eq!((stats.disk_hits, stats.quarantined, stats.misses), (4, 1, 0));
+        // A loaded key is held: storing it again writes nothing.
+        resumed.store(SimKey(1), &Arc::new(summary(1)));
+        assert_eq!(resumed.stats().persist_failures, 0);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn torn_final_line_is_skipped_and_healed() {
-        let path = tmp("torn");
-        let _ = std::fs::remove_file(&path);
-        let journal = Journal::create_at(&path).expect("create");
-        journal.record(SimKey(1), &summary(1));
-        journal.record(SimKey(2), &summary(2));
-        journal.flush();
-        drop(journal);
+        let root = checkpoint_root("torn");
+        let store = open_checkpoint(&root, true);
+        store.store(SimKey(1), &Arc::new(summary(1)));
+        store.store(SimKey(2), &Arc::new(summary(2)));
+        let torn = store.entry_path(SimKey(2)).expect("persistent");
+        drop(store);
+        // Simulate an interrupt that tore the last entry: keep half of it.
+        let bytes = std::fs::read(&torn).expect("read");
+        std::fs::write(&torn, &bytes[..bytes.len() / 2]).expect("tear");
 
-        // Simulate an interrupt mid-append: a truncated record with no
-        // trailing newline.
-        let mut bytes = std::fs::read(&path).expect("read");
-        bytes.extend_from_slice(br#"{"schema":1,"key":"0000000000000000000000000000"#);
-        std::fs::write(&path, &bytes).expect("tear");
-
-        let resumed = Journal::resume_at(&path).expect("torn journals resume");
-        assert_eq!(resumed.loaded(), 2, "intact records survive the tear");
-        assert_eq!(resumed.stats().corrupt_lines, 1, "the fragment is counted");
-        // Appending after the tear must start on a fresh line.
-        resumed.record(SimKey(3), &summary(3));
+        let resumed = open_checkpoint(&root, false);
+        let intact = resumed.load(SimKey(1)).expect("intact entries survive the tear");
+        assert_eq!(*intact, summary(1));
+        assert!(resumed.load(SimKey(2)).is_none(), "the torn entry is not served");
+        assert_eq!(resumed.stats().quarantined, 1, "the fragment is counted");
+        assert!(!torn.exists(), "the fragment leaves its slot");
+        // Re-executing the point stores it afresh.
+        resumed.store(SimKey(2), &Arc::new(summary(2)));
         drop(resumed);
 
-        let healed = Journal::resume_at(&path).expect("resume again");
-        assert_eq!(healed.loaded(), 3, "post-tear appends are replayable");
-        assert_eq!(healed.lookup(SimKey(3)).expect("new record").gc_count, 3);
-        let _ = std::fs::remove_file(&path);
+        let healed = open_checkpoint(&root, false);
+        let replayed = healed.load(SimKey(2)).expect("the re-stored entry is replayable");
+        assert_eq!(*replayed, summary(2));
+        assert_eq!(healed.stats().quarantined, 0);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn missing_journal_resumes_from_scratch() {
-        let path = tmp("missing");
-        let _ = std::fs::remove_file(&path);
-        let journal = Journal::resume_at(&path).expect("fresh start");
-        assert_eq!(journal.loaded(), 0);
-        journal.record(SimKey(7), &summary(7));
-        drop(journal);
-        assert!(path.exists());
-        let _ = std::fs::remove_file(&path);
+        let root = checkpoint_root("missing");
+        let store = open_checkpoint(&root, false);
+        assert!(store.load(SimKey(7)).is_none());
+        store.store(SimKey(7), &Arc::new(summary(7)));
+        assert!(store.entry_path(SimKey(7)).expect("persistent").exists());
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn stale_schema_records_are_ignored() {
-        let path = tmp("schema");
-        let _ = std::fs::remove_file(&path);
-        let journal = Journal::create_at(&path).expect("create");
-        journal.record(SimKey(1), &summary(1));
-        drop(journal);
-        let mut bytes = std::fs::read(&path).expect("read");
+        let root = checkpoint_root("schema");
+        let store = open_checkpoint(&root, true);
+        store.store(SimKey(1), &Arc::new(summary(1)));
+        let path = store.entry_path(SimKey(1)).expect("persistent");
+        drop(store);
+        let text = std::fs::read_to_string(&path).expect("read");
         let current = format!("\"schema\":{SCHEMA_VERSION}");
-        let text = String::from_utf8(bytes.clone()).expect("utf8");
-        assert!(text.contains(&current), "journal must carry the schema tag");
-        bytes = text.replace(&current, "\"schema\":999").into_bytes();
-        std::fs::write(&path, &bytes).expect("rewrite");
-        let resumed = Journal::resume_at(&path).expect("resume");
-        assert_eq!(resumed.loaded(), 0, "stale schema must not replay");
-        assert_eq!(resumed.stats().corrupt_lines, 1);
-        let _ = std::fs::remove_file(&path);
+        assert!(text.contains(&current), "entries must carry the schema tag");
+        std::fs::write(&path, text.replace(&current, "\"schema\":999")).expect("rewrite");
+        let resumed = open_checkpoint(&root, false);
+        assert!(resumed.load(SimKey(1)).is_none(), "stale schema must not replay");
+        assert_eq!(resumed.stats().quarantined, 1);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn corrupted_payloads_fail_their_checksum_and_reexecute() {
-        let path = tmp("checksum");
-        let _ = std::fs::remove_file(&path);
-        let journal = Journal::create_at(&path).expect("create");
-        journal.record(SimKey(1), &summary(1));
-        journal.record(SimKey(2), &summary(2));
-        drop(journal);
-        // Rot one digit inside the *first* record's payload: the line
+        let root = checkpoint_root("checksum");
+        let store = open_checkpoint(&root, true);
+        store.store(SimKey(1), &Arc::new(summary(1)));
+        store.store(SimKey(2), &Arc::new(summary(2)));
+        let path = store.entry_path(SimKey(1)).expect("persistent");
+        drop(store);
+        // Rot one digit inside the first entry's payload: the envelope
         // still parses, but the checksum no longer covers its bytes.
         let text = std::fs::read_to_string(&path).expect("read");
         let corrupted = text.replacen("\"gc_count\":1", "\"gc_count\":7", 1);
         assert_ne!(corrupted, text, "the payload digit was found and flipped");
         std::fs::write(&path, corrupted).expect("rot");
 
-        let resumed = Journal::resume_at(&path).expect("resume");
-        assert_eq!(resumed.loaded(), 1, "only the intact record replays");
-        assert!(
-            resumed.lookup(SimKey(1)).is_none(),
-            "the rotted record must not be served"
-        );
-        assert_eq!(resumed.lookup(SimKey(2)).expect("intact").gc_count, 2);
-        assert_eq!(resumed.stats().corrupt_lines, 1);
-        let _ = std::fs::remove_file(&path);
+        let resumed = open_checkpoint(&root, false);
+        assert!(resumed.load(SimKey(1)).is_none(), "the rotted entry must not be served");
+        assert_eq!(resumed.load(SimKey(2)).expect("intact").gc_count, 2);
+        assert_eq!(resumed.stats().quarantined, 1);
+        let mut reexecuted = false;
+        let served = resumed
+            .get_or_compute(SimKey(1), || {
+                reexecuted = true;
+                Ok(summary(1))
+            })
+            .expect("ok");
+        assert!(reexecuted, "the rotted point is simulated again");
+        assert_eq!(*served, summary(1));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The real filesystem, except that every fsync fails.
+    #[derive(Debug)]
+    struct FailingFsync;
+
+    impl Vfs for FailingFsync {
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            RealVfs.read(path)
+        }
+        fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            RealVfs.write(path, bytes)
+        }
+        fn fsync(&self, _path: &Path) -> io::Result<()> {
+            Err(io::Error::other("fsync refused"))
+        }
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            RealVfs.rename(from, to)
+        }
+        fn remove(&self, path: &Path) -> io::Result<()> {
+            RealVfs.remove(path)
+        }
+        fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+            RealVfs.create_dir_all(path)
+        }
+        fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+            RealVfs.list(dir)
+        }
     }
 
     #[test]
     fn fsync_failures_are_counted_not_swallowed() {
-        let path = tmp("fsync");
-        let _ = std::fs::remove_file(&path);
-        let journal = Journal::create_at(&path).expect("create");
-        journal.record(SimKey(1), &summary(1));
-        // Yank the file out from under the journal: the explicit flush's
-        // fsync cannot open it and must count the failure.
-        std::fs::remove_file(&path).expect("yank");
-        journal.flush();
-        let stats = journal.stats();
-        assert_eq!(stats.fsync_failures, 1);
-        assert_eq!(stats.appends, 1);
-        // Dropping flushes again only if unsynced > 0; it is not, so the
-        // count stays stable.
-        drop(journal);
-        let _ = std::fs::remove_file(&path);
+        let root = checkpoint_root("fsync");
+        let store = SimCache::persistent(&root).with_vfs(Arc::new(FailingFsync));
+        store.begin_checkpoint(true).expect("opens");
+        store.store(SimKey(1), &Arc::new(summary(1)));
+        store.store(SimKey(2), &Arc::new(summary(2)));
+        let stats = store.stats();
+        assert_eq!((stats.fsync_failures, stats.persist_failures), (2, 0));
+        // Counted, and the entry still commits.
+        let resumed = open_checkpoint(&root, false);
+        assert_eq!(*resumed.load(SimKey(2)).expect("committed"), summary(2));
+        let leftovers = std::fs::read_dir(root.join(format!("v{SCHEMA_VERSION}")))
+            .expect("schema dir")
+            .count();
+        assert_eq!(leftovers, 2, "no temp file is left behind");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn append_failures_are_counted_and_the_sweep_survives() {
-        let dir = std::env::temp_dir().join(format!("depburst-journal-af-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("run.jsonl");
-        // Every append tears: records are lost (not resumable) but
-        // `record` itself never errors out of the sweep.
+        let root = checkpoint_root("torn-writes");
+        // Every write tears: the points are lost to a resume, but `store`
+        // itself never errors out of the sweep.
         let vfs = Arc::new(FaultyVfs::new(StorageFaultConfig {
             torn_write: 1.0,
             ..StorageFaultConfig::none(4)
         }));
-        let journal = Journal::create_at_with(&path, vfs).expect_err("create's write also tears");
-        // The constructor itself surfaces the torn create as an error —
-        // build the journal against the real fs, then install the faulty
-        // appends by re-resuming through the injector.
-        let _ = journal;
-        Journal::create_at(&path).expect("create for real");
-        let vfs = Arc::new(FaultyVfs::new(StorageFaultConfig {
-            torn_write: 1.0,
-            ..StorageFaultConfig::none(4)
-        }));
-        let journal = Journal::resume_at_with(&path, vfs).expect("resume through the injector");
-        journal.record(SimKey(1), &summary(1));
-        journal.record(SimKey(2), &summary(2));
-        let stats = journal.stats();
-        assert_eq!(stats.append_failures, 2);
-        assert_eq!(stats.appends, 0);
-        drop(journal);
-        // Both records were torn mid-line and healed with newlines; a
-        // real resume skips the fragments instead of dying.
-        let resumed = Journal::resume_at(&path).expect("resume");
-        assert_eq!(resumed.loaded(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
+        let store = SimCache::persistent(&root).with_vfs(vfs);
+        store.begin_checkpoint(true).expect("opening writes no file");
+        store.store(SimKey(1), &Arc::new(summary(1)));
+        store.store(SimKey(2), &Arc::new(summary(2)));
+        assert_eq!(store.stats().persist_failures, 2);
+        let held = store.load(SimKey(1)).expect("the sweep keeps the point in memory");
+        assert_eq!(*held, summary(1));
+        drop(store);
+        // The torn temp files never reached an entry's slot: a real
+        // resume replays nothing and quarantines nothing.
+        let resumed = open_checkpoint(&root, false);
+        assert!(resumed.load(SimKey(1)).is_none());
+        assert!(resumed.load(SimKey(2)).is_none());
+        assert_eq!(resumed.stats().quarantined, 0);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_fresh_run_id_drops_stale_entries() {
+        let root = checkpoint_root("fresh");
+        let first = open_checkpoint(&root, true);
+        first.store(SimKey(1), &Arc::new(summary(1)));
+        first.store(SimKey(2), &Arc::new(summary(2)));
+        // Beside the schema directory, nothing is touched.
+        std::fs::write(root.join("keep"), b"unrelated").expect("plant");
+        drop(first);
+        let second = open_checkpoint(&root, true);
+        assert!(second.load(SimKey(1)).is_none(), "a new run replays nothing");
+        assert!(second.load(SimKey(2)).is_none());
+        let schema_dir = root.join(format!("v{SCHEMA_VERSION}"));
+        assert_eq!(std::fs::read_dir(&schema_dir).expect("kept").count(), 0);
+        assert!(root.join("keep").exists());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_legacy_journal_is_ignored_not_read() {
+        let root = checkpoint_root("legacy");
+        let journal = root.with_file_name(format!(
+            "{}.jsonl",
+            root.file_name().and_then(|n| n.to_str()).expect("name")
+        ));
+        std::fs::create_dir_all(root.parent().expect("parent")).expect("mkdir");
+        let line = String::from_utf8(write_envelope(SimKey(1), &summary(1))).expect("utf8");
+        std::fs::write(&journal, format!("{line}\n")).expect("plant journal");
+        let store = open_checkpoint(&root, false);
+        assert!(store.load(SimKey(1)).is_none(), "journal lines are not replayed");
+        assert_eq!(std::fs::read_to_string(&journal).expect("left alone"), format!("{line}\n"));
+        let _ = std::fs::remove_file(&journal);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn run_ids_are_validated() {
-        assert!(Journal::path_for("fig3-2026-08-06").is_ok());
-        assert!(Journal::path_for("").is_err());
-        assert!(Journal::path_for("../escape").is_err());
-        assert!(Journal::path_for(".hidden").is_err());
-        assert!(Journal::path_for("has space").is_err());
+        let root = SimCache::checkpoint_root("fig3-2026-08-06").expect("valid");
+        assert!(root.ends_with("fig3-2026-08-06"));
+        let long = "x".repeat(129);
+        for bad in ["", "../escape", ".hidden", "has space", long.as_str()] {
+            assert!(SimCache::checkpoint_root(bad).is_err(), "{bad:?}");
+        }
     }
 }

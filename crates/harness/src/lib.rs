@@ -19,17 +19,18 @@
 //! Long sweeps run resiliently: points are panic-isolated and
 //! watchdog-bounded with deterministic retry ([`resilience`]), completed
 //! points checkpoint for `--resume` into a second persistent [`cache`]
-//! store rooted at the run id, and ultimate failures surface as a
-//! structured end-of-run report with a nonzero exit code ([`cli`]). All
-//! durable I/O — cache envelopes carrying word-lane integrity checksums,
-//! each committed by an fsynced temp-file rename — routes through the
-//! [`vfs`] storage abstraction, whose deterministic fault injector the
-//! torture harness drives.
+//! store rooted at the run id ([`checkpoint`]), and ultimate failures
+//! surface as a structured end-of-run report with a nonzero exit code
+//! ([`cli`]). All durable I/O — cache envelopes carrying word-lane
+//! integrity checksums, each committed by an fsynced temp-file rename —
+//! routes through the [`vfs`] storage abstraction, whose deterministic
+//! fault injector the torture harness drives.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod cache;
+pub mod checkpoint;
 pub mod cli;
 pub mod experiments;
 pub mod fuzz;
