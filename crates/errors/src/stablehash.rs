@@ -12,7 +12,7 @@
 //!   byte-serial speed does not matter.
 //! * [`checksum64`] — four [`fmix64`] lanes over little-endian words: the
 //!   integrity checksum of the harness's persisted cache envelopes, in
-//!   the memo cache and in checkpoints (schema 4). It runs over every
+//!   the memo cache and in checkpoints (schema 4 on). It runs over every
 //!   byte a warm cache loads, so it is built to run at memory speed.
 //! * [`fnv1a64`] — 64-bit FNV-1a, kept only as the benchmark's output
 //!   digest: committed digests were computed with it, so its published

@@ -1,40 +1,67 @@
-//! Micro-benchmark: time deserializing a persisted cache envelope (or any
-//! `RunSummary` JSON) through the vendored serde_json shim.
+//! Times a warm load's phases over every envelope of a persistent cache
+//! directory: the file read, `open_envelope` (header match and payload
+//! checksum), the payload's UTF-8 check, and the parse into a
+//! `RunSummary`. Each phase is summed over the envelopes; the best of
+//! `reps` passes is printed (default 5), single-threaded.
 //!
 //! ```text
-//! cargo run --release -p harness --example parse_envelope -- <file.json> [summary]
+//! DEPBURST_CACHE=/tmp/c target/release/fig3 both 0.05 1
+//! cargo run --release -p harness --example parse_envelope -- /tmp/c [reps]
 //! ```
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
+use harness::cache::{open_envelope, SCHEMA_VERSION};
 use harness::run::RunSummary;
-use serde::Deserialize;
 
-#[derive(Deserialize)]
-struct Envelope {
-    schema: u32,
-    key: String,
-    summary: RunSummary,
-}
+const PHASES: [&str; 4] = ["read", "checksum", "utf-8", "parse"];
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let path = args.next().expect("usage: parse_envelope <file.json> [summary]");
-    let as_summary = args.next().as_deref() == Some("summary");
-    let bytes = std::fs::read(&path).expect("read input");
-    let t0 = Instant::now();
-    let epochs = if as_summary {
-        let summary: RunSummary = serde_json::from_slice(&bytes).expect("parse summary");
-        summary.trace.epochs.len()
-    } else {
-        let envelope: Envelope = serde_json::from_slice(&bytes).expect("parse envelope");
-        assert!(!envelope.key.is_empty());
-        assert!(envelope.schema >= 1);
-        envelope.summary.trace.epochs.len()
-    };
+    let root = args.next().expect("usage: parse_envelope <cache-root> [reps]");
+    let reps: usize = args.next().map_or(5, |r| r.parse().expect("reps is a count"));
+    let dir = std::path::Path::new(&root).join(format!("v{SCHEMA_VERSION}"));
+    let mut entries: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "json"))
+        .collect();
+    entries.sort();
+    let mut best = [Duration::MAX; 4];
+    let (mut bytes, mut epochs) = (0usize, 0usize);
+    for _ in 0..reps.max(1) {
+        let mut pass = [Duration::ZERO; 4];
+        (bytes, epochs) = (0, 0);
+        for path in &entries {
+            let t0 = Instant::now();
+            let raw = std::fs::read(path).expect("read envelope");
+            let t1 = Instant::now();
+            let (_, payload) = open_envelope(&raw).expect("envelope opens");
+            let t2 = Instant::now();
+            let text = std::str::from_utf8(payload).expect("payload is UTF-8");
+            let t3 = Instant::now();
+            let summary: RunSummary = serde_json::from_str(text).expect("payload parses");
+            let t4 = Instant::now();
+            for (phase, (a, b)) in pass.iter_mut().zip([(t0, t1), (t1, t2), (t2, t3), (t3, t4)]) {
+                *phase += b - a;
+            }
+            bytes += raw.len();
+            epochs += summary.trace.epochs.len();
+        }
+        for (b, p) in best.iter_mut().zip(pass) {
+            *b = (*b).min(p);
+        }
+    }
+    let total: Duration = best.iter().sum();
     println!(
-        "{path}: {} bytes, {epochs} epochs, parsed in {:.3}s",
-        bytes.len(),
-        t0.elapsed().as_secs_f64()
+        "{} envelopes, {:.2} MB, {epochs} epochs; best of {reps} passes",
+        entries.len(),
+        bytes as f64 / 1e6
     );
+    println!("{:<9} {:>9} {:>7}", "phase", "ms", "share");
+    for (name, t) in PHASES.iter().zip(best) {
+        let ms = t.as_secs_f64() * 1e3;
+        println!("{name:<9} {ms:>9.1} {:>6.1}%", 100.0 * ms / (total.as_secs_f64() * 1e3));
+    }
+    println!("{:<9} {:>9.1}", "total", total.as_secs_f64() * 1e3);
 }

@@ -20,6 +20,12 @@
 //! [`checksum64`]: a warm sweep verifies every byte it loads, and
 //! FNV-1a's one-byte-at-a-time multiply chain cost about a quarter of
 //! the load, where four independent word lanes run at memory speed.
+//! v5 changed only the payload's epoch stream: a trace's epochs are
+//! written as columns, one array per field (`dvfs_trace`'s `columns`
+//! module), where v4 wrote an object per epoch and per thread slice
+//! that repeated the nine counter names. The values and their float text
+//! are unchanged; a payload is about 38% of its v4 size, and parsing it
+//! is most of a warm load.
 //!
 //! Both directions stream: a store writes the summary's JSON straight
 //! from the typed value (`Serialize::write_json`, no `serde::Value`
@@ -62,7 +68,12 @@ use crate::vfs::{write_atomic, RealVfs, Vfs};
 /// FNV-1a, whose byte-serial multiply chain cost a quarter of a warm
 /// load. Same framing and field widths; v3 entries stay under `v3/`
 /// and are never read.
-pub const SCHEMA_VERSION: u32 = 4;
+/// v5: the trace's epochs are serialized as columns (per-epoch `start`,
+/// `duration`, `end` and slice count `slices`, then one array per
+/// thread-slice field) instead of one object per epoch and slice. Same
+/// framing, checksum and values; v4 entries stay under `v4/` and are
+/// never read.
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// The content digest keying one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -331,6 +342,9 @@ pub struct SimCache {
     in_flight: Mutex<HashSet<u128>>,
     flight_done: Condvar,
     pub(crate) dir: Option<PathBuf>,
+    /// Set on a checkpoint begun fresh, whose directory was just emptied:
+    /// lookups serve the memo only, since every disk read would miss.
+    pub(crate) memo_only: bool,
     /// The storage layer all persistence I/O routes through. [`RealVfs`]
     /// by default; the storage-fault harness swaps in a `FaultyVfs`.
     pub(crate) vfs: Arc<dyn Vfs>,
@@ -357,6 +371,7 @@ impl SimCache {
             in_flight: Mutex::new(HashSet::new()),
             flight_done: Condvar::new(),
             dir: None,
+            memo_only: false,
             vfs: Arc::new(RealVfs),
             memory_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
@@ -487,6 +502,9 @@ impl SimCache {
     }
 
     fn load_from_disk(&self, key: SimKey) -> Option<RunSummary> {
+        if self.memo_only {
+            return None;
+        }
         let path = self.entry_path(key)?;
         // An absent entry is the ordinary cold-cache case, not corruption.
         let bytes = self.vfs.read(&path).ok()?;
@@ -806,8 +824,19 @@ mod tests {
         }
     }
 
-    /// The payload of `dummy_summary(23)` as the writer renders it.
+    /// The payload of `dummy_summary(23)` as the writer renders it: its
+    /// empty epoch stream as columns.
     const PAYLOAD_23: &str = concat!(
+        r#"{"exec":0.023,"gc_time":0.0,"gc_count":23,"allocated":0,"#,
+        r#""total_active":0.0,"trace":{"base":1000,"start":0.0,"total":0.0,"#,
+        r#""epochs":{"start":[],"duration":[],"end":[],"slices":[],"thread":[],"#,
+        r#""active":[],"crit":[],"leading_loads":[],"stall":[],"sq_full":[],"#,
+        r#""instructions":[],"loads":[],"stores":[],"llc_misses":[]},"#,
+        r#""markers":[],"threads":[]}}"#
+    );
+
+    /// The same payload as schemas 3 and 4 wrote it: epochs as rows.
+    const ROW_PAYLOAD_23: &str = concat!(
         r#"{"exec":0.023,"gc_time":0.0,"gc_count":23,"allocated":0,"#,
         r#""total_active":0.0,"trace":{"base":1000,"start":0.0,"total":0.0,"#,
         r#""epochs":[],"markers":[],"threads":[]}}"#
@@ -815,11 +844,11 @@ mod tests {
 
     const KEY_23: SimKey = SimKey(0x0123_4567_89ab_cdef_fedc_ba98_7654_3210);
 
-    /// The envelope of [`PAYLOAD_23`] under [`KEY_23`], spelled out by
-    /// hand rather than by [`write_envelope`].
-    fn envelope_23(schema: u32, checksum: &str) -> String {
+    /// The envelope of `payload` under [`KEY_23`], spelled out by hand
+    /// rather than by [`write_envelope`].
+    fn envelope_23(schema: u32, checksum: &str, payload: &str) -> String {
         format!(
-            r#"{{"schema":{schema},"key":"{}","checksum":"{checksum}","summary":{PAYLOAD_23}}}"#,
+            r#"{{"schema":{schema},"key":"{}","checksum":"{checksum}","summary":{payload}}}"#,
             KEY_23.hex()
         )
     }
@@ -838,12 +867,12 @@ mod tests {
     }
 
     #[test]
-    fn a_pinned_v4_envelope_loads_and_is_rewritten_byte_for_byte() {
-        // Pins the schema-4 on-disk format: the header, the checksum
-        // algorithm and its rendering. A change that moves these bytes
-        // needs a schema bump.
-        let written = envelope_23(4, "63af00f4e45f819f");
-        let (cache, dir) = planted("v4", KEY_23, &written);
+    fn a_pinned_v5_envelope_loads_and_is_rewritten_byte_for_byte() {
+        // Pins the schema-5 on-disk format: the header, the checksum
+        // algorithm and its rendering, and the columnar epoch stream. A
+        // change that moves these bytes needs a schema bump.
+        let written = envelope_23(5, "40f0d040b35fd9a7", PAYLOAD_23);
+        let (cache, dir) = planted("v5", KEY_23, &written);
         let served = cache
             .get_or_compute(KEY_23, || panic!("must hit disk"))
             .expect("ok");
@@ -859,19 +888,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn a_v3_envelope_in_the_slot_is_recomputed_not_served() {
-        // A schema-3 envelope (FNV-1a checksum), exactly as the v3 writer
-        // left it. v3 entries live under `v3/` and are never looked at;
-        // one copied into the v4 slot is rejected, quarantined and
-        // recomputed.
-        let v3 = envelope_23(3, "2a41863b0465c0bd");
-        assert_eq!(
-            depburst_core::stablehash::fnv1a64(PAYLOAD_23.as_bytes()),
-            0x2a41_863b_0465_c0bd,
-            "the planted bytes are a sound v3 envelope"
-        );
-        let (cache, dir) = planted("v3", KEY_23, &v3);
+    /// Plants `envelope` in [`KEY_23`]'s slot and requires a lookup to
+    /// reject, quarantine and recompute it rather than serve it.
+    fn recomputed_not_served(tag: &str, envelope: &str) {
+        let (cache, dir) = planted(tag, KEY_23, envelope);
         let mut computed = false;
         let served = cache
             .get_or_compute(KEY_23, || {
@@ -879,11 +899,38 @@ mod tests {
                 Ok(dummy_summary(24))
             })
             .expect("ok");
-        assert!(computed, "the v3 envelope was served");
+        assert!(computed, "the {tag} envelope was served");
         assert_eq!(served.gc_count, 24);
         let stats = cache.stats();
         assert_eq!((stats.disk_hits, stats.misses, stats.quarantined), (0, 1, 1));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_v3_envelope_in_the_slot_is_recomputed_not_served() {
+        // A schema-3 envelope (FNV-1a checksum), exactly as the v3 writer
+        // left it. v3 entries live under `v3/` and are never looked at;
+        // one copied into the current slot is rejected, quarantined and
+        // recomputed.
+        assert_eq!(
+            depburst_core::stablehash::fnv1a64(ROW_PAYLOAD_23.as_bytes()),
+            0x2a41_863b_0465_c0bd,
+            "the planted bytes are a sound v3 envelope"
+        );
+        recomputed_not_served("v3", &envelope_23(3, "2a41863b0465c0bd", ROW_PAYLOAD_23));
+    }
+
+    #[test]
+    fn a_v4_envelope_in_the_slot_is_recomputed_not_served() {
+        // A schema-4 envelope (row-form epochs), exactly as the v4 writer
+        // left it. v4 entries live under `v4/` and are never looked at;
+        // one copied into the v5 slot is rejected by its schema.
+        let checksum = checksum64(ROW_PAYLOAD_23.as_bytes());
+        assert_eq!(checksum, 0x63af_00f4_e45f_819f, "the planted bytes are a sound v4 envelope");
+        recomputed_not_served("v4", &envelope_23(4, "63af00f4e45f819f", ROW_PAYLOAD_23));
+        // Relabelled schema 5, its checksum still sound, the row-form
+        // payload does not parse as a v5 trace.
+        recomputed_not_served("v4-as-v5", &envelope_23(5, "63af00f4e45f819f", ROW_PAYLOAD_23));
     }
 
     /// Every single-bit flip of `bytes`, one at a time.
@@ -930,7 +977,7 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("depburst-cache-jbits-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = SimCache::persistent(&dir);
+        let mut store = SimCache::persistent(&dir);
         store.begin_checkpoint(true).expect("checkpoint opens");
         store.store(key_for(10), &Arc::new(exponent_summary()));
         let line =

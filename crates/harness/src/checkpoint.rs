@@ -43,7 +43,9 @@ impl SimCache {
     /// Prepares this persistent store as a run's checkpoint, through its
     /// storage layer. `fresh` (a new `--run-id`) removes every entry an
     /// earlier run with the same id left in the schema directory, so a
-    /// new run never replays an old one's points. Otherwise (`--resume`)
+    /// new run never replays an old one's points; the store then serves
+    /// its memo only, since every read of that directory would miss, and
+    /// still persists each point it stores. Otherwise (`--resume`)
     /// the entries stay and load on demand; a missing store starts from
     /// scratch with a warning, which names a journal file the checkpoint
     /// format before this one left at `<root>.jsonl`, since it is not
@@ -52,7 +54,8 @@ impl SimCache {
     /// # Errors
     /// Listing, removing or creating the directory failed: the caller
     /// runs without a checkpoint.
-    pub fn begin_checkpoint(&self, fresh: bool) -> io::Result<()> {
+    pub fn begin_checkpoint(&mut self, fresh: bool) -> io::Result<()> {
+        self.memo_only = fresh;
         let Some(dir) = self.dir.as_deref() else {
             return Ok(());
         };
@@ -124,7 +127,7 @@ mod tests {
 
     /// Opens the store at `root` as a checkpoint, fresh or resumed.
     fn open_checkpoint(root: &Path, fresh: bool) -> SimCache {
-        let store = SimCache::persistent(root);
+        let mut store = SimCache::persistent(root);
         store.begin_checkpoint(fresh).expect("checkpoint opens");
         store
     }
@@ -279,7 +282,7 @@ mod tests {
     #[test]
     fn fsync_failures_are_counted_not_swallowed() {
         let root = checkpoint_root("fsync");
-        let store = SimCache::persistent(&root).with_vfs(Arc::new(FailingFsync));
+        let mut store = SimCache::persistent(&root).with_vfs(Arc::new(FailingFsync));
         store.begin_checkpoint(true).expect("opens");
         store.store(SimKey(1), &Arc::new(summary(1)));
         store.store(SimKey(2), &Arc::new(summary(2)));
@@ -304,7 +307,7 @@ mod tests {
             torn_write: 1.0,
             ..StorageFaultConfig::none(4)
         }));
-        let store = SimCache::persistent(&root).with_vfs(vfs);
+        let mut store = SimCache::persistent(&root).with_vfs(vfs);
         store.begin_checkpoint(true).expect("opening writes no file");
         store.store(SimKey(1), &Arc::new(summary(1)));
         store.store(SimKey(2), &Arc::new(summary(2)));
@@ -336,6 +339,70 @@ mod tests {
         let schema_dir = root.join(format!("v{SCHEMA_VERSION}"));
         assert_eq!(std::fs::read_dir(&schema_dir).expect("kept").count(), 0);
         assert!(root.join("keep").exists());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The real filesystem, counting reads.
+    #[derive(Debug, Default)]
+    struct CountingReads(std::sync::atomic::AtomicU64);
+
+    impl CountingReads {
+        fn reads(&self) -> u64 {
+            self.0.load(std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    impl Vfs for CountingReads {
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            RealVfs.read(path)
+        }
+        fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            RealVfs.write(path, bytes)
+        }
+        fn fsync(&self, path: &Path) -> io::Result<()> {
+            RealVfs.fsync(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            RealVfs.rename(from, to)
+        }
+        fn remove(&self, path: &Path) -> io::Result<()> {
+            RealVfs.remove(path)
+        }
+        fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+            RealVfs.create_dir_all(path)
+        }
+        fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+            RealVfs.list(dir)
+        }
+    }
+
+    #[test]
+    fn a_fresh_run_reads_nothing_and_a_resume_still_replays() {
+        let root = checkpoint_root("fresh-reads");
+        let vfs = Arc::new(CountingReads::default());
+        let mut store = SimCache::persistent(&root).with_vfs(Arc::clone(&vfs) as Arc<dyn Vfs>);
+        store.begin_checkpoint(true).expect("opens");
+        // The point pipeline's order: look up, miss, simulate, store.
+        for k in 1..=3u64 {
+            assert!(store.load(SimKey(u128::from(k))).is_none());
+            store.store(SimKey(u128::from(k)), &Arc::new(summary(k)));
+        }
+        assert_eq!(store.load(SimKey(2)).expect("memo").gc_count, 2);
+        let served = store
+            .get_or_compute(SimKey(4), || Ok(summary(4)))
+            .expect("computes");
+        assert_eq!(served.gc_count, 4);
+        assert_eq!(vfs.reads(), 0, "a fresh checkpoint read its emptied directory");
+        drop(store);
+
+        let mut resumed = SimCache::persistent(&root).with_vfs(Arc::clone(&vfs) as Arc<dyn Vfs>);
+        resumed.begin_checkpoint(false).expect("opens");
+        for k in 1..=4u64 {
+            assert_eq!(*resumed.load(SimKey(u128::from(k))).expect("replayed"), summary(k));
+        }
+        assert_eq!(vfs.reads(), 4, "a resume reads each stored point once");
+        assert_eq!(resumed.stats().disk_hits, 4);
         let _ = std::fs::remove_dir_all(&root);
     }
 

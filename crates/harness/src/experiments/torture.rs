@@ -20,10 +20,11 @@
 //! 2. **Bit-flip sweep** — flip single bits at evenly-strided positions
 //!    of a persisted cache envelope; every flip must be detected (the
 //!    envelope quarantined, the truth recomputed), never served.
-//! 3. **Soak** — two passes at a uniform fault intensity over one shared
-//!    cache directory and a resumed checkpoint, exercising torn writes,
-//!    dropped fsyncs, failed renames, ENOSPC windows, and read-side bit
-//!    rot together; both outputs must equal the reference.
+//! 3. **Soak** — three passes at a uniform fault intensity over one
+//!    shared cache directory and a twice-resumed checkpoint, exercising
+//!    torn writes, dropped fsyncs, failed renames, ENOSPC windows, and
+//!    read-side bit rot together; every output must equal the reference,
+//!    and every one of those fault classes must fire at least once.
 //!
 //! Everything is seeded and deterministic (`jobs = 1`, so the fault
 //! schedule is a pure function of the operation sequence). The `torture`
@@ -109,9 +110,11 @@ pub struct TortureReport {
     /// Flips that were served from disk — corrupted data reached a
     /// consumer. Must be zero.
     pub bitflips_missed: usize,
-    /// Whether both soak passes reproduced the reference output.
+    /// Fault intensity of the soak phase.
+    pub soak_intensity: f64,
+    /// Whether every soak pass reproduced the reference output.
     pub soak_identical: bool,
-    /// Everything the two soak passes injected, summed.
+    /// Everything the soak passes injected, summed.
     pub soak_faults: StorageFaultStats,
     /// The crash points behind `failed_closed`.
     pub failed_closed_points: Vec<u64>,
@@ -120,13 +123,33 @@ pub struct TortureReport {
 }
 
 impl TortureReport {
-    /// True when every contract the sweep checks held.
+    /// True when every contract the sweep checks held, and a soak at a
+    /// nonzero intensity fired every fault class.
     #[must_use]
     pub fn clean(&self) -> bool {
         self.inert_identical
             && self.silent_corruptions == 0
             && self.bitflips_missed == 0
             && self.soak_identical
+            && (self.soak_intensity <= 0.0 || self.soak_dead_classes().is_empty())
+    }
+
+    /// The soak's fault classes that never fired: a class that injected
+    /// nothing tested nothing.
+    #[must_use]
+    pub fn soak_dead_classes(&self) -> Vec<&'static str> {
+        let s = &self.soak_faults;
+        [
+            ("torn writes", s.torn_writes),
+            ("dropped fsyncs", s.dropped_fsyncs),
+            ("rename failures", s.rename_failures),
+            ("enospc", s.enospc_failures),
+            ("corrupted reads", s.corrupted_reads),
+        ]
+        .into_iter()
+        .filter(|&(_, fired)| fired == 0)
+        .map(|(class, _)| class)
+        .collect()
     }
 
     /// The human-readable report.
@@ -159,14 +182,18 @@ impl TortureReport {
         ));
         let s = &self.soak_faults;
         out.push_str(&format!(
-            "soak: output identical across both passes: {}\n  injected: {} ops, {} torn writes, \
+            "soak: output identical across all three passes: {}\n  injected: {} ops, {} torn writes, \
              {} dropped fsyncs, {} rename failures, {} enospc, {} corrupted reads\n",
             if self.soak_identical { "yes" } else { "NO" },
             s.ops, s.torn_writes, s.dropped_fsyncs, s.rename_failures, s.enospc_failures,
             s.corrupted_reads
         ));
+        let dead = self.soak_dead_classes();
+        if self.soak_intensity > 0.0 && !dead.is_empty() {
+            out.push_str(&format!("  SOAK CLASSES THAT NEVER FIRED: {}\n", dead.join(", ")));
+        }
         out.push_str(if self.clean() {
-            "verdict: PASS (zero silent corruptions, all flips detected)\n"
+            "verdict: PASS (zero silent corruptions, all flips detected, every soak class fired)\n"
         } else {
             "verdict: FAIL\n"
         });
@@ -367,39 +394,26 @@ pub fn run(cfg: &TortureConfig) -> Result<TortureReport, Box<dyn std::error::Err
     let (bitflips_detected, bitflips_missed) =
         bitflip_sweep(&workdir, cfg).map_err(|e| format!("bit-flip sweep: {e}"))?;
 
-    // Phase 3: the soak — every probabilistic fault class at once, two
-    // passes over one cache directory and a resumed checkpoint.
+    // Phase 3: the soak — every probabilistic fault class at once,
+    // three passes over one cache directory and one checkpoint. Pass A
+    // starts the checkpoint fresh, so it reads only cache misses; passes
+    // B and C resume it through *differently seeded* injectors, so the
+    // replay and load paths meet read-side corruption and fresh write
+    // faults. Pass C reads what A and B left between them, enough reads
+    // for the bit-rot class to fire.
     eprintln!("torture: soak @ intensity {}", cfg.soak_intensity);
     let soak_dirs = PassDirs::under(&workdir, "soak");
-    let soak_a = run_pass(
-        &soak_dirs,
-        cfg.scale,
-        cfg.seed,
-        Some(Arc::new(FaultyVfs::new(StorageFaultConfig::uniform(
+    let mut soak_identical = true;
+    let mut soak_faults = StorageFaultStats::default();
+    for pass in 0..3u64 {
+        let vfs = FaultyVfs::new(StorageFaultConfig::uniform(
             cfg.soak_intensity,
-            cfg.storage_seed,
-        )))),
-        false,
-    );
-    // Pass B reads pass A's surviving cache and checkpoint through a
-    // *differently seeded* injector: replay and load paths meet read-side
-    // corruption and fresh write faults.
-    let soak_b = run_pass(
-        &soak_dirs,
-        cfg.scale,
-        cfg.seed,
-        Some(Arc::new(FaultyVfs::new(StorageFaultConfig::uniform(
-            cfg.soak_intensity,
-            cfg.storage_seed.wrapping_add(1),
-        )))),
-        true,
-    );
-    let soak_identical = soak_a.output.as_deref() == Ok(reference.as_str())
-        && soak_b.output.as_deref() == Ok(reference.as_str());
-    let soak_faults = add_stats(
-        soak_a.stats.unwrap_or_default(),
-        soak_b.stats.unwrap_or_default(),
-    );
+            cfg.storage_seed.wrapping_add(pass),
+        ));
+        let soak = run_pass(&soak_dirs, cfg.scale, cfg.seed, Some(Arc::new(vfs)), pass > 0);
+        soak_identical &= soak.output.as_deref() == Ok(reference.as_str());
+        soak_faults = add_stats(soak_faults, soak.stats.unwrap_or_default());
+    }
     soak_dirs.clean();
     let _ = std::fs::remove_dir_all(&workdir);
 
@@ -415,6 +429,7 @@ pub fn run(cfg: &TortureConfig) -> Result<TortureReport, Box<dyn std::error::Err
         bitflips: cfg.bitflips,
         bitflips_detected,
         bitflips_missed,
+        soak_intensity: cfg.soak_intensity,
         soak_identical,
         soak_faults,
         failed_closed_points,
@@ -529,8 +544,16 @@ mod tests {
             bitflips: 64,
             bitflips_detected: 64,
             bitflips_missed: 0,
+            soak_intensity: 0.3,
             soak_identical: true,
-            soak_faults: StorageFaultStats::default(),
+            soak_faults: StorageFaultStats {
+                torn_writes: 1,
+                dropped_fsyncs: 2,
+                rename_failures: 3,
+                enospc_failures: 4,
+                corrupted_reads: 5,
+                ..StorageFaultStats::default()
+            },
             failed_closed_points: vec![7],
             silent_points: vec![],
         };
@@ -542,9 +565,26 @@ mod tests {
         let broken = TortureReport {
             silent_corruptions: 1,
             silent_points: vec![33],
-            ..report
+            ..report.clone()
         };
         assert!(!broken.clean());
         assert!(broken.render().contains("verdict: FAIL"));
+        // A soak class that never fired fails the verdict, by name.
+        let dead = TortureReport {
+            soak_faults: StorageFaultStats {
+                corrupted_reads: 0,
+                ..report.soak_faults
+            },
+            ..report.clone()
+        };
+        assert_eq!(dead.soak_dead_classes(), ["corrupted reads"]);
+        assert!(!dead.clean());
+        assert!(dead.render().contains("NEVER FIRED: corrupted reads"));
+        // No soak, no class to fire.
+        let unsoaked = TortureReport {
+            soak_intensity: 0.0,
+            ..dead
+        };
+        assert!(unsoaked.clean());
     }
 }

@@ -101,6 +101,17 @@ fn record_takes_an_output_path_where_run_takes_a_scale() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "record failed: {stderr}");
     assert!(dir.join("trace.json").is_file(), "record wrote no trace");
+    // The recorded trace reads back: every model predicts from it.
+    for model in ["dep+burst", "dep", "coop+burst", "coop", "m+crit+burst", "m+crit"] {
+        let out = run(exe, &["predict", "trace.json", "4", model], &dir);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "predict with {model} failed: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains("at 2 GHz, predicted") && stdout.contains("at 4 GHz"),
+            "predict with {model}: {stdout}"
+        );
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 

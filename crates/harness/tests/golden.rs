@@ -17,7 +17,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use dvfs_trace::Freq;
+use dvfs_trace::{EpochEnd, ExecutionTrace, Freq};
 use harness::run::RunSummary;
 use harness::{ExecCtx, SimPoint, SweepPlan};
 
@@ -169,6 +169,176 @@ fn goldens_roundtrip_with_exact_f64_bits() {
             summary.trace.epochs.len(),
             stored.trace.epochs.len(),
             "{name} @ {ghz} GHz epoch count"
+        );
+    }
+}
+
+/// The row form of a summary, as cache schema 4 and the goldens before
+/// schema 5 wrote it: every epoch an object, every thread slice an object
+/// holding its nine named counters. Kept only here, as the oracle that
+/// the columnar encoding decodes to the same values.
+mod v4 {
+    use dvfs_trace::{
+        DvfsCounters, EpochEnd, EpochRecord, ExecutionTrace, Freq, PhaseMarker, ThreadId,
+        ThreadInfo, ThreadSlice, Time, TimeDelta,
+    };
+    use harness::run::{RunSummary, SampledInfo};
+    use serde::{Deserialize, Serialize};
+
+    #[derive(Serialize, Deserialize)]
+    pub struct Summary {
+        exec: TimeDelta,
+        gc_time: TimeDelta,
+        gc_count: u64,
+        allocated: u64,
+        total_active: TimeDelta,
+        trace: Trace,
+        #[serde(default, skip_serializing_if = "Option::is_none")]
+        sampled: Option<SampledInfo>,
+    }
+
+    #[derive(Serialize, Deserialize)]
+    struct Trace {
+        base: Freq,
+        start: Time,
+        total: TimeDelta,
+        epochs: Vec<Epoch>,
+        markers: Vec<PhaseMarker>,
+        threads: Vec<ThreadInfo>,
+    }
+
+    #[derive(Serialize, Deserialize)]
+    struct Epoch {
+        start: Time,
+        duration: TimeDelta,
+        threads: Vec<Slice>,
+        end: EpochEnd,
+    }
+
+    #[derive(Serialize, Deserialize)]
+    struct Slice {
+        thread: ThreadId,
+        counters: DvfsCounters,
+    }
+
+    impl From<&RunSummary> for Summary {
+        fn from(s: &RunSummary) -> Self {
+            let t = &s.trace;
+            let epochs = t.epochs.iter().map(|e| Epoch {
+                start: e.start,
+                duration: e.duration,
+                threads: e
+                    .threads
+                    .iter()
+                    .map(|s| Slice {
+                        thread: s.thread,
+                        counters: s.counters,
+                    })
+                    .collect(),
+                end: e.end,
+            });
+            Summary {
+                exec: s.exec,
+                gc_time: s.gc_time,
+                gc_count: s.gc_count,
+                allocated: s.allocated,
+                total_active: s.total_active,
+                trace: Trace {
+                    base: t.base,
+                    start: t.start,
+                    total: t.total,
+                    epochs: epochs.collect(),
+                    markers: t.markers.clone(),
+                    threads: t.threads.clone(),
+                },
+                sampled: s.sampled.clone(),
+            }
+        }
+    }
+
+    impl From<Summary> for RunSummary {
+        fn from(s: Summary) -> Self {
+            let t = s.trace;
+            let epochs = t.epochs.into_iter().map(|e| EpochRecord {
+                start: e.start,
+                duration: e.duration,
+                threads: e
+                    .threads
+                    .into_iter()
+                    .map(|s| ThreadSlice {
+                        thread: s.thread,
+                        counters: s.counters,
+                    })
+                    .collect(),
+                end: e.end,
+            });
+            RunSummary {
+                exec: s.exec,
+                gc_time: s.gc_time,
+                gc_count: s.gc_count,
+                allocated: s.allocated,
+                total_active: s.total_active,
+                trace: ExecutionTrace {
+                    base: t.base,
+                    start: t.start,
+                    total: t.total,
+                    epochs: epochs.collect(),
+                    markers: t.markers,
+                    threads: t.threads,
+                },
+                sampled: s.sampled,
+            }
+        }
+    }
+}
+
+/// Every value of a trace's epoch stream as bits: per epoch its start,
+/// duration, end and slice count, per slice its thread and nine counters.
+fn epoch_bits(trace: &ExecutionTrace) -> Vec<u64> {
+    let mut bits = Vec::new();
+    for e in &trace.epochs {
+        let end = match e.end {
+            EpochEnd::Stall(t) => 1 << 32 | u64::from(t.0),
+            EpochEnd::Wake(t) => 2 << 32 | u64::from(t.0),
+            EpochEnd::Exit(t) => 3 << 32 | u64::from(t.0),
+            EpochEnd::QuantumBoundary => 4 << 32,
+            EpochEnd::TraceEnd => 5 << 32,
+        };
+        let head = [e.start.as_secs().to_bits(), e.duration.as_secs().to_bits()];
+        bits.extend(head.into_iter().chain([end, e.threads.len() as u64]));
+        for s in &e.threads {
+            let c = &s.counters;
+            let times = [c.active, c.crit, c.leading_loads, c.stall, c.sq_full];
+            bits.push(u64::from(s.thread.0));
+            bits.extend(times.map(|t| t.as_secs().to_bits()));
+            bits.extend([c.instructions, c.loads, c.stores, c.llc_misses]);
+        }
+    }
+    bits
+}
+
+#[test]
+fn goldens_decode_bit_identically_from_the_row_form() {
+    for (name, ghz) in GRID {
+        let path = golden_path(name, ghz);
+        let text = fs::read_to_string(&path).unwrap_or_else(|_| panic!("missing {}", path.display()));
+        let columnar: RunSummary = serde_json::from_str(&text).expect("golden parses");
+        assert!(!columnar.trace.epochs.is_empty(), "{name} @ {ghz} GHz has epochs");
+        let rows = serde_json::to_string_pretty(&v4::Summary::from(&columnar)).expect("serializes");
+        assert!(rows.len() > text.len(), "the row form is the longer text");
+        let from_rows: RunSummary = serde_json::from_str::<v4::Summary>(&rows)
+            .expect("the row form parses")
+            .into();
+        assert_eq!(
+            epoch_bits(&from_rows.trace),
+            epoch_bits(&columnar.trace),
+            "{name} @ {ghz} GHz: epoch values differ between the encodings"
+        );
+        assert_eq!(from_rows, columnar, "{name} @ {ghz} GHz");
+        assert_eq!(
+            serde_json::to_string_pretty(&from_rows).expect("serializes"),
+            text,
+            "{name} @ {ghz} GHz: the row form re-encodes to the golden's bytes"
         );
     }
 }

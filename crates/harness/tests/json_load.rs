@@ -6,9 +6,11 @@
 //! texts are serialized values with shuffled key order, extra
 //! whitespace, escaped keys, unknown keys (nested ones too), duplicated
 //! keys, missing fields, wrongly typed values, edge-case and non-JSON
-//! number tokens, and truncation or trailing garbage. A disagreement is
-//! shrunk to the shortest prefix of the case's mutations that still
-//! shows it.
+//! number tokens, and truncation or trailing garbage. The epoch stream's
+//! columns get mutations of their own: a column one element short or
+//! long, slice counts whose sum is wrong, the counts after the columns
+//! they size, and a missing column. A disagreement is shrunk to the
+//! shortest prefix of the case's mutations that still shows it.
 
 use dvfs_trace::{
     DvfsCounters, EpochEnd, EpochRecord, ExecutionTrace, Freq, PhaseKind, PhaseMarker, ThreadId,
@@ -220,6 +222,81 @@ fn paths(v: &Value, path: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
     }
 }
 
+/// The per-epoch columns of a serialized trace's `epochs`, slice counts
+/// included, and its per-slice columns.
+const EPOCH_COLUMNS: [&str; 4] = ["start", "duration", "end", "slices"];
+const SLICE_COLUMNS: [&str; 10] = [
+    "thread",
+    "active",
+    "crit",
+    "leading_loads",
+    "stall",
+    "sq_full",
+    "instructions",
+    "loads",
+    "stores",
+    "llc_misses",
+];
+
+/// The column-layout mutations; see [`mutate_columns`].
+const COLUMN_MUTATIONS: usize = 5;
+
+/// Applies column-layout mutation `op` to `entries`, the epoch columns of
+/// a trace, at column `pick` (modulo the candidates); returns what it did.
+fn mutate_columns(entries: &mut Vec<(String, Value)>, op: usize, pick: usize) -> String {
+    let position = |entries: &[(String, Value)], key: &str| entries.iter().position(|(k, _)| k == key);
+    let among = |keys: &[&str]| keys[pick % keys.len()].to_owned();
+    match op {
+        0 | 1 => {
+            // One element short (0) or long (1), in a slice column or a
+            // per-epoch one.
+            let key = if pick.is_multiple_of(2) { among(&SLICE_COLUMNS) } else { among(&EPOCH_COLUMNS) };
+            let Some(Value::Seq(items)) = position(entries, &key).map(|i| &mut entries[i].1) else {
+                return format!("no column {key}");
+            };
+            if op == 0 && !items.is_empty() {
+                items.pop();
+                format!("column {key} one short")
+            } else {
+                let extra = items.first().cloned().unwrap_or(Value::U64(0));
+                items.push(extra);
+                format!("column {key} one long")
+            }
+        }
+        2 => {
+            let Some(Value::Seq(counts)) = position(entries, "slices").map(|i| &mut entries[i].1) else {
+                return "no counts".into();
+            };
+            let at = pick % counts.len().max(1);
+            match counts.get_mut(at) {
+                Some(Value::U64(n)) => {
+                    *n = if *n == 0 || pick.is_multiple_of(2) { *n + 1 } else { *n - 1 };
+                    "slice counts sum wrong".into()
+                }
+                _ => "no count to change".into(),
+            }
+        }
+        3 => {
+            let Some(at) = position(entries, "slices") else {
+                return "no counts".into();
+            };
+            let counts = entries.remove(at);
+            entries.push(counts);
+            "slice counts after the slice columns".into()
+        }
+        _ => {
+            let key = if pick.is_multiple_of(3) { among(&EPOCH_COLUMNS) } else { among(&SLICE_COLUMNS) };
+            match position(entries, &key) {
+                Some(at) => {
+                    entries.remove(at);
+                    format!("column {key} missing")
+                }
+                None => format!("no column {key}"),
+            }
+        }
+    }
+}
+
 fn node<'a>(v: &'a mut Value, path: &[usize]) -> &'a mut Value {
     match (v, path.split_first()) {
         (v, None) => v,
@@ -238,8 +315,22 @@ fn mutate(v: &mut Value, seed: u64) -> String {
         .iter()
         .filter(|p| matches!(node(v, p), Value::Map(e) if !e.is_empty()))
         .collect();
-    let op = pick(&mut rng, 6);
-    if op == 5 {
+    let op = pick(&mut rng, 7);
+    if op == 6 {
+        // The epoch columns: a map that holds slice counts.
+        let columns: Vec<&Vec<usize>> = all
+            .iter()
+            .filter(|p| matches!(node(v, p), Value::Map(e) if e.iter().any(|(k, _)| k == "slices")))
+            .collect();
+        if let Some(path) = columns.first().map(|p| (*p).clone()) {
+            let Value::Map(entries) = node(v, &path) else {
+                unreachable!()
+            };
+            let (op, at) = (pick(&mut rng, COLUMN_MUTATIONS), pick(&mut rng, 64));
+            return mutate_columns(entries, op, at);
+        }
+    }
+    if op >= 5 {
         let numbers: Vec<&Vec<usize>> = all.iter().filter(|p| is_number(node(v, p))).collect();
         let path = match numbers.len() {
             0 => all[pick(&mut rng, all.len())].clone(),
@@ -477,6 +568,70 @@ fn streamed_loads_agree_with_the_tree_path() {
         rejected >= CASES / 5,
         "only {rejected} of {CASES} cases were rejected"
     );
+}
+
+#[test]
+fn every_column_layout_mutation_reads_alike_on_both_paths() {
+    // A trace with several epochs of several slices, so every column
+    // has elements to lose, gain or miscount.
+    let s = (0..)
+        .map(|i| summary(&mut proptest::rng_for("column_mutations", i)))
+        .find(|s| s.trace.epochs.len() >= 2 && s.trace.threads.len() >= 2)
+        .expect("a summary with two epochs of two slices");
+    let base = s.to_value();
+    let mut all = Vec::new();
+    paths(&base, &mut Vec::new(), &mut all);
+    let mut probe = base.clone();
+    let at = all
+        .into_iter()
+        .find(|p| matches!(node(&mut probe, p), Value::Map(e) if e.iter().any(|(k, _)| k == "slices")))
+        .expect("the epoch columns");
+    let mut reordered = 0;
+    for op in 0..COLUMN_MUTATIONS {
+        for pick in 0..30 {
+            let mut v = base.clone();
+            let Value::Map(entries) = node(&mut v, &at) else {
+                unreachable!()
+            };
+            let did = mutate_columns(entries, op, pick);
+            for seed in 0..2 {
+                let mut text = String::new();
+                render(&v, &mut TestRng::new(seed), &mut text);
+                match agree::<RunSummary>(&text) {
+                    // Only moving the counts keeps the text valid, and
+                    // then it reads back the original.
+                    Ok(true) if op == 3 => {
+                        let back: RunSummary = serde_json::from_str(&text).expect("loads");
+                        assert_eq!(
+                            serde_json::to_string(&back).expect("serializes"),
+                            serde_json::to_string(&s).expect("serializes"),
+                            "{did}"
+                        );
+                        reordered += 1;
+                    }
+                    Ok(false) if op != 3 => {}
+                    other => panic!("{did}: {other:?}\ntext: {text}"),
+                }
+            }
+        }
+    }
+    assert_eq!(reordered, 60, "every reordering read back");
+    // A slice count far past what the input can hold is an error on both
+    // paths, before anything is sized by it.
+    for huge in [u64::MAX, 1 << 40, 1 << 20] {
+        let mut v = base.clone();
+        let Value::Map(entries) = node(&mut v, &at) else {
+            unreachable!()
+        };
+        let counts = entries.iter_mut().find(|(k, _)| k == "slices").expect("counts");
+        let Value::Seq(counts) = &mut counts.1 else {
+            unreachable!()
+        };
+        counts[0] = Value::U64(huge);
+        let mut text = String::new();
+        render(&v, &mut TestRng::new(0), &mut text);
+        assert_eq!(agree::<RunSummary>(&text), Ok(false), "count {huge}");
+    }
 }
 
 #[test]

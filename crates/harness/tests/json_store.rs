@@ -450,6 +450,7 @@ fn experiment_results_write_the_tree_bytes() {
                 bitflips: 2,
                 bitflips_detected: 2,
                 bitflips_missed: 0,
+                soak_intensity: f64::NAN,
                 soak_identical: !crashed,
                 soak_faults: StorageFaultStats {
                     ops: u64::MAX,

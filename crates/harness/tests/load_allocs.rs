@@ -1,9 +1,10 @@
 //! Loading a cache envelope builds no `Value` tree. Under a counting
 //! global allocator, opening a persisted envelope and reading its
-//! `RunSummary` may allocate at most one buffer per JSON array (a `Vec`
-//! that grows in place counts once) plus one `String` per thread name,
-//! and so no `String` per map key. This file holds a single test: the
-//! allocator counts per thread, but it is global to the test binary.
+//! `RunSummary` may allocate at most one buffer per `Vec` of the loaded
+//! value (a `Vec` that grows in place counts once) plus one `String` per
+//! thread name, and so no `String` per map key and no buffer per column
+//! of the epoch stream. This file holds a single test: the allocator
+//! counts per thread, but it is global to the test binary.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -11,7 +12,6 @@ use std::fs;
 
 use harness::cache::open_envelope;
 use harness::{RunSummary, SimCache, SimKey};
-use serde::Value;
 
 struct Counting;
 
@@ -55,12 +55,11 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-fn arrays(v: &Value) -> u64 {
-    match v {
-        Value::Seq(items) => 1 + items.iter().map(arrays).sum::<u64>(),
-        Value::Map(entries) => entries.iter().map(|(_, v)| arrays(v)).sum(),
-        _ => 0,
-    }
+/// The `Vec`s of a loaded summary: the epochs, each epoch's slices, the
+/// markers and the thread table.
+fn vecs(summary: &RunSummary) -> u64 {
+    let trace = &summary.trace;
+    3 + trace.epochs.len() as u64
 }
 
 #[test]
@@ -87,10 +86,9 @@ fn loading_an_envelope_allocates_only_arrays_and_thread_names() {
     let bytes = fs::read(&entry).expect("envelope readable");
     fs::remove_dir_all(&dir).expect("temp dir removed");
 
-    let (_, payload) = open_envelope(&bytes).expect("opens");
-    let tree: Value = serde_json::from_slice(payload).expect("payload parses as a tree");
-    let bound = arrays(&tree) + summary.trace.threads.len() as u64;
-    let keys = summary.trace.epochs.len() as u64 * 4;
+    let bound = vecs(&summary) + summary.trace.threads.len() as u64;
+    assert_eq!(bound, 235, "the bound of the lusearch golden");
+    let slices: usize = summary.trace.epochs.iter().map(|e| e.threads.len()).sum();
 
     let before = allocs();
     let (opened_key, payload) = open_envelope(&bytes).expect("opens");
@@ -106,6 +104,6 @@ fn loading_an_envelope_allocates_only_arrays_and_thread_names() {
     assert!(
         made <= bound,
         "loading one envelope made {made} allocations; at most {bound} allowed \
-         (one per JSON array plus one per thread name), against {keys}+ map keys"
+         (one per Vec of the summary plus one per thread name) for {slices} thread slices"
     );
 }

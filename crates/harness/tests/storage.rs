@@ -144,11 +144,12 @@ fn crash_interrupted_sweep_fails_closed_then_resumes_byte_identical() {
         .collect();
 
     // Crash after the first point's cache envelope commit. Ops: the
-    // checkpoint's create_dir_all (1); for the first point the
-    // checkpoint's read-miss (2), the cache's read-miss (3), then the
-    // cache envelope's create_dir_all, write, fsync and rename (4-7).
-    // The checkpoint's own store of that point is the op that dies.
-    let faulty = Arc::new(FaultyVfs::new(StorageFaultConfig::crash_at(7, 99)));
+    // checkpoint's create_dir_all (1); for the first point the cache's
+    // read-miss (2; a fresh checkpoint serves its memo and reads
+    // nothing), then the cache envelope's create_dir_all, write, fsync
+    // and rename (3-6). The checkpoint's own store of that point is the
+    // op that dies.
+    let faulty = Arc::new(FaultyVfs::new(StorageFaultConfig::crash_at(6, 99)));
     let mut ctx = ExecCtx::new(1)
         .with_policy(RetryPolicy::none())
         .with_cache(SimCache::persistent(&cache_dir))

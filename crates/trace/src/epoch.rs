@@ -43,7 +43,7 @@ impl EpochEnd {
 
 /// One thread's contribution to an epoch: the counter deltas it accumulated
 /// while running during the epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThreadSlice {
     /// Which thread.
     pub thread: ThreadId,
@@ -51,8 +51,9 @@ pub struct ThreadSlice {
     pub counters: DvfsCounters,
 }
 
-/// One synchronization epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One synchronization epoch. A trace serializes its epochs as columns,
+/// not as one object each.
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochRecord {
     /// When the epoch began.
     pub start: Time,

@@ -21,6 +21,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod columns;
 mod counters;
 mod epoch;
 mod freq;

@@ -24,6 +24,8 @@ pub struct ExecutionTrace {
     /// Total wall-clock duration of the traced window.
     pub total: TimeDelta,
     /// The synchronization epochs, in time order, partitioning the window.
+    /// Serialized as columns, one array per field (see `columns.rs`).
+    #[serde(with = "crate::columns")]
     pub epochs: Vec<EpochRecord>,
     /// Runtime phase markers (GC start/end), in time order.
     pub markers: Vec<PhaseMarker>,

@@ -68,6 +68,15 @@ smoke percore  "$BIN/percore $SCALE 1 lusearch --jobs 2"
 smoke faults   "$BIN/faults $SCALE 1 10 --jobs 2 --out /tmp/depburst-ci-faults.json"
 smoke fleet    "$BIN/fleet 4 40 $SCALE 1 --shards 2 --jobs 2 --out /dev/null"
 smoke dvfs-lab "$BIN/dvfs-lab bench"
+# A recorded trace file reads back: record one, then predict from it.
+trace_file_smoke() {
+    local trace=/tmp/depburst-ci-trace.json
+    rm -f "$trace"
+    "$BIN/dvfs-lab" record lusearch 2 "$trace" "$SCALE" > /dev/null
+    "$BIN/dvfs-lab" predict "$trace" 4 dep+burst > /dev/null
+    rm -f "$trace"
+}
+step "smoke dvfs-lab record + predict" trace_file_smoke
 
 # Bench smoke + throughput floor: a tiny-scale simulator point, timed,
 # with its events/second compared against the committed BENCH_sim.json
