@@ -7,7 +7,7 @@
 //! pause being treated as scalable work) but remains blind to fine-grained
 //! synchronization inside each phase.
 
-use dvfs_trace::{ExecutionTrace, Freq, TimeDelta, WindowTotals};
+use dvfs_trace::{DvfsCounters, ExecutionTrace, Freq, TimeDelta, WindowTotals};
 
 use crate::{DvfsPredictor, NonScalingModel};
 
@@ -36,22 +36,23 @@ impl Coop {
     pub fn with_burst() -> Self {
         Coop::new(NonScalingModel::Crit, true)
     }
-}
 
-impl DvfsPredictor for Coop {
-    fn predict(&self, trace: &ExecutionTrace, target: Freq) -> TimeDelta {
-        let ratio = trace.base.scaling_ratio_to(target);
+    /// Adds the prediction at each of `targets` into `out`, one slot per
+    /// target: each phase window's sums and critical-thread candidates are
+    /// taken once.
+    fn predict_into(&self, trace: &ExecutionTrace, targets: &[Freq], out: &mut [TimeDelta]) {
         let mut counters = WindowTotals::new(trace);
-        let mut total = TimeDelta::ZERO;
+        // The current window's candidate threads as (scaling, non-scaling).
+        let mut candidates: Vec<(TimeDelta, TimeDelta)> = Vec::new();
         for window in trace.phase_windows() {
-            counters.fill(window.start, window.end);
+            counters.fill_with(window.start, window.end, DvfsCounters::scaled_times);
             // COOP's phase split exists precisely to attribute each phase
             // to the threads that execute in it: the phase's critical
             // thread is chosen among threads that were substantially
             // active (application threads in application phases, collector
             // threads in collector phases). Mostly-dormant threads fall
             // back to the naive all-threads pass if nobody qualifies.
-            let mut phase_best = TimeDelta::ZERO;
+            candidates.clear();
             let mut any_active = false;
             for pass in 0..2 {
                 for info in &trace.threads {
@@ -59,30 +60,45 @@ impl DvfsPredictor for Coop {
                     if presence == TimeDelta::ZERO {
                         continue;
                     }
-                    let active = counters
-                        .get(info.id)
-                        .map(|c| c.active)
-                        .unwrap_or(TimeDelta::ZERO);
+                    let sums = counters.get(info.id);
+                    let active = sums.map_or(TimeDelta::ZERO, |c| c.active);
                     let qualifies = active.as_secs() >= 0.3 * presence.as_secs();
                     if pass == 0 && !qualifies {
                         continue;
                     }
                     any_active |= qualifies;
-                    let ns = counters
-                        .get(info.id)
-                        .map(|c| self.model.non_scaling(c, self.burst))
-                        .unwrap_or(TimeDelta::ZERO)
+                    let ns = sums
+                        .map_or(TimeDelta::ZERO, |c| self.model.non_scaling(c, self.burst))
                         .min(presence);
-                    let predicted = (presence - ns) * ratio + ns;
-                    phase_best = phase_best.max(predicted);
+                    candidates.push((presence - ns, ns));
                 }
                 if any_active {
                     break;
                 }
             }
-            total += phase_best;
+            for (total, &target) in out.iter_mut().zip(targets) {
+                let ratio = trace.base.scaling_ratio_to(target);
+                *total += candidates
+                    .iter()
+                    .fold(TimeDelta::ZERO, |best, &(scaling, ns)| {
+                        best.max(scaling * ratio + ns)
+                    });
+            }
         }
-        total
+    }
+}
+
+impl DvfsPredictor for Coop {
+    fn predict(&self, trace: &ExecutionTrace, target: Freq) -> TimeDelta {
+        let mut out = [TimeDelta::ZERO];
+        self.predict_into(trace, &[target], &mut out);
+        out[0]
+    }
+
+    fn predict_many(&self, trace: &ExecutionTrace, targets: &[Freq], out: &mut Vec<TimeDelta>) {
+        out.clear();
+        out.resize(targets.len(), TimeDelta::ZERO);
+        self.predict_into(trace, targets, out);
     }
 
     fn name(&self) -> String {

@@ -24,7 +24,7 @@
 //! epoch can flip with the scaling ratio, changing how slack accumulates
 //! downstream.
 
-use dvfs_trace::{EpochRecord, ExecutionTrace, Freq, TimeDelta};
+use dvfs_trace::{EpochRecord, ExecutionTrace, Freq, ThreadId, TimeDelta};
 
 use crate::{DvfsPredictor, NonScalingModel};
 
@@ -72,73 +72,118 @@ impl Dep {
         Dep::new(NonScalingModel::Crit, true, CtpMode::PerEpoch)
     }
 
-    /// Estimated duration of one epoch at the target frequency, updating
-    /// the delta counters (indexed by [`dvfs_trace::ThreadId::index`]) per
-    /// Algorithm 1. `active` is scratch space for the epoch's per-slice
-    /// estimates.
-    fn epoch_estimate(
+    /// Adds the prediction at each of `targets` into `out`, one slot per
+    /// target. Each slice is split into scaling and non-scaling time once
+    /// per epoch; Algorithm 1 then runs for every target in lockstep, with
+    /// one set of delta counters per target.
+    fn predict_into(&self, trace: &ExecutionTrace, targets: &[Freq], out: &mut [TimeDelta]) {
+        if targets.is_empty() {
+            return;
+        }
+        // Per target: its scaling ratio and the current epoch's length.
+        let ratios: Vec<f64> = targets
+            .iter()
+            .map(|&target| trace.base.scaling_ratio_to(target))
+            .collect();
+        let mut lens = vec![TimeDelta::ZERO; ratios.len()];
+        let mut deltas = Vec::new();
+        let mut splits = Vec::new();
+        for epoch in &trace.epochs {
+            if epoch.threads.is_empty() {
+                // No thread ran (everyone blocked on timers/IO): wall time
+                // that does not scale with core frequency.
+                for total in out.iter_mut() {
+                    *total += epoch.duration;
+                }
+                continue;
+            }
+            splits.clear();
+            splits.extend(
+                epoch
+                    .threads
+                    .iter()
+                    .map(|slice| self.model.split(&slice.counters, self.burst)),
+            );
+            self.epoch_estimates(epoch, &splits, &ratios, &mut lens, &mut deltas);
+            for (total, &epoch_len) in out.iter_mut().zip(&lens) {
+                *total += epoch_len;
+            }
+        }
+    }
+
+    /// Estimated duration of one non-empty epoch at each target's scaling
+    /// ratio in `ratios`, into `lens`, updating the delta counters per
+    /// Algorithm 1. `splits` holds each slice's `(scaling, non-scaling)`
+    /// time; thread `t`'s delta at target `k` is
+    /// `deltas[t.index() * ratios.len() + k]`.
+    fn epoch_estimates(
         &self,
         epoch: &EpochRecord,
-        ratio: f64,
+        splits: &[(TimeDelta, TimeDelta)],
+        ratios: &[f64],
+        lens: &mut [TimeDelta],
         deltas: &mut Vec<TimeDelta>,
-        active: &mut Vec<TimeDelta>,
-    ) -> TimeDelta {
-        if epoch.threads.is_empty() {
-            // No thread ran (everyone blocked on timers/IO): wall time that
-            // does not scale with core frequency.
-            return epoch.duration;
-        }
+    ) {
+        let width = ratios.len();
+        let row = |thread: ThreadId| thread.index() * width..(thread.index() + 1) * width;
 
         // Line 1-5: per-thread estimates a_t and delta-adjusted e_t; the
         // epoch lasts as long as its (slack-adjusted) critical thread. The
         // deltas only change below, after every e_t is taken.
-        active.clear();
-        let mut epoch_len = TimeDelta::ZERO;
-        for slice in &epoch.threads {
-            let a_t = self.model.predict_active(&slice.counters, self.burst, ratio);
-            active.push(a_t);
-            let e_t = match self.ctp {
-                CtpMode::PerEpoch => a_t,
-                CtpMode::AcrossEpoch => {
-                    let delta = deltas.get(slice.thread.index()).copied();
-                    a_t - delta.unwrap_or(TimeDelta::ZERO)
-                }
-            };
-            epoch_len = epoch_len.max(e_t);
+        for (lane, (&ratio, epoch_len)) in ratios.iter().zip(lens.iter_mut()).enumerate() {
+            let mut critical = TimeDelta::ZERO;
+            for (slice, &(scaling, non_scaling)) in epoch.threads.iter().zip(splits) {
+                let a_t = scaling * ratio + non_scaling;
+                let e_t = match self.ctp {
+                    CtpMode::PerEpoch => a_t,
+                    CtpMode::AcrossEpoch => {
+                        let delta = deltas.get(row(slice.thread).start + lane).copied();
+                        a_t - delta.unwrap_or(TimeDelta::ZERO)
+                    }
+                };
+                critical = critical.max(e_t);
+            }
+            *epoch_len = critical;
         }
 
         if self.ctp == CtpMode::AcrossEpoch {
             // Line 6-8: every active thread accrues the slack it gained on
             // the critical thread.
-            for (slice, &a_t) in epoch.threads.iter().zip(active.iter()) {
-                let d = slice.thread.slot(deltas);
-                *d = (epoch_len - a_t) + *d;
-                // Slack is never negative: a thread cannot be ahead of an
-                // epoch it participated in.
-                *d = d.clamp_non_negative();
+            for (slice, &(scaling, non_scaling)) in epoch.threads.iter().zip(splits) {
+                let row = row(slice.thread);
+                if deltas.len() < row.end {
+                    deltas.resize(row.end, TimeDelta::ZERO);
+                }
+                for ((&ratio, &epoch_len), delta) in
+                    ratios.iter().zip(lens.iter()).zip(&mut deltas[row])
+                {
+                    let a_t = scaling * ratio + non_scaling;
+                    // Slack is never negative: a thread cannot be ahead of
+                    // an epoch it participated in.
+                    *delta = ((epoch_len - a_t) + *delta).clamp_non_negative();
+                }
             }
             // Line 9: the stalled thread's future is gated by its waker.
             if let Some(stalled) = epoch.end.stalled_thread() {
-                if let Some(d) = deltas.get_mut(stalled.index()) {
-                    *d = TimeDelta::ZERO;
+                if let Some(slack) = deltas.get_mut(row(stalled)) {
+                    slack.fill(TimeDelta::ZERO);
                 }
             }
         }
-
-        epoch_len
     }
 }
 
 impl DvfsPredictor for Dep {
     fn predict(&self, trace: &ExecutionTrace, target: Freq) -> TimeDelta {
-        let ratio = trace.base.scaling_ratio_to(target);
-        let mut deltas = Vec::new();
-        let mut active = Vec::new();
-        let mut total = TimeDelta::ZERO;
-        for epoch in &trace.epochs {
-            total += self.epoch_estimate(epoch, ratio, &mut deltas, &mut active);
-        }
-        total
+        let mut out = [TimeDelta::ZERO];
+        self.predict_into(trace, &[target], &mut out);
+        out[0]
+    }
+
+    fn predict_many(&self, trace: &ExecutionTrace, targets: &[Freq], out: &mut Vec<TimeDelta>) {
+        out.clear();
+        out.resize(targets.len(), TimeDelta::ZERO);
+        self.predict_into(trace, targets, out);
     }
 
     fn name(&self) -> String {

@@ -39,12 +39,10 @@ impl MCrit {
     pub fn with_burst() -> Self {
         MCrit::new(NonScalingModel::Crit, true)
     }
-}
 
-impl DvfsPredictor for MCrit {
-    fn predict(&self, trace: &ExecutionTrace, target: Freq) -> TimeDelta {
-        let ratio = trace.base.scaling_ratio_to(target);
-        let mut best = TimeDelta::ZERO;
+    /// Adds the prediction at each of `targets` into `out`, one slot per
+    /// target: the per-thread totals and their splits are taken once.
+    fn predict_into(&self, trace: &ExecutionTrace, targets: &[Freq], out: &mut [TimeDelta]) {
         for (_, totals) in &trace.thread_totals_by_id() {
             // The naive model: everything that is not measured non-scaling
             // — including sleep — is assumed to scale.
@@ -53,10 +51,25 @@ impl DvfsPredictor for MCrit {
                 .non_scaling(&totals.counters, self.burst)
                 .min(totals.presence);
             let scaling = totals.presence - ns;
-            let predicted = scaling * ratio + ns;
-            best = best.max(predicted);
+            for (best, &target) in out.iter_mut().zip(targets) {
+                let predicted = scaling * trace.base.scaling_ratio_to(target) + ns;
+                *best = (*best).max(predicted);
+            }
         }
-        best
+    }
+}
+
+impl DvfsPredictor for MCrit {
+    fn predict(&self, trace: &ExecutionTrace, target: Freq) -> TimeDelta {
+        let mut out = [TimeDelta::ZERO];
+        self.predict_into(trace, &[target], &mut out);
+        out[0]
+    }
+
+    fn predict_many(&self, trace: &ExecutionTrace, targets: &[Freq], out: &mut Vec<TimeDelta>) {
+        out.clear();
+        out.resize(targets.len(), TimeDelta::ZERO);
+        self.predict_into(trace, targets, out);
     }
 
     fn name(&self) -> String {

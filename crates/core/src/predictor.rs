@@ -17,41 +17,13 @@ pub trait DvfsPredictor: std::fmt::Debug {
     /// Display name (e.g. `"DEP+BURST"`).
     fn name(&self) -> String;
 
-    /// Predicted slowdown (>1 means slower) at `target` relative to
-    /// `reference` — used by the energy manager to check a tolerable-
-    /// slowdown constraint against the highest frequency. Equivalent to
-    /// [`Self::predict_slowdown_clamped`] at [`MAX_PLAUSIBLE_SLOWDOWN`].
-    fn predict_slowdown(&self, trace: &ExecutionTrace, target: Freq, reference: Freq) -> f64 {
-        self.predict_slowdown_clamped(trace, target, reference, MAX_PLAUSIBLE_SLOWDOWN)
-    }
-
-    /// [`Self::predict_slowdown`] with a caller-chosen plausibility clamp.
-    ///
-    /// Degenerate predictions — NaN or infinite durations, a negative
-    /// target time, a non-positive reference time — yield the neutral
-    /// slowdown `1.0` instead of propagating NaN into frequency decisions.
-    /// Otherwise the ratio is clamped into `[1/clamp, clamp]`; a `clamp`
-    /// that is itself degenerate (non-finite or < 1) falls back to
-    /// [`MAX_PLAUSIBLE_SLOWDOWN`].
-    fn predict_slowdown_clamped(
-        &self,
-        trace: &ExecutionTrace,
-        target: Freq,
-        reference: Freq,
-        clamp: f64,
-    ) -> f64 {
-        let at_target = self.predict(trace, target).as_secs();
-        let at_reference = self.predict(trace, reference).as_secs();
-        if !at_target.is_finite() || !at_reference.is_finite() || at_target < 0.0 || at_reference <= 0.0
-        {
-            return 1.0;
-        }
-        let clamp = if clamp.is_finite() && clamp >= 1.0 {
-            clamp
-        } else {
-            MAX_PLAUSIBLE_SLOWDOWN
-        };
-        (at_target / at_reference).clamp(1.0 / clamp, clamp)
+    /// Replaces `out` with the predictions at each of `targets`, in order:
+    /// bit for bit what [`Self::predict`] returns at each one. Targets may
+    /// repeat and come in any order. Models override it to share the work
+    /// that does not depend on the target across all of them.
+    fn predict_many(&self, trace: &ExecutionTrace, targets: &[Freq], out: &mut Vec<TimeDelta>) {
+        out.clear();
+        out.extend(targets.iter().map(|&target| self.predict(trace, target)));
     }
 }
 
@@ -60,6 +32,7 @@ mod tests {
     use super::*;
     use dvfs_trace::Time;
 
+    /// A predictor that overrides only `predict`.
     #[derive(Debug)]
     struct Linear;
 
@@ -72,83 +45,24 @@ mod tests {
         }
     }
 
-    fn trace_at(base: Freq) -> ExecutionTrace {
-        ExecutionTrace {
-            base,
+    #[test]
+    fn default_predict_many_matches_per_target_calls() {
+        let trace = ExecutionTrace {
+            base: Freq::from_ghz(2.0),
             start: Time::ZERO,
             total: TimeDelta::from_millis(8.0),
             epochs: vec![],
             markers: vec![],
             threads: vec![],
-        }
-    }
-
-    #[test]
-    fn default_slowdown_uses_two_predictions() {
-        let p = Linear;
-        let s = p.predict_slowdown(
-            &trace_at(Freq::from_ghz(2.0)),
-            Freq::from_ghz(2.0),
-            Freq::from_ghz(4.0),
-        );
-        assert!((s - 2.0).abs() < 1e-12);
-    }
-
-    /// A predictor returning a fixed (possibly degenerate) duration.
-    #[derive(Debug)]
-    struct Fixed(f64);
-
-    impl DvfsPredictor for Fixed {
-        fn predict(&self, _trace: &ExecutionTrace, _target: Freq) -> TimeDelta {
-            TimeDelta::from_secs(self.0)
-        }
-        fn name(&self) -> String {
-            "FIXED".into()
-        }
-    }
-
-    #[test]
-    fn degenerate_predictions_yield_neutral_slowdown() {
-        let trace = trace_at(Freq::from_ghz(2.0));
-        let f2 = Freq::from_ghz(2.0);
-        let f4 = Freq::from_ghz(4.0);
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, 0.0] {
-            let s = Fixed(bad).predict_slowdown(&trace, f2, f4);
-            assert!((s - 1.0).abs() < 1e-12, "prediction {bad} gave slowdown {s}");
-        }
-    }
-
-    /// A predictor whose target/reference ratio is absurdly large.
-    #[derive(Debug)]
-    struct Cliff;
-
-    impl DvfsPredictor for Cliff {
-        fn predict(&self, _trace: &ExecutionTrace, target: Freq) -> TimeDelta {
-            if target >= Freq::from_ghz(4.0) {
-                TimeDelta::from_secs(1e-9)
-            } else {
-                TimeDelta::from_secs(1e3)
-            }
-        }
-        fn name(&self) -> String {
-            "CLIFF".into()
-        }
-    }
-
-    #[test]
-    fn implausible_ratios_are_clamped() {
-        let trace = trace_at(Freq::from_ghz(2.0));
-        let f2 = Freq::from_ghz(2.0);
-        let f4 = Freq::from_ghz(4.0);
-        let s = Cliff.predict_slowdown(&trace, f2, f4);
-        assert!((s - MAX_PLAUSIBLE_SLOWDOWN).abs() < 1e-12, "got {s}");
-        let tight = Cliff.predict_slowdown_clamped(&trace, f2, f4, 4.0);
-        assert!((tight - 4.0).abs() < 1e-12, "got {tight}");
-        // Reciprocal direction clamps too.
-        let speedup = Cliff.predict_slowdown_clamped(&trace, f4, f2, 4.0);
-        assert!((speedup - 0.25).abs() < 1e-12, "got {speedup}");
-        // A degenerate clamp falls back to the default.
-        let fallback = Cliff.predict_slowdown_clamped(&trace, f2, f4, f64::NAN);
-        assert!((fallback - MAX_PLAUSIBLE_SLOWDOWN).abs() < 1e-12);
+        };
+        let ghz = [4.0, 1.0, 2.0, 4.0, 3.3];
+        let targets: Vec<Freq> = ghz.iter().map(|&g| Freq::from_ghz(g)).collect();
+        // Stale contents are replaced, not appended to.
+        let mut out = vec![TimeDelta::from_secs(9.0); 7];
+        Linear.predict_many(&trace, &targets, &mut out);
+        let want: Vec<TimeDelta> = targets.iter().map(|&f| Linear.predict(&trace, f)).collect();
+        assert_eq!(out, want);
+        Linear.predict_many(&trace, &[], &mut out);
+        assert!(out.is_empty());
     }
 }

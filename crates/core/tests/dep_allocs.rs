@@ -1,17 +1,18 @@
 //! One `Dep::predict` allocates a fixed number of times, however many
-//! epochs the trace holds: the delta counters and the per-epoch estimates
+//! epochs the trace holds: the delta counters and the per-epoch splits
 //! live in buffers made once per call. Under a counting global allocator,
 //! a 1 000-epoch trace must allocate exactly as often as a 10-epoch trace
-//! over the same threads. This file holds a single test: the allocator
-//! counts per thread, but it is global to the test binary.
+//! over the same threads. The same holds for `predict_many` of DEP, COOP
+//! and M+CRIT at 1 and at 25 targets. The allocator counts per thread, so
+//! the tests do not see each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use depburst::{CtpMode, Dep, DvfsPredictor, NonScalingModel};
+use depburst::{Coop, CtpMode, Dep, DvfsPredictor, MCrit, NonScalingModel};
 use dvfs_trace::{
-    DvfsCounters, EpochEnd, EpochRecord, ExecutionTrace, Freq, ThreadId, ThreadInfo, ThreadRole,
-    ThreadSlice, Time, TimeDelta,
+    DvfsCounters, EpochEnd, EpochRecord, ExecutionTrace, Freq, FreqLadder, ThreadId, ThreadInfo,
+    ThreadRole, ThreadSlice, Time, TimeDelta,
 };
 
 struct Counting;
@@ -115,5 +116,41 @@ fn dep_predict_allocates_independently_of_the_epoch_count() {
             "{ctp:?}: 10 epochs {few} allocations, 1000 epochs {many}"
         );
         assert!(many <= 4, "{ctp:?}: {many} allocations for one prediction");
+    }
+}
+
+fn predict_many_allocs(model: &dyn DvfsPredictor, trace: &ExecutionTrace, targets: &[Freq]) -> u64 {
+    let mut out = Vec::new();
+    let before = allocs();
+    model.predict_many(trace, targets, &mut out);
+    let n = allocs() - before;
+    assert_eq!(out.len(), targets.len());
+    assert!(out.iter().all(|&p| p > TimeDelta::ZERO));
+    n
+}
+
+#[test]
+fn predict_many_allocates_independently_of_the_epoch_count() {
+    let (short, long) = (trace(10), trace(1_000));
+    let ladder: Vec<Freq> = FreqLadder::paper_default().iter().collect();
+    assert_eq!(ladder.len(), 25);
+    let models: [Box<dyn DvfsPredictor>; 4] = [
+        Box::new(Dep::new(NonScalingModel::Crit, true, CtpMode::AcrossEpoch)),
+        Box::new(Dep::new(NonScalingModel::Crit, true, CtpMode::PerEpoch)),
+        Box::new(Coop::new(NonScalingModel::Crit, true)),
+        Box::new(MCrit::new(NonScalingModel::Crit, true)),
+    ];
+    for model in &models {
+        for targets in [&ladder[..1], &ladder[..]] {
+            let few = predict_many_allocs(model.as_ref(), &short, targets);
+            let many = predict_many_allocs(model.as_ref(), &long, targets);
+            assert_eq!(
+                few,
+                many,
+                "{} at {} targets: 10 epochs {few} allocations, 1000 epochs {many}",
+                model.name(),
+                targets.len()
+            );
+        }
     }
 }

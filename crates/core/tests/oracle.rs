@@ -1,8 +1,9 @@
 //! The table-based predictors against the map-based oracles kept in
 //! `depburst::reference`: on generated traces, every configuration of DEP
 //! (both CTP modes), COOP and M+CRIT must predict the same bits as its
-//! oracle at every step of the paper's frequency ladder, and the trace's
-//! per-thread totals must match the oracle's map rescans bit for bit.
+//! oracle at every step of the paper's frequency ladder, both one target at
+//! a time and through `predict_many`, and the trace's per-thread totals
+//! must match the oracle's map rescans bit for bit.
 //!
 //! The generator covers what the simulator rarely or never produces:
 //! sparse thread ids, threads that run in epochs but were never
@@ -227,6 +228,42 @@ proptest! {
                     got,
                     want
                 );
+            }
+        }
+    }
+
+    /// `predict_many` of each predictor matches its oracle's per-target
+    /// calls bit for bit, over target lists drawn from the ladder, the
+    /// trace's base and two off-ladder frequencies (repeats and any order
+    /// included), plus the empty list and a fixed unsorted list with
+    /// repeats.
+    #[test]
+    fn predict_many_matches_map_oracles_bit_for_bit(
+        trace in trace_strategy(),
+        picks in proptest::collection::vec(0usize..28, 0..30),
+    ) {
+        let mut choices: Vec<Freq> = FreqLadder::paper_default().iter().collect();
+        choices.extend([trace.base, Freq::from_mhz(1_062), Freq::from_mhz(4_300)]);
+        let drawn: Vec<Freq> = picks.iter().map(|&i| choices[i]).collect();
+        let fixed = [choices[24], trace.base, choices[0], trace.base, choices[26], choices[24]];
+        let mut out = vec![TimeDelta::from_secs(1.0)];
+        for targets in [&drawn[..], &[], &fixed] {
+            for (fast, oracle) in &roster() {
+                fast.predict_many(&trace, targets, &mut out);
+                prop_assert_eq!(out.len(), targets.len(), "{}", fast.name());
+                for (&target, got) in targets.iter().zip(&out) {
+                    let want = oracle.predict(&trace, target).as_secs();
+                    prop_assert_eq!(
+                        got.as_secs().to_bits(),
+                        want.to_bits(),
+                        "{} at {} of {:?}: {} vs oracle {}",
+                        fast.name(),
+                        target,
+                        targets,
+                        got,
+                        want
+                    );
+                }
             }
         }
     }

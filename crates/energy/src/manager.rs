@@ -190,6 +190,9 @@ impl EnergyManager {
     pub fn run(&self, machine: &mut Machine) -> Result<ManagerReport, DepburstError> {
         let ladder = *self.config.power.vf().ladder();
         let f_max = ladder.max();
+        // The ladder scan's targets, `f_max` first, and their predictions.
+        let scan: Vec<Freq> = std::iter::once(f_max).chain(ladder.iter()).collect();
+        let mut predicted = Vec::with_capacity(scan.len());
         let cores = machine.config().cores;
         // Invariant monitoring (see `simx::invariants`) only records into
         // the machine's monitor — it never alters a decision — so the
@@ -311,7 +314,7 @@ impl EnergyManager {
             held = 0;
             decisions += 1;
             let chosen = match &self.config.hardening {
-                None => self.choose_frequency(&trace, f_max, &ladder),
+                None => self.choose_frequency(&trace, &scan, &mut predicted),
                 Some(h) => {
                     if fallback_hold == 0 && streak >= h.misprediction_window {
                         // Engage the fallback: pin the maximum frequency
@@ -333,8 +336,8 @@ impl EnergyManager {
                     } else {
                         self.choose_frequency_gated(
                             &trace,
-                            f_max,
-                            &ladder,
+                            &scan,
+                            &mut predicted,
                             h,
                             &mut rejected_predictions,
                         )
@@ -387,21 +390,23 @@ impl EnergyManager {
 
     /// The lowest frequency whose predicted slowdown vs. `f_max` is within
     /// the threshold (paper: of all states satisfying the constraint, the
-    /// lowest frequency minimises energy).
+    /// lowest frequency minimises energy). `scan` is `f_max` followed by
+    /// the ladder, all predicted in one call into `predicted`.
     fn choose_frequency(
         &self,
         trace: &dvfs_trace::ExecutionTrace,
-        f_max: Freq,
-        ladder: &dvfs_trace::FreqLadder,
+        scan: &[Freq],
+        predicted: &mut Vec<TimeDelta>,
     ) -> Freq {
-        let at_max = self.predictor.predict(trace, f_max).as_secs();
+        self.predictor.predict_many(trace, scan, predicted);
+        let f_max = scan[0];
+        let at_max = predicted[0].as_secs();
         if at_max <= 0.0 {
             return f_max;
         }
         let budget = at_max * (1.0 + self.config.tolerable_slowdown);
-        for f in ladder.iter() {
-            let predicted = self.predictor.predict(trace, f).as_secs();
-            if predicted <= budget {
+        for (&f, predicted) in scan[1..].iter().zip(&predicted[1..]) {
+            if predicted.as_secs() <= budget {
                 return f;
             }
         }
@@ -416,12 +421,14 @@ impl EnergyManager {
     fn choose_frequency_gated(
         &self,
         trace: &dvfs_trace::ExecutionTrace,
-        f_max: Freq,
-        ladder: &dvfs_trace::FreqLadder,
+        scan: &[Freq],
+        predicted: &mut Vec<TimeDelta>,
         hardening: &HardeningConfig,
         rejected: &mut u64,
     ) -> Freq {
-        let at_max = self.predictor.predict(trace, f_max).as_secs();
+        self.predictor.predict_many(trace, scan, predicted);
+        let f_max = scan[0];
+        let at_max = predicted[0].as_secs();
         if !at_max.is_finite() || at_max <= 0.0 {
             // A zero prediction for a window in which wall time observably
             // passed means the counters vanished; a genuinely empty window
@@ -432,8 +439,8 @@ impl EnergyManager {
             return f_max;
         }
         let budget = at_max * (1.0 + self.config.tolerable_slowdown);
-        for f in ladder.iter() {
-            let predicted = self.predictor.predict(trace, f).as_secs();
+        for (&f, predicted) in scan[1..].iter().zip(&predicted[1..]) {
+            let predicted = predicted.as_secs();
             if !predicted.is_finite() || predicted < 0.0 {
                 *rejected += 1;
                 continue;
@@ -452,7 +459,7 @@ impl EnergyManager {
         f_max
     }
 
-    /// The time the manager's machine started from (for tests).
+    /// The manager's parameters.
     #[must_use]
     pub fn config(&self) -> &ManagerConfig {
         &self.config

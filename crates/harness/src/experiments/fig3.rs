@@ -110,14 +110,21 @@ pub fn collect_with(
         let mut acc: Vec<Vec<Vec<f64>>> =
             vec![vec![Vec::with_capacity(seeds.len()); models.len()]; targets.len()];
         let mut actuals = vec![0.0f64; targets.len()];
+        let mut predicted = Vec::with_capacity(targets.len());
         for _seed in seeds {
             let base = next.next().expect("plan covers base run");
-            for (ti, &target) in targets.iter().enumerate() {
-                let actual = next.next().expect("plan covers target run");
-                actuals[ti] += actual.exec.as_secs() / seeds.len() as f64;
-                for (mi, model) in models.iter().enumerate() {
-                    let predicted = base.rescale_prediction(model.predict(&base.trace, target));
-                    acc[ti][mi].push(relative_error(predicted, actual.exec));
+            let runs: Vec<_> = targets
+                .iter()
+                .map(|_| next.next().expect("plan covers target run"))
+                .collect();
+            for (actual, run) in actuals.iter_mut().zip(&runs) {
+                *actual += run.exec.as_secs() / seeds.len() as f64;
+            }
+            for (mi, model) in models.iter().enumerate() {
+                model.predict_many(&base.trace, &targets, &mut predicted);
+                for (ti, (&raw, run)) in predicted.iter().zip(&runs).enumerate() {
+                    let prediction = base.rescale_prediction(raw);
+                    acc[ti][mi].push(relative_error(prediction, run.exec));
                 }
             }
         }

@@ -368,16 +368,18 @@ fn metamorphic_violation(
     // M3: predictor output is finite, non-negative, and within ladder
     // bounds at every operating point.
     let ladder = case.ladder();
-    let predictor = depburst::Dep::dep_burst();
-    let at_max = predictor.predict(base_trace, ladder.max()).as_secs();
+    let scan: Vec<Freq> = std::iter::once(ladder.max()).chain(ladder.iter()).collect();
+    let mut predicted = Vec::with_capacity(scan.len());
+    depburst::Dep::dep_burst().predict_many(base_trace, &scan, &mut predicted);
+    let at_max = predicted[0].as_secs();
     if !at_max.is_finite() || at_max < 0.0 {
         return Some(CaseViolation {
             invariant: Invariant::PredictorBounds.name().to_owned(),
             detail: format!("prediction at the ladder maximum is {at_max} s"),
         });
     }
-    for f in ladder.iter() {
-        let p = predictor.predict(base_trace, f).as_secs();
+    for (&f, p) in scan[1..].iter().zip(&predicted[1..]) {
+        let p = p.as_secs();
         if !p.is_finite() || p < 0.0 {
             return Some(CaseViolation {
                 invariant: Invariant::PredictorBounds.name().to_owned(),

@@ -92,15 +92,26 @@ impl DvfsCounters {
     #[inline]
     pub fn scaled(&self, frac: f64) -> DvfsCounters {
         DvfsCounters {
+            instructions: round_u64(self.instructions as f64 * frac),
+            loads: round_u64(self.loads as f64 * frac),
+            stores: round_u64(self.stores as f64 * frac),
+            llc_misses: round_u64(self.llc_misses as f64 * frac),
+            ..self.scaled_times(frac)
+        }
+    }
+
+    /// [`Self::scaled`] for the time counters alone; the event counts are
+    /// zero. For readers of window sums that use only times.
+    #[must_use]
+    #[inline]
+    pub fn scaled_times(&self, frac: f64) -> DvfsCounters {
+        DvfsCounters {
             active: self.active * frac,
             crit: self.crit * frac,
             leading_loads: self.leading_loads * frac,
             stall: self.stall * frac,
             sq_full: self.sq_full * frac,
-            instructions: round_u64(self.instructions as f64 * frac),
-            loads: round_u64(self.loads as f64 * frac),
-            stores: round_u64(self.stores as f64 * frac),
-            llc_misses: round_u64(self.llc_misses as f64 * frac),
+            ..DvfsCounters::zero()
         }
     }
 

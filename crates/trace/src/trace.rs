@@ -262,6 +262,19 @@ impl<'a> WindowTotals<'a> {
 
     /// Replaces the sums with those of the window `[start, end]`.
     pub fn fill(&mut self, start: Time, end: Time) {
+        self.fill_with(start, end, DvfsCounters::scaled);
+    }
+
+    /// [`Self::fill`], summing `project(counters, frac)` of each slice in
+    /// place of its counters scaled by `frac`, the share of its epoch that
+    /// falls inside the window: a reader of some counters only (say
+    /// [`DvfsCounters::scaled_times`]) skips scaling the rest.
+    pub fn fill_with(
+        &mut self,
+        start: Time,
+        end: Time,
+        project: impl Fn(&DvfsCounters, f64) -> DvfsCounters,
+    ) {
         self.stamp += 1;
         let epochs = &self.trace.epochs;
         // The binary searches agree with the per-epoch test below only for
@@ -291,7 +304,7 @@ impl<'a> WindowTotals<'a> {
                     *stamp = self.stamp;
                     *sums = DvfsCounters::default();
                 }
-                *sums += slice.counters.scaled(frac);
+                *sums += project(&slice.counters, frac);
             }
         }
     }
