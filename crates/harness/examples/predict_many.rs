@@ -12,6 +12,7 @@
 //! cargo run --release -p harness --example predict_many -- /tmp/c [reps] [fig3|ladder]
 //! ```
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use depburst::paper_roster;
@@ -53,7 +54,7 @@ fn main() {
     entries.sort();
 
     let ladder = FreqLadder::paper_default();
-    let mut work: Vec<(ExecutionTrace, Vec<Freq>)> = Vec::new();
+    let mut work: Vec<(Arc<ExecutionTrace>, Vec<Freq>)> = Vec::new();
     for path in &entries {
         let raw = std::fs::read(path).expect("read envelope");
         let (_, payload) = open_envelope(&raw).expect("envelope opens");

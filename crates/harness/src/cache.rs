@@ -686,14 +686,14 @@ mod tests {
             gc_count: marker,
             allocated: 0,
             total_active: dvfs_trace::TimeDelta::ZERO,
-            trace: dvfs_trace::ExecutionTrace {
+            trace: Arc::new(dvfs_trace::ExecutionTrace {
                 base: dvfs_trace::Freq::from_ghz(1.0),
                 start: dvfs_trace::Time::ZERO,
                 total: dvfs_trace::TimeDelta::ZERO,
                 epochs: vec![],
                 markers: vec![],
                 threads: vec![],
-            },
+            }),
             sampled: None,
         }
     }

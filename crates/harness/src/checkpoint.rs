@@ -105,14 +105,14 @@ mod tests {
             gc_count: marker,
             allocated: marker * 3,
             total_active: TimeDelta::ZERO,
-            trace: ExecutionTrace {
+            trace: Arc::new(ExecutionTrace {
                 base: Freq::from_ghz(2.0),
                 start: Time::ZERO,
                 total: TimeDelta::ZERO,
                 epochs: vec![],
                 markers: vec![],
                 threads: vec![],
-            },
+            }),
             sampled: None,
         }
     }

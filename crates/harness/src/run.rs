@@ -93,8 +93,10 @@ pub struct RunSummary {
     pub total_active: TimeDelta,
     /// The full execution trace (input to the predictors). For a sampled
     /// summary this is the *measure region's* trace: a step-identical
-    /// prefix of the full run (see `simx::sampling`), not the whole run.
-    pub trace: ExecutionTrace,
+    /// prefix of the full run (see `simx::sampling`), not the whole run,
+    /// shared with that region's own summary rather than copied. It
+    /// serializes exactly as the trace itself.
+    pub trace: Arc<ExecutionTrace>,
     /// Present when this summary was extrapolated by the sampled tier
     /// rather than simulated in full. Absent for exact runs: not
     /// serialized when `None`, so exact envelopes stay byte-identical to
@@ -125,16 +127,22 @@ pub struct SampledInfo {
 }
 
 impl RunResult {
-    /// Condenses the result into its cacheable summary.
+    /// Condenses the result into its cacheable summary, moving the trace
+    /// into it without a copy.
     #[must_use]
-    pub fn summarize(&self) -> RunSummary {
+    pub fn summarize(mut self) -> RunSummary {
+        // The memo keeps the trace for the rest of the sweep, so give back
+        // the growth slack of the arrays the simulator pushed to. The
+        // system allocator shrinks them in place: nothing is copied.
+        self.trace.epochs.shrink_to_fit();
+        self.trace.markers.shrink_to_fit();
         RunSummary {
             exec: self.exec,
             gc_time: self.gc_time,
             gc_count: self.gc_count,
             allocated: self.allocated,
             total_active: self.stats.total_active(),
-            trace: self.trace.clone(),
+            trace: Arc::new(self.trace),
             sampled: None,
         }
     }
@@ -921,7 +929,7 @@ impl ExecCtx {
             gc_count: x.gc_count,
             allocated: x.allocated,
             total_active: x.total_active,
-            trace: measure.trace.clone(),
+            trace: Arc::clone(&measure.trace),
             sampled: Some(SampledInfo {
                 probe_fraction: schedule.probe,
                 measure_fraction,
@@ -1066,10 +1074,44 @@ mod tests {
         let bench = benchmark("sunflow").expect("exists");
         let config = RunConfig::at_ghz(1.0).scaled(0.02);
         let r = try_run_benchmark(bench, config).expect("completes");
+        let (exec, total_active) = (r.exec, r.stats.total_active());
+        let buffers = |t: &ExecutionTrace| (t.threads.as_ptr(), t.epochs[0].threads.as_ptr());
+        let moved = buffers(&r.trace);
         let s = r.summarize();
-        assert_eq!(s.exec, r.exec);
-        assert_eq!(s.total_active, r.stats.total_active());
-        assert_eq!(s.trace, r.trace);
+        assert_eq!(s.exec, exec);
+        assert_eq!(s.total_active, total_active);
+        assert_eq!(
+            buffers(&s.trace),
+            moved,
+            "the trace moves into the summary, not a copy of it"
+        );
+    }
+
+    #[test]
+    fn a_sampled_point_shares_its_measure_regions_trace() {
+        let bench = benchmark("lusearch").expect("exists");
+        let point = SimPoint::new(bench, Freq::from_ghz(2.0), 0.05, 1);
+        let mut plan = SweepPlan::new();
+        plan.push(point);
+        let ctx = ExecCtx::sequential().with_sampling(Some(simx::SamplingConfig::default()));
+        let sampled = ctx.execute(&plan).expect("runs complete").remove(0);
+        let info = sampled.sampled.as_ref().expect("a sampled summary");
+
+        let mut mc = MachineConfig::haswell_quad();
+        mc.initial_freq = point.config.freq;
+        let measure_key = crate::cache::sim_key(
+            bench,
+            &mc,
+            None,
+            point.config.scale * info.measure_fraction,
+            point.config.seed,
+        );
+        let measure = ctx.cache.peek(measure_key).expect("the measure sub-run is memoized");
+        assert!(measure.sampled.is_none(), "the sub-run is an exact run");
+        assert!(
+            Arc::ptr_eq(&sampled.trace, &measure.trace),
+            "the sampled point holds the measure sub-run's trace, not a copy"
+        );
     }
 
     #[test]

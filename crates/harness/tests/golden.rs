@@ -285,7 +285,8 @@ mod v4 {
                     epochs: epochs.collect(),
                     markers: t.markers,
                     threads: t.threads,
-                },
+                }
+                .into(),
                 sampled: s.sampled,
             }
         }

@@ -119,7 +119,8 @@ fn summary(rng: &mut TestRng) -> RunSummary {
             epochs,
             markers,
             threads,
-        },
+        }
+        .into(),
         sampled: (pick(rng, 2) == 0).then(|| SampledInfo {
             probe_fraction: float(rng),
             measure_fraction: float(rng),

@@ -224,7 +224,8 @@ fn edge_summary() -> RunSummary {
                     exit: (i % 2 == 0).then_some(Time::from_secs(f64::NAN)),
                 })
                 .collect(),
-        },
+        }
+        .into(),
         sampled: Some(SampledInfo {
             probe_fraction: -0.0,
             measure_fraction: f64::NAN,

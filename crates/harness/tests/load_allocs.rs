@@ -1,17 +1,21 @@
 //! Loading a cache envelope builds no `Value` tree. Under a counting
 //! global allocator, opening a persisted envelope and reading its
 //! `RunSummary` may allocate at most one buffer per `Vec` of the loaded
-//! value (a `Vec` that grows in place counts once) plus one `String` per
-//! thread name, and so no `String` per map key and no buffer per column
-//! of the epoch stream. This file holds a single test: the allocator
-//! counts per thread, but it is global to the test binary.
+//! value (a `Vec` that grows in place counts once), one `String` per
+//! thread name and the one `Arc` the trace is shared through, and so no
+//! `String` per map key and no buffer per column of the epoch stream.
+//! Summarizing a simulated run allocates only that `Arc`: the trace
+//! moves into it, whatever its length. The allocator counts per thread,
+//! so the tests do not see each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fs;
 
+use dvfs_trace::DvfsCounters;
 use harness::cache::open_envelope;
-use harness::{RunSummary, SimCache, SimKey};
+use harness::{RunResult, RunSummary, SimCache, SimKey};
+use simx::RunStats;
 
 struct Counting;
 
@@ -62,14 +66,21 @@ fn vecs(summary: &RunSummary) -> u64 {
     3 + trace.epochs.len() as u64
 }
 
-#[test]
-fn loading_an_envelope_allocates_only_arrays_and_thread_names() {
+/// The one allocation a summary's shared trace adds: its `Arc`.
+const TRACE_ARC: u64 = 1;
+
+fn golden() -> RunSummary {
     let golden = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/goldens/lusearch_1ghz.json"
     );
     let text = fs::read_to_string(golden).expect("golden readable");
-    let summary: RunSummary = serde_json::from_str(&text).expect("golden parses");
+    serde_json::from_str(&text).expect("golden parses")
+}
+
+#[test]
+fn loading_an_envelope_allocates_only_arrays_and_thread_names() {
+    let summary = golden();
 
     // Persist it the way a sweep does, then read the envelope back.
     let dir = std::env::temp_dir().join(format!("depburst-load-allocs-{}", std::process::id()));
@@ -86,8 +97,8 @@ fn loading_an_envelope_allocates_only_arrays_and_thread_names() {
     let bytes = fs::read(&entry).expect("envelope readable");
     fs::remove_dir_all(&dir).expect("temp dir removed");
 
-    let bound = vecs(&summary) + summary.trace.threads.len() as u64;
-    assert_eq!(bound, 235, "the bound of the lusearch golden");
+    let bound = vecs(&summary) + summary.trace.threads.len() as u64 + TRACE_ARC;
+    assert_eq!(bound, 236, "the bound of the lusearch golden");
     let slices: usize = summary.trace.epochs.iter().map(|e| e.threads.len()).sum();
 
     let before = allocs();
@@ -104,6 +115,39 @@ fn loading_an_envelope_allocates_only_arrays_and_thread_names() {
     assert!(
         made <= bound,
         "loading one envelope made {made} allocations; at most {bound} allowed \
-         (one per Vec of the summary plus one per thread name) for {slices} thread slices"
+         (one per Vec of the summary, one per thread name and the trace's Arc) \
+         for {slices} thread slices"
     );
+}
+
+#[test]
+fn summarizing_a_run_allocates_only_the_trace_arc() {
+    let trace = &golden().trace;
+    let mut stats = RunStats::default();
+    for info in &trace.threads {
+        stats.thread_counters.insert(info.id, DvfsCounters::default());
+    }
+    for epochs in [10, 1_000] {
+        let mut owned = (**trace).clone();
+        owned.epochs = trace.epochs.iter().cycle().take(epochs).cloned().collect();
+        let result = RunResult {
+            exec: trace.total,
+            gc_time: trace.gc_time(),
+            gc_count: 1,
+            allocated: 1,
+            trace: owned,
+            stats: stats.clone(),
+        };
+
+        let before = allocs();
+        let summary = result.summarize();
+        let made = allocs() - before;
+
+        assert_eq!(summary.trace.epochs.len(), epochs);
+        assert_eq!(
+            made, TRACE_ARC,
+            "summarizing a run of {epochs} epochs made {made} allocations; \
+             only the trace's Arc is allowed"
+        );
+    }
 }
