@@ -54,7 +54,7 @@ pub fn round_i64(x: f64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stablehash::fmix64;
+    use crate::stablehash::SplitMix64;
 
     fn reference(x: f64) -> u64 {
         x.round() as u64
@@ -133,11 +133,8 @@ mod tests {
     #[test]
     fn a_million_seeded_values_match_round_then_cast() {
         // `check` compares both conversions on each value.
-        let mut state = 0x5EED_u64;
-        let mut next = || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            fmix64(state)
-        };
+        let mut rng = SplitMix64::new(0x5EED);
+        let mut next = || rng.next_u64();
         for i in 0..1_000_000u32 {
             let bits = next();
             let x = match i % 4 {

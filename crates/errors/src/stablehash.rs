@@ -18,7 +18,11 @@
 //!   digest: committed digests were computed with it, so its published
 //!   vectors stay pinned.
 //! * [`fmix64`] — the SplitMix64 finalizer, the mixing step of
-//!   [`checksum64`] and of the simulator's seeded `SplitMix64` streams.
+//!   [`checksum64`] and of [`SplitMix64`].
+//! * [`SplitMix64`] — the one seeded random stream of the simulator and
+//!   the harness (fault, chaos, thermal-noise, address and fuzz-case
+//!   draws); [`SplitMix64::keyed`] derives the stream of one machine,
+//!   region, round or case from a seed.
 //!
 //! Every layer contributes its inputs through [`StableHasher`]'s typed
 //! `write_*` methods; each value is prefixed by its width implicitly (the
@@ -146,6 +150,67 @@ pub fn fmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// SplitMix64's increment, 2^64 divided by the golden ratio (rounded to
+/// odd).
+pub const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// A small deterministic random stream (SplitMix64): each draw steps the
+/// state by [`GAMMA`] and returns its [`fmix64`]. Distinct from the
+/// workload RNGs, so fault and chaos streams never perturb workload
+/// generation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SplitMix64 {
+    state: u64,
+}
+
+impl SplitMix64 {
+    /// A stream seeded with `seed`.
+    #[inline]
+    #[must_use]
+    pub fn new(seed: u64) -> Self {
+        SplitMix64 { state: seed }
+    }
+
+    /// Stream `index` of the family keyed by `seed`: seeded with
+    /// `seed ^ index * GAMMA`, so neighbouring indices (machines, regions,
+    /// rounds, cases) draw uncorrelated streams.
+    #[inline]
+    #[must_use]
+    pub fn keyed(seed: u64, index: u64) -> Self {
+        Self::new(seed ^ index.wrapping_mul(GAMMA))
+    }
+
+    /// The next 64 random bits. Inlined: address generation draws one
+    /// per sampled random access.
+    #[inline]
+    pub fn next_u64(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(GAMMA);
+        fmix64(self.state)
+    }
+
+    /// Uniform in `[0, 1)`.
+    #[inline]
+    pub fn next_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Uniform in `[-1, 1)`.
+    #[inline]
+    pub fn next_signed(&mut self) -> f64 {
+        2.0 * self.next_f64() - 1.0
+    }
+
+    /// Bernoulli draw. Consumes no randomness when `p <= 0` (so disabled
+    /// classes leave their stream untouched).
+    #[inline]
+    pub fn chance(&mut self, p: f64) -> bool {
+        if p <= 0.0 {
+            return false;
+        }
+        self.next_f64() < p
+    }
+}
+
 /// Starting states of [`checksum64`]'s lanes: the first hex digits of pi.
 const LANES: [u64; 4] = [
     0x243F_6A88_85A3_08D3,
@@ -205,7 +270,7 @@ mod tests {
     /// `len` pseudo-random bytes drawn from `seed`.
     fn payload(seed: u64, len: usize) -> Vec<u8> {
         (0..len as u64)
-            .map(|i| fmix64(seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) as u8)
+            .map(|i| fmix64(seed ^ i.wrapping_mul(GAMMA)) as u8)
             .collect()
     }
 
@@ -296,7 +361,19 @@ mod tests {
     fn fmix64_is_the_splitmix64_finalizer() {
         // The first output of SplitMix64 seeded with 0 (the reference
         // implementation's published first value).
-        assert_eq!(fmix64(0x9E37_79B9_7F4A_7C15), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(fmix64(GAMMA), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(SplitMix64::new(0).next_u64(), 0xE220_A839_7B1D_CDAF);
+    }
+
+    #[test]
+    fn keyed_streams_seed_with_the_index_times_gamma() {
+        for (seed, index) in [(0, 0), (7, 1), (u64::MAX, 1023)] {
+            assert_eq!(
+                SplitMix64::keyed(seed, index),
+                SplitMix64::new(seed ^ index.wrapping_mul(GAMMA))
+            );
+        }
+        assert_eq!(SplitMix64::keyed(9, 0), SplitMix64::new(9));
     }
 
     #[test]

@@ -67,6 +67,7 @@ use std::sync::Arc;
 
 use dacapo_sim::{all_benchmarks, Benchmark};
 use depburst_core::num::round_i64;
+use depburst_core::stablehash::SplitMix64;
 use dvfs_trace::{Freq, FreqLadder};
 use energyx::{
     AllocScratch, BreakerConfig, CentralGovernor, DegradationConfig, DegradationLadder,
@@ -74,7 +75,6 @@ use energyx::{
     OvershootBreaker, PowerModel, TableSet, Transition,
 };
 use serde::Serialize;
-use simx::faults::SplitMix64;
 use simx::fleet::{region_of, ChaosConfig, ChaosSchedule, ChaosState, FleetTopology};
 use simx::thermal::{CEILING_MARGIN_MC, CEILING_SETTLE_ROUNDS};
 use simx::{
@@ -579,9 +579,7 @@ fn violation(invariant: Invariant, round: usize, detail: String) -> depburst_cor
 /// bursts. Stateless — a pure function of (traffic seed, round) — so
 /// shard stepping order can never perturb it.
 fn arrivals(state: &MachineState, round: usize, wave: &[f64; WAVE_PERIOD]) -> f64 {
-    let mut rng = SplitMix64::new(
-        state.traffic_seed ^ (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-    );
+    let mut rng = SplitMix64::keyed(state.traffic_seed, round as u64);
     let wave = wave[round % WAVE_PERIOD];
     let burst = if rng.chance(0.1) { 1.8 } else { 1.0 };
     let jitter = 1.0 + 0.1 * rng.next_signed();

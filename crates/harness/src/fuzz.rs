@@ -27,10 +27,10 @@
 //! proptest in `tests/fuzz.rs`).
 
 use depburst::DvfsPredictor;
+use depburst_core::stablehash::SplitMix64;
 use depburst_core::DepburstError;
 use dvfs_trace::{ExecutionTrace, Freq, FreqLadder};
 use serde::Serialize;
-use simx::faults::SplitMix64;
 use simx::{FaultClass, FaultConfig, Invariant, InvariantMode, Machine, MachineConfig, RunOutcome};
 
 /// The fault classes the fuzzer draws schedules from: the measurable
@@ -156,9 +156,6 @@ impl FuzzCase {
     }
 }
 
-/// SplitMix64's additive constant, reused to separate per-case streams.
-const CASE_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
-
 fn pick<T: Copy>(rng: &mut SplitMix64, menu: &[T]) -> T {
     menu[(rng.next_u64() % menu.len() as u64) as usize]
 }
@@ -168,7 +165,7 @@ fn pick<T: Copy>(rng: &mut SplitMix64, menu: &[T]) -> T {
 /// independent of every other case.
 #[must_use]
 pub fn generate(campaign_seed: u64, index: u64) -> FuzzCase {
-    let mut rng = SplitMix64::new(campaign_seed ^ index.wrapping_mul(CASE_STRIDE));
+    let mut rng = SplitMix64::keyed(campaign_seed, index);
     let benches = dacapo_sim::all_benchmarks();
     let bench = benches[(rng.next_u64() % benches.len() as u64) as usize]
         .name
@@ -659,8 +656,7 @@ const FLEET_CASE_SALT: u64 = 0x666C656574;
 /// `campaign_seed`. Pure, like [`generate`].
 #[must_use]
 pub fn generate_fleet(campaign_seed: u64, index: u64) -> FleetFuzzCase {
-    let mut rng =
-        SplitMix64::new(campaign_seed ^ FLEET_CASE_SALT ^ index.wrapping_mul(CASE_STRIDE));
+    let mut rng = SplitMix64::keyed(campaign_seed ^ FLEET_CASE_SALT, index);
     let machines = 2 + (rng.next_u64() % 7) as usize; // 2..=8
     let shards = 1 + (rng.next_u64() % 2) as usize;
     let shards = shards.min(machines);

@@ -25,10 +25,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use depburst_core::stablehash::StableHasher;
+use depburst_core::stablehash::{SplitMix64, StableHasher};
 use depburst_core::DepburstError;
 use serde::Serialize;
-use simx::faults::SplitMix64;
 
 use crate::pool::panic_message;
 

@@ -50,8 +50,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use depburst_core::stablehash::SplitMix64;
 use serde::Serialize;
-use simx::faults::SplitMix64;
 
 /// FNV-1a, re-exported for the benchmark, which digests its outputs with
 /// it under this path. Envelopes are checksummed with

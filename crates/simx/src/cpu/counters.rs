@@ -196,7 +196,7 @@ mod tests {
         // With DRAM jitter injected (crate::faults), miss latencies vary
         // wildly; the estimators must stay non-negative and never exceed
         // the wall-clock span they observed.
-        let mut rng = crate::faults::SplitMix64::new(77);
+        let mut rng = depburst_core::stablehash::SplitMix64::new(77);
         let mut crit = CritEstimator::new();
         let mut ll = LeadingLoadsEstimator::new();
         let mut issue = 0.0;

@@ -44,6 +44,7 @@
 //! every pre-existing `sim_key`, golden, and warm cache entry stays
 //! byte-identical.
 
+use depburst_core::stablehash::SplitMix64;
 use dvfs_trace::{DvfsCounters, ExecutionTrace, TimeDelta};
 
 /// The injectable fault classes.
@@ -287,48 +288,6 @@ impl FaultConfig {
             && self.transition_denied <= 0.0
             && self.dram_jitter <= 0.0
             && self.point_panic <= 0.0
-    }
-}
-
-/// A small deterministic random stream (SplitMix64). Distinct from the
-/// workload RNGs so fault streams never perturb workload generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// A stream seeded with `seed`.
-    #[must_use]
-    pub fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    /// The next 64 random bits. Inlined: address generation draws one
-    /// per sampled random access.
-    #[inline]
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        depburst_core::stablehash::fmix64(self.state)
-    }
-
-    /// Uniform in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Uniform in `[-1, 1)`.
-    pub fn next_signed(&mut self) -> f64 {
-        2.0 * self.next_f64() - 1.0
-    }
-
-    /// Bernoulli draw. Consumes no randomness when `p <= 0` (so disabled
-    /// classes leave their stream untouched).
-    pub fn chance(&mut self, p: f64) -> bool {
-        if p <= 0.0 {
-            return false;
-        }
-        self.next_f64() < p
     }
 }
 

@@ -23,7 +23,9 @@
 //!   events; a slow link delays a round's telemetry by one to three
 //!   rounds.
 
-use crate::faults::{FaultClass, SplitMix64};
+use depburst_core::stablehash::SplitMix64;
+
+use crate::faults::FaultClass;
 
 /// How machines map onto shards, and how per-machine streams derive from
 /// the fleet seed.
@@ -297,25 +299,25 @@ impl ChaosSchedule {
         let mut states = vec![ChaosState::default(); rounds * machines];
         let (mut crash_events, mut partition_events) = (0, 0);
         for machine in 0..machines {
-            let msalt = (machine as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let m = machine as u64;
             let mut crash = OutageWalk::new(
-                SplitMix64::new(config.seed ^ CRASH_SALT ^ msalt),
+                SplitMix64::keyed(config.seed ^ CRASH_SALT, m),
                 config.crash,
                 config.mean_outage_rounds,
             );
             let mut partition = OutageWalk::new(
-                SplitMix64::new(config.seed ^ PARTITION_SALT ^ msalt),
+                SplitMix64::keyed(config.seed ^ PARTITION_SALT, m),
                 config.partition,
                 config.mean_outage_rounds,
             );
             let mut stuck = OutageWalk::new(
-                SplitMix64::new(config.seed ^ STUCK_SALT ^ msalt),
+                SplitMix64::keyed(config.seed ^ STUCK_SALT, m),
                 config.sensor_stuck,
                 config.mean_outage_rounds,
             );
-            let mut loss = SplitMix64::new(config.seed ^ LOSS_SALT ^ msalt);
-            let mut stale = SplitMix64::new(config.seed ^ STALE_SALT ^ msalt);
-            let mut link = SplitMix64::new(config.seed ^ LINK_SALT ^ msalt);
+            let mut loss = SplitMix64::keyed(config.seed ^ LOSS_SALT, m);
+            let mut stale = SplitMix64::keyed(config.seed ^ STALE_SALT, m);
+            let mut link = SplitMix64::keyed(config.seed ^ LINK_SALT, m);
             let (mut was_crashed, mut was_partitioned) = (false, false);
             for round in 0..rounds {
                 let state = &mut states[round * machines + machine];
@@ -340,9 +342,8 @@ impl ChaosSchedule {
         // plus one for the root, all on the aggregator-crash intensity.
         let mut aggregator_down = vec![false; rounds * regions];
         for region in 0..regions {
-            let rsalt = (region as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let mut walk = OutageWalk::new(
-                SplitMix64::new(config.seed ^ REGION_SALT ^ rsalt),
+                SplitMix64::keyed(config.seed ^ REGION_SALT, region as u64),
                 config.aggregator_crash,
                 config.mean_outage_rounds,
             );

@@ -11,11 +11,12 @@
 //! scale with core frequency — it is the physical source of every
 //! "non-scaling" component the predictors estimate.
 
+use depburst_core::stablehash::SplitMix64;
 use dvfs_trace::{Time, TimeDelta};
 
 use crate::config::DramConfig;
 use crate::cpu::{CritEstimator, LeadingLoadsEstimator};
-use crate::faults::{SplitMix64, DRAM_SALT};
+use crate::faults::DRAM_SALT;
 
 /// Injected read-latency perturbation (see [`crate::faults`]): models a
 /// memory subsystem whose service latency is less predictable than the

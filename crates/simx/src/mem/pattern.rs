@@ -5,9 +5,8 @@
 //! Streams are seeded so the same work item generates the same addresses
 //! regardless of when (or at what frequency) it executes.
 
+use depburst_core::stablehash::{SplitMix64, GAMMA};
 use serde::{Deserialize, Serialize};
-
-use crate::faults::SplitMix64;
 
 /// How a memory work item touches its data.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -61,7 +60,7 @@ impl AddressStream {
     pub fn new(pattern: AccessPattern, seed: u64) -> Self {
         AddressStream {
             pattern,
-            rng: SplitMix64::new(seed ^ 0x9E37_79B9_7F4A_7C15),
+            rng: SplitMix64::new(seed ^ GAMMA),
             index: 0,
             stride_pos: 0,
         }

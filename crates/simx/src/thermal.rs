@@ -39,9 +39,8 @@
 
 use core::fmt;
 
+use depburst_core::stablehash::SplitMix64;
 use serde::{JsonWriter, Serialize, Value};
-
-use crate::faults::SplitMix64;
 
 /// Stream salt of the per-machine sensor-noise draws.
 const SENSOR_SALT: u64 = 0x7365_6E73_6F72;
@@ -142,11 +141,10 @@ impl ThermalModel {
     /// per machine so one machine's draws never shift another's.
     #[must_use]
     pub fn new(config: ThermalConfig, machine: usize) -> Self {
-        let msalt = (machine as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         ThermalModel {
             t_mc: config.ambient_mc,
             sensor_mc: config.ambient_mc,
-            rng: SplitMix64::new(config.seed ^ SENSOR_SALT ^ msalt),
+            rng: SplitMix64::keyed(config.seed ^ SENSOR_SALT, machine as u64),
             config,
         }
     }

@@ -42,6 +42,11 @@ done
 step "perfbench tests" cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 step "clippy (-D warnings)" cargo clippy --all-targets -- -D warnings
+# The packages outside the workspace get the same lint gate.
+for manifest in perfbench vendor/serde vendor/serde_json vendor/serde_derive; do
+    step "clippy (-D warnings): $manifest" cargo clippy -q --offline \
+        --manifest-path "$manifest/Cargo.toml" --all-targets -- -D warnings
+done
 
 # Smoke-run every experiment binary at tiny scale: the point is driving
 # the CLI + pool + cache plumbing end to end, not the numbers. Stdout is
@@ -78,17 +83,21 @@ trace_file_smoke() {
 }
 step "smoke dvfs-lab record + predict" trace_file_smoke
 
-# Bench smoke + throughput floor: a tiny-scale simulator point, timed,
-# with its events/second compared against the committed BENCH_sim.json
-# snapshot. The floor is a HARD gate: measured throughput must reach
-# DEPBURST_BENCH_REGRESSION_PCT percent (default 25) of the committed
-# snapshot, or CI exits 2. The default has generous headroom — the fresh
-# measurement runs at reduced scale, so per-run fixed costs make its
-# events/second conservative relative to the full-scale snapshot — which
-# leaves room for machine noise, not for order-of-magnitude regressions.
-# Busy or slow CI machines can relax it per-run, e.g.
+smoke dvfs-lab-run "$BIN/dvfs-lab run lusearch 2 0.2"
+
+# Performance floor: one perfbench run of fig3-exact (the simulator-bound
+# workload), its operation time rescaled to the reference host by the
+# host probe. The run must be correct (outputs match the committed
+# digests, no failed operation) and its op_ms within the bound:
+# op_ms * DEPBURST_BENCH_REGRESSION_PCT <= BASELINE_OP_MS * 100, so the
+# default 25 allows four times the baseline. A HARD gate: CI exits 2.
+# Busy or slow machines can relax it per run, e.g.
 # DEPBURST_BENCH_REGRESSION_PCT=10 scripts/ci.sh.
-bench_floor() {
+# BASELINE_OP_MS is the seed-1 fig3-exact op_ms median, 493.1 ms
+# rounded, of the ten perfbench runs behind EXPERIMENTS.md's "Shared
+# traces" table.
+BASELINE_OP_MS=490
+perf_floor() {
     local pct="${DEPBURST_BENCH_REGRESSION_PCT:-25}"
     case "$pct" in
         ''|*[!0-9]*)
@@ -96,43 +105,25 @@ bench_floor() {
             return 2
             ;;
     esac
-    local t0 t1 out events secs eps snap_eps
-    t0=$(date +%s.%N)
-    out=$("$BIN/dvfs-lab" run lusearch 2 0.2) || {
-        echo "bench smoke: dvfs-lab run exited nonzero"
-        return 1
-    }
-    t1=$(date +%s.%N)
-    events=$(echo "$out" | awk '/events/ { print $2 }')
-    if [ -z "$events" ]; then
-        echo "bench smoke: no dispatched-event count in dvfs-lab output"
-        return 1
-    fi
-    secs=$(awk -v a="$t0" -v b="$t1" 'BEGIN { printf "%.3f", b - a }')
-    eps=$(awk -v e="$events" -v s="$secs" 'BEGIN { printf "%.0f", e / s }')
-    echo "bench smoke: ${events} events in ${secs}s (${eps} events/s)"
-    if [ ! -f BENCH_sim.json ]; then
-        echo "warning: no BENCH_sim.json snapshot to compare against"
-        return 0
-    fi
-    snap_eps=$(awk -F'[ ,:]+' '/"events_per_second"/ { print $3 }' BENCH_sim.json)
-    # Always leave the committed-vs-measured pair in the CI log, pass or
-    # fail: the floor is useless for trend-spotting unless every run
-    # records what it saw next to what was committed.
-    echo "bench smoke: committed snapshot ${snap_eps:-<none>} events/s," \
-         "measured ${eps} events/s (floor: ${pct}% of committed)"
-    if [ -n "$snap_eps" ] && \
-        awk -v a="$eps" -v b="$snap_eps" -v p="$pct" \
-            'BEGIN { exit !(a * 100 < b * p) }'; then
-        echo "FAIL: throughput ${eps} events/s is below ${pct}% of the committed" \
-             "snapshot (${snap_eps} events/s) — regression. Rerun scripts/bench.sh" \
-             "on a quiet machine to confirm, or relax the floor for this run with" \
-             "DEPBURST_BENCH_REGRESSION_PCT."
+    local line op_ms
+    line=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+        --workload fig3-exact --seconds 5 | tail -n 1)
+    op_ms=$(sed -n 's/.*"op_ms":{"value":\([^,}]*\).*/\1/p' <<< "$line")
+    # Always leave the measured-vs-committed pair in the CI log, pass or fail.
+    echo "perf floor: fig3-exact op_ms measured ${op_ms:-<none>} ms (host-rescaled)," \
+         "committed baseline ${BASELINE_OP_MS} ms, bound op_ms * ${pct} <= baseline * 100"
+    if [[ "$line" != *'"correct":true'* || "$line" != *'"failed":0,'* || -z "$op_ms" ]]; then
+        echo "FAIL: the perfbench run is not correct: $line"
         return 2
     fi
-    return 0
+    if awk -v m="$op_ms" -v b="$BASELINE_OP_MS" -v p="$pct" 'BEGIN { exit !(m * p > b * 100) }'; then
+        echo "FAIL: fig3-exact op_ms ${op_ms} ms exceeds the bound — regression. Rerun" \
+             "perfbench on a quiet machine to confirm, or relax the floor for this run" \
+             "with DEPBURST_BENCH_REGRESSION_PCT."
+        return 2
+    fi
 }
-step "bench smoke + throughput floor (>= ${DEPBURST_BENCH_REGRESSION_PCT:-25}% of snapshot)" bench_floor
+step "perf floor: perfbench fig3-exact (op_ms x ${DEPBURST_BENCH_REGRESSION_PCT:-25} <= ${BASELINE_OP_MS} x 100)" perf_floor
 
 # Resilience gates: the failure paths must be structured — a dead point
 # yields a failure report and exit code 2, never a crashed sweep — and
