@@ -6,6 +6,7 @@
 //! cargo run --release -p harness --example warm_replay -- <cache-root>
 //! ```
 
+use std::convert::Infallible;
 use std::time::Instant;
 
 use harness::{SimCache, SimKey};
@@ -25,7 +26,7 @@ fn main() {
         let key = SimKey(u128::from_str_radix(&stem, 16).expect("hex key"));
         let t0 = Instant::now();
         let summary = cache
-            .get_or_compute(key, || panic!("envelope {stem} missed"))
+            .get_or_compute::<_, Infallible>(key, || panic!("envelope {stem} missed"))
             .expect("load succeeds");
         println!(
             "{stem}: {} epochs in {:.3}s",

@@ -40,7 +40,7 @@
 //! [`store`](SimCache::store)s each completed point into it, and
 //! `--resume ID` serves the stored points instead of re-simulating them.
 //! Every entry, in either role, is committed by
-//! [`write_atomic`](crate::vfs::write_atomic): temp file, fsync, rename.
+//! [`write_atomic`]: temp file, fsync, rename.
 
 use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
@@ -235,7 +235,7 @@ pub(crate) fn write_envelope(key: SimKey, summary: &RunSummary) -> Vec<u8> {
     bytes
 }
 
-/// Opens an envelope written by [`write_envelope`]: matches its exact
+/// Opens an envelope written by `write_envelope`: matches its exact
 /// header, checks the [`checksum64`] of the payload bytes *as stored*
 /// against the stored checksum, and returns the envelope's key with the
 /// payload slice (still to be parsed). Every byte outside the key is
@@ -445,14 +445,11 @@ impl SimCache {
     /// `compute` on a miss. Concurrent callers of the same key are
     /// deduplicated: exactly one computes while the rest block until the
     /// result lands in the memo, so the hit/miss statistics — like the
-    /// results themselves — do not depend on worker scheduling.
-    pub fn get_or_compute<F>(
-        &self,
-        key: SimKey,
-        compute: F,
-    ) -> depburst_core::Result<Arc<RunSummary>>
+    /// results themselves — do not depend on worker scheduling. An error
+    /// from `compute` is returned unchanged and memoizes nothing.
+    pub fn get_or_compute<F, E>(&self, key: SimKey, compute: F) -> Result<Arc<RunSummary>, E>
     where
-        F: FnOnce() -> depburst_core::Result<RunSummary>,
+        F: FnOnce() -> Result<RunSummary, E>,
     {
         loop {
             if let Some(hit) = self.mem.lock().expect("cache lock").get(&key.0) {
@@ -479,13 +476,9 @@ impl SimCache {
         outcome
     }
 
-    fn load_or_compute<F>(
-        &self,
-        key: SimKey,
-        compute: F,
-    ) -> depburst_core::Result<Arc<RunSummary>>
+    fn load_or_compute<F, E>(&self, key: SimKey, compute: F) -> Result<Arc<RunSummary>, E>
     where
-        F: FnOnce() -> depburst_core::Result<RunSummary>,
+        F: FnOnce() -> Result<RunSummary, E>,
     {
         if let Some(summary) = self.load_from_disk(key) {
             self.disk_hits.fetch_add(1, Ordering::Relaxed);
@@ -666,6 +659,8 @@ impl Drop for FlightGuard<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::convert::Infallible;
+
     use super::*;
     use dacapo_sim::benchmark;
 
@@ -704,7 +699,7 @@ mod tests {
         let mut computes = 0;
         for _ in 0..3 {
             let s = cache
-                .get_or_compute(key_for(1), || {
+                .get_or_compute::<_, Infallible>(key_for(1), || {
                     computes += 1;
                     Ok(dummy_summary(42))
                 })
@@ -727,7 +722,7 @@ mod tests {
         });
         assert!(r.is_err());
         let s = cache
-            .get_or_compute(key_for(2), || Ok(dummy_summary(7)))
+            .get_or_compute::<_, Infallible>(key_for(2), || Ok(dummy_summary(7)))
             .expect("retry succeeds");
         assert_eq!(s.gc_count, 7);
     }
@@ -738,12 +733,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let writer = SimCache::persistent(&dir);
         writer
-            .get_or_compute(key_for(3), || Ok(dummy_summary(9)))
+            .get_or_compute::<_, Infallible>(key_for(3), || Ok(dummy_summary(9)))
             .expect("ok");
         // A second instance (fresh process, same directory) hits disk.
         let reader = SimCache::persistent(&dir);
         let s = reader
-            .get_or_compute(key_for(3), || panic!("must not recompute"))
+            .get_or_compute::<_, Infallible>(key_for(3), || panic!("must not recompute"))
             .expect("ok");
         assert_eq!(s.gc_count, 9);
         assert_eq!(reader.stats().disk_hits, 1);
@@ -755,7 +750,7 @@ mod tests {
         let (cache, dir) = planted("bad", key_for(4), "{ not json");
         let path = cache.entry_path(key_for(4)).expect("persistent");
         let s = cache
-            .get_or_compute(key_for(4), || Ok(dummy_summary(11)))
+            .get_or_compute::<_, Infallible>(key_for(4), || Ok(dummy_summary(11)))
             .expect("ok");
         assert_eq!(s.gc_count, 11);
         assert_eq!(cache.stats().misses, 1);
@@ -771,7 +766,7 @@ mod tests {
         // The recompute re-persisted a good envelope in the original slot.
         let fresh = SimCache::persistent(&dir);
         let replayed = fresh
-            .get_or_compute(key_for(4), || panic!("must hit disk"))
+            .get_or_compute::<_, Infallible>(key_for(4), || panic!("must hit disk"))
             .expect("ok");
         assert_eq!(replayed.gc_count, 11);
         let _ = std::fs::remove_dir_all(&dir);
@@ -874,14 +869,14 @@ mod tests {
         let written = envelope_23(5, "40f0d040b35fd9a7", PAYLOAD_23);
         let (cache, dir) = planted("v5", KEY_23, &written);
         let served = cache
-            .get_or_compute(KEY_23, || panic!("must hit disk"))
+            .get_or_compute::<_, Infallible>(KEY_23, || panic!("must hit disk"))
             .expect("ok");
         assert_eq!(*served, dummy_summary(23));
         assert_eq!(cache.stats().disk_hits, 1);
         // The write side produces exactly those bytes.
         let fresh = SimCache::persistent(dir.join("rewrite"));
         fresh
-            .get_or_compute(KEY_23, || Ok(dummy_summary(23)))
+            .get_or_compute::<_, Infallible>(KEY_23, || Ok(dummy_summary(23)))
             .expect("ok");
         let rewritten = std::fs::read(fresh.entry_path(KEY_23).expect("persistent")).expect("read");
         assert_eq!(rewritten, written.as_bytes());
@@ -894,7 +889,7 @@ mod tests {
         let (cache, dir) = planted(tag, KEY_23, envelope);
         let mut computed = false;
         let served = cache
-            .get_or_compute(KEY_23, || {
+            .get_or_compute::<_, Infallible>(KEY_23, || {
                 computed = true;
                 Ok(dummy_summary(24))
             })
@@ -956,7 +951,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cache = SimCache::persistent(&dir);
         cache
-            .get_or_compute(key_for(9), || Ok(exponent_summary()))
+            .get_or_compute::<_, Infallible>(key_for(9), || Ok(exponent_summary()))
             .expect("ok");
         let stored =
             std::fs::read(cache.entry_path(key_for(9)).expect("persistent")).expect("read");
@@ -1043,7 +1038,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let writer = SimCache::persistent(&dir);
         writer
-            .get_or_compute(key_for(12), || Ok(dummy_summary(31)))
+            .get_or_compute::<_, Infallible>(key_for(12), || Ok(dummy_summary(31)))
             .expect("ok");
         let path = writer.entry_path(key_for(12)).expect("persistent");
         let good = std::fs::read(&path).expect("envelope");
@@ -1064,7 +1059,7 @@ mod tests {
         std::fs::write(&path, &bad).expect("corrupt");
         let reader = SimCache::persistent(&dir);
         let served = reader
-            .get_or_compute(key_for(12), || Ok(dummy_summary(31)))
+            .get_or_compute::<_, Infallible>(key_for(12), || Ok(dummy_summary(31)))
             .expect("recomputes");
         assert_eq!(served.gc_count, 31, "served from recompute, not the flipped bytes");
         let stats = reader.stats();
@@ -1090,7 +1085,7 @@ mod tests {
         std::fs::write(root.join(format!("v{SCHEMA_VERSION}")), b"in the way").expect("plant");
         let cache = SimCache::persistent(&root);
         let s = cache
-            .get_or_compute(key_for(6), || Ok(dummy_summary(21)))
+            .get_or_compute::<_, Infallible>(key_for(6), || Ok(dummy_summary(21)))
             .expect("the experiment itself must not fail");
         assert_eq!(s.gc_count, 21);
         assert_eq!(cache.stats().persist_failures, 1);
@@ -1110,7 +1105,7 @@ mod tests {
         assert_eq!(cache.stats(), CacheStats::default(), "no stats impact");
         // get_or_compute then serves the seeded entry as a memory hit.
         let served = cache
-            .get_or_compute(key_for(8), || panic!("must not recompute"))
+            .get_or_compute::<_, Infallible>(key_for(8), || panic!("must not recompute"))
             .expect("ok");
         assert_eq!(served.gc_count, 5);
         assert_eq!(cache.stats().memory_hits, 1);
@@ -1122,7 +1117,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cache = SimCache::persistent(&dir);
         cache
-            .get_or_compute(key_for(7), || Ok(dummy_summary(17)))
+            .get_or_compute::<_, Infallible>(key_for(7), || Ok(dummy_summary(17)))
             .expect("ok");
         let path = cache.entry_path(key_for(7)).expect("persistent");
         assert!(path.exists());
@@ -1151,7 +1146,7 @@ mod tests {
             for _ in 0..4 {
                 scope.spawn(|| {
                     let s = cache
-                        .get_or_compute(key_for(5), || {
+                        .get_or_compute::<_, Infallible>(key_for(5), || {
                             computes.fetch_add(1, Ordering::SeqCst);
                             // Widen the race window: without in-flight
                             // dedup every thread would land in here.

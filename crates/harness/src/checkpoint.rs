@@ -90,6 +90,8 @@ impl SimCache {
 
 #[cfg(test)]
 mod tests {
+    use std::convert::Infallible;
+
     use super::*;
     use crate::cache::{write_envelope, SimKey, SCHEMA_VERSION};
     use crate::run::RunSummary;
@@ -241,7 +243,7 @@ mod tests {
         assert_eq!(resumed.stats().quarantined, 1);
         let mut reexecuted = false;
         let served = resumed
-            .get_or_compute(SimKey(1), || {
+            .get_or_compute::<_, Infallible>(SimKey(1), || {
                 reexecuted = true;
                 Ok(summary(1))
             })
@@ -390,7 +392,7 @@ mod tests {
         }
         assert_eq!(store.load(SimKey(2)).expect("memo").gc_count, 2);
         let served = store
-            .get_or_compute(SimKey(4), || Ok(summary(4)))
+            .get_or_compute::<_, Infallible>(SimKey(4), || Ok(summary(4)))
             .expect("computes");
         assert_eq!(served.gc_count, 4);
         assert_eq!(vfs.reads(), 0, "a fresh checkpoint read its emptied directory");

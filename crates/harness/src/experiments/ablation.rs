@@ -11,12 +11,12 @@
 use dacapo_sim::all_benchmarks;
 use depburst::{relative_error, CtpMode, Dep, DvfsPredictor, ErrorStats, NonScalingModel};
 use dvfs_trace::{Freq, TimeDelta};
-use energyx::{EnergyManager, ManagerConfig, PowerModel};
+use energyx::{ManagerConfig, PowerModel};
 use serde::Serialize;
-use simx::{Machine, MachineConfig};
+use simx::Machine;
 
 use crate::report::{pct, pct_abs, TextTable};
-use crate::run::{ExecCtx, SimPoint, SweepPlan};
+use crate::run::{machine_config, run_managed, ExecCtx, SimPoint, SweepPlan};
 
 /// Per-thread-model ablation row: one benchmark, six DEP variants.
 #[derive(Debug, Clone, Serialize)]
@@ -43,17 +43,8 @@ pub fn dep_variants() -> Vec<Dep> {
     v
 }
 
-/// Runs the per-thread-model ablation (base 1 GHz → target 4 GHz).
-///
-/// # Panics
-/// Panics if a run fails; prefer [`model_ablation_with`] in binaries.
-#[must_use]
-pub fn model_ablation(scale: f64, seed: u64) -> Vec<ModelAblationRow> {
-    model_ablation_with(&ExecCtx::sequential(), scale, seed)
-        .unwrap_or_else(|e| panic!("ablation: {e}"))
-}
-
-/// Runs the per-thread-model ablation on `ctx`'s pool and cache.
+/// Runs the per-thread-model ablation (base 1 GHz → target 4 GHz) on
+/// `ctx`'s pool and cache.
 pub fn model_ablation_with(
     ctx: &ExecCtx,
     scale: f64,
@@ -130,20 +121,10 @@ pub struct ManagerSweepRow {
     pub switches: u64,
 }
 
-/// Sweeps hold-off and quantum for one benchmark at a 5% threshold.
-///
-/// # Panics
-/// Panics if a run fails; prefer [`manager_sweep_with`] in binaries.
-#[must_use]
-pub fn manager_sweep(bench_name: &str, scale: f64, seed: u64) -> Vec<ManagerSweepRow> {
-    manager_sweep_with(&ExecCtx::sequential(), bench_name, scale, seed)
-        .unwrap_or_else(|e| panic!("ablation sweep: {e}"))
-}
-
-/// Sweeps hold-off and quantum on `ctx`: the 4 GHz baseline is a shared
-/// cacheable point, and the six managed configurations fan out across
-/// workers (managed runs mutate frequency mid-run, so they stay
-/// uncached). Configurations run under the context's resilience stack;
+/// Sweeps hold-off and quantum for one benchmark at a 5% threshold on
+/// `ctx`: the 4 GHz baseline is a shared cacheable point, and the six
+/// managed configurations fan out across workers (managed runs mutate
+/// frequency mid-run, so they stay uncached). Configurations run under the context's resilience stack;
 /// the sweep is complete-or-failed (`SweepIncomplete` after the
 /// surviving configurations finished).
 pub fn manager_sweep_with(
@@ -178,12 +159,8 @@ pub fn manager_sweep_with(
         let mut config = ManagerConfig::with_threshold(0.05);
         config.hold_off = hold_off;
         config.quantum = TimeDelta::from_millis(quantum_ms);
-        let mut mc = MachineConfig::haswell_quad();
-        mc.initial_freq = Freq::from_ghz(4.0);
-        let mut machine = Machine::new(mc);
-        bench.install(&mut machine, scale, seed);
-        let manager = EnergyManager::new(config, Box::new(Dep::dep_burst()));
-        let report = manager.run(&mut machine)?;
+        let machine = Machine::new(machine_config(Freq::from_ghz(4.0)));
+        let report = run_managed(machine, bench, scale, seed, config)?;
         Ok(ManagerSweepRow {
             hold_off,
             quantum_ms,
@@ -224,16 +201,6 @@ pub struct RegressionRow {
     pub regression: f64,
     /// DEP+BURST error on the same runs (no training needed).
     pub dep_burst: f64,
-}
-
-/// Runs the leave-one-out study.
-///
-/// # Panics
-/// Panics if a run fails; prefer [`regression_ablation_with`] in binaries.
-#[must_use]
-pub fn regression_ablation(scale: f64, seed: u64) -> Vec<RegressionRow> {
-    regression_ablation_with(&ExecCtx::sequential(), scale, seed)
-        .unwrap_or_else(|e| panic!("ablation regression: {e}"))
 }
 
 /// Runs the leave-one-out study on `ctx`'s pool and cache. Every point

@@ -19,13 +19,13 @@
 use dacapo_sim::{benchmark, Benchmark};
 use depburst::{Dep, DvfsPredictor, MCrit, NonScalingModel};
 use dvfs_trace::{ExecutionTrace, Freq};
-use energyx::{EnergyManager, ManagerConfig, PowerModel};
+use energyx::{ManagerConfig, PowerModel};
 use serde::Serialize;
-use simx::{FaultClass, FaultConfig, FaultInjector, Machine, MachineConfig};
+use simx::{FaultClass, FaultConfig, FaultInjector, Machine};
 
 use super::fig6;
 use crate::report::{pct, pct_abs, TextTable};
-use crate::run::{ExecCtx, SimPoint, SweepPlan};
+use crate::run::{machine_config, run_managed, ExecCtx, SimPoint, SweepPlan};
 
 /// Independent injector seeds averaged per prediction-error cell.
 const PREDICTION_SAMPLES: u64 = 8;
@@ -110,16 +110,9 @@ fn evaluate(
     dep_err /= PREDICTION_SAMPLES as f64;
     mcrit_err /= PREDICTION_SAMPLES as f64;
 
-    let mut mc = MachineConfig::haswell_quad();
-    mc.initial_freq = f4;
-    let mut machine = Machine::new(mc);
-    bench.install(&mut machine, scale, seed);
+    let mut machine = Machine::new(machine_config(f4));
     machine.install_faults(cell_config(class, intensity, fault_seed));
-    let manager = EnergyManager::new(
-        ManagerConfig::hardened(threshold),
-        Box::new(Dep::dep_burst()),
-    );
-    let report = manager.run(&mut machine)?;
+    let report = run_managed(machine, bench, scale, seed, ManagerConfig::hardened(threshold))?;
 
     Ok(FaultsRow {
         benchmark: bench.name.to_owned(),
@@ -134,21 +127,12 @@ fn evaluate(
     })
 }
 
-/// Runs the full sweep: every fault class at every intensity (plus one
-/// fault-free anchor row) for each benchmark in [`SWEEP_BENCHMARKS`].
-///
-/// # Panics
-/// Panics if a run fails; prefer [`collect_with`] in binaries.
-#[must_use]
-pub fn collect(scale: f64, seed: u64, threshold: f64, intensities: &[f64]) -> Vec<FaultsRow> {
-    collect_with(&ExecCtx::sequential(), scale, seed, threshold, intensities, None)
-        .unwrap_or_else(|e| panic!("faults: {e}"))
-}
-
-/// Runs the full sweep on `ctx`: the clean 2/4 GHz measurements are
-/// cacheable points, the baseline is shared with fig6, and the faulted
-/// managed cells fan out across workers (uncached — the injector mutates
-/// machine state mid-run).
+/// Runs the full sweep on `ctx`: every fault class at every intensity
+/// (plus one fault-free anchor row) for each benchmark in
+/// [`SWEEP_BENCHMARKS`]. The clean 2/4 GHz measurements are cacheable
+/// points, the baseline is shared with fig6, and the faulted managed
+/// cells fan out across workers (uncached — the injector mutates machine
+/// state mid-run).
 ///
 /// `panic_point` appends one seeded [`FaultClass::PanicPoint`] cell per
 /// benchmark that panics *inside point evaluation* with the given
@@ -302,7 +286,8 @@ mod tests {
         // the hardened manager pinned at max frequency (≈0% slowdown, ≈0%
         // savings) with the fallback engaged, while the anchor cell saves
         // energy without fallbacks.
-        let rows = collect(0.02, 1, 0.10, &[1.0]);
+        let rows = collect_with(&ExecCtx::sequential(), 0.02, 1, 0.10, &[1.0], None)
+            .expect("sweep completes");
         let anchor = rows
             .iter()
             .find(|r| r.benchmark == "lusearch" && r.fault == "none")

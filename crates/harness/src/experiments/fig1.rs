@@ -26,15 +26,6 @@ pub struct Fig1Row {
     pub dep_burst: f64,
 }
 
-/// Runs the experiment.
-///
-/// # Panics
-/// Panics if a simulated run fails; prefer [`run_with`] in binaries.
-#[must_use]
-pub fn run(scale: f64, seeds: &[u64]) -> (Vec<Fig1Row>, Vec<Fig3Cell>) {
-    run_with(&ExecCtx::sequential(), scale, seeds).unwrap_or_else(|e| panic!("fig1: {e}"))
-}
-
 /// Runs the experiment on `ctx`'s pool and cache.
 pub fn run_with(
     ctx: &ExecCtx,

@@ -70,17 +70,8 @@ pub struct Fig3Cell {
     pub errors: Vec<(String, f64)>,
 }
 
-/// Runs the experiment. `seeds` are averaged (the paper averages 4 runs).
-///
-/// # Panics
-/// Panics if a simulated run fails; prefer [`collect_with`] in binaries.
-#[must_use]
-pub fn collect(direction: Direction, scale: f64, seeds: &[u64]) -> Vec<Fig3Cell> {
-    collect_with(&ExecCtx::sequential(), direction, scale, seeds)
-        .unwrap_or_else(|e| panic!("fig3: {e}"))
-}
-
-/// Runs the experiment on `ctx`'s pool and cache. The plan lists every
+/// Runs the experiment on `ctx`'s pool and cache; `seeds` are averaged
+/// (the paper averages 4 runs). The plan lists every
 /// (benchmark, seed) base run followed by its target runs — the exact
 /// order the historical sequential loop executed — and the cells are
 /// assembled from the plan-ordered results, so the output is identical

@@ -28,18 +28,9 @@ pub struct Fig4Row {
     pub across_epoch: f64,
 }
 
-/// Runs the experiment for one direction, predicting the far frequency
-/// (1 GHz ↔ 4 GHz, as the paper's Fig. 4 reports).
-///
-/// # Panics
-/// Panics if a simulated run fails; prefer [`collect_with`] in binaries.
-#[must_use]
-pub fn collect(direction: Direction, scale: f64, seeds: &[u64]) -> Vec<Fig4Row> {
-    collect_with(&ExecCtx::sequential(), direction, scale, seeds)
-        .unwrap_or_else(|e| panic!("fig4: {e}"))
-}
-
-/// Runs the experiment on `ctx`'s pool and cache.
+/// Runs the experiment for one direction on `ctx`'s pool and cache,
+/// predicting the far frequency (1 GHz ↔ 4 GHz, as the paper's Fig. 4
+/// reports).
 pub fn collect_with(
     ctx: &ExecCtx,
     direction: Direction,

@@ -2,14 +2,13 @@
 //! energy manager at a user-specified slowdown threshold (5% / 10%).
 
 use dacapo_sim::{all_benchmarks, BenchClass, Benchmark};
-use depburst::Dep;
 use dvfs_trace::Freq;
-use energyx::{EnergyManager, ManagerConfig, PowerModel};
+use energyx::{ManagerConfig, PowerModel};
 use serde::Serialize;
 use simx::{Machine, MachineConfig};
 
 use crate::report::{pct, TextTable};
-use crate::run::{ExecCtx, SimPoint, SweepPlan};
+use crate::run::{machine_config, run_managed, ExecCtx, SimPoint, SweepPlan};
 
 /// One benchmark's managed-run outcome.
 #[derive(Debug, Clone, Serialize)]
@@ -28,19 +27,9 @@ pub struct Fig6Row {
     pub mean_ghz: f64,
 }
 
-/// Runs the max-frequency baseline for a benchmark: returns
-/// (execution seconds, energy joules).
-///
-/// # Panics
-/// Panics if the run fails; prefer [`baseline_with`] in binaries.
-#[must_use]
-pub fn baseline(bench: &Benchmark, scale: f64, seed: u64, power: &PowerModel) -> (f64, f64) {
-    baseline_with(&ExecCtx::sequential(), bench, scale, seed, power)
-        .unwrap_or_else(|e| panic!("fig6 baseline: {e}"))
-}
-
-/// The max-frequency baseline on `ctx` — a single cacheable point every
-/// energy experiment shares.
+/// The max-frequency baseline for a benchmark on `ctx`: (execution
+/// seconds, energy joules) of a single cacheable point every energy
+/// experiment shares.
 pub fn baseline_with(
     ctx: &ExecCtx,
     bench: &Benchmark,
@@ -62,19 +51,10 @@ pub fn baseline_with(
     Ok((result.exec.as_secs(), energy))
 }
 
-/// Runs one benchmark under the DEP+BURST energy manager.
-///
-/// # Panics
-/// Panics if a run fails; prefer [`managed_with`] in binaries.
-#[must_use]
-pub fn managed(bench: &Benchmark, scale: f64, seed: u64, threshold: f64) -> Fig6Row {
-    managed_with(&ExecCtx::sequential(), bench, scale, seed, threshold)
-        .unwrap_or_else(|e| panic!("fig6 managed: {e}"))
-}
-
-/// One managed run on `ctx`. The baseline is memoized; the managed run
-/// itself is not (the manager mutates frequency mid-run, so its machine
-/// is not a plain cacheable point).
+/// Runs one benchmark under the DEP+BURST energy manager on `ctx`. The
+/// baseline is memoized; the managed run itself is not (the manager
+/// mutates frequency mid-run, so its machine is not a plain cacheable
+/// point).
 pub fn managed_with(
     ctx: &ExecCtx,
     bench: &Benchmark,
@@ -85,12 +65,8 @@ pub fn managed_with(
     let config = ManagerConfig::with_threshold(threshold);
     let (base_exec, base_energy) = baseline_with(ctx, bench, scale, seed, &config.power)?;
 
-    let mut mc = MachineConfig::haswell_quad();
-    mc.initial_freq = Freq::from_ghz(4.0);
-    let mut machine = Machine::new(mc);
-    bench.install(&mut machine, scale, seed);
-    let manager = EnergyManager::new(config, Box::new(Dep::dep_burst()));
-    let report = manager.run(&mut machine)?;
+    let machine = Machine::new(machine_config(Freq::from_ghz(4.0)));
+    let report = run_managed(machine, bench, scale, seed, config)?;
 
     Ok(Fig6Row {
         benchmark: bench.name.to_owned(),
@@ -103,16 +79,6 @@ pub fn managed_with(
         savings: 1.0 - report.energy_j / base_energy,
         mean_ghz: report.mean_ghz(),
     })
-}
-
-/// Runs all benchmarks at one threshold.
-///
-/// # Panics
-/// Panics if a run fails; prefer [`collect_with`] in binaries.
-#[must_use]
-pub fn collect(threshold: f64, scale: f64, seed: u64) -> Vec<Fig6Row> {
-    collect_with(&ExecCtx::sequential(), threshold, scale, seed)
-        .unwrap_or_else(|e| panic!("fig6: {e}"))
 }
 
 /// Runs all benchmarks at one threshold on `ctx`'s pool; managed runs

@@ -33,19 +33,9 @@ pub struct Fig7Row {
     pub static_ghz: f64,
 }
 
-/// Sweeps constant frequencies for one benchmark. `step_mhz` coarsens the
-/// ladder to bound the sweep's cost.
-///
-/// # Panics
-/// Panics if a run fails; prefer [`sweep_with`] in binaries.
-#[must_use]
-pub fn sweep(bench: &Benchmark, scale: f64, seed: u64, power: &PowerModel, step_mhz: u32) -> StaticSweep {
-    sweep_with(&ExecCtx::sequential(), bench, scale, seed, power, step_mhz)
-        .unwrap_or_else(|e| panic!("fig7 sweep: {e}"))
-}
-
-/// The constant-frequency sweep on `ctx`: every ladder point is a plain
-/// cacheable run.
+/// Sweeps constant frequencies for one benchmark on `ctx`: every ladder
+/// point is a plain cacheable run. `step_mhz` coarsens the ladder to bound
+/// the sweep's cost.
 pub fn sweep_with(
     ctx: &ExecCtx,
     bench: &Benchmark,
@@ -80,22 +70,13 @@ pub fn sweep_with(
     Ok(StaticSweep { points })
 }
 
-/// Runs the comparison for all benchmarks at one threshold.
-///
-/// # Panics
-/// Panics if a run fails; prefer [`collect_with`] in binaries.
-#[must_use]
-pub fn collect(threshold: f64, scale: f64, seed: u64, step_mhz: u32) -> Vec<Fig7Row> {
-    collect_with(&ExecCtx::sequential(), threshold, scale, seed, step_mhz)
-        .unwrap_or_else(|e| panic!("fig7: {e}"))
-}
-
-/// Runs the comparison on `ctx`'s pool: benchmarks fan out across
-/// workers, and each benchmark's ladder points are memoized (the 4 GHz
-/// point, for instance, is shared with the fig6 baseline). Benchmarks
-/// run under the context's resilience stack; a benchmark that still
-/// fails after retries fails the whole figure (`SweepIncomplete`) only
-/// after the surviving ones finished and were cached/checkpointed.
+/// Runs the comparison for all benchmarks at one threshold on `ctx`'s
+/// pool: benchmarks fan out across workers, and each benchmark's ladder
+/// points are memoized (the 4 GHz point, for instance, is shared with the
+/// fig6 baseline). Benchmarks run under the context's resilience stack; a
+/// benchmark that still fails after retries fails the whole figure
+/// (`SweepIncomplete`) only after the surviving ones finished and were
+/// cached/checkpointed.
 pub fn collect_with(
     ctx: &ExecCtx,
     threshold: f64,

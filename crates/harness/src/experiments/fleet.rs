@@ -1576,15 +1576,6 @@ pub fn render(report: &FleetReport) -> String {
     out
 }
 
-/// Runs a fleet sequentially (tests and quick scripts).
-///
-/// # Panics
-/// Panics if the run fails; prefer [`run_with`] in binaries.
-#[must_use]
-pub fn run(config: &FleetConfig) -> FleetOutcome {
-    run_with(&ExecCtx::sequential(), config).unwrap_or_else(|e| panic!("fleet: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

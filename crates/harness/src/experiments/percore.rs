@@ -12,10 +12,10 @@ use dacapo_sim::Benchmark;
 use dvfs_trace::{CoreId, Freq};
 use energyx::PowerModel;
 use serde::Serialize;
-use simx::{Machine, MachineConfig, RunOutcome};
+use simx::{Machine, RunOutcome};
 
 use crate::report::{pct, TextTable};
-use crate::run::ExecCtx;
+use crate::run::{finish_run, machine_config, ExecCtx};
 
 /// Application threads on cores 0–2.
 const APP_MASK: u8 = 0b0111;
@@ -61,15 +61,11 @@ fn run_pinned(
     scaled: Freq,
     power: &PowerModel,
 ) -> depburst_core::Result<(f64, f64)> {
-    let mut mc = MachineConfig::haswell_quad();
-    mc.initial_freq = Freq::from_ghz(4.0);
-    let mut machine = Machine::new(mc);
-
+    let mut machine = Machine::new(machine_config(Freq::from_ghz(4.0)));
     let mut config = bench.runtime_config();
     config.mutator_affinity = Some(APP_MASK);
     config.service_affinity = Some(SERVICE_MASK);
-    // Install with the pinned runtime config (mirrors Benchmark::install).
-    install_with_config(bench, &mut machine, scale, seed, config);
+    let runtime = bench.install_with(&mut machine, scale, seed, config);
 
     match group {
         ScaledGroup::None => {}
@@ -85,8 +81,9 @@ fn run_pinned(
 
     let outcome = machine.run()?;
     let RunOutcome::Completed(end) = outcome else {
-        unreachable!()
+        unreachable!("run() only returns at completion");
     };
+    finish_run(&mut machine, &runtime)?;
     let exec = end.since(dvfs_trace::Time::ZERO);
     let stats = machine.stats();
     let freqs: Vec<Freq> = (0..4)
@@ -96,47 +93,12 @@ fn run_pinned(
     Ok((exec.as_secs(), energy))
 }
 
-/// Installs a benchmark with a custom runtime config (affinity overrides).
-fn install_with_config(
-    bench: &Benchmark,
-    machine: &mut Machine,
-    scale: f64,
-    seed: u64,
-    config: mrt::RuntimeConfig,
-) {
-    use dacapo_sim::RoundSource;
-    use mrt::WorkSource;
-    // Rebuild the benchmark's sources exactly as Benchmark::install does.
-    let sources: Vec<Box<dyn WorkSource>> = (0..bench.app_threads)
-        .map(|t| {
-            let params = bench.thread_round_params(t).scaled(scale);
-            Box::new(RoundSource::new(
-                params,
-                mrt::AddressMap::app_region(t as u64),
-                seed ^ ((t as u64 + 1) * 0x9E37_79B9),
-            )) as Box<dyn WorkSource>
-        })
-        .collect();
-    let (locks, barriers) = bench.sync_shape();
-    mrt::ManagedRuntime::install(machine, config, sources, locks, &barriers);
-}
-
-/// Runs the study for one benchmark: scale each group through the given
-/// frequencies.
-///
-/// # Panics
-/// Panics if a run fails; prefer [`collect_with`] in binaries.
-#[must_use]
-pub fn collect(bench: &Benchmark, scale: f64, seed: u64) -> Vec<PerCoreRow> {
-    collect_with(&ExecCtx::sequential(), bench, scale, seed)
-        .unwrap_or_else(|e| panic!("percore: {e}"))
-}
-
-/// Runs the study on `ctx`: the six scaled configurations fan out across
-/// workers under the context's resilience stack (the study is
-/// complete-or-failed — any configuration dead after retries yields
-/// `SweepIncomplete`). Pinned runs bypass the memo cache — their
-/// per-core frequency overrides are not part of a plain cacheable point.
+/// Runs the study for one benchmark on `ctx`, scaling each group through
+/// 3, 2 and 1 GHz: the six scaled configurations fan out across workers
+/// under the context's resilience stack (the study is complete-or-failed
+/// — any configuration dead after retries yields `SweepIncomplete`).
+/// Pinned runs bypass the memo cache — their per-core frequency overrides
+/// are not part of a plain cacheable point.
 pub fn collect_with(
     ctx: &ExecCtx,
     bench: &Benchmark,

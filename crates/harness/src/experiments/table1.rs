@@ -36,15 +36,6 @@ pub struct Table1Row {
     pub paper_gc_s: f64,
 }
 
-/// Runs every benchmark at 1 GHz and collects the rows.
-///
-/// # Panics
-/// Panics if a run fails; prefer [`collect_with`] in binaries.
-#[must_use]
-pub fn collect(scale: f64) -> Vec<Table1Row> {
-    collect_with(&ExecCtx::sequential(), scale).unwrap_or_else(|e| panic!("table1: {e}"))
-}
-
 /// Runs every benchmark at 1 GHz on `ctx`'s pool and collects the rows.
 pub fn collect_with(ctx: &ExecCtx, scale: f64) -> depburst_core::Result<Vec<Table1Row>> {
     let mut plan = SweepPlan::new();

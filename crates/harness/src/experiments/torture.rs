@@ -7,11 +7,12 @@
 //! [`FailureCause::Storage`] exit. Never silent corruption. This module
 //! sweeps that contract across four phases over a small fig. 3 run:
 //!
-//! 0. **Census** — the reference output with [`RealVfs`], then the same
-//!    pass through an *inert* [`FaultyVfs`]: the injector at zero
-//!    intensity must be bit-identical to the real filesystem (the same
-//!    identity discipline `simx::faults` maintains), and its operation
-//!    counter sizes the crash-point coordinate space.
+//! 0. **Census** — the reference output with
+//!    [`RealVfs`](crate::vfs::RealVfs), then the same pass through an
+//!    *inert* [`FaultyVfs`]: the injector at zero intensity must be
+//!    bit-identical to the real filesystem (the same identity discipline
+//!    `simx::faults` maintains), and its operation counter sizes the
+//!    crash-point coordinate space.
 //! 1. **Crash-point sweep** — for each selected operation index: run with
 //!    a crash point there (power loss truncates unsynced file tails,
 //!    every later operation fails), then resume against the real
@@ -30,6 +31,7 @@
 //! schedule is a pure function of the operation sequence). The `torture`
 //! binary renders the report and exits nonzero on any contract breach.
 
+use std::convert::Infallible;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -483,9 +485,7 @@ fn bitflip_sweep(
         bad[bit / 8] ^= 1 << (bit % 8);
         std::fs::write(&envelope_path, &bad)?;
         let probe = SimCache::persistent(&flip_root);
-        let served = probe
-            .get_or_compute(key, || Ok((*truth).clone()))
-            .map_err(|e| format!("probe failed at bit {bit}: {e}"))?;
+        let Ok(served) = probe.get_or_compute(key, || Ok::<_, Infallible>((*truth).clone()));
         let stats = probe.stats();
         if stats.disk_hits == 0 && stats.quarantined == 1 && *served == *truth {
             detected += 1;

@@ -7,7 +7,7 @@
 //! (min/step/point-count plus a base and target operating point), and an
 //! optional seeded fault schedule from the measurable classes of
 //! [`simx::faults`]. Every case runs under
-//! [`InvariantMode::Full`](simx::InvariantMode::Full); fault-free cases
+//! [`InvariantMode::Full`]; fault-free cases
 //! additionally run at the target frequency so the *metamorphic*
 //! invariants — non-scaling time invariant under frequency change, total
 //! execution time monotone non-increasing in frequency, predictor output
@@ -32,6 +32,8 @@ use depburst_core::DepburstError;
 use dvfs_trace::{ExecutionTrace, Freq, FreqLadder};
 use serde::Serialize;
 use simx::{FaultClass, FaultConfig, Invariant, InvariantMode, Machine, MachineConfig, RunOutcome};
+
+use crate::run::finish_run;
 
 /// The fault classes the fuzzer draws schedules from: the measurable
 /// classes that corrupt observations or timing without killing the run.
@@ -245,16 +247,7 @@ fn simulate(
         unreachable!("run() only returns at completion");
     };
     let trace = machine.harvest_trace();
-    if machine.monitor().on(Invariant::GcPauseAccounting) {
-        for (at_secs, detail) in runtime.take_gc_violations() {
-            machine
-                .monitor_mut()
-                .record(Invariant::GcPauseAccounting, at_secs, detail);
-        }
-    }
-    if let Some(err) = machine.invariant_error() {
-        return Err(err);
-    }
+    finish_run(&mut machine, &runtime)?;
     Ok((end.since(dvfs_trace::Time::ZERO).as_secs(), trace))
 }
 

@@ -10,7 +10,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dacapo_sim::Benchmark;
+use depburst::Dep;
 use dvfs_trace::{ExecutionTrace, Freq, TimeDelta};
+use energyx::{EnergyManager, ManagerConfig, ManagerReport};
+use mrt::ManagedRuntime;
 use serde::{Deserialize, Serialize};
 use simx::{Machine, MachineConfig, RunOutcome, RunStats};
 
@@ -209,6 +212,56 @@ fn region_of(summary: &RunSummary, fraction: f64) -> simx::RegionMeasurement {
     }
 }
 
+/// The paper's quad-core machine configuration, starting at `freq`: the
+/// machine every harness run simulates and every memo key digests.
+#[must_use]
+pub fn machine_config(freq: Freq) -> MachineConfig {
+    let mut mc = MachineConfig::haswell_quad();
+    mc.initial_freq = freq;
+    mc
+}
+
+/// Finishes a run on `machine`: merges into its monitor the GC-handoff
+/// violations `runtime`'s threads recorded on the side (they cannot reach
+/// the monitor mid-run), then reports the monitor's first violation.
+/// Every run the harness drives ends here: plain points, fuzz cases, and
+/// the managed and pinned runs.
+///
+/// # Errors
+/// The first recorded violation, as
+/// [`DepburstError::InvariantViolation`](depburst_core::DepburstError::InvariantViolation).
+pub fn finish_run(machine: &mut Machine, runtime: &ManagedRuntime) -> depburst_core::Result<()> {
+    if machine.monitor().on(simx::Invariant::GcPauseAccounting) {
+        for (at_secs, detail) in runtime.take_gc_violations() {
+            machine
+                .monitor_mut()
+                .record(simx::Invariant::GcPauseAccounting, at_secs, detail);
+        }
+    }
+    machine.invariant_error().map_or(Ok(()), Err)
+}
+
+/// Runs `bench` on `machine` under the DEP+BURST energy manager with
+/// `config`, then finishes the run ([`finish_run`]). The caller builds the
+/// machine at the manager's starting frequency and may set its monitor
+/// mode or install faults first.
+///
+/// # Errors
+/// A simulator failure, a transition error the manager does not absorb,
+/// or the run's first invariant violation.
+pub fn run_managed(
+    mut machine: Machine,
+    bench: &Benchmark,
+    scale: f64,
+    seed: u64,
+    config: ManagerConfig,
+) -> depburst_core::Result<ManagerReport> {
+    let runtime = bench.install(&mut machine, scale, seed);
+    let report = EnergyManager::new(config, Box::new(Dep::dep_burst())).run(&mut machine)?;
+    finish_run(&mut machine, &runtime)?;
+    Ok(report)
+}
+
 /// Runs `bench` to completion under `config`, reporting simulator
 /// failures (deadlock, protocol violation) as errors. The invariant
 /// monitor runs at the mode `DEPBURST_INVARIANTS` selects (off by
@@ -241,9 +294,7 @@ fn run_with_monitor(
     config: RunConfig,
     mode: Option<simx::InvariantMode>,
 ) -> depburst_core::Result<RunResult> {
-    let mut mc = MachineConfig::haswell_quad();
-    mc.initial_freq = config.freq;
-    let mut machine = Machine::new(mc);
+    let mut machine = Machine::new(machine_config(config.freq));
     if let Some(mode) = mode {
         // Before install: the runtime snapshots the machine's mode to
         // decide whether its threads record GC-handoff violations.
@@ -256,18 +307,7 @@ fn run_with_monitor(
     };
     let trace = machine.harvest_trace();
     debug_assert!(trace.validate().is_ok(), "{:?}", trace.validate());
-    // Runtime threads cannot reach the machine's monitor mid-run; merge
-    // the GC-handoff violations they recorded on the side.
-    if machine.monitor().on(simx::Invariant::GcPauseAccounting) {
-        for (at_secs, detail) in runtime.take_gc_violations() {
-            machine
-                .monitor_mut()
-                .record(simx::Invariant::GcPauseAccounting, at_secs, detail);
-        }
-    }
-    if let Some(err) = machine.invariant_error() {
-        return Err(err);
-    }
+    finish_run(&mut machine, &runtime)?;
     Ok(RunResult {
         exec: end.since(dvfs_trace::Time::ZERO),
         gc_time: trace.gc_time(),
@@ -364,9 +404,6 @@ pub struct ExecCtx {
     storage: Option<Arc<FaultyVfs>>,
     /// Ultimate point failures accumulated across this context's sweeps.
     failures: Mutex<Vec<PointFailure>>,
-    /// Failures stashed by key while they cross the cache's error channel
-    /// (which carries only a `DepburstError`).
-    stashed: Mutex<HashMap<u128, PointFailure>>,
     /// Attempt-level counters (retries, panics, timeouts).
     rstats: ResilienceStats,
 }
@@ -385,7 +422,6 @@ impl ExecCtx {
             checkpoint: None,
             storage: None,
             failures: Mutex::new(Vec::new()),
-            stashed: Mutex::new(HashMap::new()),
             rstats: ResilienceStats::default(),
         }
     }
@@ -549,12 +585,6 @@ impl ExecCtx {
         self.failures.lock().expect("failures lock").clone()
     }
 
-    /// True when any point ultimately failed under this context.
-    #[must_use]
-    pub fn has_failures(&self) -> bool {
-        !self.failures.lock().expect("failures lock").is_empty()
-    }
-
     /// The end-of-run failure report, or `None` for a clean run.
     #[must_use]
     pub fn failure_report(&self, experiment: &str) -> Option<FailureReport> {
@@ -614,7 +644,7 @@ impl ExecCtx {
         namespace: Option<&str>,
         plan: &SweepPlan,
     ) -> depburst_core::Result<Vec<Arc<RunSummary>>> {
-        self.collect_sweep(plan, self.execute_outcomes_in(namespace, plan))
+        self.complete(self.run_plan(namespace, plan, self.sampling.as_ref()))
     }
 
     /// [`execute`](Self::execute) with an explicit sampling setting,
@@ -630,58 +660,35 @@ impl ExecCtx {
         plan: &SweepPlan,
         sampling: Option<&simx::SamplingConfig>,
     ) -> depburst_core::Result<Vec<Arc<RunSummary>>> {
-        self.collect_sweep(plan, self.execute_outcomes_with(None, plan, sampling))
+        self.complete(self.run_plan(None, plan, sampling))
     }
 
-    /// Folds per-point outcomes into the complete-or-failed sweep result.
-    fn collect_sweep(
-        &self,
-        plan: &SweepPlan,
-        outcomes: Vec<Result<Arc<RunSummary>, PointFailure>>,
-    ) -> depburst_core::Result<Vec<Arc<RunSummary>>> {
-        let total = plan.points.len();
+    /// Folds per-item outcomes into a complete-or-failed sweep: ultimate
+    /// failures are recorded on the context, and any one of them turns
+    /// the whole sweep into `SweepIncomplete` — after the surviving items
+    /// finished, so their simulations are cached and checkpointed for a
+    /// retry.
+    fn complete<R>(&self, outcomes: Vec<Result<R, PointFailure>>) -> depburst_core::Result<Vec<R>> {
+        let total = outcomes.len();
         let mut ok = Vec::with_capacity(total);
-        let mut failed = 0usize;
         for outcome in outcomes {
             match outcome {
-                Ok(summary) => ok.push(summary),
-                Err(failure) => {
-                    failed += 1;
-                    self.record_failure(failure);
-                }
+                Ok(r) => ok.push(r),
+                Err(failure) => self.record_failure(failure),
             }
         }
+        let failed = total - ok.len();
         if failed > 0 {
             return Err(depburst_core::DepburstError::SweepIncomplete { failed, total });
         }
         Ok(ok)
     }
 
-    /// The per-point form of [`execute`](Self::execute): every point's
-    /// summary or structured failure, in plan order. Failures are *not*
-    /// recorded on the context — the caller decides whether a failed
-    /// point sinks the sweep or only its own cell.
-    pub fn execute_outcomes(
-        &self,
-        plan: &SweepPlan,
-    ) -> Vec<Result<Arc<RunSummary>, PointFailure>> {
-        self.execute_outcomes_in(None, plan)
-    }
-
-    /// The per-point form of [`execute_in`](Self::execute_in): checkpoint
-    /// loads and stores use the namespaced key, the memo cache the raw
-    /// one.
-    pub fn execute_outcomes_in(
-        &self,
-        namespace: Option<&str>,
-        plan: &SweepPlan,
-    ) -> Vec<Result<Arc<RunSummary>, PointFailure>> {
-        self.execute_outcomes_with(namespace, plan, self.sampling.as_ref())
-    }
-
-    /// The engine under every `execute` variant, with the sampling
-    /// setting fully explicit.
-    fn execute_outcomes_with(
+    /// The point pipeline under every `execute` variant, with the
+    /// sampling setting explicit: key the plan, then run each point on
+    /// the pool. Returns every point's summary or structured failure, in
+    /// plan order.
+    fn run_plan(
         &self,
         namespace: Option<&str>,
         plan: &SweepPlan,
@@ -691,237 +698,146 @@ impl ExecCtx {
         // wall-clock to stderr — the first tool to reach for when a sweep
         // stalls or the cache misses unexpectedly.
         let tracing = std::env::var_os("DEPBURST_TRACE_POINTS").is_some();
-        // Key derivation walks the benchmark spec and the whole machine
-        // config; a sweep shares a handful of (benchmark, frequency)
-        // combinations across hundreds of points, so digest each input
-        // once up front and compose per-point keys from the digests.
-        let fault_d = crate::cache::fault_digest(None);
-        // A sampled sweep keys its points under (exact key × sampling
-        // digest): exact and sampled results can never collide, nor can
-        // two different region placements.
-        let sampling_d = sampling.map(crate::cache::sampling_digest);
-        let mut bench_digests: HashMap<usize, u128> = HashMap::new();
-        let mut machine_digests: HashMap<u64, u128> = HashMap::new();
-        let keyed: Vec<(SimPoint, SimKey, (u128, u128))> = plan
-            .points
-            .iter()
-            .map(|point| {
-                let bd = *bench_digests
-                    .entry(point.bench as *const Benchmark as usize)
-                    .or_insert_with(|| crate::cache::bench_digest(point.bench));
-                let md = *machine_digests
-                    .entry(point.config.freq.hz().to_bits())
-                    .or_insert_with(|| {
-                        let mut mc = MachineConfig::haswell_quad();
-                        mc.initial_freq = point.config.freq;
-                        mc.digest()
-                    });
-                let exact = crate::cache::sim_key_from_digests(
-                    bd,
-                    md,
-                    fault_d,
-                    point.config.scale,
-                    point.config.seed,
-                );
-                let key = sampling_d.map_or(exact, |sd| exact.with_sampling(sd));
-                (*point, key, (bd, md))
-            })
-            .collect();
-        pool::map(keyed, self.jobs, |(point, key, (bd, md))| {
-            // A fired crash point means the simulated machine lost power:
-            // remaining points fail closed instead of simulating against
-            // storage that no longer accepts writes.
-            if self.storage.as_ref().is_some_and(|s| s.crashed()) {
-                return Err(PointFailure {
-                    label: format!(
-                        "{} @ {} seed {}",
-                        point.bench.name, point.config.freq, point.config.seed
-                    ),
-                    cause: FailureCause::Storage,
-                    attempts: 0,
-                    detail: "simulated power loss: storage crashed; abandoning the sweep".into(),
-                });
-            }
-            let checkpoint_key = namespace.map_or(key, |ns| key.in_namespace(ns));
-            let t0 = std::time::Instant::now();
-            // Checkpoint replay first: a resumed run serves completed
-            // points without touching the simulator or the cache statistics.
-            if let Some(checkpoint) = &self.checkpoint {
-                if let Some(summary) = checkpoint.load(checkpoint_key) {
-                    self.cache.seed(key, &summary);
-                    if tracing {
-                        eprintln!("  {}: replayed from checkpoint", key.hex());
-                    }
-                    return Ok(summary);
-                }
-            }
-            let label = format!(
-                "{} @ {} seed {} scale {}",
-                point.bench.name, point.config.freq, point.config.seed, point.config.scale
-            );
-            let out = if let Some(cfg) = sampling {
-                self.cache.get_or_compute(key, || {
-                    if tracing {
-                        eprintln!("  {}: miss, sampling", key.hex());
-                    }
-                    self.compute_sampled(point, cfg, bd, md, fault_d, key, &label, tracing)
-                })
-            } else {
-                self.cache.get_or_compute(key, || {
-                    if tracing {
-                        eprintln!("  {}: miss, simulating", key.hex());
-                    }
-                    match attempt_resilient(
-                        &self.policy,
-                        self.point_timeout,
-                        &self.rstats,
-                        &label,
-                        |_attempt| {
-                            // Plain cacheable points carry no fault injector,
-                            // so the attempt index cannot change the result —
-                            // a retry re-runs the identical pure simulation.
-                            try_run_benchmark(point.bench, point.config).map(|r| r.summarize())
-                        },
-                    ) {
-                        Ok(summary) => Ok(summary),
-                        Err(failure) => {
-                            // The cache's error channel carries only a
-                            // DepburstError; stash the structured failure so
-                            // it survives the crossing.
-                            let detail = failure.detail.clone();
-                            self.stashed
-                                .lock()
-                                .expect("stash lock")
-                                .insert(key.0, failure);
-                            Err(depburst_core::DepburstError::Machine { detail })
-                        }
-                    }
-                })
-            };
-            if tracing {
-                eprintln!(
-                    "point {} @ {} seed {} [{}] in {:.3}s",
-                    point.bench.name,
-                    point.config.freq,
-                    point.config.seed,
-                    key.hex(),
-                    t0.elapsed().as_secs_f64()
-                );
-            }
-            match out {
-                Ok(summary) => {
-                    if let Some(checkpoint) = &self.checkpoint {
-                        checkpoint.store(checkpoint_key, &summary);
-                    }
-                    Ok(summary)
-                }
-                Err(err) => {
-                    let failure = self
-                        .stashed
-                        .lock()
-                        .expect("stash lock")
-                        .get(&key.0)
-                        .cloned()
-                        .unwrap_or_else(|| PointFailure {
-                            label: label.clone(),
-                            cause: FailureCause::Error,
-                            attempts: 1,
-                            detail: err.to_string(),
-                        });
-                    if failure.cause == FailureCause::Invariant {
-                        // The point's inputs produced self-inconsistent
-                        // physics: withdraw any persisted envelope so a
-                        // resume re-simulates instead of trusting it.
-                        self.cache.quarantine_key(key, &failure.detail);
-                    }
-                    Err(failure)
-                }
-            }
+        pool::map(key_plan(plan, sampling), self.jobs, |kp| {
+            self.run_point(&kp, namespace, sampling, tracing)
         })
     }
 
-    /// Computes one sampled point: simulate the probe and measure prefix
-    /// regions (as ordinary cacheable exact runs at reduced scales,
-    /// shared through the memo cache with any other consumer of those
-    /// scales), extrapolate the whole run, and — when the measure
-    /// region fails its phase-recurrence check — let the region
-    /// scheduler widen it once and re-extrapolate.
-    ///
-    /// Sub-run failures stash their structured `PointFailure` under
-    /// `stash_key` (the sampled point's key) so the caller's error path
-    /// reports the sampled point, not an anonymous sub-run.
-    #[allow(clippy::too_many_arguments)]
-    fn compute_sampled(
+    /// One point's stages: fail closed on crashed storage, replay the
+    /// checkpoint, compute through the memo (one exact run, or a sampled
+    /// estimate), then commit or quarantine.
+    fn run_point(
         &self,
-        point: SimPoint,
-        cfg: &simx::SamplingConfig,
-        bd: u128,
-        md: u128,
-        fault_d: u128,
-        stash_key: SimKey,
-        label: &str,
+        kp: &KeyedPoint,
+        namespace: Option<&str>,
+        sampling: Option<&simx::SamplingConfig>,
         tracing: bool,
-    ) -> depburst_core::Result<RunSummary> {
-        let run_region = |fraction: f64| -> depburst_core::Result<Arc<RunSummary>> {
-            let sub_scale = point.config.scale * fraction;
-            let sub_key = crate::cache::sim_key_from_digests(
-                bd,
-                md,
-                fault_d,
-                sub_scale,
-                point.config.seed,
-            );
-            let sub_config = RunConfig {
-                scale: sub_scale,
-                ..point.config
-            };
-            self.cache.get_or_compute(sub_key, || {
+    ) -> Result<Arc<RunSummary>, PointFailure> {
+        let SimPoint { bench, config } = kp.point;
+        // A fired crash point means the simulated machine lost power:
+        // remaining points fail closed instead of simulating against
+        // storage that no longer accepts writes.
+        if self.storage.as_ref().is_some_and(|s| s.crashed()) {
+            return Err(PointFailure {
+                label: format!("{} @ {} seed {}", bench.name, config.freq, config.seed),
+                cause: FailureCause::Storage,
+                attempts: 0,
+                detail: "simulated power loss: storage crashed; abandoning the sweep".into(),
+            });
+        }
+        let checkpoint_key = namespace.map_or(kp.key, |ns| kp.key.in_namespace(ns));
+        let t0 = std::time::Instant::now();
+        if let Some(summary) = self.replay(kp.key, checkpoint_key, tracing) {
+            return Ok(summary);
+        }
+        let out = match sampling {
+            Some(cfg) => self.cache.get_or_compute(kp.key, || {
                 if tracing {
-                    eprintln!("  {}: region {fraction} miss, simulating", sub_key.hex());
+                    eprintln!("  {}: miss, sampling", kp.key.hex());
                 }
-                let sub_label = format!("{label} [region {fraction}]");
-                match attempt_resilient(
-                    &self.policy,
-                    self.point_timeout,
-                    &self.rstats,
-                    &sub_label,
-                    |_attempt| {
-                        try_run_benchmark(point.bench, sub_config).map(|r| r.summarize())
-                    },
-                ) {
-                    Ok(summary) => Ok(summary),
-                    Err(failure) => {
-                        let detail = failure.detail.clone();
-                        self.stashed
-                            .lock()
-                            .expect("stash lock")
-                            .insert(stash_key.0, failure);
-                        Err(depburst_core::DepburstError::Machine { detail })
-                    }
-                }
-            })
+                self.sample(kp, cfg, tracing)
+            }),
+            None => self.run_exact(kp, None, tracing),
         };
+        if tracing {
+            eprintln!(
+                "point {} @ {} seed {} [{}] in {:.3}s",
+                bench.name,
+                config.freq,
+                config.seed,
+                kp.key.hex(),
+                t0.elapsed().as_secs_f64()
+            );
+        }
+        self.commit(kp.key, checkpoint_key, out)
+    }
+
+    /// Serves a point a resumed run already completed from the
+    /// checkpoint, seeding the memo with it, without touching the
+    /// simulator or the cache statistics.
+    fn replay(&self, key: SimKey, checkpoint_key: SimKey, tracing: bool) -> Option<Arc<RunSummary>> {
+        let summary = self.checkpoint.as_ref()?.load(checkpoint_key)?;
+        self.cache.seed(key, &summary);
+        if tracing {
+            eprintln!("  {}: replayed from checkpoint", key.hex());
+        }
+        Some(summary)
+    }
+
+    /// Runs one exact point through the memo: on a miss, simulates it
+    /// under the resilience stack (panic isolation, watchdog, retry).
+    /// `region` of `Some(fraction)` runs that prefix of a sampled point
+    /// instead: the point at `fraction` of its scale, keyed as the exact
+    /// run it is. The one place a cacheable exact run is attempted.
+    fn run_exact(
+        &self,
+        kp: &KeyedPoint,
+        region: Option<f64>,
+        tracing: bool,
+    ) -> Result<Arc<RunSummary>, PointFailure> {
+        let SimPoint { bench, mut config } = kp.point;
+        let key = match region {
+            Some(fraction) => {
+                config.scale *= fraction;
+                kp.exact_key(config.scale)
+            }
+            None => kp.key,
+        };
+        self.cache.get_or_compute(key, || {
+            if tracing {
+                match region {
+                    Some(fraction) => {
+                        eprintln!("  {}: region {fraction} miss, simulating", key.hex());
+                    }
+                    None => eprintln!("  {}: miss, simulating", key.hex()),
+                }
+            }
+            let p = kp.point.config;
+            let region_tag = region.map_or_else(String::new, |f| format!(" [region {f}]"));
+            let label = format!(
+                "{} @ {} seed {} scale {}{region_tag}",
+                bench.name, p.freq, p.seed, p.scale
+            );
+            attempt_resilient(&self.policy, self.point_timeout, &self.rstats, &label, |_attempt| {
+                // Cacheable points carry no fault injector, so the attempt
+                // index cannot change the result — a retry re-runs the
+                // identical pure simulation.
+                try_run_benchmark(bench, config).map(RunResult::summarize)
+            })
+        })
+    }
+
+    /// Computes one sampled point: runs the probe and measure prefix
+    /// regions as ordinary exact runs (shared through the memo with any
+    /// other consumer of those scales), extrapolates the whole run, and —
+    /// when the measure region fails its phase-recurrence check — lets
+    /// the region scheduler widen it once and re-extrapolates. A failed
+    /// region fails the point with the region's own failure.
+    fn sample(
+        &self,
+        kp: &KeyedPoint,
+        cfg: &simx::SamplingConfig,
+        tracing: bool,
+    ) -> Result<RunSummary, PointFailure> {
         let schedule = cfg.schedule();
-        let probe = run_region(schedule.probe)?;
-        let mut measure = run_region(schedule.measure)?;
-        let mut measure_fraction = schedule.measure;
-        let mut extended = false;
-        let mut x = simx::sampling::extrapolate(
-            &region_of(&probe, schedule.probe),
-            &region_of(&measure, measure_fraction),
-            &measure.trace,
-            cfg,
-        );
-        if let Some(wider) = cfg.extension(x.recurrence) {
-            measure = run_region(wider)?;
-            measure_fraction = wider;
-            extended = true;
-            x = simx::sampling::extrapolate(
+        let probe = self.run_exact(kp, Some(schedule.probe), tracing)?;
+        let extrapolate = |measure: &RunSummary, fraction: f64| {
+            simx::sampling::extrapolate(
                 &region_of(&probe, schedule.probe),
-                &region_of(&measure, measure_fraction),
+                &region_of(measure, fraction),
                 &measure.trace,
                 cfg,
-            );
+            )
+        };
+        let mut measure_fraction = schedule.measure;
+        let mut measure = self.run_exact(kp, Some(measure_fraction), tracing)?;
+        let mut x = extrapolate(&measure, measure_fraction);
+        let mut extended = false;
+        if let Some(wider) = cfg.extension(x.recurrence) {
+            measure = self.run_exact(kp, Some(wider), tracing)?;
+            measure_fraction = wider;
+            extended = true;
+            x = extrapolate(&measure, measure_fraction);
         }
         Ok(RunSummary {
             exec: x.exec,
@@ -940,6 +856,29 @@ impl ExecCtx {
                 clusters: x.clusters,
             }),
         })
+    }
+
+    /// Commits a computed point to the checkpoint. A point whose inputs
+    /// produced self-inconsistent physics instead has any persisted
+    /// envelope withdrawn, so a resume re-simulates instead of trusting it.
+    fn commit(
+        &self,
+        key: SimKey,
+        checkpoint_key: SimKey,
+        out: Result<Arc<RunSummary>, PointFailure>,
+    ) -> Result<Arc<RunSummary>, PointFailure> {
+        match &out {
+            Ok(summary) => {
+                if let Some(checkpoint) = &self.checkpoint {
+                    checkpoint.store(checkpoint_key, summary);
+                }
+            }
+            Err(failure) if failure.cause == FailureCause::Invariant => {
+                self.cache.quarantine_key(key, &failure.detail);
+            }
+            Err(_) => {}
+        }
+        out
     }
 
     /// Maps `f` over `items` on this context's pool, preserving input
@@ -995,10 +934,12 @@ impl ExecCtx {
     }
 
     /// [`map_resilient`](Self::map_resilient) for sweeps that are
-    /// structurally complete-or-failed: every item runs, ultimate
-    /// failures are recorded on the context, and any failure turns the
-    /// whole sweep into `SweepIncomplete` — after the surviving items
-    /// finished, so their simulations are cached/checkpointed for a retry.
+    /// structurally complete-or-failed, like [`execute`](Self::execute):
+    /// every item runs, and any ultimate failure turns the whole sweep
+    /// into `SweepIncomplete`.
+    ///
+    /// # Errors
+    /// `SweepIncomplete` when any item still failed after retries.
     pub fn collect_resilient<T, R, F>(
         &self,
         items: Vec<(String, T)>,
@@ -1009,23 +950,72 @@ impl ExecCtx {
         R: Send,
         F: Fn(&T, u32) -> depburst_core::Result<R> + Sync,
     {
-        let total = items.len();
-        let mut ok = Vec::with_capacity(total);
-        let mut failed = 0usize;
-        for outcome in self.map_resilient(items, f) {
-            match outcome {
-                Ok(r) => ok.push(r),
-                Err(failure) => {
-                    failed += 1;
-                    self.record_failure(failure);
-                }
-            }
-        }
-        if failed > 0 {
-            return Err(depburst_core::DepburstError::SweepIncomplete { failed, total });
-        }
-        Ok(ok)
+        self.complete(self.map_resilient(items, f))
     }
+}
+
+/// A plan point with its memo key and the input digests its sampled
+/// regions key from.
+#[derive(Debug, Clone, Copy)]
+struct KeyedPoint {
+    point: SimPoint,
+    /// The point's memo key: exact, or under the sampling digest.
+    key: SimKey,
+    bench_d: u128,
+    machine_d: u128,
+    fault_d: u128,
+}
+
+impl KeyedPoint {
+    /// The memo key of an exact run of this point at `scale`.
+    fn exact_key(&self, scale: f64) -> SimKey {
+        crate::cache::sim_key_from_digests(
+            self.bench_d,
+            self.machine_d,
+            self.fault_d,
+            scale,
+            self.point.config.seed,
+        )
+    }
+}
+
+/// Keys every point of `plan`. Key derivation walks the benchmark spec
+/// and the whole machine config; a sweep shares a handful of (benchmark,
+/// frequency) combinations across hundreds of points, so each input is
+/// digested once and the per-point keys compose from the digests. A
+/// sampled sweep keys its points under (exact key × sampling digest):
+/// exact and sampled results can never collide, nor can two different
+/// region placements.
+fn key_plan(plan: &SweepPlan, sampling: Option<&simx::SamplingConfig>) -> Vec<KeyedPoint> {
+    let fault_d = crate::cache::fault_digest(None);
+    let sampling_d = sampling.map(crate::cache::sampling_digest);
+    let mut bench_digests: HashMap<usize, u128> = HashMap::new();
+    let mut machine_digests: HashMap<u64, u128> = HashMap::new();
+    plan.points
+        .iter()
+        .map(|&point| {
+            let bench_d = *bench_digests
+                .entry(point.bench as *const Benchmark as usize)
+                .or_insert_with(|| crate::cache::bench_digest(point.bench));
+            let machine_d = *machine_digests
+                .entry(point.config.freq.hz().to_bits())
+                .or_insert_with(|| machine_config(point.config.freq).digest());
+            let exact = crate::cache::sim_key_from_digests(
+                bench_d,
+                machine_d,
+                fault_d,
+                point.config.scale,
+                point.config.seed,
+            );
+            KeyedPoint {
+                point,
+                key: sampling_d.map_or(exact, |sd| exact.with_sampling(sd)),
+                bench_d,
+                machine_d,
+                fault_d,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1131,7 +1121,6 @@ mod tests {
 
     #[test]
     fn zero_timeout_points_fail_as_timeouts() {
-        use crate::resilience::{FailureCause, RetryPolicy};
         let bench = benchmark("lusearch").expect("exists");
         let mut plan = SweepPlan::new();
         plan.push(SimPoint::new(bench, Freq::from_ghz(2.0), 0.02, 1));
@@ -1155,6 +1144,51 @@ mod tests {
             failures[0].detail.contains("watchdog"),
             "timeout detail must name the watchdog: {}",
             failures[0].detail
+        );
+    }
+
+    #[test]
+    fn a_sampled_point_fails_with_its_regions_failure() {
+        // The probe region (scale 0.001) finishes before the watchdog's
+        // first check; the measure region is the one that times out.
+        let bench = benchmark("lusearch").expect("exists");
+        let mut plan = SweepPlan::new();
+        plan.push(SimPoint::new(bench, Freq::from_ghz(2.0), 0.02, 1));
+        let cfg = simx::SamplingConfig::default();
+        let ctx = ExecCtx::new(1)
+            .with_policy(RetryPolicy::none())
+            .with_timeout(Some(Duration::ZERO))
+            .with_sampling(Some(cfg));
+        let err = ctx.execute(&plan).expect_err("zero budget must fail the sweep");
+        assert!(
+            matches!(
+                err,
+                depburst_core::DepburstError::SweepIncomplete { failed: 1, total: 1 }
+            ),
+            "got {err}"
+        );
+        let failures = ctx.failures();
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].cause, FailureCause::Timeout);
+        let region = format!("scale 0.02 [region {}]", cfg.schedule().measure);
+        assert!(
+            failures[0].label.ends_with(&region),
+            "the measure region's own failure, not an anonymous one: {}",
+            failures[0].label
+        );
+    }
+
+    #[test]
+    fn a_managed_run_surfaces_its_monitors_violations() {
+        let bench = benchmark("lusearch").expect("exists");
+        let mut machine = Machine::new(machine_config(Freq::from_ghz(4.0)));
+        machine.set_invariant_mode(simx::InvariantMode::Full);
+        machine.monitor_mut().sabotage(simx::Invariant::CounterConservation);
+        let err = run_managed(machine, bench, 0.02, 1, ManagerConfig::with_threshold(0.05))
+            .expect_err("the sabotaged check must fail the run");
+        assert!(
+            matches!(err, depburst_core::DepburstError::InvariantViolation { .. }),
+            "got {err}"
         );
     }
 }

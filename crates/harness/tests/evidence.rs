@@ -105,9 +105,6 @@ const REGENERATED: &[(&str, &str)] = &[
     ("sampling_error.txt", "target/release/sampling_error 1.0 3 --jobs 4"),
     ("torture.json", "target/release/torture"),
     ("torture.txt", "target/release/torture"),
-    // The script's own stdout; the committed copy predates its faults,
-    // fleet and thermal steps.
-    ("progress.log", "./run_experiments.sh > results/progress.log"),
 ];
 
 /// The names under `results/`, leaving out what `.gitignore` keeps out

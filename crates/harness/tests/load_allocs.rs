@@ -10,6 +10,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::convert::Infallible;
 use std::fs;
 
 use dvfs_trace::DvfsCounters;
@@ -87,7 +88,7 @@ fn loading_an_envelope_allocates_only_arrays_and_thread_names() {
     let _ = fs::remove_dir_all(&dir);
     let key = SimKey(0x5eed);
     SimCache::persistent(&dir)
-        .get_or_compute(key, || Ok(summary.clone()))
+        .get_or_compute::<_, Infallible>(key, || Ok(summary.clone()))
         .expect("stores");
     let entry = fs::read_dir(dir.join(format!("v{}", harness::cache::SCHEMA_VERSION)))
         .expect("schema dir")

@@ -2,6 +2,7 @@
 //! concurrent loaders, and the crash → fail-closed → resume →
 //! byte-identical contract end to end through [`ExecCtx`].
 
+use std::convert::Infallible;
 use std::sync::{Arc, Barrier};
 
 use harness::{
@@ -32,7 +33,7 @@ fn plant(dir: &std::path::Path, key: SimKey, truth: &harness::RunSummary, mutate
     let seeder = SimCache::persistent(dir);
     let truth = truth.clone();
     seeder
-        .get_or_compute(key, || Ok(truth))
+        .get_or_compute::<_, Infallible>(key, || Ok(truth))
         .expect("seeding store succeeds");
     let slot = dir
         .join(format!("v{}", harness::cache::SCHEMA_VERSION))
@@ -55,7 +56,7 @@ fn race_loaders(dir: &std::path::Path, key: SimKey, truth: &harness::RunSummary,
                 barrier.wait();
                 let truth_for_miss = truth.clone();
                 let served = cache
-                    .get_or_compute(key, || Ok(truth_for_miss))
+                    .get_or_compute::<_, Infallible>(key, || Ok(truth_for_miss))
                     .expect("loader succeeds");
                 assert_eq!(
                     serde_json::to_string(&*served).expect("serializes"),
@@ -78,7 +79,7 @@ fn race_loaders(dir: &std::path::Path, key: SimKey, truth: &harness::RunSummary,
     let fresh = SimCache::persistent(dir);
     let truth_unused = truth.clone();
     fresh
-        .get_or_compute(key, || Ok(truth_unused))
+        .get_or_compute::<_, Infallible>(key, || Ok(truth_unused))
         .expect("replay succeeds");
     let stats = fresh.stats();
     assert_eq!(stats.disk_hits, 1, "healed slot must replay from disk");

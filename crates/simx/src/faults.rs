@@ -66,43 +66,43 @@ pub enum FaultClass {
     DramJitter,
     /// The point evaluation itself panics (at most once per machine, with
     /// configurable probability) — exercises the harness's panic-isolation
-    /// and retry paths end to end. Deliberately **not** in [`ALL`]: the
-    /// default fault sweeps measure predictor degradation, and a panicking
-    /// cell produces no row to measure.
+    /// and retry paths end to end. Deliberately **not** in
+    /// [`ALL`](Self::ALL): the default fault sweeps measure predictor
+    /// degradation, and a panicking cell produces no row to measure.
     PanicPoint,
     /// Fleet chaos: a machine crashes and later restarts (sheds its
     /// request backlog, consumes no energy, reboots into the deepest
     /// degradation rung). Scheduled per round by
-    /// [`crate::fleet::ChaosSchedule`]; not in [`ALL`].
+    /// [`crate::fleet::ChaosSchedule`]; not in [`ALL`](Self::ALL).
     MachineCrash,
     /// Fleet chaos: a machine's telemetry for a round is lost entirely —
-    /// the central governor sees nothing from it. Not in [`ALL`].
+    /// the central governor sees nothing from it. Not in [`ALL`](Self::ALL).
     TelemetryLoss,
     /// Fleet chaos: a machine's counter harvest arrives one round stale
     /// (the governor allocates against last round's state). Not in
-    /// [`ALL`].
+    /// [`ALL`](Self::ALL).
     StaleTelemetry,
     /// Fleet chaos: the governor↔machine control link partitions; the
     /// machine can neither report telemetry nor receive allocations.
-    /// Not in [`ALL`].
+    /// Not in [`ALL`](Self::ALL).
     GovernorPartition,
     /// Fleet chaos: the telemetry link slows down, delaying a machine's
-    /// report by one to three rounds. Not in [`ALL`].
+    /// report by one to three rounds. Not in [`ALL`](Self::ALL).
     SlowLink,
     /// Fleet chaos: a machine's thermal sensor sticks at its last reading
     /// for a window, blinding the software throttle ladder while the true
     /// temperature keeps moving (the hardware trip still works). Not in
-    /// [`ALL`].
+    /// [`ALL`](Self::ALL).
     ThermalSensorStuck,
     /// Fleet chaos: a region aggregator (or, on its own stream, the root
     /// governor) crashes for a window. Under the hierarchical governor a
     /// root outage freezes region budgets while regions run autonomously;
     /// under a flat central governor it partitions every machine at once.
-    /// Not in [`ALL`].
+    /// Not in [`ALL`](Self::ALL).
     RegionAggregatorCrash,
     /// Fleet chaos: a power brownout — the global budget drops to a drawn
     /// fraction for a window, forcing the governors to reallocate without
-    /// oscillating the fleet. Not in [`ALL`].
+    /// oscillating the fleet. Not in [`ALL`](Self::ALL).
     Brownout,
 }
 

@@ -273,6 +273,9 @@ pub struct Monitor {
     sabotage: Option<Invariant>,
     violations: Vec<InvariantViolation>,
     total: u64,
+    /// Whether the last harvested segment ended mid-collection (an open
+    /// GcStart), so the next segment may open with its GcEnd.
+    gc_open: bool,
 }
 
 impl Monitor {
@@ -347,7 +350,7 @@ impl Monitor {
         }
     }
 
-    /// The stored violations (at most the first [`MAX_STORED`]).
+    /// The stored violations (at most the first `MAX_STORED`).
     #[must_use]
     pub fn violations(&self) -> &[InvariantViolation] {
         &self.violations
@@ -460,9 +463,11 @@ impl Monitor {
 
     /// GC phase markers must alternate GcStart/GcEnd and balance out: an
     /// unbalanced stream means pause time was attributed to the wrong side
-    /// of the mutator/collector handoff.
+    /// of the mutator/collector handoff. The depth carries across
+    /// harvests: a managed run harvests once per quantum, and a quantum
+    /// boundary can fall inside a collection.
     fn check_marker_balance(&mut self, trace: &ExecutionTrace) {
-        let mut depth: i64 = 0;
+        let mut depth = i64::from(self.gc_open);
         for marker in &trace.markers {
             match marker.kind {
                 PhaseKind::GcStart => depth += 1,
@@ -493,6 +498,7 @@ impl Monitor {
                 format!("segment ends with {depth} unclosed GcStart markers"),
             );
         }
+        self.gc_open = depth > 0;
     }
 }
 
@@ -612,6 +618,25 @@ mod tests {
             vec![PhaseMarker::new(Time::from_secs(1e-4), PhaseKind::GcEnd)],
         );
         m.check_trace(&t);
+        assert_eq!(m.violations()[0].invariant, Invariant::GcPauseAccounting);
+    }
+
+    #[test]
+    fn a_collection_may_span_two_harvested_segments() {
+        // A quantum boundary inside a collection: segment 1 ends after its
+        // GcStart, and segment 2 opens with the matching GcEnd.
+        let segment = |kind| {
+            trace_with(
+                vec![epoch(0.0, 1e-3, healthy_counters(5e-4))],
+                vec![PhaseMarker::new(Time::from_secs(5e-4), kind)],
+            )
+        };
+        let mut m = Monitor::new(InvariantMode::Cheap);
+        m.check_trace(&segment(PhaseKind::GcStart));
+        m.check_trace(&segment(PhaseKind::GcEnd));
+        assert_eq!(m.total(), 0, "{:?}", m.violations());
+        // The collection is closed now: a further GcEnd is unmatched.
+        m.check_trace(&segment(PhaseKind::GcEnd));
         assert_eq!(m.violations()[0].invariant, Invariant::GcPauseAccounting);
     }
 

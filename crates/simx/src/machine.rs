@@ -266,12 +266,6 @@ impl Machine {
         self.futexes.register(initial)
     }
 
-    /// Current value of a futex word.
-    #[must_use]
-    pub fn futex_value(&self, futex: FutexId) -> u32 {
-        self.futexes.value(futex)
-    }
-
     /// Spawns a root thread (programs spawn further threads with
     /// [`Action::Spawn`]). Returns the new thread's id.
     pub fn spawn(&mut self, request: SpawnRequest) -> ThreadId {
@@ -512,12 +506,6 @@ impl Machine {
             transitions_denied: self.transitions_denied,
             events_dispatched: self.events_dispatched,
         }
-    }
-
-    /// Number of live (not yet exited) application threads.
-    #[must_use]
-    pub fn live_app_threads(&self) -> usize {
-        self.app_live
     }
 
     // ----- internals -------------------------------------------------

@@ -196,13 +196,6 @@ impl ThermalModel {
         reading
     }
 
-    /// The last sensor reading, milli-°C — what the machine's telemetry
-    /// reports upstream between harvests.
-    #[must_use]
-    pub fn last_sensor_mc(&self) -> i64 {
-        self.sensor_mc
-    }
-
     /// The leakage multiplier the reported temperature implies: a
     /// thermal-aware governor must derate its raw (electrical) power
     /// plans by this factor, or its "within budget" allocations draw

@@ -134,20 +134,6 @@ impl Benchmark {
         benches::runtime_config(self)
     }
 
-    /// The per-thread round parameters (public so custom installers — e.g.
-    /// the per-core DVFS study — can rebuild the exact workload with a
-    /// modified runtime configuration).
-    #[must_use]
-    pub fn thread_round_params(&self, thread: usize) -> crate::RoundParams {
-        benches::thread_params(self, thread)
-    }
-
-    /// The benchmark's lock count and barrier party counts.
-    #[must_use]
-    pub fn sync_shape(&self) -> (usize, Vec<u32>) {
-        benches::sync_shape(self)
-    }
-
     /// Folds the benchmark's *derived* workload content into `h` for the
     /// simulation memo cache key: the per-thread round parameters, the
     /// synchronisation shape, and the runtime configuration — everything
@@ -160,7 +146,7 @@ impl Benchmark {
         h.write_u64(self.heap_mb);
         h.write_u64(self.app_threads as u64);
         for t in 0..self.app_threads {
-            let p = self.thread_round_params(t);
+            let p = benches::thread_params(self, t);
             h.write_tag("thread");
             h.write_u64(p.rounds);
             h.write_u64(p.compute_instr);
@@ -178,7 +164,7 @@ impl Benchmark {
             h.write_f64(p.sleep_us);
             h.write_f64(p.jitter);
         }
-        let (locks, barriers) = self.sync_shape();
+        let (locks, barriers) = benches::sync_shape(self);
         h.write_tag("sync");
         h.write_u64(locks as u64);
         h.write_u64(barriers.len() as u64);
@@ -215,6 +201,19 @@ impl Benchmark {
     /// Installs the benchmark on a machine at the given work `scale`
     /// (1.0 = the paper's full run; tests use small scales) and RNG seed.
     pub fn install(&self, machine: &mut Machine, scale: f64, seed: u64) -> ManagedRuntime {
+        self.install_with(machine, scale, seed, self.runtime_config())
+    }
+
+    /// [`install`](Self::install) under a modified runtime configuration
+    /// (the per-core DVFS study pins thread groups to cores through its
+    /// affinity masks); the workload itself is unchanged.
+    pub fn install_with(
+        &self,
+        machine: &mut Machine,
+        scale: f64,
+        seed: u64,
+        runtime_config: RuntimeConfig,
+    ) -> ManagedRuntime {
         let sources: Vec<Box<dyn WorkSource>> = (0..self.app_threads)
             .map(|t| {
                 let params = benches::thread_params(self, t).scaled(scale);
@@ -229,7 +228,7 @@ impl Benchmark {
         let (locks, barriers) = benches::sync_shape(self);
         ManagedRuntime::install(
             machine,
-            self.runtime_config(),
+            runtime_config,
             sources,
             locks,
             &barriers,

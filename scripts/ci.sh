@@ -42,6 +42,9 @@ done
 step "perfbench tests" cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 step "clippy (-D warnings)" cargo clippy --all-targets -- -D warnings
+# Doc links must resolve: a link left pointing at a deleted item fails here.
+step "rustdoc (-D warnings)" env RUSTDOCFLAGS="-D warnings" \
+    cargo doc -q --workspace --no-deps --offline
 # The packages outside the workspace get the same lint gate.
 for manifest in perfbench vendor/serde vendor/serde_json vendor/serde_derive; do
     step "clippy (-D warnings): $manifest" cargo clippy -q --offline \
@@ -537,17 +540,21 @@ invariant_faults_sweep() {
 }
 step "invariants: monitored fault sweep" invariant_faults_sweep
 
-# The same contract on the energy-manager path: fig6 (DEP+BURST manager
-# per benchmark) and fig7 (threshold sweep) re-predict every quantum, so
-# the monitored runs must print the exact bytes of unmonitored ones too.
+# The same contract on the managed and pinned runs: fig6 (DEP+BURST
+# manager per benchmark), fig7 (threshold sweep) and the ablation's
+# manager sweep re-predict every quantum, and percore pins thread groups
+# to cores. Each run ends in the harness's finish step, so a violation
+# exits nonzero here; a clean monitored run must print the exact bytes of
+# an unmonitored one.
 invariant_manager_sweep() {
     local out=/tmp/depburst-ci-inv-manager
     rm -f "$out".*.out
     local fig args
-    for fig in fig6 fig7; do
+    for fig in fig6 fig7 ablation percore; do
         case "$fig" in
             fig6) args="10 $SCALE 1 --jobs 2" ;;
             fig7) args="10 $SCALE 1 500 --jobs 2" ;;
+            ablation | percore) args="$SCALE 1 --jobs 2" ;;
         esac
         # shellcheck disable=SC2086
         DEPBURST_INVARIANTS=full "$BIN/$fig" $args > "$out.$fig.full.out"
@@ -560,7 +567,7 @@ invariant_manager_sweep() {
     done
     rm -f "$out".*.out
 }
-step "invariants: monitored fig6/fig7 sweep" invariant_manager_sweep
+step "invariants: monitored fig6/fig7/ablation/percore sweeps" invariant_manager_sweep
 
 # Sampled-tier invariant gate: the monitor must not perturb the sampled
 # pipeline either — probe/measure sub-runs execute under the monitor, so

@@ -180,7 +180,8 @@ fn trace_summary_and_criticality_reflect_workload_structure() {
 fn per_core_study_runs_at_small_scale() {
     use harness::experiments::percore;
     let bench = dacapo_sim::benchmark("pmd-scale").expect("exists");
-    let rows = percore::collect(bench, 0.05, 1);
+    let rows = percore::collect_with(&harness::ExecCtx::sequential(), bench, 0.05, 1)
+        .expect("study completes");
     assert_eq!(rows.len(), 7); // baseline + 2 groups x 3 frequencies
     // The pinned baseline is the reference.
     assert_eq!(rows[0].slowdown, 0.0);
