@@ -20,8 +20,8 @@
 //!    hardened fallback: always safe for latency, never for energy.
 //!
 //! Rejoin is **hysteretic**: each climb back up requires a full window of
-//! confirmed-healthy rounds ([`DegradationConfig::rejoin_threshold`]) and
-//! moves exactly one rung, so a flapping link cannot oscillate a machine
+//! confirmed-healthy rounds ([`REJOIN_THRESHOLD`]) and moves exactly one
+//! rung, so a flapping link cannot oscillate a machine
 //! between central and fallback control. [`DegradationLadder`] is a pure
 //! state machine over `(reachable, telemetry_ok)` observations — no
 //! randomness, no clocks — which is what makes failover sequences a pure
@@ -38,9 +38,10 @@ use serde::{JsonWriter, Serialize, Value};
 use crate::power::PowerModel;
 
 /// Who controls a machine's frequency right now (the ladder rung).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum GovernorMode {
     /// The central governor's allocation applies.
+    #[default]
     Central,
     /// The machine self-governs with a local DEP+BURST policy.
     LocalDepBurst,
@@ -86,30 +87,18 @@ impl fmt::Display for GovernorMode {
     }
 }
 
-/// Streak thresholds of the degradation ladder, in rounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DegradationConfig {
-    /// Consecutive governor-unreachable rounds before leaving
-    /// [`GovernorMode::Central`].
-    pub partition_tolerance: u32,
-    /// Consecutive telemetry-less rounds before dropping one rung
-    /// (central control and the local predictor both starve without
-    /// counter harvests).
-    pub loss_tolerance: u32,
-    /// Consecutive fully-healthy rounds required per one-rung climb back
-    /// up (the hysteresis window).
-    pub rejoin_threshold: u32,
-}
+/// Consecutive governor-unreachable rounds before the degradation ladder
+/// leaves [`GovernorMode::Central`].
+const PARTITION_TOLERANCE: u32 = 2;
 
-impl Default for DegradationConfig {
-    fn default() -> Self {
-        DegradationConfig {
-            partition_tolerance: 2,
-            loss_tolerance: 4,
-            rejoin_threshold: 3,
-        }
-    }
-}
+/// Consecutive telemetry-less rounds before the degradation ladder drops
+/// one rung (central control and the local predictor both starve without
+/// counter harvests).
+const LOSS_TOLERANCE: u32 = 4;
+
+/// Consecutive fully-healthy rounds the degradation ladder requires per
+/// one-rung climb back up (the hysteresis window).
+pub const REJOIN_THRESHOLD: u32 = 3;
 
 /// One recorded mode change of a machine's degradation ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,9 +140,8 @@ impl Serialize for Transition {
 
 /// The per-machine degradation state machine. Deterministic: the mode
 /// sequence is a pure function of the observation sequence.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DegradationLadder {
-    config: DegradationConfig,
     mode: GovernorMode,
     unreachable_streak: u32,
     loss_streak: u32,
@@ -164,15 +152,8 @@ pub struct DegradationLadder {
 impl DegradationLadder {
     /// A fresh ladder, starting under central control.
     #[must_use]
-    pub fn new(config: DegradationConfig) -> Self {
-        DegradationLadder {
-            config,
-            mode: GovernorMode::Central,
-            unreachable_streak: 0,
-            loss_streak: 0,
-            healthy_streak: 0,
-            transitions: Vec::new(),
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// The current mode.
@@ -191,7 +172,7 @@ impl DegradationLadder {
     /// governs this round. `governor_reachable` is the control link,
     /// `telemetry_ok` the counter-harvest path. Demotions move at most
     /// one rung per round; promotions require a full
-    /// [`DegradationConfig::rejoin_threshold`] healthy window each.
+    /// [`REJOIN_THRESHOLD`] healthy window each.
     pub fn observe(&mut self, round: u64, governor_reachable: bool, telemetry_ok: bool) -> GovernorMode {
         self.observe_health(round, governor_reachable, telemetry_ok, true)
     }
@@ -229,21 +210,21 @@ impl DegradationLadder {
 
         match self.mode {
             GovernorMode::Central => {
-                if self.unreachable_streak >= self.config.partition_tolerance {
+                if self.unreachable_streak >= PARTITION_TOLERANCE {
                     self.shift(round, GovernorMode::LocalDepBurst, "partition");
-                } else if self.loss_streak >= self.config.loss_tolerance {
+                } else if self.loss_streak >= LOSS_TOLERANCE {
                     self.shift(round, GovernorMode::LocalDepBurst, "telemetry-loss");
                 }
             }
             GovernorMode::LocalDepBurst => {
-                if self.loss_streak >= self.config.loss_tolerance.saturating_mul(2) {
+                if self.loss_streak >= 2 * LOSS_TOLERANCE {
                     self.shift(round, GovernorMode::FallbackMax, "telemetry-loss");
                 }
             }
             GovernorMode::FallbackMax => {}
         }
 
-        if self.healthy_streak >= self.config.rejoin_threshold {
+        if self.healthy_streak >= REJOIN_THRESHOLD {
             if let Some(up) = self.mode.promoted() {
                 self.shift(round, up, "rejoin");
                 // Each further rung needs its own full healthy window.
@@ -973,7 +954,7 @@ mod tests {
 
     #[test]
     fn partition_demotes_to_local_after_tolerance() {
-        let mut l = DegradationLadder::new(DegradationConfig::default());
+        let mut l = DegradationLadder::new();
         let modes = obs(&mut l, &[(true, true), (false, true), (false, true)]);
         assert_eq!(
             modes,
@@ -989,13 +970,13 @@ mod tests {
 
     #[test]
     fn sustained_loss_walks_the_whole_ladder_down() {
-        let cfg = DegradationConfig {
-            loss_tolerance: 2,
-            ..DegradationConfig::default()
-        };
-        let mut l = DegradationLadder::new(cfg);
-        let modes = obs(&mut l, &[(true, false); 5]);
-        assert_eq!(modes[1], GovernorMode::LocalDepBurst, "loss demotes central");
+        let mut l = DegradationLadder::new();
+        let modes = obs(&mut l, &[(true, false); 2 * LOSS_TOLERANCE as usize]);
+        assert_eq!(
+            modes[LOSS_TOLERANCE as usize - 1],
+            GovernorMode::LocalDepBurst,
+            "loss demotes central"
+        );
         assert_eq!(
             *modes.last().unwrap(),
             GovernorMode::FallbackMax,
@@ -1006,11 +987,8 @@ mod tests {
 
     #[test]
     fn rejoin_is_hysteretic_one_rung_per_window() {
-        let cfg = DegradationConfig {
-            rejoin_threshold: 3,
-            ..DegradationConfig::default()
-        };
-        let mut l = DegradationLadder::new(cfg);
+        assert_eq!(REJOIN_THRESHOLD, 3, "the rounds below assume a 3-round window");
+        let mut l = DegradationLadder::new();
         l.force_fallback(0, "crash-restart");
         assert_eq!(l.mode(), GovernorMode::FallbackMax);
         // Two healthy rounds are not enough; flapping resets the window.
@@ -1037,15 +1015,15 @@ mod tests {
         let pattern: Vec<(bool, bool)> = (0..40)
             .map(|r| (r % 7 != 0, r % 5 != 0))
             .collect();
-        let mut a = DegradationLadder::new(DegradationConfig::default());
-        let mut b = DegradationLadder::new(DegradationConfig::default());
+        let mut a = DegradationLadder::new();
+        let mut b = DegradationLadder::new();
         assert_eq!(obs(&mut a, &pattern), obs(&mut b, &pattern));
         assert_eq!(a.transitions(), b.transitions());
     }
 
     #[test]
     fn monotonicity_catches_a_forged_multi_rung_rejoin() {
-        let mut l = DegradationLadder::new(DegradationConfig::default());
+        let mut l = DegradationLadder::new();
         l.transitions.push(Transition {
             round: 1,
             from: GovernorMode::FallbackMax,
@@ -1354,12 +1332,8 @@ mod tests {
 
     #[test]
     fn thermal_emergency_blocks_rejoin_but_never_demotes() {
-        let cfg = DegradationConfig {
-            rejoin_threshold: 2,
-            ..DegradationConfig::default()
-        };
         // A thermally-unhappy but connected machine stays where it is.
-        let mut hot = DegradationLadder::new(cfg);
+        let mut hot = DegradationLadder::new();
         for r in 0..6 {
             assert_eq!(
                 hot.observe_health(r, true, true, false),
@@ -1368,7 +1342,7 @@ mod tests {
             );
         }
         // After a partition heals, a thermal emergency holds the rejoin.
-        let mut l = DegradationLadder::new(cfg);
+        let mut l = DegradationLadder::new();
         l.observe_health(0, false, true, true);
         l.observe_health(1, false, true, true);
         assert_eq!(l.mode(), GovernorMode::LocalDepBurst);
@@ -1379,16 +1353,19 @@ mod tests {
                 "rejoin streak must not accumulate while throttling"
             );
         }
-        assert_eq!(l.observe_health(8, true, true, true), GovernorMode::LocalDepBurst);
-        assert_eq!(l.observe_health(9, true, true, true), GovernorMode::Central);
+        // Only a full healthy window after the emergency rejoins.
+        let rejoin = 8 + u64::from(REJOIN_THRESHOLD) - 1;
+        for r in 8..rejoin {
+            assert_eq!(l.observe_health(r, true, true, true), GovernorMode::LocalDepBurst);
+        }
+        assert_eq!(l.observe_health(rejoin, true, true, true), GovernorMode::Central);
         assert!(l.monotonicity_issue().is_none());
     }
 
     #[test]
     fn observe_health_with_thermal_ok_matches_observe() {
-        let cfg = DegradationConfig::default();
-        let mut a = DegradationLadder::new(cfg);
-        let mut b = DegradationLadder::new(cfg);
+        let mut a = DegradationLadder::new();
+        let mut b = DegradationLadder::new();
         let pattern = [
             (true, true),
             (false, true),

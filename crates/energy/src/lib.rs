@@ -26,11 +26,11 @@ mod power;
 mod vf;
 
 pub use governor::{
-    AllocScratch, Allocation, BreakerConfig, CentralGovernor, DegradationConfig, DegradationLadder,
-    GovernorMode, GovernorPolicy, HierarchicalGovernor, LocalGovernor, MachineView,
-    OvershootBreaker, TableSet, Transition,
+    AllocScratch, Allocation, BreakerConfig, CentralGovernor, DegradationLadder, GovernorMode,
+    GovernorPolicy, HierarchicalGovernor, LocalGovernor, MachineView, OvershootBreaker, TableSet,
+    Transition, REJOIN_THRESHOLD,
 };
-pub use manager::{EnergyManager, HardeningConfig, ManagerConfig, ManagerReport};
+pub use manager::{EnergyManager, ManagerConfig, ManagerReport};
 pub use metrics::{select_best, Efficiency, Objective};
 pub use oracle::{static_optimal, try_static_optimal, StaticPoint, StaticSweep};
 pub use power::{EnergyAccount, PowerBreakdown, PowerModel};

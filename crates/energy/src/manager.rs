@@ -13,9 +13,9 @@
 //! # Hardening
 //!
 //! The paper's manager trusts its counter harvests and its DVFS requests
-//! unconditionally; with [`ManagerConfig::hardening`] enabled (see
-//! [`HardeningConfig`]) it instead degrades gracefully under the fault
-//! classes of [`simx::faults`]:
+//! unconditionally; with the `hardened` flag of [`ManagerConfig`] set it
+//! instead degrades gracefully under the fault classes of
+//! [`simx::faults`]:
 //!
 //! * predictions are sanity-gated — non-finite, negative, or implausibly
 //!   scaled predictions are rejected (the frequency state they argue for
@@ -23,10 +23,10 @@
 //! * sustained misprediction is detected by checking each quantum's
 //!   *identity prediction* (the predicted duration of the harvested trace
 //!   at the frequency it was measured at) against the observed duration;
-//! * after [`HardeningConfig::misprediction_window`] consecutive bad
-//!   quanta the manager falls back to the maximum frequency — never worse
-//!   than 0% slowdown — and holds it for an exponentially growing backoff
-//!   before cautiously re-engaging prediction-driven scaling;
+//! * after [`MISPREDICTION_WINDOW`] consecutive bad quanta the manager
+//!   falls back to the maximum frequency — never worse than 0% slowdown —
+//!   and holds it for an exponentially growing backoff before cautiously
+//!   re-engaging prediction-driven scaling;
 //! * denied DVFS transitions ([`simx::MachineError::TransitionDenied`])
 //!   are tolerated and counted instead of aborting the run.
 //!
@@ -34,44 +34,28 @@
 //! the manager's decisions, switches, execution time and energy are
 //! bit-identical to the paper's original algorithm.
 
-use depburst::DvfsPredictor;
+use depburst::{DvfsPredictor, MAX_PLAUSIBLE_SLOWDOWN};
 use depburst_core::DepburstError;
 use dvfs_trace::{Freq, TimeDelta};
 use simx::{Machine, MachineError, RunOutcome};
 
 use crate::power::{EnergyAccount, PowerModel};
 
-/// Parameters of the hardened manager's graceful-degradation machinery.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HardeningConfig {
-    /// Predictions implying a slowdown (or reciprocal speedup) beyond this
-    /// factor vs. the maximum frequency are rejected as implausible.
-    pub max_plausible_slowdown: f64,
-    /// Relative error of the identity prediction (predicted duration of a
-    /// quantum at its own measured frequency vs. observed duration) above
-    /// which the quantum counts as mispredicted.
-    pub misprediction_tolerance: f64,
-    /// Consecutive mispredicted quanta before falling back to the maximum
-    /// frequency.
-    pub misprediction_window: u32,
-    /// Quanta the first fallback holds the maximum frequency; each further
-    /// engagement doubles the hold.
-    pub base_backoff: u32,
-    /// Upper bound on the fallback hold.
-    pub max_backoff: u32,
-}
+/// Relative error of the identity prediction (predicted duration of a
+/// quantum at its own measured frequency vs. observed duration) above
+/// which the hardened manager counts the quantum as mispredicted.
+const MISPREDICTION_TOLERANCE: f64 = 0.6;
 
-impl Default for HardeningConfig {
-    fn default() -> Self {
-        HardeningConfig {
-            max_plausible_slowdown: depburst::MAX_PLAUSIBLE_SLOWDOWN,
-            misprediction_tolerance: 0.6,
-            misprediction_window: 3,
-            base_backoff: 4,
-            max_backoff: 64,
-        }
-    }
-}
+/// Consecutive mispredicted quanta before the hardened manager falls back
+/// to the maximum frequency.
+const MISPREDICTION_WINDOW: u32 = 3;
+
+/// Quanta the first fallback holds the maximum frequency; each further
+/// engagement doubles the hold.
+const BASE_BACKOFF: u32 = 4;
+
+/// Upper bound on the fallback hold, in quanta.
+const MAX_BACKOFF: u32 = 64;
 
 /// Manager parameters (paper defaults: 5 ms quantum, hold-off 1).
 #[derive(Debug, Clone, Copy)]
@@ -84,9 +68,9 @@ pub struct ManagerConfig {
     pub hold_off: u32,
     /// The chip power model (provides the DVFS ladder and V/f curve).
     pub power: PowerModel,
-    /// Graceful-degradation machinery; `None` runs the paper's original
-    /// algorithm unmodified.
-    pub hardening: Option<HardeningConfig>,
+    /// Graceful-degradation machinery (see the module docs); `false` runs
+    /// the paper's original algorithm unmodified.
+    pub hardened: bool,
 }
 
 impl ManagerConfig {
@@ -98,15 +82,15 @@ impl ManagerConfig {
             quantum: TimeDelta::from_millis(5.0),
             hold_off: 1,
             power: PowerModel::haswell_22nm(),
-            hardening: None,
+            hardened: false,
         }
     }
 
-    /// Paper defaults with default hardening enabled.
+    /// Paper defaults with hardening enabled.
     #[must_use]
     pub fn hardened(tolerable_slowdown: f64) -> Self {
         ManagerConfig {
-            hardening: Some(HardeningConfig::default()),
+            hardened: true,
             ..Self::with_threshold(tolerable_slowdown)
         }
     }
@@ -208,7 +192,7 @@ impl EnergyManager {
         let mut denied_transitions = 0u64;
         match machine.set_frequency(f_max) {
             Ok(()) => {}
-            Err(MachineError::TransitionDenied { .. }) if self.config.hardening.is_some() => {
+            Err(MachineError::TransitionDenied { .. }) if self.config.hardened => {
                 denied_transitions += 1;
             }
             Err(e) => return Err(e.into()),
@@ -288,22 +272,20 @@ impl EnergyManager {
             // re-predicted at its own base frequency) must reproduce the
             // observed duration; a sustained gap means the counters feeding
             // the predictor cannot be trusted.
-            if let Some(h) = &self.config.hardening {
-                if duration.as_secs() > 0.0 {
-                    let identity = self.predictor.predict(&trace, freq).as_secs();
-                    let bad = if identity.is_finite() && identity >= 0.0 {
-                        (identity - duration.as_secs()).abs() / duration.as_secs()
-                            > h.misprediction_tolerance
-                    } else {
-                        rejected_predictions += 1;
-                        true
-                    };
-                    if bad {
-                        mispredicted_quanta += 1;
-                        streak += 1;
-                    } else {
-                        streak = 0;
-                    }
+            if self.config.hardened && duration.as_secs() > 0.0 {
+                let identity = self.predictor.predict(&trace, freq).as_secs();
+                let bad = if identity.is_finite() && identity >= 0.0 {
+                    (identity - duration.as_secs()).abs() / duration.as_secs()
+                        > MISPREDICTION_TOLERANCE
+                } else {
+                    rejected_predictions += 1;
+                    true
+                };
+                if bad {
+                    mispredicted_quanta += 1;
+                    streak += 1;
+                } else {
+                    streak = 0;
                 }
             }
 
@@ -313,36 +295,26 @@ impl EnergyManager {
             }
             held = 0;
             decisions += 1;
-            let chosen = match &self.config.hardening {
-                None => self.choose_frequency(&trace, &scan, &mut predicted),
-                Some(h) => {
-                    if fallback_hold == 0 && streak >= h.misprediction_window {
-                        // Engage the fallback: pin the maximum frequency
-                        // (never worse than 0% slowdown) for an
-                        // exponentially growing hold before re-engaging.
-                        fallback_engagements += 1;
-                        let shift = (fallback_engagements - 1).min(16) as u32;
-                        fallback_hold = u32::try_from(
-                            (u64::from(h.base_backoff.max(1)) << shift)
-                                .min(u64::from(h.max_backoff.max(1))),
-                        )
-                        .unwrap_or(h.max_backoff.max(1));
-                        streak = 0;
-                    }
-                    if fallback_hold > 0 {
-                        fallback_hold -= 1;
-                        fallback_quanta += 1;
-                        f_max
-                    } else {
-                        self.choose_frequency_gated(
-                            &trace,
-                            &scan,
-                            &mut predicted,
-                            h,
-                            &mut rejected_predictions,
-                        )
-                    }
+            let chosen = if self.config.hardened {
+                if fallback_hold == 0 && streak >= MISPREDICTION_WINDOW {
+                    // Engage the fallback: pin the maximum frequency
+                    // (never worse than 0% slowdown) for an
+                    // exponentially growing hold before re-engaging.
+                    fallback_engagements += 1;
+                    let shift = (fallback_engagements - 1).min(16) as u32;
+                    fallback_hold = (BASE_BACKOFF << shift).min(MAX_BACKOFF);
+                    streak = 0;
                 }
+                if fallback_hold > 0 {
+                    fallback_hold -= 1;
+                    fallback_quanta += 1;
+                    f_max
+                } else {
+                    let rejected = Some(&mut rejected_predictions);
+                    self.choose_frequency(&trace, &scan, &mut predicted, rejected)
+                }
+            } else {
+                self.choose_frequency(&trace, &scan, &mut predicted, None)
             };
             if machine.monitor().on(simx::Invariant::LadderMembership) && !ladder.contains(chosen)
             {
@@ -374,7 +346,7 @@ impl EnergyManager {
                 match machine.set_frequency(chosen) {
                     Ok(()) => switches += 1,
                     Err(MachineError::TransitionDenied { at }) => {
-                        if self.config.hardening.is_some() {
+                        if self.config.hardened {
                             denied_transitions += 1;
                         } else {
                             return Err(DepburstError::TransitionDenied {
@@ -392,65 +364,45 @@ impl EnergyManager {
     /// the threshold (paper: of all states satisfying the constraint, the
     /// lowest frequency minimises energy). `scan` is `f_max` followed by
     /// the ladder, all predicted in one call into `predicted`.
+    ///
+    /// With `rejected` (the hardened manager), a sanity gate skips
+    /// frequency states whose predictions are non-finite, negative, or
+    /// implausibly scaled relative to `f_max`, counting them in `rejected`
+    /// instead of trusting them. On honest predictions the gate never
+    /// fires and the choice is identical to the ungated algorithm.
     fn choose_frequency(
         &self,
         trace: &dvfs_trace::ExecutionTrace,
         scan: &[Freq],
         predicted: &mut Vec<TimeDelta>,
+        mut rejected: Option<&mut u64>,
     ) -> Freq {
         self.predictor.predict_many(trace, scan, predicted);
         let f_max = scan[0];
         let at_max = predicted[0].as_secs();
-        if at_max <= 0.0 {
-            return f_max;
-        }
-        let budget = at_max * (1.0 + self.config.tolerable_slowdown);
-        for (&f, predicted) in scan[1..].iter().zip(&predicted[1..]) {
-            if predicted.as_secs() <= budget {
-                return f;
-            }
-        }
-        f_max
-    }
-
-    /// [`Self::choose_frequency`] with the hardened sanity gate: frequency
-    /// states whose predictions are non-finite, negative, or implausibly
-    /// scaled relative to `f_max` are skipped (and counted in `rejected`)
-    /// instead of trusted. On honest predictions the gate never fires and
-    /// the choice is identical to the ungated algorithm.
-    fn choose_frequency_gated(
-        &self,
-        trace: &dvfs_trace::ExecutionTrace,
-        scan: &[Freq],
-        predicted: &mut Vec<TimeDelta>,
-        hardening: &HardeningConfig,
-        rejected: &mut u64,
-    ) -> Freq {
-        self.predictor.predict_many(trace, scan, predicted);
-        let f_max = scan[0];
-        let at_max = predicted[0].as_secs();
-        if !at_max.is_finite() || at_max <= 0.0 {
+        if at_max <= 0.0 || (rejected.is_some() && !at_max.is_finite()) {
             // A zero prediction for a window in which wall time observably
             // passed means the counters vanished; a genuinely empty window
             // predicting zero is normal.
-            if !at_max.is_finite() || trace.total > TimeDelta::ZERO {
-                *rejected += 1;
+            if let Some(rejected) = rejected {
+                if !at_max.is_finite() || trace.total > TimeDelta::ZERO {
+                    *rejected += 1;
+                }
             }
             return f_max;
         }
         let budget = at_max * (1.0 + self.config.tolerable_slowdown);
         for (&f, predicted) in scan[1..].iter().zip(&predicted[1..]) {
             let predicted = predicted.as_secs();
-            if !predicted.is_finite() || predicted < 0.0 {
-                *rejected += 1;
-                continue;
-            }
-            let ratio = predicted / at_max;
-            if ratio > hardening.max_plausible_slowdown
-                || ratio < 1.0 / hardening.max_plausible_slowdown
-            {
-                *rejected += 1;
-                continue;
+            if let Some(rejected) = rejected.as_deref_mut() {
+                // A slowdown (or reciprocal speedup) beyond the predictors'
+                // plausibility bound vs. `f_max` is rejected as implausible.
+                let plausible = (1.0 / MAX_PLAUSIBLE_SLOWDOWN..=MAX_PLAUSIBLE_SLOWDOWN)
+                    .contains(&(predicted / at_max));
+                if !predicted.is_finite() || predicted < 0.0 || !plausible {
+                    *rejected += 1;
+                    continue;
+                }
             }
             if predicted <= budget {
                 return f;

@@ -1,13 +1,13 @@
 //! Sampled-vs-exact validation sweep: measures the sampled tier's
 //! extrapolation error across every workload × frequency and writes a
 //! JSON report to `--out PATH` (default `results/sampling_error.json`,
-//! which feeds the CI accuracy gate) with the text report beside it
-//! (same path, `.txt` extension).
+//! which the accuracy test in `tests/verdicts.rs` checks) with the text
+//! report beside it (same path, `.txt` extension).
 //!
 //! Usage: `cargo run --release -p harness --bin sampling_error -- [scale] [seeds] [--out PATH] [--jobs N] [--sampling CFG]`
 //!
-//! `--sampling` here selects the configuration under test (default: the
-//! default `SamplingConfig`); the exact arm always runs exactly.
+//! `--sampling` here selects the measure fraction under test (default:
+//! the default `SamplingConfig`); the exact arm always runs exactly.
 
 use std::process::ExitCode;
 
@@ -24,7 +24,8 @@ fn main() -> ExitCode {
         let cfg = ctx.sampling.unwrap_or_default();
         eprintln!(
             "sampling error: scale {scale}, {nseeds} seed(s), probe {} measure {}...",
-            cfg.probe_fraction, cfg.measure_fraction
+            simx::sampling::PROBE_FRACTION,
+            cfg.measure_fraction
         );
         let report = sampling_error::collect_with(ctx, scale, &seeds, &cfg)?;
         let rendered = sampling_error::render(&report);

@@ -1188,7 +1188,6 @@ mod tests {
         assert_ne!(sampled, base, "sampled result must not shadow the exact one");
         let wider = simx::SamplingConfig {
             measure_fraction: 0.5,
-            ..cfg
         };
         assert_ne!(
             base.with_sampling(sampling_digest(&wider)),
@@ -1197,6 +1196,21 @@ mod tests {
         );
         assert_eq!(base.with_sampling(sampling_digest(&cfg)), sampled);
         assert_ne!(base.in_namespace("x"), sampled);
+    }
+
+    /// Persisted sampled envelopes and checkpoints are found by these
+    /// digests: a change to the sampled tier's hashed parameters (or to
+    /// how they are hashed) must show up here, not as a silently cold
+    /// cache.
+    #[test]
+    fn sampled_config_digests_are_pinned() {
+        let hex = |cfg: &simx::SamplingConfig| format!("{:032x}", sampling_digest(cfg));
+        let default = simx::SamplingConfig::default();
+        assert_eq!(hex(&default), "17328fb5318ef279f2110d90f13d2f2c");
+        let half = crate::run::parse_sampling_setting("0.5")
+            .expect("valid setting")
+            .expect("sampling on");
+        assert_eq!(hex(&half), "641d5633b2b10a615d0dd876bb41a530");
     }
 
     #[test]

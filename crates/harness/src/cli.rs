@@ -351,9 +351,10 @@ pub fn parse_common(
 ) -> Result<CommonOpts, String> {
     let accepted: Vec<Flag> = COMMON_FLAGS.iter().chain(flags).copied().collect();
     let args = parse(argv, &accepted, names)?;
-    let timeout = args.get_where("--point-timeout", "seconds >= 0", |s: &f64| {
-        *s >= 0.0 && s.is_finite()
-    })?;
+    let timeout = args.value("--point-timeout").map(|v| {
+        crate::run::parse_point_timeout(v)
+            .map_err(|e| format!("invalid --point-timeout value: {e}"))
+    });
     let invariants = args.value("--invariants").map(|v| {
         simx::InvariantMode::parse(v)
             .ok_or_else(|| format!("invalid --invariants value {v:?} (want off, cheap, or full)"))
@@ -367,7 +368,7 @@ pub fn parse_common(
     });
     Ok(CommonOpts {
         jobs: args.get("--jobs")?,
-        point_timeout: timeout.map(|s| (s > 0.0).then(|| Duration::from_secs_f64(s))),
+        point_timeout: timeout.transpose()?,
         retries: args.get("--retries")?,
         run_id: args.value("--run-id").map(str::to_owned),
         resume: args.value("--resume").map(str::to_owned),
@@ -395,6 +396,32 @@ pub fn require_exact(ctx: &ExecCtx, experiment: &str) -> Result<(), depburst_cor
             ),
         }),
     }
+}
+
+/// Reads the environment variable `name` through `parse`, which gets the
+/// trimmed value. Unset is `None`; a value `parse` rejects is also `None`,
+/// after a `warning: ignoring NAME: …` line on stderr, so a typo never
+/// passes in silence. `DEPBURST_INVARIANTS` is read elsewhere and stays
+/// silent: every `Machine::new` reads it.
+pub(crate) fn env_setting<T>(
+    name: &str,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> Option<T> {
+    env_value(name, std::env::var(name).ok().as_deref(), parse).unwrap_or_else(|warning| {
+        eprintln!("{warning}");
+        None
+    })
+}
+
+/// [`env_setting`] over the variable's value `raw`: the error is the
+/// warning to print.
+fn env_value<T>(
+    name: &str,
+    raw: Option<&str>,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    raw.map(|v| parse(v.trim()).map_err(|e| format!("warning: ignoring {name}: {e}")))
+        .transpose()
 }
 
 /// Reads the test-only `DEPBURST_BREAK_INVARIANT` sabotage hook: CI sets
@@ -832,10 +859,6 @@ mod tests {
         let opts = common(&["--sampling=0.5"]).unwrap();
         let cfg = opts.sampling.flatten().expect("fraction enables sampling");
         assert_eq!(cfg.measure_fraction, 0.5);
-        assert_eq!(
-            cfg.probe_fraction,
-            simx::SamplingConfig::default().probe_fraction
-        );
         // Fractions outside (probe, 1) and junk are usage errors.
         assert!(common(&["--sampling", "1.5"]).is_err());
         assert!(common(&["--sampling", "0.01"]).is_err());
@@ -861,6 +884,28 @@ mod tests {
         );
         assert!(common(&["--storage-faults", "2.0"]).is_err());
         assert_eq!(common(&[]).unwrap().storage_faults, None);
+    }
+
+    #[test]
+    fn env_values_parse_trimmed_and_malformed_ones_warn() {
+        let jobs = |v: &str| v.parse::<usize>().map_err(|_| format!("got {v:?}"));
+        assert_eq!(env_value("DEPBURST_JOBS", None, jobs), Ok(None));
+        assert_eq!(env_value("DEPBURST_JOBS", Some(" 3\n"), jobs), Ok(Some(3)));
+        assert_eq!(
+            env_value("DEPBURST_JOBS", Some("three"), jobs),
+            Err("warning: ignoring DEPBURST_JOBS: got \"three\"".to_owned())
+        );
+        // The settings with their own grammar warn the same way.
+        let sampling = crate::run::parse_sampling_setting;
+        let warning = env_value("DEPBURST_SAMPLING", Some("sometimes"), sampling).unwrap_err();
+        assert!(warning.starts_with("warning: ignoring DEPBURST_SAMPLING: "));
+        assert_eq!(
+            env_value("DEPBURST_SAMPLING", Some(" off "), sampling),
+            Ok(Some(None))
+        );
+        let faults = crate::vfs::parse_storage_faults;
+        let warning = env_value("DEPBURST_STORAGE_FAULTS", Some("2"), faults).unwrap_err();
+        assert!(warning.starts_with("warning: ignoring DEPBURST_STORAGE_FAULTS: "));
     }
 
     #[test]

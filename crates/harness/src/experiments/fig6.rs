@@ -1,7 +1,7 @@
 //! Figure 6: per-benchmark slowdown and energy savings of the DEP+BURST
 //! energy manager at a user-specified slowdown threshold (5% / 10%).
 
-use dacapo_sim::{all_benchmarks, BenchClass, Benchmark};
+use dacapo_sim::{all_benchmarks, Benchmark};
 use dvfs_trace::Freq;
 use energyx::{ManagerConfig, PowerModel};
 use serde::Serialize;
@@ -32,18 +32,13 @@ pub struct Fig6Row {
 /// experiment shares.
 pub fn baseline_with(
     ctx: &ExecCtx,
-    bench: &Benchmark,
+    bench: &'static Benchmark,
     scale: f64,
     seed: u64,
     power: &PowerModel,
 ) -> depburst_core::Result<(f64, f64)> {
     let f4 = Freq::from_ghz(4.0);
     let mut plan = SweepPlan::new();
-    let Some(bench) = dacapo_sim::benchmark(bench.name) else {
-        return Err(depburst_core::DepburstError::Machine {
-            detail: format!("unknown benchmark {}", bench.name),
-        });
-    };
     plan.push(SimPoint::new(bench, f4, scale, seed));
     let result = &ctx.execute(&plan)?[0];
     let cores = MachineConfig::haswell_quad().cores;
@@ -57,7 +52,7 @@ pub fn baseline_with(
 /// point).
 pub fn managed_with(
     ctx: &ExecCtx,
-    bench: &Benchmark,
+    bench: &'static Benchmark,
     scale: f64,
     seed: u64,
     threshold: f64,
@@ -70,10 +65,7 @@ pub fn managed_with(
 
     Ok(Fig6Row {
         benchmark: bench.name.to_owned(),
-        class: match bench.class {
-            BenchClass::Memory => "M".to_owned(),
-            BenchClass::Compute => "C".to_owned(),
-        },
+        class: bench.class.label().to_owned(),
         threshold,
         slowdown: report.exec.as_secs() / base_exec - 1.0,
         savings: 1.0 - report.energy_j / base_energy,
@@ -93,7 +85,7 @@ pub fn collect_with(
     scale: f64,
     seed: u64,
 ) -> depburst_core::Result<Vec<Fig6Row>> {
-    let benches: Vec<(String, &Benchmark)> = all_benchmarks()
+    let benches: Vec<(String, &'static Benchmark)> = all_benchmarks()
         .iter()
         .map(|b| (format!("fig6 {} @ {:.0}%", b.name, threshold * 100.0), b))
         .collect();

@@ -6,7 +6,7 @@
 //! honours. The dynamic manager can beat it on phase-y (memory-intensive)
 //! applications because it adapts per quantum.
 
-use dacapo_sim::{all_benchmarks, BenchClass, Benchmark};
+use dacapo_sim::{all_benchmarks, Benchmark};
 use dvfs_trace::{Freq, FreqLadder};
 use energyx::{static_optimal, PowerModel, StaticPoint, StaticSweep};
 use serde::Serialize;
@@ -38,7 +38,7 @@ pub struct Fig7Row {
 /// the sweep's cost.
 pub fn sweep_with(
     ctx: &ExecCtx,
-    bench: &Benchmark,
+    bench: &'static Benchmark,
     scale: f64,
     seed: u64,
     power: &PowerModel,
@@ -47,11 +47,6 @@ pub fn sweep_with(
     let ladder = FreqLadder::new(Freq::from_ghz(1.0), Freq::from_ghz(4.0), step_mhz)
         .expect("valid ladder");
     let cores = MachineConfig::haswell_quad().cores;
-    let Some(bench) = dacapo_sim::benchmark(bench.name) else {
-        return Err(depburst_core::DepburstError::Machine {
-            detail: format!("unknown benchmark {}", bench.name),
-        });
-    };
     let freqs: Vec<Freq> = ladder.iter().collect();
     let mut plan = SweepPlan::new();
     for &freq in &freqs {
@@ -85,7 +80,7 @@ pub fn collect_with(
     step_mhz: u32,
 ) -> depburst_core::Result<Vec<Fig7Row>> {
     let power = PowerModel::haswell_22nm();
-    let benches: Vec<(String, &Benchmark)> = all_benchmarks()
+    let benches: Vec<(String, &'static Benchmark)> = all_benchmarks()
         .iter()
         .map(|b| (format!("fig7 {}", b.name), b))
         .collect();
@@ -96,10 +91,7 @@ pub fn collect_with(
         let best = static_optimal(&s, Some(threshold)).expect("baseline always qualifies");
         Ok(Fig7Row {
             benchmark: bench.name.to_owned(),
-            class: match bench.class {
-                BenchClass::Memory => "M".to_owned(),
-                BenchClass::Compute => "C".to_owned(),
-            },
+            class: bench.class.label().to_owned(),
             threshold,
             dynamic_savings: dynamic.savings,
             static_savings: 1.0 - best.energy_j / base.energy_j,

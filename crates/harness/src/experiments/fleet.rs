@@ -70,16 +70,16 @@ use depburst_core::num::round_i64;
 use depburst_core::stablehash::SplitMix64;
 use dvfs_trace::{Freq, FreqLadder};
 use energyx::{
-    AllocScratch, BreakerConfig, CentralGovernor, DegradationConfig, DegradationLadder,
-    GovernorMode, GovernorPolicy, HierarchicalGovernor, LocalGovernor, MachineView,
-    OvershootBreaker, PowerModel, TableSet, Transition,
+    AllocScratch, BreakerConfig, CentralGovernor, DegradationLadder, GovernorMode, GovernorPolicy,
+    HierarchicalGovernor, LocalGovernor, MachineView, OvershootBreaker, PowerModel, TableSet,
+    Transition,
 };
 use serde::Serialize;
 use simx::fleet::{region_of, ChaosConfig, ChaosSchedule, ChaosState, FleetTopology};
-use simx::thermal::{CEILING_MARGIN_MC, CEILING_SETTLE_ROUNDS};
+use simx::thermal::{AMBIENT_MC, CEILING_MARGIN_MC, CEILING_SETTLE_ROUNDS, T_CRIT_MC};
 use simx::{
-    Invariant, InvariantViolation, ThermalConfig, ThermalModel, ThrottleConfig, ThrottleLadder,
-    ThrottleStage, ThrottleTransition,
+    Invariant, InvariantViolation, ThermalConfig, ThermalModel, ThrottleLadder, ThrottleStage,
+    ThrottleTransition,
 };
 
 use crate::report::TextTable;
@@ -100,6 +100,9 @@ const BASE_UTIL: f64 = 0.6;
 
 /// Relative tolerance on the fleet-power overshoot metric.
 const OVERSHOOT_REL_TOL: f64 = 0.05;
+
+/// Slowdown bound of the degraded local DEP+BURST governor.
+const LOCAL_SLOWDOWN: f64 = 0.10;
 
 /// The whole fleet experiment configuration.
 #[derive(Debug, Clone)]
@@ -124,10 +127,6 @@ pub struct FleetConfig {
     /// Latency SLO as a multiple of the unloaded max-frequency service
     /// time (per machine).
     pub slo_factor: f64,
-    /// Slowdown bound of the degraded local DEP+BURST governor.
-    pub local_slowdown: f64,
-    /// Degradation-ladder thresholds.
-    pub degradation: DegradationConfig,
     /// Region aggregators the machines are tiled across (contiguously,
     /// like shards). One region ≡ the pre-hierarchy fleet.
     pub regions: usize,
@@ -140,8 +139,6 @@ pub struct FleetConfig {
     /// default) draws nothing and reproduces the pre-thermal fleet
     /// byte-for-byte.
     pub thermal: ThermalConfig,
-    /// Throttle-ladder thresholds (only consulted when thermal is on).
-    pub throttle: ThrottleConfig,
     /// Overshoot-breaker thresholds (armed only when thermal is on).
     pub breaker: BreakerConfig,
     /// CI sabotage hook: deliberately break this invariant so the gate
@@ -167,12 +164,9 @@ impl FleetConfig {
             policy: GovernorPolicy::Oracle,
             budget_w: 60.0 * machines.max(1) as f64,
             slo_factor: 2.0,
-            local_slowdown: 0.10,
-            degradation: DegradationConfig::default(),
             regions: 1,
             hierarchy: false,
             thermal: ThermalConfig::disabled(),
-            throttle: ThrottleConfig::default(),
             breaker: BreakerConfig::default(),
             sabotage: None,
             benches: all_benchmarks().iter().collect(),
@@ -441,14 +435,13 @@ impl MachineState {
     /// the post-emergency ceiling was breached. Thermal-disabled states
     /// never call this.
     fn thermal_round(&mut self, round: usize, p_w: f64, stuck: bool) -> (f64, bool) {
-        let tcfg = *self.thermal.config();
         let prev_sev = self.throttle.stage().severity();
         let p_mw = round_i64(p_w * 1e3);
         let eff_mw = self.thermal.update(p_mw);
         let sensor = self.thermal.read_sensor(stuck);
         let stage = self
             .throttle
-            .observe(round as u64, sensor, self.thermal.true_mc(), &tcfg);
+            .observe(round as u64, sensor, self.thermal.true_mc());
         self.peak_temp_mc = self.peak_temp_mc.max(self.thermal.true_mc());
         // The sabotage hook arms at any throttle engagement (not just
         // Emergency) so fleets that never heat past T_crit — e.g. the
@@ -462,9 +455,9 @@ impl MachineState {
             // Emergency just engaged: the forced floor must turn the RC
             // around — the truth may coast a margin past the entry
             // point, never further.
-            let entry = self.thermal.true_mc().max(tcfg.t_crit_mc);
+            let entry = self.thermal.true_mc().max(T_CRIT_MC);
             self.ceiling_bound_mc = Some(if self.sabotage_ceiling {
-                tcfg.ambient_mc
+                AMBIENT_MC
             } else {
                 entry + CEILING_MARGIN_MC
             });
@@ -736,16 +729,17 @@ fn step_machine(
 
 /// Builds the per-shard machine states and the governor-side columns
 /// from fitted (or synthetic) per-machine parameters, looked up by
-/// machine id, entering each machine's ladder into `tables`.
+/// machine id, entering each machine's ladder into `tables`. `local` is
+/// the degraded-mode governor each machine's fallback choice comes from.
 fn build_fleet(
     config: &FleetConfig,
     topo: &FleetTopology,
     bench_name: &dyn Fn(usize) -> &'static str,
     params: &dyn Fn(usize) -> SyntheticMachine,
     cores: usize,
+    local: &LocalGovernor,
     tables: &mut TableSet,
 ) -> (Vec<Shard>, Columns) {
-    let local = LocalGovernor::new(config.local_slowdown);
     let state = |m: usize| {
         let p = params(m);
         let ladder = machine_ladder(m);
@@ -765,9 +759,9 @@ fn build_fleet(
             local_freq: ladder.max(),
             proactive_cap: ladder.floor(Freq::from_mhz(mid_mhz)),
             sabotage_ceiling: config.sabotage == Some(Invariant::ThermalCeiling),
-            ladder_state: DegradationLadder::new(config.degradation),
+            ladder_state: DegradationLadder::new(),
             thermal: ThermalModel::new(config.thermal, m),
-            throttle: ThrottleLadder::new(config.throttle, m),
+            throttle: ThrottleLadder::new(m),
             freq: ladder.max(),
             ladder,
             backlog: 0.0,
@@ -1108,7 +1102,8 @@ fn run_rounds(
     let model = PowerModel::haswell_22nm();
     let cores = simx::MachineConfig::haswell_quad().cores;
     let mut tables = TableSet::new(&model);
-    let (shards, cols) = build_fleet(config, topo, bench_name, params, cores, &mut tables);
+    let local = LocalGovernor::new(LOCAL_SLOWDOWN);
+    let (shards, cols) = build_fleet(config, topo, bench_name, params, cores, &local, &mut tables);
     let schedule = ChaosSchedule::generate_with_regions(
         &config.chaos,
         topo.machines,
@@ -1598,13 +1593,20 @@ mod tests {
     fn precomputed_local_choice_is_the_local_governor_on_every_ladder_class() {
         let mut below_max = 0;
         for slowdown in [0.0, 0.05, 0.10, 0.5] {
-            let mut config = FleetConfig::new(12, 2, 1, 0.02, 3);
-            config.local_slowdown = slowdown;
+            let config = FleetConfig::new(12, 2, 1, 0.02, 3);
+            let local = LocalGovernor::new(slowdown);
             let topo = FleetTopology::new(config.machines, config.shards, config.seed);
             let mut tables = TableSet::new(&PowerModel::haswell_22nm());
             let profile = |m: usize| fleet_profile(m % 4);
-            let (shards, _) =
-                build_fleet(&config, &topo, &|_| "synthetic", &profile, 4, &mut tables);
+            let (shards, _) = build_fleet(
+                &config,
+                &topo,
+                &|_| "synthetic",
+                &profile,
+                4,
+                &local,
+                &mut tables,
+            );
             let states: Vec<&MachineState> = shards.iter().flat_map(|s| &s.states).collect();
             assert_eq!(states.len(), 12, "every machine, so every ladder class");
             for s in states {
@@ -1617,7 +1619,7 @@ mod tests {
                     fixed_s: p.fixed_s,
                     cores: 4,
                 };
-                let chosen = LocalGovernor::new(slowdown).choose(&view);
+                let chosen = local.choose(&view);
                 assert_eq!(s.local_freq, chosen, "machine {} at {slowdown}", s.id);
                 below_max += usize::from(chosen < ladder.max());
             }

@@ -56,7 +56,7 @@ pub struct SamplingErrorCell {
 }
 
 /// The whole validation report: the per-cell table plus the summary
-/// numbers the CI accuracy gate reads.
+/// numbers the accuracy test in `tests/verdicts.rs` checks.
 #[derive(Debug, Clone, Serialize)]
 pub struct SamplingErrorReport {
     /// Work scale of the sweep.
@@ -166,7 +166,7 @@ pub fn collect_with(
     Ok(SamplingErrorReport {
         scale,
         seeds: seeds.len(),
-        probe_fraction: cfg.probe_fraction,
+        probe_fraction: simx::sampling::PROBE_FRACTION,
         measure_fraction: cfg.measure_fraction,
         max_exec_error: max_abs(|c| c.exec_error),
         max_gc_error: max_abs(|c| c.gc_error),

@@ -5,7 +5,7 @@
 //! semantics: the table is complete-or-failed (`SweepIncomplete` only
 //! after the surviving rows finished and were cached/checkpointed).
 
-use dacapo_sim::{all_benchmarks, BenchClass};
+use dacapo_sim::all_benchmarks;
 use serde::Serialize;
 
 use dvfs_trace::Freq;
@@ -49,10 +49,7 @@ pub fn collect_with(ctx: &ExecCtx, scale: f64) -> depburst_core::Result<Vec<Tabl
         .map(|(b, r)| {
             Table1Row {
                 name: b.name.to_owned(),
-                class: match b.class {
-                    BenchClass::Memory => "M".to_owned(),
-                    BenchClass::Compute => "C".to_owned(),
-                },
+                class: b.class.label().to_owned(),
                 heap_mb: b.heap_mb,
                 exec_s: r.exec.as_secs() / scale,
                 gc_s: r.gc_time.as_secs() / scale,

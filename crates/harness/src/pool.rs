@@ -52,13 +52,14 @@ pub fn default_jobs() -> usize {
 /// [`default_jobs`].
 #[must_use]
 pub fn resolve_jobs(requested: Option<usize>) -> usize {
-    match requested {
-        Some(n) => n.max(1),
-        None => std::env::var("DEPBURST_JOBS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map_or_else(default_jobs, |n| n.max(1)),
-    }
+    requested
+        .or_else(|| {
+            crate::cli::env_setting("DEPBURST_JOBS", |v| {
+                v.parse()
+                    .map_err(|_| format!("want a worker count, got {v:?}"))
+            })
+        })
+        .map_or_else(default_jobs, |n| n.max(1))
 }
 
 /// Maps `f` over `items` on up to `jobs` workers, returning the results

@@ -68,10 +68,10 @@ impl RetryPolicy {
     #[must_use]
     pub fn from_env() -> Self {
         let mut policy = Self::default();
-        if let Some(n) = std::env::var("DEPBURST_RETRIES")
-            .ok()
-            .and_then(|v| v.trim().parse::<u32>().ok())
-        {
+        if let Some(n) = crate::cli::env_setting("DEPBURST_RETRIES", |v| {
+            v.parse()
+                .map_err(|_| format!("want a retry count, got {v:?}"))
+        }) {
             policy.retries = n;
         }
         policy

@@ -18,6 +18,7 @@ use serde::{Deserialize, Serialize};
 use simx::{Machine, MachineConfig, RunOutcome, RunStats};
 
 use crate::cache::{SimCache, SimKey};
+use crate::cli::env_setting;
 use crate::pool;
 use crate::resilience::{
     attempt_resilient, FailureCause, FailureReport, PointFailure, ResilienceStats, RetryPolicy,
@@ -175,7 +176,7 @@ impl RunSummary {
 /// Parses a `DEPBURST_SAMPLING` / `--sampling` setting: `off`/`0`/empty
 /// disables the sampled tier, `on`/`1` enables it with the default
 /// [`SamplingConfig`](simx::SamplingConfig), and a bare fraction enables
-/// it with that measure fraction (the probe keeps its default).
+/// it with that measure fraction (the probe fraction is fixed).
 pub fn parse_sampling_setting(value: &str) -> Result<Option<simx::SamplingConfig>, String> {
     match value {
         "" | "0" | "off" => Ok(None),
@@ -184,19 +185,26 @@ pub fn parse_sampling_setting(value: &str) -> Result<Option<simx::SamplingConfig
             let f: f64 = other
                 .parse()
                 .map_err(|_| format!("expected off/on or a measure fraction, got {other:?}"))?;
-            let cfg = simx::SamplingConfig {
-                measure_fraction: f,
-                ..simx::SamplingConfig::default()
-            };
-            if !(f.is_finite() && f > cfg.probe_fraction && f < 1.0) {
-                return Err(format!(
-                    "measure fraction {f} outside (probe {}, 1)",
-                    cfg.probe_fraction
-                ));
+            let probe = simx::sampling::PROBE_FRACTION;
+            if !(f.is_finite() && f > probe && f < 1.0) {
+                return Err(format!("measure fraction {f} outside (probe {probe}, 1)"));
             }
-            Ok(Some(cfg))
+            Ok(Some(simx::SamplingConfig {
+                measure_fraction: f,
+            }))
         }
     }
+}
+
+/// Parses a `DEPBURST_POINT_TIMEOUT` / `--point-timeout` value: seconds
+/// `>= 0`, where `0` disables the watchdog.
+pub fn parse_point_timeout(value: &str) -> Result<Option<Duration>, String> {
+    let secs: f64 = value
+        .parse()
+        .ok()
+        .filter(|secs: &f64| *secs >= 0.0 && secs.is_finite())
+        .ok_or_else(|| format!("want seconds >= 0, got {value:?}"))?;
+    Ok((secs > 0.0).then(|| Duration::from_secs_f64(secs)))
 }
 
 /// Views a prefix sub-run's summary as a region measurement for the
@@ -441,23 +449,12 @@ impl ExecCtx {
         let mut ctx = Self::new(pool::resolve_jobs(requested));
         ctx.cache = SimCache::from_env();
         ctx.policy = RetryPolicy::from_env();
-        ctx.point_timeout = std::env::var("DEPBURST_POINT_TIMEOUT")
-            .ok()
-            .and_then(|v| v.trim().parse::<f64>().ok())
-            .filter(|secs| *secs > 0.0)
-            .map(Duration::from_secs_f64);
-        if let Ok(v) = std::env::var("DEPBURST_SAMPLING") {
-            match parse_sampling_setting(v.trim()) {
-                Ok(sampling) => ctx.sampling = sampling,
-                Err(e) => eprintln!("warning: ignoring DEPBURST_SAMPLING: {e}"),
-            }
+        ctx.point_timeout = env_setting("DEPBURST_POINT_TIMEOUT", parse_point_timeout).flatten();
+        if let Some(sampling) = env_setting("DEPBURST_SAMPLING", parse_sampling_setting) {
+            ctx.sampling = sampling;
         }
-        if let Ok(v) = std::env::var("DEPBURST_STORAGE_FAULTS") {
-            match parse_storage_faults(&v) {
-                Ok(Some(cfg)) => ctx = ctx.with_storage_faults(cfg),
-                Ok(None) => {}
-                Err(e) => eprintln!("warning: ignoring DEPBURST_STORAGE_FAULTS: {e}"),
-            }
+        if let Some(Some(cfg)) = env_setting("DEPBURST_STORAGE_FAULTS", parse_storage_faults) {
+            ctx = ctx.with_storage_faults(cfg);
         }
         ctx
     }
@@ -1022,6 +1019,18 @@ fn key_plan(plan: &SweepPlan, sampling: Option<&simx::SamplingConfig>) -> Vec<Ke
 mod tests {
     use super::*;
     use dacapo_sim::benchmark;
+
+    #[test]
+    fn point_timeout_values_are_finite_non_negative_seconds() {
+        let secs = |s: f64| Ok(Some(Duration::from_secs_f64(s)));
+        assert_eq!(parse_point_timeout("1.5"), secs(1.5));
+        // `0` disables the watchdog.
+        assert_eq!(parse_point_timeout("0"), Ok(None));
+        // `inf` would panic in `Duration::from_secs_f64`.
+        for bad in ["inf", "NaN", "-1", "soon"] {
+            assert!(parse_point_timeout(bad).is_err(), "{bad}");
+        }
+    }
 
     #[test]
     fn small_scale_run_completes_and_collects() {

@@ -5,7 +5,7 @@
 //! reproduces the existing single-machine golden byte-for-byte.
 
 use dvfs_trace::Freq;
-use energyx::{DegradationConfig, DegradationLadder};
+use energyx::{DegradationLadder, REJOIN_THRESHOLD};
 use harness::experiments::fleet::{self, machine_ladder, FleetConfig};
 use harness::run::{ExecCtx, SimPoint, SweepPlan};
 use harness::{sim_key, SimCache, SimKey};
@@ -227,8 +227,7 @@ proptest! {
     fn rejoin_hysteresis_is_monotone_under_interleaved_chaos_and_thermal(
         commands in proptest::collection::vec(0u8..=8, 1..200),
     ) {
-        let config = DegradationConfig::default();
-        let mut ladder = DegradationLadder::new(config);
+        let mut ladder = DegradationLadder::new();
         let mut healthy = 0u32;
         for (round, &cmd) in commands.iter().enumerate() {
             let round = round as u64;
@@ -252,7 +251,7 @@ proptest! {
                 // it fully healthy — so never on a thermally pinned or
                 // chaos-afflicted round.
                 prop_assert!(reachable && telemetry && thermal_ok);
-                prop_assert!(healthy >= config.rejoin_threshold);
+                prop_assert!(healthy >= REJOIN_THRESHOLD);
                 prop_assert_eq!(after.rung(), before.rung() + 1, "one rung per window");
                 healthy = 0;
             }

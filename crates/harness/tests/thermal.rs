@@ -8,6 +8,7 @@
 
 use harness::experiments::fleet;
 use harness::fuzz::{self, FleetFuzzCase};
+use simx::thermal::AMBIENT_MC;
 use simx::ThermalConfig;
 
 /// A storm that exercises hierarchy, thermal, and every chaos class.
@@ -47,11 +48,10 @@ fn thermal_storm_heats_machines_and_engages_the_ladder() {
     let case = stormy();
     let report = fleet::run_synthetic(&case.config(), &case.params()).expect("storm survives");
     let s = &report.summary;
-    let ambient_mc = ThermalConfig::datacenter(case.seed).ambient_mc;
     let peak = s.peak_temp_mc.expect("extended run reports peak temp");
     assert!(
-        peak > ambient_mc,
-        "storm must heat machines past ambient ({peak} <= {ambient_mc})"
+        peak > AMBIENT_MC,
+        "storm must heat machines past ambient ({peak} <= {AMBIENT_MC})"
     );
     // The power-integrity machinery is live: budget-oblivious heat under
     // long brownout/aggregator outages must trip the overshoot breaker.

@@ -2,7 +2,8 @@
 //! and 7, checked against the committed evidence: the tables in
 //! `results/fig{1,3,4,6,7}.txt`. Nothing is simulated. A change that
 //! moves the evidence so that a verdict no longer holds fails here,
-//! whatever the prose still says.
+//! whatever the prose still says. The sampled tier's accuracy bound is
+//! checked the same way, against `results/sampling_error.json`.
 //!
 //! The Fig. 3 ordering M+CRIT > COOP > DEP > DEP+BURST is asserted only
 //! at the paper's cells, 1→4 and 4→1 GHz: at base 1 GHz, COOP beats DEP
@@ -10,6 +11,16 @@
 
 use std::fs;
 use std::path::PathBuf;
+
+use serde::Value;
+
+/// The committed result file `name`.
+fn read_result(name: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../results")
+        .join(name);
+    fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
 
 /// One rendered table as text: the line above its header (empty when
 /// there is none), the header's cells and each row's cells.
@@ -76,10 +87,7 @@ fn percent_after(text: &str, marker: &str) -> f64 {
 /// the next blank line. The JSON after the tables has no rule and is not
 /// read.
 fn blocks(name: &str) -> Vec<Block> {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../results")
-        .join(name);
-    let text = fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let text = read_result(name);
     let lines: Vec<&str> = text.lines().collect();
     let mut out = Vec::new();
     for (i, rule) in lines.iter().enumerate().skip(1) {
@@ -446,4 +454,57 @@ fn fig7_compute_intensive_rows_are_on_par_with_static_optimal() {
             r.name
         );
     }
+}
+
+/// The sampled tier's accepted error against exact runs, on execution
+/// time and on GC time alike.
+const SAMPLING_BOUND: f64 = 0.02;
+
+/// The number under `key` in a JSON map.
+fn number(value: &Value, key: &str) -> f64 {
+    match value.get(key) {
+        Some(Value::F64(x)) => *x,
+        Some(Value::U64(n)) => *n as f64,
+        Some(Value::I64(n)) => *n as f64,
+        other => panic!("{key}: want a number, got {other:?}"),
+    }
+}
+
+/// The committed sampled-vs-exact report (regenerate with
+/// `sampling_error 1.0 3 --jobs 4` after touching the extrapolator)
+/// covers every workload × frequency cell, each within the bound, and
+/// its summary maxima are the maxima over its cells.
+#[test]
+fn sampled_tier_error_stays_within_two_percent_of_exact() {
+    let report: Value =
+        serde_json::from_str(&read_result("sampling_error.json")).expect("report parses");
+    let Some(Value::Seq(cells)) = report.get("cells") else {
+        panic!("sampling_error.json has no cells");
+    };
+    let (mut max_exec, mut max_gc) = (0.0f64, 0.0f64);
+    let mut covered = Vec::new();
+    for cell in cells {
+        let Some(Value::Str(bench)) = cell.get("benchmark") else {
+            panic!("a cell names no benchmark: {cell:?}");
+        };
+        let ghz = number(cell, "freq_ghz");
+        let exec = number(cell, "exec_error").abs();
+        let gc = number(cell, "gc_error").abs();
+        assert!(
+            exec <= SAMPLING_BOUND && gc <= SAMPLING_BOUND,
+            "{bench} @ {ghz} GHz: |exec err| {exec}, |gc err| {gc} (bound {SAMPLING_BOUND})"
+        );
+        max_exec = max_exec.max(exec);
+        max_gc = max_gc.max(gc);
+        covered.push((bench.clone(), ghz.to_bits()));
+    }
+    covered.sort_unstable();
+    covered.dedup();
+    assert!(
+        covered.len() >= 28,
+        "the report covers {} cells (want all 7 workloads × 4 frequencies)",
+        covered.len()
+    );
+    assert_eq!(number(&report, "max_exec_error"), max_exec, "summary max");
+    assert_eq!(number(&report, "max_gc_error"), max_gc, "summary max");
 }

@@ -54,10 +54,7 @@ pub use program::{
 };
 pub use sampling::{Extrapolation, RegionMeasurement, RegionSchedule, SamplingConfig};
 pub use stats::RunStats;
-pub use thermal::{
-    ThermalConfig, ThermalModel, ThrottleConfig, ThrottleLadder, ThrottleStage,
-    ThrottleTransition,
-};
+pub use thermal::{ThermalConfig, ThermalModel, ThrottleLadder, ThrottleStage, ThrottleTransition};
 
 #[cfg(test)]
 mod send_tests {

@@ -41,108 +41,113 @@
 //!   early fulls, so a mean would systematically under-price the tail.
 //!   Instead the ramp `d(n) = d_inf * (1 - q^n)` is fitted to the
 //!   observed fulls (two observations determine `q`; one observation
-//!   uses the configured prior) and each projected full is priced at its
-//!   own ordinal.
+//!   uses a fixed prior) and each projected full is priced at its own
+//!   ordinal.
 //!
 //! Phase recurrence is checked online, not assumed: the measure region's
 //! epoch stream is clustered by signature (`dvfs_trace::recurrence`) and
 //! the region scheduler widens the measure region when the late window
 //! keeps founding clusters the early window never saw.
+//!
+//! Only the measure fraction is settable ([`SamplingConfig`], from
+//! `--sampling F`). The other parameters of the algorithm, from
+//! [`PROBE_FRACTION`] on, are fixed as in Pac-Sim's live sampling: each
+//! is a constant documented with the reason for its value.
 
 use depburst_core::num::round_u64;
 use dvfs_trace::{ExecutionTrace, PhaseKind, Time, TimeDelta};
 
-/// Configuration of the sampled tier: region placement, phase-recurrence
-/// thresholds, and confidence-interval parameters.
+/// Rounds fraction of the probe region (the short prefix whose only job
+/// is to absorb startup transients out of the marginal window).
+pub const PROBE_FRACTION: f64 = 0.05;
+
+/// Measure fraction the region scheduler widens to when the measured
+/// recurrence falls below [`MIN_RECURRENCE`].
+const EXTEND_FRACTION: f64 = 0.55;
+
+/// Minimum phase recurrence (duration share of late epochs falling in
+/// early-established clusters) below which the scheduler distrusts the
+/// measure region and extends it.
+const MIN_RECURRENCE: f64 = 0.25;
+
+/// Distance threshold of the epoch-signature clustering.
+const CLUSTER_THRESHOLD: f64 = 0.25;
+
+/// Where the recurrence check splits the measured trace (fraction of the
+/// traced window; late epochs must recur in clusters founded before this
+/// point).
+const RECURRENCE_SPLIT: f64 = 0.5;
+
+/// A GC pause longer than this multiple of the median pause is classified
+/// as a full-heap collection. Duration-based classification stays correct
+/// when the collector triggers full collections off-schedule
+/// (mature-space pressure), which a purely periodic rule would
+/// misclassify.
+const FULL_PAUSE_RATIO: f64 = 2.5;
+
+/// Prior for the geometric full-pause ramp ratio `q` in
+/// `d(n) = d_inf * (1 - q^n)`, used when the window observed only one
+/// full-heap pause (two or more let `q` be fitted from the data). `q` is
+/// the fraction of the mature space a full-heap collection leaves behind,
+/// so the prior should track the collector's reclaim policy; 0.25 matches
+/// the observed ramp of the reproduction's runtime.
+const FULL_RAMP_RATIO: f64 = 0.25;
+
+/// z-score of the reported confidence interval (1.96 = 95%).
+const CONFIDENCE_Z: f64 = 1.96;
+
+/// Sub-windows the marginal window is split into for the rate variance
+/// estimate behind the confidence interval.
+const CI_SUBWINDOWS: u32 = 8;
+
+/// Configuration of the sampled tier. The measure fraction is its one
+/// setting; region placement, the phase-recurrence thresholds and the
+/// confidence-interval parameters are the constants above.
 ///
-/// Every field participates in [`hash_into`](SamplingConfig::hash_into),
-/// so two runs sampled under different configurations never share a memo
-/// cache entry.
+/// [`hash_into`](SamplingConfig::hash_into) folds the constants in with
+/// the setting, so two runs sampled under different parameters never
+/// share a memo cache entry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SamplingConfig {
-    /// Rounds fraction of the probe region (the short prefix whose only
-    /// job is to absorb startup transients out of the marginal window).
-    pub probe_fraction: f64,
     /// Rounds fraction of the measure region (the long prefix the whole
     /// run is extrapolated from). Must be wide enough to span at least
     /// one full-heap collection period of the slowest-allocating
     /// workload, or the ramp projection has no full pause to anchor on.
     pub measure_fraction: f64,
-    /// Measure fraction the region scheduler widens to when the measured
-    /// recurrence falls below [`min_recurrence`](Self::min_recurrence).
-    pub extend_fraction: f64,
-    /// Minimum phase recurrence (duration share of late epochs falling in
-    /// early-established clusters) below which the scheduler distrusts
-    /// the measure region and extends it.
-    pub min_recurrence: f64,
-    /// Distance threshold of the epoch-signature clustering.
-    pub cluster_threshold: f64,
-    /// Where the recurrence check splits the measured trace (fraction of
-    /// the traced window; late epochs must recur in clusters founded
-    /// before this point).
-    pub recurrence_split: f64,
-    /// A GC pause longer than this multiple of the median pause is
-    /// classified as a full-heap collection. Duration-based
-    /// classification stays correct when the collector triggers full
-    /// collections off-schedule (mature-space pressure), which a purely
-    /// periodic rule would misclassify.
-    pub full_pause_ratio: f64,
-    /// Prior for the geometric full-pause ramp ratio `q` in
-    /// `d(n) = d_inf * (1 - q^n)`, used when the window observed only
-    /// one full-heap pause (two or more let `q` be fitted from the data).
-    /// `q` is the fraction of the mature space a full-heap collection
-    /// leaves behind, so the prior should track the collector's reclaim
-    /// policy; 0.25 matches the observed ramp of the reproduction's
-    /// runtime.
-    pub full_ramp_ratio: f64,
-    /// z-score of the reported confidence interval (1.96 = 95%).
-    pub confidence_z: f64,
-    /// Sub-windows the marginal window is split into for the rate
-    /// variance estimate behind the confidence interval.
-    pub ci_subwindows: u32,
 }
 
 impl Default for SamplingConfig {
     fn default() -> Self {
         SamplingConfig {
-            probe_fraction: 0.05,
             measure_fraction: 0.40,
-            extend_fraction: 0.55,
-            min_recurrence: 0.25,
-            cluster_threshold: 0.25,
-            recurrence_split: 0.5,
-            full_pause_ratio: 2.5,
-            full_ramp_ratio: 0.25,
-            confidence_z: 1.96,
-            ci_subwindows: 8,
         }
     }
 }
 
 impl SamplingConfig {
-    /// Folds every field into `h` in declaration order (the sampled-tier
+    /// Folds every parameter into `h` in a fixed order (the sampled-tier
     /// analogue of `MachineConfig::hash_into`): any change to the region
     /// placement or extrapolation parameters changes the memo key of
     /// every sampled point.
     pub fn hash_into(&self, h: &mut depburst_core::stablehash::StableHasher) {
         h.write_tag("simx::sampling_config");
-        h.write_f64(self.probe_fraction);
+        h.write_f64(PROBE_FRACTION);
         h.write_f64(self.measure_fraction);
-        h.write_f64(self.extend_fraction);
-        h.write_f64(self.min_recurrence);
-        h.write_f64(self.cluster_threshold);
-        h.write_f64(self.recurrence_split);
-        h.write_f64(self.full_pause_ratio);
-        h.write_f64(self.full_ramp_ratio);
-        h.write_f64(self.confidence_z);
-        h.write_u32(self.ci_subwindows);
+        h.write_f64(EXTEND_FRACTION);
+        h.write_f64(MIN_RECURRENCE);
+        h.write_f64(CLUSTER_THRESHOLD);
+        h.write_f64(RECURRENCE_SPLIT);
+        h.write_f64(FULL_PAUSE_RATIO);
+        h.write_f64(FULL_RAMP_RATIO);
+        h.write_f64(CONFIDENCE_Z);
+        h.write_u32(CI_SUBWINDOWS);
     }
 
     /// The initial region schedule: probe then measure prefix.
     #[must_use]
     pub fn schedule(&self) -> RegionSchedule {
         RegionSchedule {
-            probe: self.probe_fraction.clamp(0.0, 1.0),
+            probe: PROBE_FRACTION,
             measure: self.measure_fraction.clamp(0.0, 1.0),
         }
     }
@@ -152,8 +157,8 @@ impl SamplingConfig {
     /// otherwise the widened measure fraction to re-measure at.
     #[must_use]
     pub fn extension(&self, recurrence: f64) -> Option<f64> {
-        (recurrence < self.min_recurrence && self.extend_fraction > self.measure_fraction)
-            .then_some(self.extend_fraction.clamp(0.0, 1.0))
+        (recurrence < MIN_RECURRENCE && EXTEND_FRACTION > self.measure_fraction)
+            .then_some(EXTEND_FRACTION)
     }
 }
 
@@ -216,14 +221,27 @@ pub struct Extrapolation {
 /// scales produce when both prefixes round to the same round counts —
 /// fall back to naive linear scaling of the measure region with a
 /// confidence interval as wide as the estimate itself.
+///
+/// The regions carry their own fractions, so the estimate depends on
+/// `_cfg` only through the schedule that placed them.
 #[must_use]
 pub fn extrapolate(
     probe: &RegionMeasurement,
     measure: &RegionMeasurement,
     trace: &ExecutionTrace,
-    cfg: &SamplingConfig,
+    _cfg: &SamplingConfig,
 ) -> Extrapolation {
-    let report = dvfs_trace::recurrence(trace, cfg.recurrence_split, cfg.cluster_threshold);
+    extrapolate_with_prior(probe, measure, trace, FULL_RAMP_RATIO)
+}
+
+/// [`extrapolate`] with `ramp_prior` standing in for [`FULL_RAMP_RATIO`].
+fn extrapolate_with_prior(
+    probe: &RegionMeasurement,
+    measure: &RegionMeasurement,
+    trace: &ExecutionTrace,
+    ramp_prior: f64,
+) -> Extrapolation {
+    let report = dvfs_trace::recurrence(trace, RECURRENCE_SPLIT, CLUSTER_THRESHOLD);
     let span = measure.fraction - probe.fraction;
     // `span > 0.0` (not `span <= 0.0`) so a NaN span also takes the
     // fallback rather than poisoning the extrapolation below.
@@ -257,7 +275,7 @@ pub fn extrapolate(
         round_u64(r * window_gcs as f64),
         window_gc,
         window_gcs,
-        cfg,
+        ramp_prior,
     );
     let gc_time = measure.gc_time + TimeDelta::from_secs(gc.tail_gc_time);
 
@@ -266,9 +284,9 @@ pub fn extrapolate(
     // sub-windows of the marginal window, scaled by the tail's instruction
     // count, bounds the rate-drift risk. The GC side prices the tail's
     // pauses with the window's pooled within-class pause deviation.
-    let z = cfg.confidence_z.max(0.0);
-    let mut_half_ci = mutator_rate_half_ci(trace, probe.exec, window_mut, r, cfg) * z;
-    let gc_half_ci = TimeDelta::from_secs(gc.pause_std * (gc.tail_gcs as f64).sqrt()) * z;
+    let mut_half_ci = mutator_rate_half_ci(trace, probe.exec, window_mut, r) * CONFIDENCE_Z;
+    let gc_half_ci =
+        TimeDelta::from_secs(gc.pause_std * (gc.tail_gcs as f64).sqrt()) * CONFIDENCE_Z;
     let exec_half_ci = TimeDelta::from_secs(
         (mut_half_ci.as_secs().powi(2) + gc_half_ci.as_secs().powi(2)).sqrt(),
     );
@@ -311,8 +329,9 @@ struct GcProjection {
 ///   used.
 /// * Tail cost: each projected collection index is classified by the
 ///   observed full-heap period; fulls are priced on the geometric ramp
-///   `d(n) = d_inf * (1 - q^n)` fitted to the observed fulls, nursery
-///   pauses at the window mean.
+///   `d(n) = d_inf * (1 - q^n)` fitted to the observed fulls (`ramp_prior`
+///   is `q` when only one full was observed), nursery pauses at the
+///   window mean.
 #[allow(clippy::too_many_arguments)]
 fn project_gc(
     trace: &ExecutionTrace,
@@ -322,7 +341,7 @@ fn project_gc(
     fallback_gcs: u64,
     window_gc: TimeDelta,
     window_gcs: u64,
-    cfg: &SamplingConfig,
+    ramp_prior: f64,
 ) -> GcProjection {
     let pauses = gc_pauses(trace);
     if pauses.is_empty() {
@@ -416,7 +435,7 @@ fn project_gc(
     // Classify by duration against the whole region's median pause.
     let mut sorted: Vec<f64> = pauses.iter().map(|(_, d)| d.as_secs()).collect();
     sorted.sort_by(f64::total_cmp);
-    let threshold = sorted[sorted.len() / 2] * cfg.full_pause_ratio.max(1.0);
+    let threshold = sorted[sorted.len() / 2] * FULL_PAUSE_RATIO;
     let mut fulls: Vec<(usize, f64)> = Vec::new();
     let (mut n_sum, mut n_count) = (0.0f64, 0u64);
     for (k, (_, dur)) in pauses.iter().enumerate() {
@@ -453,7 +472,7 @@ fn project_gc(
 
     // Geometric ramp fit. Ordinals follow the period; with two or more
     // observed fulls the ratio of the first two determines q (exact for
-    // consecutive ordinals: d2/d1 = 1 + q), with one the configured
+    // consecutive ordinals: d2/d1 = 1 + q), with one the fixed
     // prior stands in. d_inf anchors on the LAST observed full, the most
     // saturated and hence least model-sensitive point.
     let ordinal = |k: usize, p: usize| (k + 1).div_ceil(p).max(1) as i32;
@@ -462,14 +481,14 @@ fn project_gc(
             let q = if ordinal(*k2, p) == ordinal(*k1, p) + 1 && *d1 > 0.0 {
                 (d2 / d1 - 1.0).clamp(0.0, 0.9)
             } else {
-                cfg.full_ramp_ratio.clamp(0.0, 0.9)
+                ramp_prior
             };
             let (k_last, d_last) = *fulls.last().expect("fulls is non-empty");
             let denom = 1.0 - q.powi(ordinal(k_last, p));
             (q, if denom > 0.0 { d_last / denom } else { d_last })
         }
         (Some(p), [(k1, d1)]) => {
-            let q = cfg.full_ramp_ratio.clamp(0.0, 0.9);
+            let q = ramp_prior;
             let denom = 1.0 - q.powi(ordinal(*k1, p));
             (q, if denom > 0.0 { d1 / denom } else { *d1 })
         }
@@ -624,9 +643,8 @@ fn mutator_rate_half_ci(
     probe_exec: TimeDelta,
     window_mut: TimeDelta,
     r: f64,
-    cfg: &SamplingConfig,
 ) -> TimeDelta {
-    let k = cfg.ci_subwindows.max(2) as usize;
+    let k = CI_SUBWINDOWS as usize;
     let w_start = trace.start + probe_exec;
     let w_end = trace.start + trace.total;
     let width = w_end.since(w_start);
@@ -874,15 +892,11 @@ mod tests {
     #[test]
     fn gc_projection_fits_ramp_from_two_observed_fulls() {
         // A wider measure region sees the fulls at ordinals 1 and 2;
-        // their ratio determines q without consulting the configured
-        // prior. Poison the prior to prove it: recovery stays exact.
+        // their ratio determines q without consulting the fixed prior.
+        // Poison the prior to prove it: recovery stays exact.
         let run = ramp_run(&TEST_RAMP, 0.05, 0.55);
         assert_eq!(run.measure.gc_count, 16, "measure sees both early fulls");
-        let cfg = SamplingConfig {
-            full_ramp_ratio: 0.9,
-            ..SamplingConfig::default()
-        };
-        let x = extrapolate(&run.probe, &run.measure, &run.trace, &cfg);
+        let x = extrapolate_with_prior(&run.probe, &run.measure, &run.trace, 0.9);
         assert_eq!(x.gc_count, run.true_gcs);
         assert!(
             (x.gc_time.as_secs() - run.true_gc).abs() < 1e-6,
@@ -909,15 +923,12 @@ mod tests {
     fn scheduler_extends_only_on_low_recurrence() {
         let cfg = SamplingConfig::default();
         assert_eq!(cfg.extension(0.9), None);
-        assert_eq!(cfg.extension(cfg.min_recurrence), None);
-        assert_eq!(cfg.extension(0.0), Some(cfg.extend_fraction));
-        // An extension narrower than the measure region is never taken.
-        let no_room = SamplingConfig {
-            extend_fraction: 0.3,
-            measure_fraction: 0.35,
-            ..cfg
-        };
-        assert_eq!(no_room.extension(0.0), None);
+        assert_eq!(cfg.extension(MIN_RECURRENCE), None);
+        assert_eq!(cfg.extension(0.0), Some(EXTEND_FRACTION));
+        // An extension no wider than the measure region is never taken.
+        for measure_fraction in [EXTEND_FRACTION, 0.6] {
+            assert_eq!(SamplingConfig { measure_fraction }.extension(0.0), None);
+        }
     }
 
     #[test]
@@ -931,7 +942,6 @@ mod tests {
         let base = SamplingConfig::default();
         let wider = SamplingConfig {
             measure_fraction: 0.5,
-            ..base
         };
         assert_ne!(digest(&base), digest(&wider));
         assert_eq!(digest(&base), digest(&SamplingConfig::default()));

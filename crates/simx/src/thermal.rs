@@ -55,34 +55,44 @@ pub const CEILING_MARGIN_MC: i64 = 4_000;
 /// enforced (the RC needs a few time constants' head start to turn).
 pub const CEILING_SETTLE_ROUNDS: u64 = 3;
 
-/// Per-machine thermal parameters. All temperatures in milli-°C.
+/// Inlet/ambient temperature a machine cools toward at zero power,
+/// milli-°C.
+pub const AMBIENT_MC: i64 = 45_000;
+
+/// Thermal resistance junction→ambient, milli-K per watt.
+const R_MK_PER_W: i64 = 500;
+
+/// Q16 low-pass coefficient of the per-round RC update (`65536` ≈
+/// instant; `10486` ≈ a 6-round time constant).
+const ALPHA_Q16: i64 = 10_486;
+
+/// Peak sensor-noise amplitude at intensity 1.0, milli-°C.
+const NOISE_AMP_MC: i64 = 1_500;
+
+/// Proactive-throttle threshold (the thermal cap), milli-°C.
+const T_CAP_MC: i64 = 85_000;
+
+/// Emergency-throttle threshold (T_crit: forced V/f floor), milli-°C.
+pub const T_CRIT_MC: i64 = 95_000;
+
+/// Hardware trip (thermal shutdown), milli-°C; checked on the *true*
+/// temperature, so a stuck sensor cannot defeat it.
+const T_SHUTDOWN_MC: i64 = 105_000;
+
+/// The per-machine thermal settings that differ between the inert and the
+/// enabled model. The RC physics and the throttle thresholds are the
+/// constants above.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalConfig {
     /// Master switch: disabled models update nothing and draw nothing.
     pub enabled: bool,
     /// Seed of the per-machine sensor-noise streams.
     pub seed: u64,
-    /// Inlet/ambient temperature the machine cools toward at zero power.
-    pub ambient_mc: i64,
-    /// Thermal resistance junction→ambient, milli-K per watt.
-    pub r_mk_per_w: i64,
-    /// Q16 low-pass coefficient of the per-round RC update
-    /// (`65536` ≈ instant; `10486` ≈ a 6-round time constant).
-    pub alpha_q16: i64,
     /// Q16 extra leakage per kelvin above ambient (temperature→power
     /// feedback; `328` ≈ +0.5%/K, a runaway ingredient at high load).
     pub leak_q16_per_k: i64,
     /// Sensor-noise intensity in `[0, 1]`; zero draws no randomness.
     pub sensor_noise: f64,
-    /// Peak sensor-noise amplitude at intensity 1.0, milli-°C.
-    pub noise_amp_mc: i64,
-    /// Proactive-throttle threshold (the thermal cap).
-    pub t_cap_mc: i64,
-    /// Emergency-throttle threshold (T_crit: forced V/f floor).
-    pub t_crit_mc: i64,
-    /// Hardware trip (thermal shutdown; checked on the *true*
-    /// temperature, so a stuck sensor cannot defeat it).
-    pub t_shutdown_mc: i64,
 }
 
 impl ThermalConfig {
@@ -93,15 +103,8 @@ impl ThermalConfig {
         ThermalConfig {
             enabled: false,
             seed: 0,
-            ambient_mc: 45_000,
-            r_mk_per_w: 500,
-            alpha_q16: 10_486,
             leak_q16_per_k: 328,
             sensor_noise: 0.0,
-            noise_amp_mc: 1_500,
-            t_cap_mc: 85_000,
-            t_crit_mc: 95_000,
-            t_shutdown_mc: 105_000,
         }
     }
 
@@ -120,7 +123,6 @@ impl ThermalConfig {
             seed,
             sensor_noise: 0.25,
             leak_q16_per_k: 983,
-            ..Self::disabled()
         }
     }
 }
@@ -142,8 +144,8 @@ impl ThermalModel {
     #[must_use]
     pub fn new(config: ThermalConfig, machine: usize) -> Self {
         ThermalModel {
-            t_mc: config.ambient_mc,
-            sensor_mc: config.ambient_mc,
+            t_mc: AMBIENT_MC,
+            sensor_mc: AMBIENT_MC,
             rng: SplitMix64::keyed(config.seed ^ SENSOR_SALT, machine as u64),
             config,
         }
@@ -169,13 +171,13 @@ impl ThermalModel {
         if !self.config.enabled {
             return p_mw;
         }
-        let over_mk = (self.t_mc - self.config.ambient_mc).max(0);
+        let over_mk = (self.t_mc - AMBIENT_MC).max(0);
         // Leakage multiplier in Q16: 1 + leak_per_k * kelvin_over_ambient.
         let leak_q16 = 65_536 + self.config.leak_q16_per_k * over_mk / 1_000;
         let eff_mw = (p_mw * leak_q16) >> 16;
         // Steady state the RC relaxes toward at this power.
-        let target_mc = self.config.ambient_mc + self.config.r_mk_per_w * eff_mw / 1_000;
-        self.t_mc += ((target_mc - self.t_mc) * self.config.alpha_q16) >> 16;
+        let target_mc = AMBIENT_MC + R_MK_PER_W * eff_mw / 1_000;
+        self.t_mc += ((target_mc - self.t_mc) * ALPHA_Q16) >> 16;
         eff_mw
     }
 
@@ -189,7 +191,7 @@ impl ThermalModel {
         }
         let mut reading = self.t_mc;
         if self.config.sensor_noise > 0.0 {
-            let amp = self.config.noise_amp_mc as f64 * self.config.sensor_noise;
+            let amp = NOISE_AMP_MC as f64 * self.config.sensor_noise;
             reading += (amp * self.rng.next_signed()) as i64;
         }
         self.sensor_mc = reading;
@@ -207,7 +209,7 @@ impl ThermalModel {
         if !self.config.enabled {
             return 1.0;
         }
-        let over_mk = (self.sensor_mc - self.config.ambient_mc).max(0) as f64;
+        let over_mk = (self.sensor_mc - AMBIENT_MC).max(0) as f64;
         1.0 + self.config.leak_q16_per_k as f64 * over_mk / 1_000.0 / 65_536.0
     }
 }
@@ -259,32 +261,21 @@ impl fmt::Display for ThrottleStage {
     }
 }
 
-/// Hysteresis and hold parameters of the throttle ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThrottleConfig {
-    /// De-escalation margin below a stage's threshold, milli-°C.
-    pub hysteresis_mc: i64,
-    /// Consecutive rounds below threshold − hysteresis required per
-    /// one-rung cooldown.
-    pub cooldown_rounds: u32,
-    /// Minimum rounds a thermal shutdown keeps the machine off.
-    pub shutdown_rounds: u32,
-    /// Black-start stagger stride: machine `m` extends its hold by
-    /// `m % stagger_rounds` extra rounds, so a rack that tripped together
-    /// does not re-inrush together.
-    pub stagger_rounds: u32,
-}
+/// De-escalation margin of the throttle ladder below a stage's
+/// threshold, milli-°C.
+const HYSTERESIS_MC: i64 = 3_000;
 
-impl Default for ThrottleConfig {
-    fn default() -> Self {
-        ThrottleConfig {
-            hysteresis_mc: 3_000,
-            cooldown_rounds: 3,
-            shutdown_rounds: 4,
-            stagger_rounds: 3,
-        }
-    }
-}
+/// Consecutive rounds below threshold − hysteresis the throttle ladder
+/// requires per one-rung cooldown.
+const COOLDOWN_ROUNDS: u32 = 3;
+
+/// Minimum rounds a thermal shutdown keeps the machine off.
+const SHUTDOWN_ROUNDS: u32 = 4;
+
+/// Black-start stagger stride: machine `m` extends its shutdown hold by
+/// `m % STAGGER_ROUNDS` extra rounds, so a rack that tripped together does
+/// not re-inrush together.
+const STAGGER_ROUNDS: u32 = 3;
 
 /// One recorded stage change of a machine's throttle ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -328,7 +319,6 @@ impl Serialize for ThrottleTransition {
 /// stage sequence is a pure function of the observation sequence.
 #[derive(Debug, Clone)]
 pub struct ThrottleLadder {
-    config: ThrottleConfig,
     stage: ThrottleStage,
     cool_streak: u32,
     down_remaining: u32,
@@ -340,14 +330,12 @@ pub struct ThrottleLadder {
 impl ThrottleLadder {
     /// A fresh ladder for `machine`, starting at [`ThrottleStage::Normal`].
     #[must_use]
-    pub fn new(config: ThrottleConfig, machine: usize) -> Self {
-        let stagger_offset = (machine as u32) % config.stagger_rounds.max(1);
+    pub fn new(machine: usize) -> Self {
         ThrottleLadder {
-            config,
             stage: ThrottleStage::Normal,
             cool_streak: 0,
             down_remaining: 0,
-            stagger_offset,
+            stagger_offset: (machine as u32) % STAGGER_ROUNDS,
             transitions: Vec::new(),
         }
     }
@@ -370,7 +358,7 @@ impl ThrottleLadder {
     /// hardware trip. Escalation is immediate (a single reading at T_crit
     /// forces the floor); de-escalation is hysteretic and one rung per
     /// confirmed-cool window.
-    pub fn observe(&mut self, round: u64, sensor_mc: i64, true_mc: i64, thermal: &ThermalConfig) -> ThrottleStage {
+    pub fn observe(&mut self, round: u64, sensor_mc: i64, true_mc: i64) -> ThrottleStage {
         // Shutdown is a hold, not a threshold: count it down, then
         // black-start into Emergency (the floor) — never straight to an
         // unconstrained stage.
@@ -386,23 +374,23 @@ impl ThrottleLadder {
 
         // The hardware trip reads the true temperature: a stuck or lying
         // sensor cannot defeat it.
-        if true_mc >= thermal.t_shutdown_mc {
+        if true_mc >= T_SHUTDOWN_MC {
             self.shift(round, ThrottleStage::Shutdown, "thermal-shutdown");
-            self.down_remaining = self.config.shutdown_rounds + self.stagger_offset;
+            self.down_remaining = SHUTDOWN_ROUNDS + self.stagger_offset;
             self.cool_streak = 0;
             return self.stage;
         }
 
         // Software escalation on the sensor, immediate and possibly
         // multi-rung upward (Normal → Emergency on one hot reading).
-        if sensor_mc >= thermal.t_crit_mc {
+        if sensor_mc >= T_CRIT_MC {
             if self.stage.severity() < ThrottleStage::Emergency.severity() {
                 self.shift(round, ThrottleStage::Emergency, "emergency-throttle");
             }
             self.cool_streak = 0;
             return self.stage;
         }
-        if sensor_mc >= thermal.t_cap_mc {
+        if sensor_mc >= T_CAP_MC {
             if self.stage == ThrottleStage::Normal {
                 self.shift(round, ThrottleStage::Proactive, "proactive-throttle");
             }
@@ -413,13 +401,13 @@ impl ThrottleLadder {
         // Hysteretic cooldown: one rung per confirmed-cool window, and
         // only once the sensor sits clear below the governing threshold.
         let clear = match self.stage {
-            ThrottleStage::Emergency => sensor_mc < thermal.t_crit_mc - self.config.hysteresis_mc,
-            ThrottleStage::Proactive => sensor_mc < thermal.t_cap_mc - self.config.hysteresis_mc,
+            ThrottleStage::Emergency => sensor_mc < T_CRIT_MC - HYSTERESIS_MC,
+            ThrottleStage::Proactive => sensor_mc < T_CAP_MC - HYSTERESIS_MC,
             _ => false,
         };
         if clear {
             self.cool_streak += 1;
-            if self.cool_streak >= self.config.cooldown_rounds {
+            if self.cool_streak >= COOLDOWN_ROUNDS {
                 let down = match self.stage {
                     ThrottleStage::Emergency => ThrottleStage::Proactive,
                     _ => ThrottleStage::Normal,
@@ -492,7 +480,7 @@ mod tests {
             assert_eq!(m.update(99_000), 99_000, "disabled: power passes through");
             let _ = m.read_sensor(false);
         }
-        assert_eq!(m.true_mc(), ThermalConfig::disabled().ambient_mc);
+        assert_eq!(m.true_mc(), AMBIENT_MC);
         assert_eq!(m.rng, rng_before, "disabled model must not draw");
     }
 
@@ -507,7 +495,7 @@ mod tests {
             let _ = m.read_sensor(false);
         }
         assert_eq!(m.rng, rng_before);
-        assert!(m.true_mc() > config.ambient_mc, "the physics still runs");
+        assert!(m.true_mc() > AMBIENT_MC, "the physics still runs");
     }
 
     #[test]
@@ -519,12 +507,12 @@ mod tests {
         for _ in 0..200 {
             m.update(80_000); // 80 W
         }
-        let steady = config.ambient_mc + config.r_mk_per_w * 80_000 / 1_000;
+        let steady = AMBIENT_MC + R_MK_PER_W * 80_000 / 1_000;
         assert!((m.true_mc() - steady).abs() < 500, "{} vs {steady}", m.true_mc());
         for _ in 0..200 {
             m.update(0);
         }
-        assert!((m.true_mc() - config.ambient_mc).abs() < 500, "cools to ambient");
+        assert!((m.true_mc() - AMBIENT_MC).abs() < 500, "cools to ambient");
     }
 
     #[test]
@@ -568,22 +556,21 @@ mod tests {
 
     #[test]
     fn ladder_escalates_immediately_and_cools_one_rung_with_hysteresis() {
-        let thermal = cfg();
-        let mut l = ThrottleLadder::new(ThrottleConfig::default(), 0);
-        assert_eq!(l.observe(0, 70_000, 70_000, &thermal), ThrottleStage::Normal);
-        assert_eq!(l.observe(1, 96_000, 96_000, &thermal), ThrottleStage::Emergency);
+        let mut l = ThrottleLadder::new(0);
+        assert_eq!(l.observe(0, 70_000, 70_000), ThrottleStage::Normal);
+        assert_eq!(l.observe(1, 96_000, 96_000), ThrottleStage::Emergency);
         assert_eq!(l.transitions()[0].reason, "emergency-throttle");
         // Inside the hysteresis band: no cooldown progress.
         for r in 2..10 {
-            assert_eq!(l.observe(r, 93_000, 93_000, &thermal), ThrottleStage::Emergency);
+            assert_eq!(l.observe(r, 93_000, 93_000), ThrottleStage::Emergency);
         }
         // Clear below T_crit − hysteresis for the window: one rung only.
         for r in 10..13 {
-            l.observe(r, 80_000, 80_000, &thermal);
+            l.observe(r, 80_000, 80_000);
         }
         assert_eq!(l.stage(), ThrottleStage::Proactive);
         for r in 13..16 {
-            l.observe(r, 70_000, 70_000, &thermal);
+            l.observe(r, 70_000, 70_000);
         }
         assert_eq!(l.stage(), ThrottleStage::Normal);
         assert!(l.monotonicity_issue().is_none());
@@ -591,17 +578,15 @@ mod tests {
 
     #[test]
     fn hardware_trip_ignores_the_sensor_and_black_starts_staggered() {
-        let thermal = cfg();
-        let config = ThrottleConfig::default();
         let hold_of = |machine: usize| {
-            let mut l = ThrottleLadder::new(config, machine);
+            let mut l = ThrottleLadder::new(machine);
             // Sensor stuck cold; the truth trips the hardware.
-            assert_eq!(l.observe(0, 50_000, 106_000, &thermal), ThrottleStage::Shutdown);
+            assert_eq!(l.observe(0, 50_000, 106_000), ThrottleStage::Shutdown);
             assert_eq!(l.transitions()[0].reason, "thermal-shutdown");
             let mut rounds = 0u64;
             let mut r = 1;
             while l.stage() == ThrottleStage::Shutdown {
-                l.observe(r, 50_000, 60_000, &thermal);
+                l.observe(r, 50_000, 60_000);
                 r += 1;
                 rounds += 1;
                 assert!(rounds < 64, "shutdown must end");
@@ -619,7 +604,7 @@ mod tests {
 
     #[test]
     fn monotonicity_catches_forged_multi_rung_cooldown_and_bad_shutdown_exit() {
-        let mut l = ThrottleLadder::new(ThrottleConfig::default(), 0);
+        let mut l = ThrottleLadder::new(0);
         l.forge_transition(ThrottleTransition {
             round: 1,
             from: ThrottleStage::Emergency,
@@ -628,7 +613,7 @@ mod tests {
         });
         assert!(l.monotonicity_issue().unwrap().contains("multi-rung"));
 
-        let mut l = ThrottleLadder::new(ThrottleConfig::default(), 0);
+        let mut l = ThrottleLadder::new(0);
         l.forge_transition(ThrottleTransition {
             round: 1,
             from: ThrottleStage::Shutdown,

@@ -16,6 +16,17 @@ pub enum BenchClass {
     Compute,
 }
 
+impl BenchClass {
+    /// The one-letter label of the paper's tables: `"M"` or `"C"`.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            BenchClass::Memory => "M",
+            BenchClass::Compute => "C",
+        }
+    }
+}
+
 /// The paper's published Table I numbers, kept for comparison in the
 /// harness output (we calibrate toward them, we do not hard-code them into
 /// the simulation).
