@@ -181,16 +181,6 @@ impl EnergyAccount {
     pub fn elapsed(&self) -> TimeDelta {
         self.elapsed
     }
-
-    /// Mean power (watts).
-    #[must_use]
-    pub fn mean_power(&self) -> f64 {
-        if self.elapsed.as_secs() > 0.0 {
-            self.joules / self.elapsed.as_secs()
-        } else {
-            0.0
-        }
-    }
 }
 
 #[cfg(test)]
@@ -269,7 +259,6 @@ mod tests {
         acc.add_uniform(&m, Freq::from_ghz(1.0), interval, 1.0, 4);
         assert!(acc.joules() > 0.0);
         assert!((acc.elapsed().as_millis() - 20.0).abs() < 1e-9);
-        assert!(acc.mean_power() > 0.0);
     }
 
     #[test]

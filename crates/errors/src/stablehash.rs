@@ -118,13 +118,6 @@ impl StableHasher {
     pub fn finish(&self) -> u128 {
         self.state
     }
-
-    /// The digest as a fixed-width lowercase hex string (32 chars), the
-    /// form used for on-disk cache file names.
-    #[must_use]
-    pub fn finish_hex(&self) -> String {
-        format!("{:032x}", self.finish())
-    }
 }
 
 /// 64-bit FNV-1a over `bytes`: the benchmark's output digest. Not the
@@ -426,12 +419,5 @@ mod tests {
         let mut b = StableHasher::new();
         b.write_opt_u64(Some(0));
         assert_ne!(a.finish(), b.finish());
-    }
-
-    #[test]
-    fn hex_is_fixed_width() {
-        let mut h = StableHasher::new();
-        h.write_u64(7);
-        assert_eq!(h.finish_hex().len(), 32);
     }
 }

@@ -4,8 +4,9 @@
 //! Usage: `fuzz [--seeds N] [--seed S] [--shrink] [--fleet] [--jobs N]`
 //!
 //! Generates `--seeds N` cases (default 25) from campaign seed `--seed S`
-//! (default 1), runs each under `DEPBURST_INVARIANTS=full`, and — with
-//! `--shrink` — reduces every violating case to a minimal reproducer.
+//! (default 1), runs each under the full invariant monitor whatever
+//! `DEPBURST_INVARIANTS` says, and — with `--shrink` — reduces every
+//! violating case to a minimal reproducer.
 //! Campaigns are byte-for-byte reproducible: same seed, same cases, same
 //! findings, same reproducers.
 //!
@@ -27,9 +28,10 @@
 use std::process::ExitCode;
 
 use harness::cli::{self, Args, CliResult, Flag, Kind};
-use harness::fuzz;
+use harness::fuzz::{self, Finding};
 use harness::resilience::{FailureCause, PointFailure};
 use harness::ExecCtx;
+use serde::Serialize;
 
 const FLAGS: [Flag; 4] = [
     ("--seeds", Kind::Value),
@@ -57,61 +59,10 @@ fn body(ctx: &ExecCtx, args: &Args) -> CliResult {
         println!("sabotage hook armed: {} deliberately weakened", inv.name());
     }
     if fleet_tier {
-        return fleet_body(ctx, campaign_seed, cases, shrink, sabotage);
-    }
-    let findings = fuzz::run_campaign(campaign_seed, cases, shrink, sabotage);
-    let mut violations = 0usize;
-    for finding in &findings {
-        match &finding.violation {
-            None => println!(
-                "case {:>3}: ok       {} @ scale {}",
-                finding.index,
-                finding.case.bench,
-                finding.case.scale()
-            ),
-            Some(v) => {
-                violations += 1;
-                println!(
-                    "case {:>3}: VIOLATION [{}] {}",
-                    finding.index, v.invariant, v.detail
-                );
-                let mut detail = format!("[{}] {}", v.invariant, v.detail);
-                if let Some(minimal) = &finding.shrunk {
-                    let json = serde_json::to_string(minimal)?;
-                    println!("          shrunk reproducer: {json}");
-                    detail.push_str(&format!("; shrunk reproducer: {json}"));
-                }
-                ctx.record_failure(PointFailure {
-                    label: format!("fuzz case {} (campaign seed {campaign_seed})", finding.index),
-                    cause: FailureCause::Invariant,
-                    attempts: 1,
-                    detail,
-                });
-            }
-        }
-    }
-    println!(
-        "fuzz campaign done: {} case(s), {violations} violation(s)",
-        findings.len()
-    );
-    Ok(())
-}
-
-fn fleet_body(
-    ctx: &ExecCtx,
-    campaign_seed: u64,
-    cases: u64,
-    shrink: bool,
-    sabotage: Option<simx::Invariant>,
-) -> CliResult {
-    let findings = fuzz::run_fleet_campaign(campaign_seed, cases, shrink, sabotage);
-    let mut violations = 0usize;
-    for finding in &findings {
-        let c = &finding.case;
-        match &finding.violation {
-            None => println!(
-                "case {:>3}: ok       {}m/{}r {} {} chaos {}/{}/{}/{}",
-                finding.index,
+        let findings = fuzz::run_fleet_campaign(campaign_seed, cases, shrink, sabotage);
+        report(ctx, "fleet fuzz", campaign_seed, &findings, |c| {
+            format!(
+                "{}m/{}r {} {} chaos {}/{}/{}/{}",
                 c.machines,
                 c.regions,
                 if c.hierarchy { "hier" } else { "flat" },
@@ -120,30 +71,53 @@ fn fleet_body(
                 c.brownout_milli,
                 c.aggregator_milli,
                 c.sensor_milli,
-            ),
-            Some(v) => {
-                violations += 1;
-                println!(
-                    "case {:>3}: VIOLATION [{}] {}",
-                    finding.index, v.invariant, v.detail
-                );
-                let mut detail = format!("[{}] {}", v.invariant, v.detail);
-                if let Some(minimal) = &finding.shrunk {
-                    let json = serde_json::to_string(minimal)?;
-                    println!("          shrunk reproducer: {json}");
-                    detail.push_str(&format!("; shrunk reproducer: {json}"));
-                }
-                ctx.record_failure(PointFailure {
-                    label: format!(
-                        "fleet fuzz case {} (campaign seed {campaign_seed})",
-                        finding.index
-                    ),
-                    cause: FailureCause::Invariant,
-                    attempts: 1,
-                    detail,
-                });
-            }
+            )
+        })
+    } else {
+        let findings = fuzz::run_campaign(campaign_seed, cases, shrink, sabotage);
+        report(ctx, "fuzz", campaign_seed, &findings, |c| {
+            format!("{} @ scale {}", c.bench, c.scale())
+        })
+    }
+}
+
+/// Prints one line per finding (`describe` renders a clean case) and the
+/// campaign total, recording each violation, with its shrunk reproducer's
+/// JSON, as an `Invariant` point failure labelled `TIER case N`.
+fn report<C: Serialize>(
+    ctx: &ExecCtx,
+    tier: &str,
+    campaign_seed: u64,
+    findings: &[Finding<C>],
+    describe: impl Fn(&C) -> String,
+) -> CliResult {
+    let mut violations = 0usize;
+    for finding in findings {
+        let Some(v) = &finding.violation else {
+            let case = describe(&finding.case);
+            println!("case {:>3}: ok       {case}", finding.index);
+            continue;
+        };
+        violations += 1;
+        println!(
+            "case {:>3}: VIOLATION [{}] {}",
+            finding.index, v.invariant, v.detail
+        );
+        let mut detail = format!("[{}] {}", v.invariant, v.detail);
+        if let Some(minimal) = &finding.shrunk {
+            let json = serde_json::to_string(minimal)?;
+            println!("          shrunk reproducer: {json}");
+            detail.push_str(&format!("; shrunk reproducer: {json}"));
         }
+        ctx.record_failure(PointFailure {
+            label: format!(
+                "{tier} case {} (campaign seed {campaign_seed})",
+                finding.index
+            ),
+            cause: FailureCause::Invariant,
+            attempts: 1,
+            detail,
+        });
     }
     println!(
         "fuzz campaign done: {} case(s), {violations} violation(s)",

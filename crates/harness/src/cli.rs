@@ -23,29 +23,29 @@
 //! Every binary but `torture`, which builds its own execution contexts,
 //! also accepts the shared flags ([`COMMON_FLAGS`]):
 //!
-//! * `--jobs N` — pool width (env `DEPBURST_JOBS`; default: available
-//!   parallelism). `--jobs 1` reproduces the historical sequential
-//!   harness exactly.
-//! * `--point-timeout SECS` — per-point wall-clock watchdog (env
-//!   `DEPBURST_POINT_TIMEOUT`; `0` disables).
-//! * `--retries N` — retry budget for failed points (env
-//!   `DEPBURST_RETRIES`; default 2).
+//! * `--jobs N` — pool width (default: available parallelism). `--jobs 1`
+//!   reproduces the historical sequential harness exactly.
+//! * `--point-timeout SECS` — per-point wall-clock watchdog (`0`
+//!   disables; default off).
+//! * `--retries N` — retry budget for failed points (default 2).
 //! * `--run-id ID` — start a fresh checkpoint store at
 //!   `results/checkpoints/<ID>/` (directory `DEPBURST_CHECKPOINT_DIR`);
 //!   every completed point is committed there as a cache envelope.
 //! * `--resume ID` — resume that store, replaying completed points;
 //!   output is byte-identical to an uninterrupted run.
-//! * `--invariants MODE` — runtime invariant monitor mode (`off`,
-//!   `cheap`, or `full`; env `DEPBURST_INVARIANTS`; default off). See
-//!   `simx::invariants`.
 //! * `--sampling SETTING` — sampled execution tier (`off`, `on`, or a
-//!   measure fraction in (probe, 1); env `DEPBURST_SAMPLING`; default
-//!   off). See `simx::sampling`.
+//!   measure fraction in (probe, 1); default off). See `simx::sampling`.
 //! * `--storage-faults SPEC` — storage-fault injection on the cache and
 //!   checkpoint stores (`off`, an intensity in `[0, 1]`, `seed=N`,
-//!   `crash=N`, comma-separated; env `DEPBURST_STORAGE_FAULTS`; default
-//!   off — all durable I/O goes straight through the real filesystem).
-//!   See `harness::vfs`.
+//!   `crash=N`, comma-separated; default off — all durable I/O goes
+//!   straight through the real filesystem). See `harness::vfs`.
+//!
+//! Each of these has the flag as its one source. The environment holds
+//! only deployment paths (`DEPBURST_CACHE`, `DEPBURST_CHECKPOINT_DIR`)
+//! and diagnostics that never change result bytes: the invariant monitor
+//! mode `DEPBURST_INVARIANTS` (read by every `simx::Machine`; see
+//! `simx::invariants`), `DEPBURST_TRACE_POINTS` and the CI sabotage hook
+//! `DEPBURST_BREAK_INVARIANT`.
 //!
 //! Exit codes are standardized across all binaries: **0** success, **1**
 //! usage or internal error, **2** the run completed but some points
@@ -105,13 +105,12 @@ impl Kind {
 pub type Flag = (&'static str, Kind);
 
 /// The flags every binary but `torture` accepts (see the module docs).
-pub const COMMON_FLAGS: [Flag; 8] = [
+pub const COMMON_FLAGS: [Flag; 7] = [
     ("--jobs", Kind::Positive),
     ("--point-timeout", Kind::Value),
     ("--retries", Kind::Value),
     ("--run-id", Kind::Value),
     ("--resume", Kind::Value),
-    ("--invariants", Kind::Value),
     ("--sampling", Kind::Value),
     ("--storage-faults", Kind::Value),
 ];
@@ -317,24 +316,18 @@ fn edit_distance(a: &str, b: &str) -> usize {
 pub struct CommonOpts {
     /// `--jobs N`.
     pub jobs: Option<usize>,
-    /// `--point-timeout SECS`: `Some(None)` = explicit `0` (disable),
-    /// `Some(Some(d))` = a budget, `None` = not given (use the env).
-    pub point_timeout: Option<Option<Duration>>,
+    /// `--point-timeout SECS` (`None` = no watchdog, also for `0`).
+    pub point_timeout: Option<Duration>,
     /// `--retries N`.
     pub retries: Option<u32>,
     /// `--run-id ID`.
     pub run_id: Option<String>,
     /// `--resume ID`.
     pub resume: Option<String>,
-    /// `--invariants MODE`.
-    pub invariants: Option<simx::InvariantMode>,
-    /// `--sampling SETTING`: `Some(None)` = explicit `off`,
-    /// `Some(Some(cfg))` = the sampled tier, `None` = not given (use the
-    /// env).
-    pub sampling: Option<Option<simx::SamplingConfig>>,
-    /// `--storage-faults SPEC`: `Some(None)` = explicit `off`,
-    /// `Some(Some(cfg))` = an injector, `None` = not given (use the env).
-    pub storage_faults: Option<Option<crate::vfs::StorageFaultConfig>>,
+    /// `--sampling SETTING` (`None` = exact execution, also for `off`).
+    pub sampling: Option<simx::SamplingConfig>,
+    /// `--storage-faults SPEC` (`None` = no injector, also for `off`).
+    pub storage_faults: Option<crate::vfs::StorageFaultConfig>,
     /// The binary's own flags and its positionals.
     pub args: Args,
 }
@@ -351,31 +344,27 @@ pub fn parse_common(
 ) -> Result<CommonOpts, String> {
     let accepted: Vec<Flag> = COMMON_FLAGS.iter().chain(flags).copied().collect();
     let args = parse(argv, &accepted, names)?;
-    let timeout = args.value("--point-timeout").map(|v| {
-        crate::run::parse_point_timeout(v)
-            .map_err(|e| format!("invalid --point-timeout value: {e}"))
-    });
-    let invariants = args.value("--invariants").map(|v| {
-        simx::InvariantMode::parse(v)
-            .ok_or_else(|| format!("invalid --invariants value {v:?} (want off, cheap, or full)"))
-    });
-    let sampling = args.value("--sampling").map(|v| {
-        crate::run::parse_sampling_setting(v).map_err(|e| format!("invalid --sampling value: {e}"))
-    });
-    let storage_faults = args.value("--storage-faults").map(|v| {
-        crate::vfs::parse_storage_faults(v)
-            .map_err(|e| format!("invalid --storage-faults value: {e}"))
-    });
     Ok(CommonOpts {
         jobs: args.get("--jobs")?,
-        point_timeout: timeout.transpose()?,
+        point_timeout: setting(&args, "--point-timeout", crate::run::parse_point_timeout)?,
         retries: args.get("--retries")?,
         run_id: args.value("--run-id").map(str::to_owned),
         resume: args.value("--resume").map(str::to_owned),
-        invariants: invariants.transpose()?,
-        sampling: sampling.transpose()?,
-        storage_faults: storage_faults.transpose()?,
+        sampling: setting(&args, "--sampling", crate::run::parse_sampling_setting)?,
+        storage_faults: setting(&args, "--storage-faults", crate::vfs::parse_storage_faults)?,
         args,
+    })
+}
+
+/// A shared flag with a grammar of its own, read through `parse`, where
+/// `off` parses to `None`: absent is `None` too.
+fn setting<T>(
+    args: &Args,
+    flag: &str,
+    parse: fn(&str) -> Result<Option<T>, String>,
+) -> Result<Option<T>, String> {
+    args.value(flag).map_or(Ok(None), |v| {
+        parse(v).map_err(|e| format!("invalid {flag} value: {e}"))
     })
 }
 
@@ -396,32 +385,6 @@ pub fn require_exact(ctx: &ExecCtx, experiment: &str) -> Result<(), depburst_cor
             ),
         }),
     }
-}
-
-/// Reads the environment variable `name` through `parse`, which gets the
-/// trimmed value. Unset is `None`; a value `parse` rejects is also `None`,
-/// after a `warning: ignoring NAME: …` line on stderr, so a typo never
-/// passes in silence. `DEPBURST_INVARIANTS` is read elsewhere and stays
-/// silent: every `Machine::new` reads it.
-pub(crate) fn env_setting<T>(
-    name: &str,
-    parse: impl FnOnce(&str) -> Result<T, String>,
-) -> Option<T> {
-    env_value(name, std::env::var(name).ok().as_deref(), parse).unwrap_or_else(|warning| {
-        eprintln!("{warning}");
-        None
-    })
-}
-
-/// [`env_setting`] over the variable's value `raw`: the error is the
-/// warning to print.
-fn env_value<T>(
-    name: &str,
-    raw: Option<&str>,
-    parse: impl FnOnce(&str) -> Result<T, String>,
-) -> Result<Option<T>, String> {
-    raw.map(|v| parse(v.trim()).map_err(|e| format!("warning: ignoring {name}: {e}")))
-        .transpose()
 }
 
 /// Reads the test-only `DEPBURST_BREAK_INVARIANT` sabotage hook: CI sets
@@ -474,31 +437,19 @@ pub fn write_reports(
     Ok(path)
 }
 
-/// Builds the execution context `opts` asks for: environment defaults,
-/// overridden by the explicit flags, plus the checkpoint store when a
-/// run id was given (`--resume` wins over `--run-id`).
+/// Builds the execution context `opts` asks for: the given flags over
+/// the defaults, the cache `DEPBURST_CACHE` selects, plus the checkpoint
+/// store when a run id was given (`--resume` wins over `--run-id`).
 pub fn build_ctx(opts: &CommonOpts) -> std::io::Result<ExecCtx> {
-    if let Some(mode) = opts.invariants {
-        // Machines read DEPBURST_INVARIANTS at construction; exporting the
-        // flag's value here — before any pool worker builds one — makes
-        // the flag and the environment variable exactly equivalent.
-        std::env::set_var("DEPBURST_INVARIANTS", mode.as_str());
-    }
-    let mut ctx = ExecCtx::from_env(opts.jobs);
-    if let Some(timeout) = opts.point_timeout {
-        ctx.point_timeout = timeout;
-    }
+    let mut ctx = ExecCtx::new(opts.jobs.unwrap_or_else(crate::pool::default_jobs))
+        .with_cache(SimCache::from_env())
+        .with_timeout(opts.point_timeout)
+        .with_sampling(opts.sampling);
     if let Some(retries) = opts.retries {
         ctx.policy.retries = retries;
     }
-    if let Some(sampling) = opts.sampling {
-        ctx.sampling = sampling;
-    }
-    match opts.storage_faults {
-        // Explicit `--storage-faults off` clears an env-installed one.
-        Some(None) => ctx = ctx.without_storage(),
-        Some(Some(cfg)) => ctx = ctx.with_storage_faults(cfg),
-        None => {}
+    if let Some(cfg) = opts.storage_faults {
+        ctx = ctx.with_storage_faults(cfg);
     }
     // An invalid run id is a usage error, but a checkpoint store that
     // cannot be prepared is a *degraded* run, not a dead one:
@@ -679,7 +630,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(opts.jobs, Some(4));
-        assert_eq!(opts.point_timeout, Some(Some(Duration::from_secs_f64(2.5))));
+        assert_eq!(opts.point_timeout, Some(Duration::from_secs_f64(2.5)));
         assert_eq!(opts.retries, Some(1));
         assert_eq!(opts.run_id.as_deref(), Some("nightly"));
         assert_eq!(opts.resume, None);
@@ -694,7 +645,7 @@ mod tests {
     #[test]
     fn parse_common_timeout_zero_disables() {
         let opts = common(&["--point-timeout", "0"]).unwrap();
-        assert_eq!(opts.point_timeout, Some(None));
+        assert_eq!(opts.point_timeout, None);
         assert!(common(&["--point-timeout", "-1"]).is_err());
         assert!(common(&["--point-timeout", "inf"]).is_err());
         assert!(common(&["--retries", "-1"]).is_err());
@@ -839,25 +790,13 @@ mod tests {
     }
 
     #[test]
-    fn invariants_flag_parses_all_modes() {
-        let opts = common(&["--invariants", "full"]).unwrap();
-        assert_eq!(opts.invariants, Some(simx::InvariantMode::Full));
-        let opts = common(&["--invariants=cheap"]).unwrap();
-        assert_eq!(opts.invariants, Some(simx::InvariantMode::Cheap));
-        let opts = common(&["--invariants=off"]).unwrap();
-        assert_eq!(opts.invariants, Some(simx::InvariantMode::Off));
-        assert!(common(&["--invariants", "loud"]).is_err());
-        assert_eq!(common(&[]).unwrap().invariants, None);
-    }
-
-    #[test]
     fn sampling_flag_parses_all_settings() {
         let opts = common(&["--sampling", "on"]).unwrap();
-        assert_eq!(opts.sampling, Some(Some(simx::SamplingConfig::default())));
+        assert_eq!(opts.sampling, Some(simx::SamplingConfig::default()));
         let opts = common(&["--sampling=off"]).unwrap();
-        assert_eq!(opts.sampling, Some(None));
+        assert_eq!(opts.sampling, None);
         let opts = common(&["--sampling=0.5"]).unwrap();
-        let cfg = opts.sampling.flatten().expect("fraction enables sampling");
+        let cfg = opts.sampling.expect("fraction enables sampling");
         assert_eq!(cfg.measure_fraction, 0.5);
         // Fractions outside (probe, 1) and junk are usage errors.
         assert!(common(&["--sampling", "1.5"]).is_err());
@@ -869,43 +808,18 @@ mod tests {
     #[test]
     fn storage_faults_flag_parses_specs() {
         let opts = common(&["--storage-faults", "off"]).unwrap();
-        assert_eq!(opts.storage_faults, Some(None));
+        assert_eq!(opts.storage_faults, None);
         let opts = common(&["--storage-faults=0.2,seed=7"]).unwrap();
-        let cfg = opts.storage_faults.flatten().expect("injector on");
+        let cfg = opts.storage_faults.expect("injector on");
         assert_eq!(cfg.seed, 7);
         assert!(cfg.torn_write > 0.0);
         let opts = common(&["--storage-faults=crash=12"]).unwrap();
         assert_eq!(
-            opts.storage_faults
-                .flatten()
-                .expect("crash mode")
-                .crash_after,
+            opts.storage_faults.expect("crash mode").crash_after,
             Some(12)
         );
         assert!(common(&["--storage-faults", "2.0"]).is_err());
         assert_eq!(common(&[]).unwrap().storage_faults, None);
-    }
-
-    #[test]
-    fn env_values_parse_trimmed_and_malformed_ones_warn() {
-        let jobs = |v: &str| v.parse::<usize>().map_err(|_| format!("got {v:?}"));
-        assert_eq!(env_value("DEPBURST_JOBS", None, jobs), Ok(None));
-        assert_eq!(env_value("DEPBURST_JOBS", Some(" 3\n"), jobs), Ok(Some(3)));
-        assert_eq!(
-            env_value("DEPBURST_JOBS", Some("three"), jobs),
-            Err("warning: ignoring DEPBURST_JOBS: got \"three\"".to_owned())
-        );
-        // The settings with their own grammar warn the same way.
-        let sampling = crate::run::parse_sampling_setting;
-        let warning = env_value("DEPBURST_SAMPLING", Some("sometimes"), sampling).unwrap_err();
-        assert!(warning.starts_with("warning: ignoring DEPBURST_SAMPLING: "));
-        assert_eq!(
-            env_value("DEPBURST_SAMPLING", Some(" off "), sampling),
-            Ok(Some(None))
-        );
-        let faults = crate::vfs::parse_storage_faults;
-        let warning = env_value("DEPBURST_STORAGE_FAULTS", Some("2"), faults).unwrap_err();
-        assert!(warning.starts_with("warning: ignoring DEPBURST_STORAGE_FAULTS: "));
     }
 
     #[test]

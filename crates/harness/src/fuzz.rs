@@ -393,13 +393,13 @@ fn metamorphic_violation(
     None
 }
 
-/// One named shrinking transform over a case.
-type Transform = (&'static str, fn(&FuzzCase) -> FuzzCase);
+/// One named shrinking transform over a case of either tier.
+type Transform<C> = (&'static str, fn(&C) -> C);
 
 /// The fixed, ordered shrinking transforms: each simplifies one
 /// dimension toward its most boring value. Order matters — it is part of
 /// the shrinker's determinism contract.
-fn transforms() -> Vec<Transform> {
+fn transforms() -> Vec<Transform<FuzzCase>> {
     vec![
         ("drop-fault", |c| FuzzCase {
             fault: None,
@@ -450,21 +450,30 @@ fn transforms() -> Vec<Transform> {
 /// same case + same violation (+ same sabotage) → same reproducer.
 #[must_use]
 pub fn shrink(case: &FuzzCase, violation: &CaseViolation, sabotage: Option<Invariant>) -> FuzzCase {
+    shrink_with(case, violation, &transforms(), |c| run_case(c, sabotage))
+}
+
+/// The greedy loop under both tiers' shrinkers: `run` replays a
+/// candidate, and `transforms` are tried in their fixed order.
+fn shrink_with<C: Clone + PartialEq>(
+    case: &C,
+    violation: &CaseViolation,
+    transforms: &[Transform<C>],
+    run: impl Fn(&C) -> Option<CaseViolation>,
+) -> C {
     let mut current = case.clone();
     // Each accepted transform is idempotent, so one pass per transform
     // bounds the loop; the cap is belt-and-braces.
     for _ in 0..4 {
         let mut changed = false;
-        for (_, transform) in transforms() {
+        for (_, transform) in transforms {
             let candidate = transform(&current);
             if candidate == current {
                 continue;
             }
-            if let Some(v) = run_case(&candidate, sabotage) {
-                if v.invariant == violation.invariant {
-                    current = candidate;
-                    changed = true;
-                }
+            if run(&candidate).is_some_and(|v| v.invariant == violation.invariant) {
+                current = candidate;
+                changed = true;
             }
         }
         if !changed {
@@ -474,18 +483,18 @@ pub fn shrink(case: &FuzzCase, violation: &CaseViolation, sabotage: Option<Invar
     current
 }
 
-/// One campaign case's outcome.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct Finding {
+/// One campaign case's outcome; `C` is the tier's case type.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Finding<C> {
     /// The case's index within the campaign.
     pub index: u64,
     /// The generated input.
-    pub case: FuzzCase,
+    pub case: C,
     /// The violation, if the case provoked one.
     pub violation: Option<CaseViolation>,
     /// The shrunk minimal reproducer (only when a violation was found
     /// and shrinking was requested).
-    pub shrunk: Option<FuzzCase>,
+    pub shrunk: Option<C>,
 }
 
 /// Runs a campaign of `cases` generated from `campaign_seed`, in order,
@@ -497,13 +506,32 @@ pub fn run_campaign(
     cases: u64,
     shrink_violations: bool,
     sabotage: Option<Invariant>,
-) -> Vec<Finding> {
+) -> Vec<Finding<FuzzCase>> {
+    campaign(
+        cases,
+        shrink_violations,
+        |index| generate(campaign_seed, index),
+        &transforms(),
+        |c| run_case(c, sabotage),
+    )
+}
+
+/// The campaign loop under both tiers: case `index` is `generate(index)`,
+/// run by `run` and, when it violates and `shrink_violations` is set,
+/// shrunk over `transforms`.
+fn campaign<C: Clone + PartialEq>(
+    cases: u64,
+    shrink_violations: bool,
+    generate: impl Fn(u64) -> C,
+    transforms: &[Transform<C>],
+    run: impl Fn(&C) -> Option<CaseViolation>,
+) -> Vec<Finding<C>> {
     (0..cases)
         .map(|index| {
-            let case = generate(campaign_seed, index);
-            let violation = run_case(&case, sabotage);
+            let case = generate(index);
+            let violation = run(&case);
             let shrunk = match (&violation, shrink_violations) {
-                (Some(v), true) => Some(shrink(&case, v, sabotage)),
+                (Some(v), true) => Some(shrink_with(&case, v, transforms, &run)),
                 _ => None,
             };
             Finding {
@@ -701,15 +729,12 @@ pub fn run_fleet_case(case: &FleetFuzzCase, sabotage: Option<Invariant>) -> Opti
     }
 }
 
-/// One named shrinking transform over a fleet case.
-type FleetTransform = (&'static str, fn(&FleetFuzzCase) -> FleetFuzzCase);
-
 /// The fixed, ordered fleet shrinking transforms. Transforms that would
 /// remove a violation's trigger (calm weather for a chaos-dependent
 /// finding, thermal-off for a ceiling breach) are naturally rejected by
 /// the same-invariant rule, so the reproducer keeps exactly the
 /// machinery the bug needs.
-fn fleet_transforms() -> Vec<FleetTransform> {
+fn fleet_transforms() -> Vec<Transform<FleetFuzzCase>> {
     vec![
         ("calm-weather", |c| FleetFuzzCase {
             chaos_milli: 0,
@@ -765,39 +790,9 @@ pub fn shrink_fleet(
     violation: &CaseViolation,
     sabotage: Option<Invariant>,
 ) -> FleetFuzzCase {
-    let mut current = case.clone();
-    for _ in 0..4 {
-        let mut changed = false;
-        for (_, transform) in fleet_transforms() {
-            let candidate = transform(&current);
-            if candidate == current {
-                continue;
-            }
-            if let Some(v) = run_fleet_case(&candidate, sabotage) {
-                if v.invariant == violation.invariant {
-                    current = candidate;
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    current
-}
-
-/// One fleet campaign case's outcome.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct FleetFinding {
-    /// The case's index within the campaign.
-    pub index: u64,
-    /// The generated input.
-    pub case: FleetFuzzCase,
-    /// The violation, if the case provoked one.
-    pub violation: Option<CaseViolation>,
-    /// The shrunk minimal reproducer (when violating and requested).
-    pub shrunk: Option<FleetFuzzCase>,
+    shrink_with(case, violation, &fleet_transforms(), |c| {
+        run_fleet_case(c, sabotage)
+    })
 }
 
 /// Runs a fleet campaign of `cases` from `campaign_seed`, in order,
@@ -808,23 +803,14 @@ pub fn run_fleet_campaign(
     cases: u64,
     shrink_violations: bool,
     sabotage: Option<Invariant>,
-) -> Vec<FleetFinding> {
-    (0..cases)
-        .map(|index| {
-            let case = generate_fleet(campaign_seed, index);
-            let violation = run_fleet_case(&case, sabotage);
-            let shrunk = match (&violation, shrink_violations) {
-                (Some(v), true) => Some(shrink_fleet(&case, v, sabotage)),
-                _ => None,
-            };
-            FleetFinding {
-                index,
-                case,
-                violation,
-                shrunk,
-            }
-        })
-        .collect()
+) -> Vec<Finding<FleetFuzzCase>> {
+    campaign(
+        cases,
+        shrink_violations,
+        |index| generate_fleet(campaign_seed, index),
+        &fleet_transforms(),
+        |c| run_fleet_case(c, sabotage),
+    )
 }
 
 #[cfg(test)]

@@ -47,21 +47,6 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// Resolves a jobs request: `Some(n)` is clamped to at least 1, `None`
-/// falls back to the `DEPBURST_JOBS` environment variable and then to
-/// [`default_jobs`].
-#[must_use]
-pub fn resolve_jobs(requested: Option<usize>) -> usize {
-    requested
-        .or_else(|| {
-            crate::cli::env_setting("DEPBURST_JOBS", |v| {
-                v.parse()
-                    .map_err(|_| format!("want a worker count, got {v:?}"))
-            })
-        })
-        .map_or_else(default_jobs, |n| n.max(1))
-}
-
 /// Maps `f` over `items` on up to `jobs` workers, returning the results
 /// in input order. `f` must be a pure function of its item (it runs once
 /// per item, on an arbitrary worker).
@@ -279,13 +264,6 @@ mod tests {
             x
         });
         assert_eq!(out, (0..32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn resolve_jobs_clamps_and_defaults() {
-        assert_eq!(resolve_jobs(Some(0)), 1);
-        assert_eq!(resolve_jobs(Some(3)), 3);
-        assert!(resolve_jobs(None) >= 1);
     }
 
     #[test]

@@ -63,20 +63,6 @@ impl RetryPolicy {
         }
     }
 
-    /// The default policy with the retry count overridden by the
-    /// `DEPBURST_RETRIES` environment variable when set.
-    #[must_use]
-    pub fn from_env() -> Self {
-        let mut policy = Self::default();
-        if let Some(n) = crate::cli::env_setting("DEPBURST_RETRIES", |v| {
-            v.parse()
-                .map_err(|_| format!("want a retry count, got {v:?}"))
-        }) {
-            policy.retries = n;
-        }
-        policy
-    }
-
     /// The backoff before retrying after failed attempt `attempt`
     /// (0-based): `base_delay * 2^attempt`, capped at `max_delay`, scaled
     /// by a seeded jitter factor in `[0.5, 1.0)`. A pure function of

@@ -18,12 +18,11 @@ use serde::{Deserialize, Serialize};
 use simx::{Machine, MachineConfig, RunOutcome, RunStats};
 
 use crate::cache::{SimCache, SimKey};
-use crate::cli::env_setting;
 use crate::pool;
 use crate::resilience::{
     attempt_resilient, FailureCause, FailureReport, PointFailure, ResilienceStats, RetryPolicy,
 };
-use crate::vfs::{parse_storage_faults, FaultyVfs, RealVfs, StorageFaultConfig, Vfs};
+use crate::vfs::{FaultyVfs, StorageFaultConfig, Vfs};
 
 /// Parameters of one benchmark run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -173,8 +172,8 @@ impl RunSummary {
     }
 }
 
-/// Parses a `DEPBURST_SAMPLING` / `--sampling` setting: `off`/`0`/empty
-/// disables the sampled tier, `on`/`1` enables it with the default
+/// Parses a `--sampling` setting: `off`/`0`/empty disables the sampled
+/// tier, `on`/`1` enables it with the default
 /// [`SamplingConfig`](simx::SamplingConfig), and a bare fraction enables
 /// it with that measure fraction (the probe fraction is fixed).
 pub fn parse_sampling_setting(value: &str) -> Result<Option<simx::SamplingConfig>, String> {
@@ -196,8 +195,8 @@ pub fn parse_sampling_setting(value: &str) -> Result<Option<simx::SamplingConfig
     }
 }
 
-/// Parses a `DEPBURST_POINT_TIMEOUT` / `--point-timeout` value: seconds
-/// `>= 0`, where `0` disables the watchdog.
+/// Parses a `--point-timeout` value: seconds `>= 0`, where `0` disables
+/// the watchdog.
 pub fn parse_point_timeout(value: &str) -> Result<Option<Duration>, String> {
     let secs: f64 = value
         .parse()
@@ -408,7 +407,8 @@ pub struct ExecCtx {
     checkpoint: Option<SimCache>,
     /// The storage-fault injector, when one is installed (torture runs
     /// and `--storage-faults`). Shared by the cache and the checkpoint.
-    /// `None` means all durable I/O goes straight through [`RealVfs`].
+    /// `None` means all durable I/O goes straight through
+    /// [`RealVfs`](crate::vfs::RealVfs).
     storage: Option<Arc<FaultyVfs>>,
     /// Ultimate point failures accumulated across this context's sweeps.
     failures: Mutex<Vec<PointFailure>>,
@@ -438,25 +438,6 @@ impl ExecCtx {
     #[must_use]
     pub fn sequential() -> Self {
         Self::new(1)
-    }
-
-    /// The context the binaries use: `requested` jobs (falling back to
-    /// `DEPBURST_JOBS`, then to the machine's parallelism), cache
-    /// persistence per `DEPBURST_CACHE`, retries per `DEPBURST_RETRIES`,
-    /// and the watchdog per `DEPBURST_POINT_TIMEOUT` (seconds).
-    #[must_use]
-    pub fn from_env(requested: Option<usize>) -> Self {
-        let mut ctx = Self::new(pool::resolve_jobs(requested));
-        ctx.cache = SimCache::from_env();
-        ctx.policy = RetryPolicy::from_env();
-        ctx.point_timeout = env_setting("DEPBURST_POINT_TIMEOUT", parse_point_timeout).flatten();
-        if let Some(sampling) = env_setting("DEPBURST_SAMPLING", parse_sampling_setting) {
-            ctx.sampling = sampling;
-        }
-        if let Some(Some(cfg)) = env_setting("DEPBURST_STORAGE_FAULTS", parse_storage_faults) {
-            ctx = ctx.with_storage_faults(cfg);
-        }
-        ctx
     }
 
     /// Replaces the cache (builder style).
@@ -534,15 +515,6 @@ impl ExecCtx {
     #[must_use]
     pub fn with_storage_faults(self, cfg: StorageFaultConfig) -> Self {
         self.with_storage(Arc::new(FaultyVfs::new(cfg)))
-    }
-
-    /// Removes any installed injector, restoring direct [`RealVfs`] I/O
-    /// (an explicit `--storage-faults off` over an env-installed one).
-    #[must_use]
-    pub fn without_storage(mut self) -> Self {
-        self.set_vfs(Arc::new(RealVfs));
-        self.storage = None;
-        self
     }
 
     /// The installed storage-fault injector, if any.

@@ -229,7 +229,7 @@ impl StorageFaultConfig {
     }
 }
 
-/// Parses a `--storage-faults` / `DEPBURST_STORAGE_FAULTS` spec.
+/// Parses a `--storage-faults` spec.
 ///
 /// Grammar: `off` (or empty, or `0`) disables injection entirely;
 /// otherwise a comma-separated list of tokens, each either a bare

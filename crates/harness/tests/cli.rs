@@ -2,6 +2,7 @@
 //! malformed argument fails before any simulation starts, naming the
 //! argument, and a well-formed one reaches the experiment unchanged.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -146,4 +147,67 @@ fn fleet_argv_reproduces_the_committed_evidence() {
         "fleet's argv path no longer reproduces results/fleet.json"
     );
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// Every `.rs` file under `dir`, recursively (none when `dir` is absent).
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries {
+        let path = entry.expect("read a directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Each run setting has one source, its flag; the environment holds only
+/// deployment paths and diagnostics that never change result bytes. So
+/// the code of `crates/*/src` names exactly these five variables and
+/// never writes the process environment.
+#[test]
+fn the_environment_holds_only_paths_and_diagnostics() {
+    const KEPT: [&str; 5] = [
+        "DEPBURST_BREAK_INVARIANT",
+        "DEPBURST_CACHE",
+        "DEPBURST_CHECKPOINT_DIR",
+        "DEPBURST_INVARIANTS",
+        "DEPBURST_TRACE_POINTS",
+    ];
+    const PREFIX: &str = "DEPBURST_";
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut files = Vec::new();
+    for krate in fs::read_dir(&crates).expect("list the crates") {
+        let src = krate.expect("a crate entry").path().join("src");
+        rust_files(&src, &mut files);
+    }
+    assert!(files.len() > 50, "found only {} source files", files.len());
+    let mut names = BTreeSet::new();
+    let mut writes = Vec::new();
+    for file in &files {
+        let text = fs::read_to_string(file).expect("read a source file");
+        let code = text.lines().filter(|l| !l.trim_start().starts_with("//"));
+        for (n, line) in code.enumerate() {
+            if line.contains("set_var") {
+                writes.push(format!("{} (code line {})", file.display(), n + 1));
+            }
+            let mut rest = line;
+            while let Some(at) = rest.find(PREFIX) {
+                let tail = &rest[at + PREFIX.len()..];
+                let len = tail
+                    .find(|c: char| !(c.is_ascii_uppercase() || c == '_'))
+                    .unwrap_or(tail.len());
+                if len > 0 {
+                    names.insert(format!("{PREFIX}{}", &tail[..len]));
+                }
+                rest = &tail[len..];
+            }
+        }
+    }
+    let kept: BTreeSet<String> = KEPT.iter().map(|s| (*s).to_owned()).collect();
+    assert_eq!(names, kept, "environment variables read by the crates");
+    assert!(writes.is_empty(), "environment writes at {writes:?}");
 }

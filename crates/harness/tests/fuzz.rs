@@ -57,7 +57,7 @@ fn sabotage_is_caught_on_every_case_and_shrunk_to_the_corner() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Same campaign seed, same findings — byte for byte, shrunk
+    /// Same campaign seed, same findings — field for field, shrunk
     /// reproducers included. This is the reproducibility contract the
     /// `fuzz` binary advertises.
     #[test]
@@ -65,11 +65,7 @@ proptest! {
         let sabotage = Some(Invariant::CounterConservation);
         let first = fuzz::run_campaign(seed, 2, true, sabotage);
         let second = fuzz::run_campaign(seed, 2, true, sabotage);
-        prop_assert_eq!(
-            serde_json::to_string(&first).expect("findings serialize"),
-            serde_json::to_string(&second).expect("findings serialize"),
-            "campaign seed {} is not reproducible", seed
-        );
+        prop_assert_eq!(first, second, "campaign seed {} is not reproducible", seed);
     }
 
     /// Shrinking is deterministic and never loses the violation: the

@@ -13,8 +13,7 @@
 //! cache hierarchy, store queues and predictor outputs. The active tier
 //! comes from the `DEPBURST_INVARIANTS` environment variable
 //! (`off|cheap|full`, default `off`) or programmatically via
-//! [`Monitor::new`]; individual checks can be suppressed with a
-//! comma-separated `DEPBURST_INVARIANTS_SKIP` list of invariant names.
+//! [`Monitor::new`].
 //!
 //! Violations are recorded (bounded) rather than panicking, and surface as
 //! `DepburstError::InvariantViolation` at run boundaries so the harness's
@@ -163,8 +162,7 @@ impl Invariant {
         Invariant::HierarchyBudgetConservation,
     ];
 
-    /// The stable kebab-case name used in reports, skip lists and the
-    /// sabotage hook.
+    /// The stable kebab-case name used in reports and the sabotage hook.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -213,10 +211,6 @@ impl Invariant {
             | Invariant::PredictorBounds => InvariantMode::Full,
         }
     }
-
-    fn bit(self) -> u16 {
-        1 << (Invariant::ALL.iter().position(|&i| i == self).expect("in catalog") as u16)
-    }
 }
 
 impl fmt::Display for Invariant {
@@ -261,13 +255,11 @@ const CONSERVATION_REL_TOL: f64 = 0.05;
 /// lowest paper frequency).
 const CONSERVATION_ABS_TOL: f64 = 1e-9;
 
-/// The runtime invariant monitor: a mode, a skip set, an optional
-/// sabotage hook, and the bounded violation log.
+/// The runtime invariant monitor: a mode, an optional sabotage hook, and
+/// the bounded violation log.
 #[derive(Debug, Clone, Default)]
 pub struct Monitor {
     mode: InvariantMode,
-    /// Bitmask of suppressed invariants (bit i = `Invariant::ALL[i]`).
-    skip: u16,
     /// Test-only hook: the named check is deliberately weakened so that a
     /// *healthy* run violates it — proving the violation path end to end.
     sabotage: Option<Invariant>,
@@ -279,29 +271,13 @@ pub struct Monitor {
 }
 
 impl Monitor {
-    /// A monitor at the given mode with nothing skipped.
+    /// A monitor at the given mode.
     #[must_use]
     pub fn new(mode: InvariantMode) -> Self {
         Monitor {
             mode,
             ..Monitor::default()
         }
-    }
-
-    /// A monitor configured from the environment: mode from
-    /// `DEPBURST_INVARIANTS`, skip set from `DEPBURST_INVARIANTS_SKIP`
-    /// (comma-separated invariant names; unknown names are ignored).
-    #[must_use]
-    pub fn from_env() -> Self {
-        let mut monitor = Monitor::new(InvariantMode::from_env());
-        if let Ok(list) = std::env::var("DEPBURST_INVARIANTS_SKIP") {
-            for name in list.split(',') {
-                if let Some(inv) = Invariant::from_name(name.trim()) {
-                    monitor.skip |= inv.bit();
-                }
-            }
-        }
-        monitor
     }
 
     /// The active checking depth.
@@ -322,7 +298,7 @@ impl Monitor {
     #[inline]
     #[must_use]
     pub fn on(&self, inv: Invariant) -> bool {
-        self.mode >= inv.tier() && (self.skip & inv.bit()) == 0
+        self.mode >= inv.tier()
     }
 
     /// Deliberately weakens `inv`'s check so a healthy run violates it.
@@ -566,7 +542,7 @@ mod tests {
     }
 
     #[test]
-    fn gating_respects_tier_and_skip() {
+    fn gating_respects_tier() {
         let off = Monitor::new(InvariantMode::Off);
         assert!(!off.enabled());
         assert!(!off.on(Invariant::EventMonotonicity));
@@ -575,10 +551,8 @@ mod tests {
         assert!(cheap.on(Invariant::CounterConservation));
         assert!(!cheap.on(Invariant::CacheSanity));
 
-        let mut full = Monitor::new(InvariantMode::Full);
+        let full = Monitor::new(InvariantMode::Full);
         assert!(full.on(Invariant::CacheSanity));
-        full.skip |= Invariant::CacheSanity.bit();
-        assert!(!full.on(Invariant::CacheSanity));
         assert!(full.on(Invariant::CounterConservation));
     }
 

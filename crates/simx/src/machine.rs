@@ -181,7 +181,7 @@ impl Machine {
             events_dispatched: 0,
             epochs_harvested: 0,
             faults: None,
-            monitor: Monitor::from_env(),
+            monitor: Monitor::new(InvariantMode::from_env()),
         }
     }
 

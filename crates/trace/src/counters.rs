@@ -114,15 +114,6 @@ impl DvfsCounters {
             ..DvfsCounters::zero()
         }
     }
-
-    /// The scaling component under a given non-scaling estimate: active time
-    /// minus the estimate, clamped at zero (a non-scaling estimate may
-    /// slightly exceed measured active time at epoch granularity).
-    #[must_use]
-    #[inline]
-    pub fn scaling_given(&self, non_scaling: TimeDelta) -> TimeDelta {
-        (self.active - non_scaling).clamp_non_negative()
-    }
 }
 
 impl Add for DvfsCounters {
@@ -211,14 +202,5 @@ mod tests {
     fn zero_detection() {
         assert!(DvfsCounters::zero().is_zero());
         assert!(!sample(1.0).is_zero());
-    }
-
-    #[test]
-    fn scaling_clamps_at_zero() {
-        let c = sample(1.0);
-        let s = c.scaling_given(TimeDelta::from_micros(4.0));
-        assert!((s.as_micros() - 6.0).abs() < 1e-9);
-        let clamped = c.scaling_given(TimeDelta::from_micros(100.0));
-        assert_eq!(clamped, TimeDelta::ZERO);
     }
 }

@@ -60,25 +60,11 @@ impl Freq {
         f64::from(self.0) * 1e6
     }
 
-    /// The duration of one clock cycle at this frequency.
-    #[must_use]
-    #[inline]
-    pub fn cycle_time(self) -> TimeDelta {
-        TimeDelta::from_secs(1.0 / self.hz())
-    }
-
     /// The time taken to execute `cycles` clock cycles at this frequency.
     #[must_use]
     #[inline]
     pub fn cycles_to_time(self, cycles: f64) -> TimeDelta {
         TimeDelta::from_secs(cycles / self.hz())
-    }
-
-    /// The number of clock cycles elapsing in `delta` at this frequency.
-    #[must_use]
-    #[inline]
-    pub fn time_to_cycles(self, delta: TimeDelta) -> f64 {
-        delta.as_secs() * self.hz()
     }
 
     /// The scaling ratio `self / target`: the factor by which a purely
@@ -255,9 +241,8 @@ mod tests {
     #[test]
     fn cycle_time_at_one_ghz_is_one_ns() {
         let f = Freq::from_ghz(1.0);
-        assert!((f.cycle_time().as_nanos() - 1.0).abs() < 1e-12);
+        assert!((f.cycles_to_time(1.0).as_nanos() - 1.0).abs() < 1e-12);
         assert!((f.cycles_to_time(1000.0).as_micros() - 1.0).abs() < 1e-12);
-        assert!((f.time_to_cycles(TimeDelta::from_micros(1.0)) - 1000.0).abs() < 1e-6);
     }
 
     #[test]

@@ -200,15 +200,6 @@ impl Benchmark {
         h.write_opt_u64(rc.mutator_affinity.map(u64::from));
     }
 
-    /// Stable content digest of the workload spec (see
-    /// [`hash_into`](Benchmark::hash_into)).
-    #[must_use]
-    pub fn spec_digest(&self) -> u128 {
-        let mut h = depburst_core::stablehash::StableHasher::new();
-        self.hash_into(&mut h);
-        h.finish()
-    }
-
     /// Installs the benchmark on a machine at the given work `scale`
     /// (1.0 = the paper's full run; tests use small scales) and RNG seed.
     pub fn install(&self, machine: &mut Machine, scale: f64, seed: u64) -> ManagedRuntime {
@@ -280,9 +271,14 @@ mod tests {
     #[test]
     fn spec_digests_are_stable_and_distinct() {
         let mut seen = std::collections::HashSet::new();
+        let digest = |b: &Benchmark| {
+            let mut h = depburst_core::stablehash::StableHasher::new();
+            b.hash_into(&mut h);
+            h.finish()
+        };
         for b in all_benchmarks() {
-            assert_eq!(b.spec_digest(), b.spec_digest(), "{} unstable", b.name);
-            assert!(seen.insert(b.spec_digest()), "{} collides", b.name);
+            assert_eq!(digest(b), digest(b), "{} unstable", b.name);
+            assert!(seen.insert(digest(b)), "{} collides", b.name);
         }
     }
 }
