@@ -23,17 +23,19 @@
 //! confirmed-healthy rounds ([`REJOIN_THRESHOLD`]) and moves exactly one
 //! rung, so a flapping link cannot oscillate a machine
 //! between central and fallback control. [`DegradationLadder`] is a pure
-//! state machine over `(reachable, telemetry_ok)` observations — no
-//! randomness, no clocks — which is what makes failover sequences a pure
-//! function of the chaos schedule and lets
-//! `simx::Invariant::RejoinMonotonicity` check every recorded transition.
+//! state machine over `(reachable, telemetry_ok, thermal_ok)`
+//! observations — no randomness, no clocks — which is what makes failover
+//! sequences a pure function of the chaos schedule. It records its mode
+//! changes in a [`simx::ladder::TransitionLog`], the log the thermal
+//! throttle ladder keeps too, whose one monotonicity check lets
+//! `simx::Invariant::RejoinMonotonicity` vet every recorded transition.
 
 use core::fmt;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use dvfs_trace::{Freq, FreqLadder};
-use serde::{JsonWriter, Serialize, Value};
+use simx::ladder::{Rung, TransitionLog};
 
 use crate::power::PowerModel;
 
@@ -50,16 +52,6 @@ pub enum GovernorMode {
 }
 
 impl GovernorMode {
-    /// Ladder rung height: higher is more centralized.
-    #[must_use]
-    pub fn rung(self) -> u8 {
-        match self {
-            GovernorMode::FallbackMax => 0,
-            GovernorMode::LocalDepBurst => 1,
-            GovernorMode::Central => 2,
-        }
-    }
-
     /// Stable kebab-case name used in reports and transition logs.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -87,6 +79,18 @@ impl fmt::Display for GovernorMode {
     }
 }
 
+/// Recovery height is centralization: FallbackMax < LocalDepBurst <
+/// Central.
+impl Rung for GovernorMode {
+    fn rung(self) -> u8 {
+        match self {
+            GovernorMode::FallbackMax => 0,
+            GovernorMode::LocalDepBurst => 1,
+            GovernorMode::Central => 2,
+        }
+    }
+}
+
 /// Consecutive governor-unreachable rounds before the degradation ladder
 /// leaves [`GovernorMode::Central`].
 const PARTITION_TOLERANCE: u32 = 2;
@@ -100,53 +104,15 @@ const LOSS_TOLERANCE: u32 = 4;
 /// one-rung climb back up (the hysteresis window).
 pub const REJOIN_THRESHOLD: u32 = 3;
 
-/// One recorded mode change of a machine's degradation ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Transition {
-    /// Fleet round the transition happened in.
-    pub round: u64,
-    /// Mode before.
-    pub from: GovernorMode,
-    /// Mode after.
-    pub to: GovernorMode,
-    /// Why (static label: "partition", "telemetry-loss", "rejoin",
-    /// "crash-restart", ...).
-    pub reason: &'static str,
-}
-
-impl fmt::Display for Transition {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "r{} {}→{} ({})",
-            self.round,
-            self.from.name(),
-            self.to.name(),
-            self.reason
-        )
-    }
-}
-
-/// A transition serializes as its `Display` text.
-impl Serialize for Transition {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.display_str(self);
-    }
-}
-
 /// The per-machine degradation state machine. Deterministic: the mode
 /// sequence is a pure function of the observation sequence.
 #[derive(Debug, Clone, Default)]
 pub struct DegradationLadder {
-    mode: GovernorMode,
+    /// The current mode and its transitions.
+    pub log: TransitionLog<GovernorMode>,
     unreachable_streak: u32,
     loss_streak: u32,
     healthy_streak: u32,
-    transitions: Vec<Transition>,
 }
 
 impl DegradationLadder {
@@ -159,13 +125,7 @@ impl DegradationLadder {
     /// The current mode.
     #[must_use]
     pub fn mode(&self) -> GovernorMode {
-        self.mode
-    }
-
-    /// Every recorded transition, in round order.
-    #[must_use]
-    pub fn transitions(&self) -> &[Transition] {
-        &self.transitions
+        self.log.stage()
     }
 
     /// Feeds one round's health observation and returns the mode that
@@ -173,19 +133,15 @@ impl DegradationLadder {
     /// `telemetry_ok` the counter-harvest path. Demotions move at most
     /// one rung per round; promotions require a full
     /// [`REJOIN_THRESHOLD`] healthy window each.
-    pub fn observe(&mut self, round: u64, governor_reachable: bool, telemetry_ok: bool) -> GovernorMode {
-        self.observe_health(round, governor_reachable, telemetry_ok, true)
-    }
-
-    /// [`DegradationLadder::observe`] with the thermal dimension: a round
-    /// under emergency throttle (or worse) is `thermal_ok = false`. A
-    /// thermally constrained machine is pinned at its V/f floor and
-    /// cannot follow central allocations, so such rounds never count
-    /// toward the rejoin window — but they do not demote either (the
-    /// throttle ladder, not governor authority, is handling the machine).
-    /// With `thermal_ok = true` this is exactly `observe`, so thermal-off
-    /// fleets are bit-identical to pre-thermal ones.
-    pub fn observe_health(
+    ///
+    /// `thermal_ok` is the thermal dimension: a round under emergency
+    /// throttle (or worse) is `thermal_ok = false`. A thermally
+    /// constrained machine is pinned at its V/f floor and cannot follow
+    /// central allocations, so such rounds never count toward the rejoin
+    /// window — but they do not demote either (the throttle ladder, not
+    /// governor authority, is handling the machine). Thermal-off fleets
+    /// pass `true` every round.
+    pub fn observe(
         &mut self,
         round: u64,
         governor_reachable: bool,
@@ -208,73 +164,41 @@ impl DegradationLadder {
             self.healthy_streak = 0;
         }
 
-        match self.mode {
+        match self.mode() {
             GovernorMode::Central => {
                 if self.unreachable_streak >= PARTITION_TOLERANCE {
-                    self.shift(round, GovernorMode::LocalDepBurst, "partition");
+                    self.log.shift(round, GovernorMode::LocalDepBurst, "partition");
                 } else if self.loss_streak >= LOSS_TOLERANCE {
-                    self.shift(round, GovernorMode::LocalDepBurst, "telemetry-loss");
+                    self.log.shift(round, GovernorMode::LocalDepBurst, "telemetry-loss");
                 }
             }
             GovernorMode::LocalDepBurst => {
                 if self.loss_streak >= 2 * LOSS_TOLERANCE {
-                    self.shift(round, GovernorMode::FallbackMax, "telemetry-loss");
+                    self.log.shift(round, GovernorMode::FallbackMax, "telemetry-loss");
                 }
             }
             GovernorMode::FallbackMax => {}
         }
 
         if self.healthy_streak >= REJOIN_THRESHOLD {
-            if let Some(up) = self.mode.promoted() {
-                self.shift(round, up, "rejoin");
+            if let Some(up) = self.mode().promoted() {
+                self.log.shift(round, up, "rejoin");
                 // Each further rung needs its own full healthy window.
                 self.healthy_streak = 0;
             }
         }
-        self.mode
+        self.mode()
     }
 
     /// Drops straight to [`GovernorMode::FallbackMax`] (a crash restart
     /// reboots into the hardened fallback, whatever the mode was).
     pub fn force_fallback(&mut self, round: u64, reason: &'static str) {
-        if self.mode != GovernorMode::FallbackMax {
-            self.shift(round, GovernorMode::FallbackMax, reason);
+        if self.mode() != GovernorMode::FallbackMax {
+            self.log.shift(round, GovernorMode::FallbackMax, reason);
         }
         self.unreachable_streak = 0;
         self.loss_streak = 0;
         self.healthy_streak = 0;
-    }
-
-    fn shift(&mut self, round: u64, to: GovernorMode, reason: &'static str) {
-        self.transitions.push(Transition {
-            round,
-            from: self.mode,
-            to,
-            reason,
-        });
-        self.mode = to;
-    }
-
-    /// Checks the recorded transition log for rejoin-monotonicity: rounds
-    /// non-decreasing, every transition an actual change, and every
-    /// upward move exactly one rung. Feeds
-    /// `simx::Invariant::RejoinMonotonicity`.
-    #[must_use]
-    pub fn monotonicity_issue(&self) -> Option<String> {
-        let mut prev_round = 0u64;
-        for t in &self.transitions {
-            if t.round < prev_round {
-                return Some(format!("transition log out of order at {t}"));
-            }
-            prev_round = t.round;
-            if t.from == t.to {
-                return Some(format!("self-transition at {t}"));
-            }
-            if t.to.rung() > t.from.rung() && t.to.rung() - t.from.rung() != 1 {
-                return Some(format!("multi-rung rejoin at {t}"));
-            }
-        }
-        None
     }
 }
 
@@ -378,7 +302,7 @@ struct PowerTable {
 /// each entry the model's full-activity power at one operating point. A
 /// fleet has a handful of such pairs, so one table serves many machines,
 /// and a set built once serves every allocation of a run through
-/// [`CentralGovernor::allocate_indexed`].
+/// [`CentralGovernor::allocate`].
 #[derive(Debug)]
 pub struct TableSet {
     model: PowerModel,
@@ -430,7 +354,7 @@ impl TableSet {
     }
 }
 
-/// Reusable memory of [`CentralGovernor::allocate_indexed`]: the last
+/// Reusable memory of [`CentralGovernor::allocate`]: the last
 /// call's [`Allocation`] and the working buffers. Calls that reuse one
 /// scratch allocate nothing once its buffers have grown to the largest
 /// slice.
@@ -491,30 +415,10 @@ impl CentralGovernor {
     /// is frozen. Deterministic — no randomness, order fixed by
     /// (latency, id).
     ///
-    /// Builds the views' power tables and delegates to
-    /// [`CentralGovernor::allocate_indexed`]; a caller allocating every
-    /// round builds its [`TableSet`] once instead.
-    #[must_use]
-    pub fn allocate(
-        &self,
-        model: &PowerModel,
-        views: &[MachineView<'_>],
-        fleet_machines: usize,
-    ) -> Allocation {
-        let mut tables = TableSet::new(model);
-        let table_of: Vec<usize> = views
-            .iter()
-            .map(|v| tables.insert(v.ladder, v.cores))
-            .collect();
-        let mut scratch = AllocScratch::default();
-        self.allocate_indexed(&tables, views, &table_of, fleet_machines, &mut scratch);
-        scratch.result
-    }
-
-    /// [`CentralGovernor::allocate`] over prebuilt power tables: view `i`
-    /// reads table `table_of[i]` of `tables`, which must be the table of
-    /// its ladder and core count. The result lives in `scratch` until its
-    /// next use.
+    /// View `i` reads table `table_of[i]` of `tables`, which must be the
+    /// table of its ladder and core count; a caller allocating every round
+    /// builds its [`TableSet`] once. The result lives in `scratch` until
+    /// its next use.
     ///
     /// The candidates live in a max-heap, so a call costs
     /// O(notches · log |views|) rather than a rescan of every view per
@@ -523,7 +427,7 @@ impl CentralGovernor {
     /// # Panics
     /// If `table_of` is not parallel to `views` or names a table `tables`
     /// does not hold.
-    pub fn allocate_indexed<'s>(
+    pub fn allocate<'s>(
         &self,
         tables: &TableSet,
         views: &[MachineView<'_>],
@@ -702,22 +606,15 @@ impl LocalGovernor {
 /// *rebalancing* — is the whole point of the extra tier.
 #[derive(Debug, Clone)]
 pub struct HierarchicalGovernor {
-    /// Fraction of the share gap closed per rebalance (`0..=1`).
-    pub damping: f64,
-    /// Largest per-region share gap that is left alone (hysteresis).
-    pub deadband: f64,
     shares: Vec<f64>,
 }
 
 impl HierarchicalGovernor {
-    /// A root over `regions` regions, starting at equal shares, with the
-    /// default damping (30% per round) and deadband (2% of share).
+    /// A root over `regions` regions, starting at equal shares.
     #[must_use]
     pub fn new(regions: usize) -> Self {
         let regions = regions.max(1);
         HierarchicalGovernor {
-            damping: 0.3,
-            deadband: 0.02,
             shares: vec![1.0 / regions as f64; regions],
         }
     }
@@ -735,25 +632,29 @@ impl HierarchicalGovernor {
         &self.shares
     }
 
+    /// Fraction of the share gap closed per rebalance (30% per round).
+    const DAMPING: f64 = 0.3;
+
+    /// Largest per-region share gap that is left alone (hysteresis: 2% of
+    /// share).
+    const DEADBAND: f64 = 0.02;
+
     /// One rebalance step toward demand-proportional shares. `demand` is
     /// any non-negative per-region load proxy (reachable machines,
     /// queued work); `root_down` freezes the shares entirely — the
     /// regions run autonomously on what they last held.
-    pub fn rebalance(&mut self, demand: &[f64], root_down: bool) {
-        self.rebalance_masked(demand, &[], root_down);
-    }
-
-    /// One rebalance step with anti-cascade containment: regions marked
-    /// `frozen` (typically: their aggregator is unreachable, so their
-    /// demand signal is silence, not absence) keep their current share
-    /// untouched, and only the active regions' slice of the budget is
-    /// redistributed among the active regions. Without this, an orphaned
-    /// region's share bleeds to its siblings round over round — the
-    /// siblings run hotter on the windfall, and the region rejoins into a
-    /// starved, floor-power slice: a textbook failure cascade.
+    ///
+    /// Anti-cascade containment: regions marked `frozen` (typically:
+    /// their aggregator is unreachable, so their demand signal is
+    /// silence, not absence) keep their current share untouched, and
+    /// only the active regions' slice of the budget is redistributed
+    /// among the active regions. Without this, an orphaned region's share
+    /// bleeds to its siblings round over round — the siblings run hotter
+    /// on the windfall, and the region rejoins into a starved,
+    /// floor-power slice: a textbook failure cascade.
     ///
     /// An empty `frozen` mask means no region is frozen.
-    pub fn rebalance_masked(&mut self, demand: &[f64], frozen: &[bool], root_down: bool) {
+    pub fn rebalance(&mut self, demand: &[f64], frozen: &[bool], root_down: bool) {
         if root_down || demand.len() != self.shares.len() {
             return;
         }
@@ -793,11 +694,11 @@ impl HierarchicalGovernor {
             .enumerate()
             .map(|(r, &s)| (desired(r, s) - s).abs())
             .fold(0.0f64, f64::max);
-        if gap <= self.deadband {
+        if gap <= Self::DEADBAND {
             return;
         }
         for (r, share) in self.shares.iter_mut().enumerate() {
-            *share += (desired(r, *share) - *share) * self.damping;
+            *share += (desired(r, *share) - *share) * Self::DAMPING;
         }
         // Renormalize only the active mass: rounding drift must never
         // leak into (or out of) a frozen region's share.
@@ -943,13 +844,28 @@ impl OvershootBreaker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simx::ladder::Transition;
 
     fn obs(ladder: &mut DegradationLadder, rounds: &[(bool, bool)]) -> Vec<GovernorMode> {
         rounds
             .iter()
             .enumerate()
-            .map(|(r, &(reach, tel))| ladder.observe(r as u64, reach, tel))
+            .map(|(r, &(reach, tel))| ladder.observe(r as u64, reach, tel, true))
             .collect()
+    }
+
+    /// One allocation over a fresh table set and scratch.
+    fn allocate(
+        gov: &CentralGovernor,
+        model: &PowerModel,
+        views: &[MachineView<'_>],
+        fleet_machines: usize,
+    ) -> Allocation {
+        let mut tables = TableSet::new(model);
+        let table_of: Vec<usize> = views.iter().map(|v| tables.insert(v.ladder, v.cores)).collect();
+        let mut scratch = AllocScratch::default();
+        gov.allocate(&tables, views, &table_of, fleet_machines, &mut scratch);
+        scratch.result
     }
 
     #[test]
@@ -964,8 +880,8 @@ mod tests {
                 GovernorMode::LocalDepBurst
             ]
         );
-        assert_eq!(l.transitions().len(), 1);
-        assert_eq!(l.transitions()[0].reason, "partition");
+        assert_eq!(l.log.transitions().len(), 1);
+        assert_eq!(l.log.transitions()[0].reason, "partition");
     }
 
     #[test]
@@ -982,7 +898,7 @@ mod tests {
             GovernorMode::FallbackMax,
             "continued loss reaches the hardened fallback"
         );
-        assert!(l.monotonicity_issue().is_none());
+        assert!(l.log.monotonicity_issue().is_none());
     }
 
     #[test]
@@ -992,22 +908,22 @@ mod tests {
         l.force_fallback(0, "crash-restart");
         assert_eq!(l.mode(), GovernorMode::FallbackMax);
         // Two healthy rounds are not enough; flapping resets the window.
-        l.observe(1, true, true);
-        l.observe(2, true, true);
-        l.observe(3, false, true);
+        l.observe(1, true, true, true);
+        l.observe(2, true, true, true);
+        l.observe(3, false, true, true);
         assert_eq!(l.mode(), GovernorMode::FallbackMax);
         // A full window climbs exactly one rung...
         for r in 4..7 {
-            l.observe(r, true, true);
+            l.observe(r, true, true, true);
         }
         assert_eq!(l.mode(), GovernorMode::LocalDepBurst);
         // ...and the next rung needs its own full window.
-        l.observe(7, true, true);
-        l.observe(8, true, true);
+        l.observe(7, true, true, true);
+        l.observe(8, true, true, true);
         assert_eq!(l.mode(), GovernorMode::LocalDepBurst);
-        l.observe(9, true, true);
+        l.observe(9, true, true, true);
         assert_eq!(l.mode(), GovernorMode::Central);
-        assert!(l.monotonicity_issue().is_none());
+        assert!(l.log.monotonicity_issue().is_none());
     }
 
     #[test]
@@ -1018,19 +934,19 @@ mod tests {
         let mut a = DegradationLadder::new();
         let mut b = DegradationLadder::new();
         assert_eq!(obs(&mut a, &pattern), obs(&mut b, &pattern));
-        assert_eq!(a.transitions(), b.transitions());
+        assert_eq!(a.log.transitions(), b.log.transitions());
     }
 
     #[test]
     fn monotonicity_catches_a_forged_multi_rung_rejoin() {
         let mut l = DegradationLadder::new();
-        l.transitions.push(Transition {
+        l.log.forge(Transition {
             round: 1,
             from: GovernorMode::FallbackMax,
             to: GovernorMode::Central,
             reason: "forged",
         });
-        assert!(l.monotonicity_issue().unwrap().contains("multi-rung"));
+        assert!(l.log.monotonicity_issue().unwrap().contains("multi-rung"));
     }
 
     fn ladder() -> FreqLadder {
@@ -1051,7 +967,7 @@ mod tests {
             })
             .collect();
         let gov = CentralGovernor::new(200.0);
-        let alloc = gov.allocate(&model, &views, 4);
+        let alloc = allocate(&gov, &model, &views, 4);
         assert!(alloc.power_w <= alloc.available_w + 1e-9);
         for (f, v) in alloc.freqs.iter().zip(&views) {
             assert!(v.ladder.contains(*f), "{f:?} not on the ladder");
@@ -1074,9 +990,9 @@ mod tests {
                 cores: 4,
             })
             .collect();
-        let rich = CentralGovernor::new(1e6).allocate(&model, &views, 3);
+        let rich = allocate(&CentralGovernor::new(1e6), &model, &views, 3);
         assert!(rich.freqs.iter().all(|&f| f == l.max()));
-        let poor = CentralGovernor::new(0.0).allocate(&model, &views, 3);
+        let poor = allocate(&CentralGovernor::new(0.0), &model, &views, 3);
         assert!(poor.freqs.iter().all(|&f| f == l.min()));
     }
 
@@ -1092,8 +1008,8 @@ mod tests {
             cores: 4,
         }];
         let gov = CentralGovernor::new(400.0);
-        let alone = gov.allocate(&model, &views, 1);
-        let shared = gov.allocate(&model, &views, 4);
+        let alone = allocate(&gov, &model, &views, 1);
+        let shared = allocate(&gov, &model, &views, 4);
         assert!((alone.available_w - 400.0).abs() < 1e-9);
         assert!((shared.available_w - 100.0).abs() < 1e-9);
         assert!(shared.freqs[0] <= alone.freqs[0]);
@@ -1115,9 +1031,9 @@ mod tests {
             })
             .collect();
         let gov = CentralGovernor::new(6.0 * 30.0);
-        let forward = gov.allocate(&model, &views, 6);
+        let forward = allocate(&gov, &model, &views, 6);
         let reversed: Vec<MachineView<'_>> = views.iter().rev().copied().collect();
-        let backward = gov.allocate(&model, &reversed, 6);
+        let backward = allocate(&gov, &model, &reversed, 6);
         let by_id = |views: &[MachineView<'_>], alloc: &Allocation| {
             let mut pairs: Vec<(usize, Freq)> = views
                 .iter()
@@ -1235,7 +1151,7 @@ mod tests {
                     _ => floor_w + frac * (max_w - floor_w),
                 };
                 let gov = CentralGovernor::new(slice_w * fleet.max(1) as f64 / views.len().max(1) as f64);
-                let heap = gov.allocate(&model, &views, fleet);
+                let heap = allocate(&gov, &model, &views, fleet);
                 let scan = gov.allocate_scan(&model, &views, fleet);
                 prop_assert_eq!(&heap.freqs, &scan.freqs);
                 prop_assert_eq!(heap.power_w.to_bits(), scan.power_w.to_bits());
@@ -1247,8 +1163,8 @@ mod tests {
             /// in the fleet's round loop: each slice mixes ladders and
             /// core counts, arrives in shuffled order (ids unsorted, and
             /// duplicated in pairs for some slices) and gets its own
-            /// budget. The indexed allocator must return `allocate`'s and
-            /// the reference scan's allocation bit for bit.
+            /// budget. The shared tables must give a fresh table set's
+            /// and the reference scan's allocation bit for bit.
             #[test]
             fn indexed_allocator_reuses_one_table_set_across_slices(
                 slices in proptest::collection::vec(
@@ -1295,9 +1211,9 @@ mod tests {
                     };
                     let fleet = views.len() + unreachable;
                     let gov = CentralGovernor::new(slice_w * fleet.max(1) as f64 / views.len().max(1) as f64);
-                    let whole = gov.allocate(&model, &views, fleet);
+                    let whole = allocate(&gov, &model, &views, fleet);
                     let scan = gov.allocate_scan(&model, &views, fleet);
-                    let indexed = gov.allocate_indexed(&tables, &views, &table_of, fleet, &mut scratch);
+                    let indexed = gov.allocate(&tables, &views, &table_of, fleet, &mut scratch);
                     for reference in [&whole, &scan] {
                         prop_assert_eq!(&indexed.freqs, &reference.freqs);
                         prop_assert_eq!(indexed.power_w.to_bits(), reference.power_w.to_bits());
@@ -1336,19 +1252,19 @@ mod tests {
         let mut hot = DegradationLadder::new();
         for r in 0..6 {
             assert_eq!(
-                hot.observe_health(r, true, true, false),
+                hot.observe(r, true, true, false),
                 GovernorMode::Central,
                 "thermal distress alone must not demote"
             );
         }
         // After a partition heals, a thermal emergency holds the rejoin.
         let mut l = DegradationLadder::new();
-        l.observe_health(0, false, true, true);
-        l.observe_health(1, false, true, true);
+        l.observe(0, false, true, true);
+        l.observe(1, false, true, true);
         assert_eq!(l.mode(), GovernorMode::LocalDepBurst);
         for r in 2..8 {
             assert_eq!(
-                l.observe_health(r, true, true, false),
+                l.observe(r, true, true, false),
                 GovernorMode::LocalDepBurst,
                 "rejoin streak must not accumulate while throttling"
             );
@@ -1356,32 +1272,10 @@ mod tests {
         // Only a full healthy window after the emergency rejoins.
         let rejoin = 8 + u64::from(REJOIN_THRESHOLD) - 1;
         for r in 8..rejoin {
-            assert_eq!(l.observe_health(r, true, true, true), GovernorMode::LocalDepBurst);
+            assert_eq!(l.observe(r, true, true, true), GovernorMode::LocalDepBurst);
         }
-        assert_eq!(l.observe_health(rejoin, true, true, true), GovernorMode::Central);
-        assert!(l.monotonicity_issue().is_none());
-    }
-
-    #[test]
-    fn observe_health_with_thermal_ok_matches_observe() {
-        let mut a = DegradationLadder::new();
-        let mut b = DegradationLadder::new();
-        let pattern = [
-            (true, true),
-            (false, true),
-            (false, false),
-            (true, false),
-            (true, true),
-            (true, true),
-            (true, true),
-            (true, true),
-        ];
-        for (r, &(reach, tel)) in pattern.iter().enumerate() {
-            let ma = a.observe(r as u64, reach, tel);
-            let mb = b.observe_health(r as u64, reach, tel, true);
-            assert_eq!(ma, mb);
-        }
-        assert_eq!(a.transitions().len(), b.transitions().len());
+        assert_eq!(l.observe(rejoin, true, true, true), GovernorMode::Central);
+        assert!(l.log.monotonicity_issue().is_none());
     }
 
     #[test]
@@ -1399,18 +1293,18 @@ mod tests {
     fn hierarchy_rebalance_is_damped_and_freezes_when_root_is_down() {
         let mut h = HierarchicalGovernor::new(2);
         // Root down: shares frozen no matter the demand skew.
-        h.rebalance(&[10.0, 0.0], true);
+        h.rebalance(&[10.0, 0.0], &[], true);
         assert!((h.shares()[0] - 0.5).abs() < 1e-12);
         // Root up: one step moves partway toward demand, not all the way.
-        h.rebalance(&[3.0, 1.0], false);
+        h.rebalance(&[3.0, 1.0], &[], false);
         assert!(h.shares()[0] > 0.5 && h.shares()[0] < 0.75);
         let after_one = h.shares()[0];
         // Repeated steps converge toward the demand split.
         for _ in 0..50 {
-            h.rebalance(&[3.0, 1.0], false);
+            h.rebalance(&[3.0, 1.0], &[], false);
         }
         assert!(h.shares()[0] > after_one);
-        assert!((h.shares()[0] - 0.75).abs() < h.deadband + 1e-9);
+        assert!((h.shares()[0] - 0.75).abs() < HierarchicalGovernor::DEADBAND + 1e-9);
         let total: f64 = h.shares().iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
     }
@@ -1418,7 +1312,7 @@ mod tests {
     #[test]
     fn hierarchy_deadband_suppresses_small_swings() {
         let mut h = HierarchicalGovernor::new(2);
-        h.rebalance(&[1.01, 0.99], false);
+        h.rebalance(&[1.01, 0.99], &[], false);
         assert!((h.shares()[0] - 0.5).abs() < 1e-12, "inside the deadband nothing moves");
     }
 

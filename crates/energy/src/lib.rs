@@ -28,7 +28,7 @@ mod vf;
 pub use governor::{
     AllocScratch, Allocation, BreakerConfig, CentralGovernor, DegradationLadder, GovernorMode,
     GovernorPolicy, HierarchicalGovernor, LocalGovernor, MachineView, OvershootBreaker, TableSet,
-    Transition, REJOIN_THRESHOLD,
+    REJOIN_THRESHOLD,
 };
 pub use manager::{EnergyManager, ManagerConfig, ManagerReport};
 pub use metrics::{select_best, Efficiency, Objective};

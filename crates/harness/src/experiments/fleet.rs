@@ -72,14 +72,13 @@ use dvfs_trace::{Freq, FreqLadder};
 use energyx::{
     AllocScratch, BreakerConfig, CentralGovernor, DegradationLadder, GovernorMode, GovernorPolicy,
     HierarchicalGovernor, LocalGovernor, MachineView, OvershootBreaker, PowerModel, TableSet,
-    Transition,
 };
 use serde::Serialize;
 use simx::fleet::{region_of, ChaosConfig, ChaosSchedule, ChaosState, FleetTopology};
+use simx::ladder::Transition;
 use simx::thermal::{AMBIENT_MC, CEILING_MARGIN_MC, CEILING_SETTLE_ROUNDS, T_CRIT_MC};
 use simx::{
     Invariant, InvariantViolation, ThermalConfig, ThermalModel, ThrottleLadder, ThrottleStage,
-    ThrottleTransition,
 };
 
 use crate::report::TextTable;
@@ -244,7 +243,7 @@ pub struct MachineRow {
     /// Energy consumed, joules.
     pub energy_j: f64,
     /// Every degradation-ladder transition (serialized as its text).
-    pub transitions: Vec<Transition>,
+    pub transitions: Vec<Transition<GovernorMode>>,
     /// Peak true die temperature over the run, milli-°C (thermal runs).
     #[serde(skip_serializing_if = "Option::is_none")]
     pub peak_temp_mc: Option<i64>,
@@ -254,7 +253,7 @@ pub struct MachineRow {
     /// Every throttle-ladder transition (thermal runs; serialized as its
     /// text).
     #[serde(skip_serializing_if = "Vec::is_empty")]
-    pub thermal_transitions: Vec<ThrottleTransition>,
+    pub thermal_transitions: Vec<Transition<ThrottleStage>>,
 }
 
 /// Fleet-level aggregates. Like [`MachineRow`]'s thermal fields, the
@@ -633,7 +632,7 @@ fn step_machine(
     // A thermal emergency blocks the rejoin streak but never demotes:
     // heat is a local actuation problem, not a reachability failure.
     let thermal_ok = !thermal_on || stage.severity() < ThrottleStage::Emergency.severity();
-    let mode = state.ladder_state.observe_health(
+    let mode = state.ladder_state.observe(
         round as u64,
         !chaos.partitioned,
         !chaos.telemetry_lost,
@@ -985,8 +984,7 @@ impl<'a> CentralStage<'a> {
         for (r, orphaned) in self.orphaned.iter_mut().enumerate() {
             *orphaned = self.schedule.aggregator_down(round, r);
         }
-        self.hier
-            .rebalance_masked(&self.demand, &self.orphaned, self.schedule.root_down(round));
+        self.hier.rebalance(&self.demand, &self.orphaned, self.schedule.root_down(round));
         for (r, w) in self.region_w.iter_mut().enumerate() {
             *w = self.hier.region_budget(r, eff_w);
         }
@@ -1041,7 +1039,7 @@ impl<'a> CentralStage<'a> {
                 1.0
             };
             let views = &self.views[range.clone()];
-            let alloc = CentralGovernor::new(budget / leak).allocate_indexed(
+            let alloc = CentralGovernor::new(budget / leak).allocate(
                 self.tables,
                 views,
                 &self.table_of[range],
@@ -1104,12 +1102,8 @@ fn run_rounds(
     let mut tables = TableSet::new(&model);
     let local = LocalGovernor::new(LOCAL_SLOWDOWN);
     let (shards, cols) = build_fleet(config, topo, bench_name, params, cores, &local, &mut tables);
-    let schedule = ChaosSchedule::generate_with_regions(
-        &config.chaos,
-        topo.machines,
-        config.rounds,
-        config.regions,
-    );
+    let schedule =
+        ChaosSchedule::generate(&config.chaos, topo.machines, config.rounds, config.regions);
     let mut fleet = RoundLoop {
         ctx,
         config,
@@ -1265,7 +1259,7 @@ impl RoundLoop<'_> {
         let mut rows = Vec::with_capacity(self.cols.bench.len());
         for (shard, states) in self.shards.iter_mut().enumerate() {
             for s in &mut states.states {
-                if let Some(issue) = s.ladder_state.monotonicity_issue() {
+                if let Some(issue) = s.ladder_state.log.monotonicity_issue() {
                     return Err(violation(
                         Invariant::RejoinMonotonicity,
                         config.rounds,
@@ -1274,14 +1268,14 @@ impl RoundLoop<'_> {
                 }
                 if thermal_on {
                     if sabotage_throttle && s.id == 0 {
-                        s.throttle.forge_transition(ThrottleTransition {
+                        s.throttle.log.forge(Transition {
                             round: config.rounds as u64,
                             from: ThrottleStage::Emergency,
                             to: ThrottleStage::Normal,
                             reason: "sabotage",
                         });
                     }
-                    if let Some(issue) = s.throttle.monotonicity_issue() {
+                    if let Some(issue) = s.throttle.log.monotonicity_issue() {
                         return Err(violation(
                             Invariant::ThrottleMonotonicity,
                             config.rounds,
@@ -1310,11 +1304,11 @@ impl RoundLoop<'_> {
                     slo_attainment: per_round(f64::from(s.slo_ok)),
                     mean_latency_s: per_round(s.lat_sum),
                     energy_j: s.energy_j,
-                    transitions: s.ladder_state.transitions().to_vec(),
+                    transitions: s.ladder_state.log.transitions().to_vec(),
                     peak_temp_mc: thermal_on.then_some(s.peak_temp_mc),
                     throttle_rounds: thermal_on.then_some(s.throttle_rounds),
                     thermal_transitions: if thermal_on {
-                        s.throttle.transitions().to_vec()
+                        s.throttle.log.transitions().to_vec()
                     } else {
                         Vec::new()
                     },
@@ -1346,6 +1340,7 @@ impl RoundLoop<'_> {
             states()
                 .map(|s| {
                     s.throttle
+                        .log
                         .transitions()
                         .iter()
                         .filter(|t| t.reason == reason)

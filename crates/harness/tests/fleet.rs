@@ -11,6 +11,7 @@ use harness::run::{ExecCtx, SimPoint, SweepPlan};
 use harness::{sim_key, SimCache, SimKey};
 use proptest::prelude::*;
 use simx::fleet::ChaosConfig;
+use simx::ladder::Rung;
 use simx::{MachineConfig, ThermalConfig};
 
 /// The golden grid's parameters (see `tests/golden.rs`).
@@ -240,7 +241,7 @@ proptest! {
             let telemetry = cmd & 2 != 0;
             let thermal_ok = cmd & 4 != 0;
             let before = ladder.mode();
-            let after = ladder.observe_health(round, reachable, telemetry, thermal_ok);
+            let after = ladder.observe(round, reachable, telemetry, thermal_ok);
             if reachable && telemetry && thermal_ok {
                 healthy += 1;
             } else {
@@ -262,8 +263,8 @@ proptest! {
                 prop_assert!(after.rung() >= before.rung());
             }
         }
-        prop_assert!(ladder.monotonicity_issue().is_none(),
-            "{:?}", ladder.monotonicity_issue());
+        prop_assert!(ladder.log.monotonicity_issue().is_none(),
+            "{:?}", ladder.log.monotonicity_issue());
     }
 }
 

@@ -32,17 +32,9 @@
 //! consumes no random numbers and leaves the machine bit-identical to an
 //! un-instrumented run.
 //!
-//! # Fleet-level chaos classes
-//!
-//! The [`FaultClass::CHAOS`] classes — machine crash, telemetry loss,
-//! stale telemetry, governor partition, slow link — describe failures of
-//! a *fleet*, not of one machine's counter path. They have no
-//! [`FaultConfig`] slot and never reach a [`FaultInjector`]; instead they
-//! are scheduled by [`crate::fleet::ChaosSchedule`] and injected by the
-//! fleet simulation's round loop. Keeping them out of [`FaultClass::ALL`]
-//! (and out of the config hash) follows the `PanicPoint` precedent:
-//! every pre-existing `sim_key`, golden, and warm cache entry stays
-//! byte-identical.
+//! Fleet-level chaos (crashes, partitions, brownouts, ...) is not a fault
+//! class: [`crate::fleet::ChaosConfig`] configures it and
+//! [`crate::fleet::ChaosSchedule`] draws it.
 
 use depburst_core::stablehash::SplitMix64;
 use dvfs_trace::{DvfsCounters, ExecutionTrace, TimeDelta};
@@ -70,40 +62,6 @@ pub enum FaultClass {
     /// [`ALL`](Self::ALL): the default fault sweeps measure predictor
     /// degradation, and a panicking cell produces no row to measure.
     PanicPoint,
-    /// Fleet chaos: a machine crashes and later restarts (sheds its
-    /// request backlog, consumes no energy, reboots into the deepest
-    /// degradation rung). Scheduled per round by
-    /// [`crate::fleet::ChaosSchedule`]; not in [`ALL`](Self::ALL).
-    MachineCrash,
-    /// Fleet chaos: a machine's telemetry for a round is lost entirely —
-    /// the central governor sees nothing from it. Not in [`ALL`](Self::ALL).
-    TelemetryLoss,
-    /// Fleet chaos: a machine's counter harvest arrives one round stale
-    /// (the governor allocates against last round's state). Not in
-    /// [`ALL`](Self::ALL).
-    StaleTelemetry,
-    /// Fleet chaos: the governor↔machine control link partitions; the
-    /// machine can neither report telemetry nor receive allocations.
-    /// Not in [`ALL`](Self::ALL).
-    GovernorPartition,
-    /// Fleet chaos: the telemetry link slows down, delaying a machine's
-    /// report by one to three rounds. Not in [`ALL`](Self::ALL).
-    SlowLink,
-    /// Fleet chaos: a machine's thermal sensor sticks at its last reading
-    /// for a window, blinding the software throttle ladder while the true
-    /// temperature keeps moving (the hardware trip still works). Not in
-    /// [`ALL`](Self::ALL).
-    ThermalSensorStuck,
-    /// Fleet chaos: a region aggregator (or, on its own stream, the root
-    /// governor) crashes for a window. Under the hierarchical governor a
-    /// root outage freezes region budgets while regions run autonomously;
-    /// under a flat central governor it partitions every machine at once.
-    /// Not in [`ALL`](Self::ALL).
-    RegionAggregatorCrash,
-    /// Fleet chaos: a power brownout — the global budget drops to a drawn
-    /// fraction for a window, forcing the governors to reallocate without
-    /// oscillating the fleet. Not in [`ALL`](Self::ALL).
-    Brownout,
 }
 
 impl FaultClass {
@@ -120,31 +78,15 @@ impl FaultClass {
         FaultClass::DramJitter,
     ];
 
-    /// The fleet-level chaos classes, scheduled by
-    /// [`crate::fleet::ChaosSchedule`] rather than a [`FaultInjector`].
-    /// Deliberately disjoint from [`ALL`](Self::ALL) so their existence
-    /// cannot perturb any single-machine sweep or cache key.
-    pub const CHAOS: [FaultClass; 8] = [
-        FaultClass::MachineCrash,
-        FaultClass::TelemetryLoss,
-        FaultClass::StaleTelemetry,
-        FaultClass::GovernorPartition,
-        FaultClass::SlowLink,
-        FaultClass::ThermalSensorStuck,
-        FaultClass::RegionAggregatorCrash,
-        FaultClass::Brownout,
-    ];
-
     /// Parses a [`name`](Self::name) back to its class (`None` for
     /// unknown names). Round-trips every class, including
-    /// [`PanicPoint`](FaultClass::PanicPoint) and the
-    /// [`CHAOS`](Self::CHAOS) classes.
+    /// [`PanicPoint`](FaultClass::PanicPoint).
     #[must_use]
     pub fn from_name(name: &str) -> Option<FaultClass> {
-        let mut classes = FaultClass::ALL.to_vec();
-        classes.push(FaultClass::PanicPoint);
-        classes.extend(FaultClass::CHAOS);
-        classes.into_iter().find(|c| c.name() == name)
+        FaultClass::ALL
+            .into_iter()
+            .chain([FaultClass::PanicPoint])
+            .find(|c| c.name() == name)
     }
 
     /// A short stable name (used in reports and JSON).
@@ -159,14 +101,6 @@ impl FaultClass {
             FaultClass::TransitionDenied => "transition-denied",
             FaultClass::DramJitter => "dram-jitter",
             FaultClass::PanicPoint => "panic-point",
-            FaultClass::MachineCrash => "machine-crash",
-            FaultClass::TelemetryLoss => "telemetry-loss",
-            FaultClass::StaleTelemetry => "stale-telemetry",
-            FaultClass::GovernorPartition => "governor-partition",
-            FaultClass::SlowLink => "slow-link",
-            FaultClass::ThermalSensorStuck => "thermal-sensor-stuck",
-            FaultClass::RegionAggregatorCrash => "region-aggregator-crash",
-            FaultClass::Brownout => "brownout",
         }
     }
 }
@@ -219,36 +153,21 @@ impl FaultConfig {
         }
     }
 
-    /// One class at the given intensity, everything else disabled. The
-    /// fleet-level [`FaultClass::CHAOS`] classes have no machine-local
-    /// slot (they are configured through `crate::fleet::ChaosConfig`),
-    /// so for them this returns the inert config — installing it is
-    /// bit-identical to not installing an injector at all, and the
-    /// resulting cache key equals the fault-free one.
+    /// One class at the given intensity, everything else disabled.
     #[must_use]
     pub fn single(class: FaultClass, intensity: f64, seed: u64) -> Self {
         let mut config = FaultConfig::none(seed);
         let slot = match class {
-            FaultClass::CounterNoise => Some(&mut config.counter_noise),
-            FaultClass::CounterDropout => Some(&mut config.counter_dropout),
-            FaultClass::CounterSaturation => Some(&mut config.counter_saturation),
-            FaultClass::DelayedHarvest => Some(&mut config.delayed_harvest),
-            FaultClass::TransitionLatency => Some(&mut config.transition_latency),
-            FaultClass::TransitionDenied => Some(&mut config.transition_denied),
-            FaultClass::DramJitter => Some(&mut config.dram_jitter),
-            FaultClass::PanicPoint => Some(&mut config.point_panic),
-            FaultClass::MachineCrash
-            | FaultClass::TelemetryLoss
-            | FaultClass::StaleTelemetry
-            | FaultClass::GovernorPartition
-            | FaultClass::SlowLink
-            | FaultClass::ThermalSensorStuck
-            | FaultClass::RegionAggregatorCrash
-            | FaultClass::Brownout => None,
+            FaultClass::CounterNoise => &mut config.counter_noise,
+            FaultClass::CounterDropout => &mut config.counter_dropout,
+            FaultClass::CounterSaturation => &mut config.counter_saturation,
+            FaultClass::DelayedHarvest => &mut config.delayed_harvest,
+            FaultClass::TransitionLatency => &mut config.transition_latency,
+            FaultClass::TransitionDenied => &mut config.transition_denied,
+            FaultClass::DramJitter => &mut config.dram_jitter,
+            FaultClass::PanicPoint => &mut config.point_panic,
         };
-        if let Some(slot) = slot {
-            *slot = intensity.clamp(0.0, 1.0);
-        }
+        *slot = intensity.clamp(0.0, 1.0);
         config
     }
 
@@ -664,29 +583,22 @@ mod tests {
         }
     }
 
+    /// Every class round-trips through its name, and every class has a
+    /// machine-local slot: a full-intensity `single` config is live.
     #[test]
     fn class_names_round_trip() {
-        for class in FaultClass::ALL {
+        for class in FaultClass::ALL.into_iter().chain([FaultClass::PanicPoint]) {
             assert_eq!(FaultClass::from_name(class.name()), Some(class));
+            assert!(!FaultConfig::single(class, 1.0, 7).is_inert(), "{class} is injectable");
         }
-        for class in FaultClass::CHAOS {
-            assert_eq!(FaultClass::from_name(class.name()), Some(class));
-        }
-        assert_eq!(
-            FaultClass::from_name("panic-point"),
-            Some(FaultClass::PanicPoint)
-        );
         assert_eq!(FaultClass::from_name("no-such-fault"), None);
     }
 
-    /// Satellite regression: the chaos classes must never perturb the
-    /// measurable sweep set or any cache key. `ALL` is pinned to exactly
-    /// the seven pre-chaos names (order included — the faults sweep's row
-    /// order and every golden depend on it), the chaos classes stay out
-    /// of it, and a chaos `single` config is inert and hashes identically
-    /// to the fault-free config.
+    /// `ALL` is pinned to exactly the seven measurable names, order
+    /// included: the faults sweep's row order and every golden depend on
+    /// it.
     #[test]
-    fn chaos_classes_leave_the_sweep_set_and_keys_unchanged() {
+    fn all_pins_the_seven_sweep_classes_in_order() {
         let names: Vec<&str> = FaultClass::ALL.iter().map(|c| c.name()).collect();
         assert_eq!(
             names,
@@ -699,26 +611,8 @@ mod tests {
                 "transition-denied",
                 "dram-jitter",
             ],
-            "FaultClass::ALL must stay byte-for-byte what PR 1 shipped"
+            "FaultClass::ALL must stay byte-for-byte the committed sweep set"
         );
-        let digest = |c: &FaultConfig| {
-            let mut h = depburst_core::stablehash::StableHasher::new();
-            c.hash_into(&mut h);
-            h.finish()
-        };
-        for class in FaultClass::CHAOS {
-            assert!(
-                !FaultClass::ALL.contains(&class),
-                "{class} must stay out of FaultClass::ALL"
-            );
-            let config = FaultConfig::single(class, 1.0, 7);
-            assert!(config.is_inert(), "{class} has no machine-local slot");
-            assert_eq!(
-                digest(&config),
-                digest(&FaultConfig::none(0)),
-                "{class} config must hash like the fault-free config"
-            );
-        }
     }
 
     #[test]

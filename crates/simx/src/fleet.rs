@@ -5,9 +5,9 @@
 //! global power budget. This module holds the simulator-side substrate —
 //! how machines map onto shards, how per-machine random streams derive
 //! from one fleet seed, and the **chaos schedule**: a pure function of
-//! `(ChaosConfig, machines, rounds)` stating, for every round and
-//! machine, which fleet-level faults ([`crate::FaultClass::CHAOS`]) are
-//! active.
+//! `(ChaosConfig, machines, rounds, regions)` stating, for every round
+//! and machine, which fleet-level faults are active, and for every round
+//! which governor tiers are down and how deep the brownout cuts.
 //!
 //! Design rules, inherited from [`crate::faults`]:
 //!
@@ -24,8 +24,6 @@
 //!   rounds.
 
 use depburst_core::stablehash::SplitMix64;
-
-use crate::faults::FaultClass;
 
 /// How machines map onto shards, and how per-machine streams derive from
 /// the fleet seed.
@@ -171,36 +169,6 @@ impl ChaosConfig {
             ..Self::none(seed)
         }
     }
-
-    /// The intensity slot of a chaos class (`None` for machine-local
-    /// classes, which live in [`crate::FaultConfig`] instead).
-    #[must_use]
-    pub fn intensity(&self, class: FaultClass) -> Option<f64> {
-        match class {
-            FaultClass::MachineCrash => Some(self.crash),
-            FaultClass::TelemetryLoss => Some(self.telemetry_loss),
-            FaultClass::StaleTelemetry => Some(self.stale_telemetry),
-            FaultClass::GovernorPartition => Some(self.partition),
-            FaultClass::SlowLink => Some(self.slow_link),
-            FaultClass::ThermalSensorStuck => Some(self.sensor_stuck),
-            FaultClass::RegionAggregatorCrash => Some(self.aggregator_crash),
-            FaultClass::Brownout => Some(self.brownout),
-            _ => None,
-        }
-    }
-
-    /// True if every class is disabled (the schedule is all-default).
-    #[must_use]
-    pub fn is_inert(&self) -> bool {
-        self.crash <= 0.0
-            && self.telemetry_loss <= 0.0
-            && self.stale_telemetry <= 0.0
-            && self.partition <= 0.0
-            && self.slow_link <= 0.0
-            && self.sensor_stuck <= 0.0
-            && self.aggregator_crash <= 0.0
-            && self.brownout <= 0.0
-    }
 }
 
 /// The chaos active on one machine in one round.
@@ -274,27 +242,16 @@ pub struct ChaosSchedule {
 }
 
 impl ChaosSchedule {
-    /// Generates a single-region schedule. Each (class, machine) pair
-    /// draws from its own salted stream, walked over the rounds in order;
-    /// disabled classes consume no randomness at all.
+    /// Generates the schedule for a fleet of `regions` regions. Each
+    /// (class, machine) pair draws from its own salted stream, walked over
+    /// the rounds in order; disabled classes consume no randomness at
+    /// all. On top come one aggregator-outage stream per region, one
+    /// root-outage stream, and the global brownout stream. The region
+    /// count only adds streams — it never shifts the per-machine draws,
+    /// so a one-region schedule's machine states equal an N-region
+    /// schedule's.
     #[must_use]
-    pub fn generate(config: &ChaosConfig, machines: usize, rounds: usize) -> Self {
-        Self::generate_with_regions(config, machines, rounds, 1)
-    }
-
-    /// Generates the schedule for a fleet of `regions` regions: the
-    /// per-machine classes as in [`ChaosSchedule::generate`], plus one
-    /// aggregator-outage stream per region, one root-outage stream, and
-    /// the global brownout stream. The region count only adds streams —
-    /// it never shifts the per-machine draws, so a one-region schedule's
-    /// machine states equal an N-region schedule's.
-    #[must_use]
-    pub fn generate_with_regions(
-        config: &ChaosConfig,
-        machines: usize,
-        rounds: usize,
-        regions: usize,
-    ) -> Self {
+    pub fn generate(config: &ChaosConfig, machines: usize, rounds: usize, regions: usize) -> Self {
         let regions = regions.clamp(1, machines.max(1));
         let mut states = vec![ChaosState::default(); rounds * machines];
         let (mut crash_events, mut partition_events) = (0, 0);
@@ -398,14 +355,6 @@ impl ChaosSchedule {
     #[must_use]
     pub fn regions(&self) -> usize {
         self.regions
-    }
-
-    /// The region owning `machine` (contiguous blocks, the first
-    /// `machines % regions` regions holding one extra — the same tiling
-    /// as [`FleetTopology::shard_of`]).
-    #[must_use]
-    pub fn region_of(&self, machine: usize) -> usize {
-        region_of(self.machines, self.regions, machine)
     }
 
     /// True if `region`'s aggregator is down in `round`. Out-of-range
@@ -600,30 +549,28 @@ mod tests {
 
     #[test]
     fn zero_intensity_schedule_is_all_clear() {
-        let schedule = ChaosSchedule::generate(&ChaosConfig::none(5), 8, 64);
+        let schedule = ChaosSchedule::generate(&ChaosConfig::none(5), 8, 64, 1);
         assert!(schedule.is_clear());
         assert_eq!(schedule.crash_events(), 0);
-        assert!(ChaosConfig::none(5).is_inert());
-        assert!(!ChaosConfig::uniform(0.5, 5).is_inert());
     }
 
     #[test]
     fn schedule_is_a_pure_function_of_its_inputs() {
         let config = ChaosConfig::uniform(0.7, 42);
-        let a = ChaosSchedule::generate(&config, 6, 80);
-        let b = ChaosSchedule::generate(&config, 6, 80);
+        let a = ChaosSchedule::generate(&config, 6, 80, 1);
+        let b = ChaosSchedule::generate(&config, 6, 80, 1);
         assert_eq!(a, b);
-        let c = ChaosSchedule::generate(&ChaosConfig::uniform(0.7, 43), 6, 80);
+        let c = ChaosSchedule::generate(&ChaosConfig::uniform(0.7, 43), 6, 80, 1);
         assert_ne!(a, c, "a different chaos seed must change the schedule");
     }
 
     #[test]
     fn classes_draw_from_independent_streams() {
         // Turning one class off must not shift another class's events.
-        let full = ChaosSchedule::generate(&ChaosConfig::uniform(0.8, 7), 4, 60);
+        let full = ChaosSchedule::generate(&ChaosConfig::uniform(0.8, 7), 4, 60, 1);
         let mut no_crash = ChaosConfig::uniform(0.8, 7);
         no_crash.crash = 0.0;
-        let partial = ChaosSchedule::generate(&no_crash, 4, 60);
+        let partial = ChaosSchedule::generate(&no_crash, 4, 60, 1);
         for round in 0..60 {
             for m in 0..4 {
                 let f = full.state(round, m);
@@ -644,7 +591,7 @@ mod tests {
             mean_outage_rounds: 4,
             ..ChaosConfig::none(3)
         };
-        let schedule = ChaosSchedule::generate(&config, 2, 200);
+        let schedule = ChaosSchedule::generate(&config, 2, 200, 1);
         assert!(schedule.crash_events() >= 2, "full intensity must crash");
         // Outages have duration: some crash run must span several rounds
         // (a pure per-round Bernoulli at this rate would make multi-round
@@ -673,7 +620,7 @@ mod tests {
             slow_link: 1.0,
             ..ChaosConfig::none(11)
         };
-        let schedule = ChaosSchedule::generate(&config, 3, 100);
+        let schedule = ChaosSchedule::generate(&config, 3, 100, 1);
         let mut fired = false;
         for round in 0..100 {
             for m in 0..3 {
@@ -687,28 +634,9 @@ mod tests {
 
     #[test]
     fn out_of_range_queries_are_clear() {
-        let schedule = ChaosSchedule::generate(&ChaosConfig::uniform(1.0, 1), 2, 10);
+        let schedule = ChaosSchedule::generate(&ChaosConfig::uniform(1.0, 1), 2, 10, 1);
         assert!(schedule.state(10, 0).is_clear());
         assert!(schedule.state(0, 2).is_clear());
-    }
-
-    #[test]
-    fn intensity_maps_chaos_classes_only() {
-        let config = ChaosConfig::uniform(0.4, 1);
-        for class in FaultClass::CHAOS {
-            let expected = match class {
-                // The thermal/hierarchy classes are opt-in: `uniform`
-                // must leave them inert so pre-thermal runs stay
-                // byte-identical.
-                FaultClass::ThermalSensorStuck
-                | FaultClass::RegionAggregatorCrash
-                | FaultClass::Brownout => 0.0,
-                _ => 0.4,
-            };
-            assert_eq!(config.intensity(class), Some(expected), "{class}");
-        }
-        assert_eq!(config.intensity(FaultClass::CounterNoise), None);
-        assert_eq!(config.intensity(FaultClass::PanicPoint), None);
     }
 
     #[test]
@@ -728,7 +656,7 @@ mod tests {
             ),
             (ChaosConfig::uniform(0.5, 9), 7, 0, 1),
         ] {
-            let s = ChaosSchedule::generate_with_regions(&config, machines, rounds, regions);
+            let s = ChaosSchedule::generate(&config, machines, rounds, regions);
             assert_eq!(s.crash_events(), s.transitions(|c| c.crashed), "{config:?}");
             assert_eq!(
                 s.partition_events(),
@@ -736,12 +664,14 @@ mod tests {
                 "{config:?}"
             );
         }
-        assert!(ChaosSchedule::generate(&ChaosConfig::uniform(1.0, 3), 33, 200).crash_events() > 0);
+        assert!(
+            ChaosSchedule::generate(&ChaosConfig::uniform(1.0, 3), 33, 200, 1).crash_events() > 0
+        );
     }
 
     #[test]
     fn round_rows_are_the_per_machine_states() {
-        let schedule = ChaosSchedule::generate(&ChaosConfig::uniform(0.8, 4), 5, 30);
+        let schedule = ChaosSchedule::generate(&ChaosConfig::uniform(0.8, 4), 5, 30, 1);
         for round in 0..30 {
             let row = schedule.round_states(round);
             assert_eq!(row.len(), 5);
@@ -783,8 +713,8 @@ mod tests {
 
     #[test]
     fn new_classes_are_windowed_bounded_and_deterministic() {
-        let schedule = ChaosSchedule::generate_with_regions(&storm(13), 6, 200, 3);
-        assert_eq!(schedule, ChaosSchedule::generate_with_regions(&storm(13), 6, 200, 3));
+        let schedule = ChaosSchedule::generate(&storm(13), 6, 200, 3);
+        assert_eq!(schedule, ChaosSchedule::generate(&storm(13), 6, 200, 3));
         assert!(schedule.aggregator_events() > 0, "aggregators must crash");
         assert!(schedule.brownout_rounds() > 0, "brownouts must occur");
         let mut stuck_rounds = 0;
@@ -809,8 +739,8 @@ mod tests {
             sensor_stuck: 0.6,
             ..ChaosConfig::uniform(0.7, 21)
         };
-        let one = ChaosSchedule::generate_with_regions(&config, 5, 80, 1);
-        let four = ChaosSchedule::generate_with_regions(&config, 5, 80, 4);
+        let one = ChaosSchedule::generate(&config, 5, 80, 1);
+        let four = ChaosSchedule::generate(&config, 5, 80, 4);
         for round in 0..80 {
             for m in 0..5 {
                 assert_eq!(one.state(round, m), four.state(round, m));
@@ -824,7 +754,7 @@ mod tests {
         // be all-healthy, and the machine states must equal a schedule
         // generated before those streams existed (same seeds, same
         // draws).
-        let legacy = ChaosSchedule::generate_with_regions(&ChaosConfig::uniform(0.5, 7), 4, 60, 3);
+        let legacy = ChaosSchedule::generate(&ChaosConfig::uniform(0.5, 7), 4, 60, 3);
         for round in 0..60 {
             assert!(!legacy.root_down(round));
             assert_eq!(legacy.budget_milli(round), 1000);
@@ -835,7 +765,7 @@ mod tests {
                 assert!(!legacy.state(round, m).sensor_stuck);
             }
         }
-        assert!(ChaosSchedule::generate_with_regions(&ChaosConfig::none(5), 4, 60, 3).is_clear());
-        assert!(!ChaosSchedule::generate_with_regions(&storm(5), 4, 200, 2).is_clear());
+        assert!(ChaosSchedule::generate(&ChaosConfig::none(5), 4, 60, 3).is_clear());
+        assert!(!ChaosSchedule::generate(&storm(5), 4, 200, 2).is_clear());
     }
 }

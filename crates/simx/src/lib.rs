@@ -33,6 +33,7 @@ pub mod engine;
 pub mod faults;
 pub mod fleet;
 pub mod invariants;
+pub mod ladder;
 pub mod mem;
 pub mod os;
 pub mod program;
@@ -54,7 +55,7 @@ pub use program::{
 };
 pub use sampling::{Extrapolation, RegionMeasurement, RegionSchedule, SamplingConfig};
 pub use stats::RunStats;
-pub use thermal::{ThermalConfig, ThermalModel, ThrottleLadder, ThrottleStage, ThrottleTransition};
+pub use thermal::{ThermalConfig, ThermalModel, ThrottleLadder, ThrottleStage};
 
 #[cfg(test)]
 mod send_tests {

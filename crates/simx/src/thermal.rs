@@ -34,13 +34,15 @@
 //! the hardware trip, with hysteretic one-rung cooldown so a temperature
 //! hovering at a threshold cannot oscillate the machine. Like
 //! `energyx::DegradationLadder`, it is a pure state machine over its
-//! observation sequence, and [`ThrottleLadder::monotonicity_issue`] feeds
-//! the `throttle-monotonicity` invariant.
+//! observation sequence that records its stage changes in a
+//! [`TransitionLog`], whose monotonicity check feeds the
+//! `throttle-monotonicity` invariant.
 
 use core::fmt;
 
 use depburst_core::stablehash::SplitMix64;
-use serde::{JsonWriter, Serialize, Value};
+
+use crate::ladder::{Rung, TransitionLog};
 
 /// Stream salt of the per-machine sensor-noise draws.
 const SENSOR_SALT: u64 = 0x7365_6E73_6F72;
@@ -261,6 +263,15 @@ impl fmt::Display for ThrottleStage {
     }
 }
 
+/// Recovery height is severity inverted: Shutdown < Emergency <
+/// Proactive < Normal, so the one-rung recovery rule makes every
+/// shutdown exit land on the emergency floor.
+impl Rung for ThrottleStage {
+    fn rung(self) -> u8 {
+        ThrottleStage::Shutdown.severity() - self.severity()
+    }
+}
+
 /// De-escalation margin of the throttle ladder below a stage's
 /// threshold, milli-°C.
 const HYSTERESIS_MC: i64 = 3_000;
@@ -277,54 +288,17 @@ const SHUTDOWN_ROUNDS: u32 = 4;
 /// not re-inrush together.
 const STAGGER_ROUNDS: u32 = 3;
 
-/// One recorded stage change of a machine's throttle ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThrottleTransition {
-    /// Fleet round the transition happened in.
-    pub round: u64,
-    /// Stage before.
-    pub from: ThrottleStage,
-    /// Stage after.
-    pub to: ThrottleStage,
-    /// Why (static label: "proactive-throttle", "emergency-throttle",
-    /// "thermal-shutdown", "black-start", "cooldown").
-    pub reason: &'static str,
-}
-
-impl fmt::Display for ThrottleTransition {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "r{} {}→{} ({})",
-            self.round,
-            self.from.name(),
-            self.to.name(),
-            self.reason
-        )
-    }
-}
-
-/// A transition serializes as its `Display` text.
-impl Serialize for ThrottleTransition {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.display_str(self);
-    }
-}
-
 /// The per-machine power-integrity state machine. Deterministic: the
 /// stage sequence is a pure function of the observation sequence.
 #[derive(Debug, Clone)]
 pub struct ThrottleLadder {
-    stage: ThrottleStage,
+    /// The current stage and its transitions; public so the sabotage
+    /// path can forge an entry.
+    pub log: TransitionLog<ThrottleStage>,
     cool_streak: u32,
     down_remaining: u32,
     /// Extra black-start hold of this machine (`machine % stagger`).
     stagger_offset: u32,
-    transitions: Vec<ThrottleTransition>,
 }
 
 impl ThrottleLadder {
@@ -332,24 +306,17 @@ impl ThrottleLadder {
     #[must_use]
     pub fn new(machine: usize) -> Self {
         ThrottleLadder {
-            stage: ThrottleStage::Normal,
+            log: TransitionLog::default(),
             cool_streak: 0,
             down_remaining: 0,
             stagger_offset: (machine as u32) % STAGGER_ROUNDS,
-            transitions: Vec::new(),
         }
     }
 
     /// The current stage.
     #[must_use]
     pub fn stage(&self) -> ThrottleStage {
-        self.stage
-    }
-
-    /// Every recorded transition, in round order.
-    #[must_use]
-    pub fn transitions(&self) -> &[ThrottleTransition] {
-        &self.transitions
+        self.log.stage()
     }
 
     /// Feeds one round's temperatures and returns the stage that governs
@@ -362,45 +329,45 @@ impl ThrottleLadder {
         // Shutdown is a hold, not a threshold: count it down, then
         // black-start into Emergency (the floor) — never straight to an
         // unconstrained stage.
-        if self.stage == ThrottleStage::Shutdown {
+        if self.stage() == ThrottleStage::Shutdown {
             if self.down_remaining > 0 {
                 self.down_remaining -= 1;
-                return self.stage;
+                return self.stage();
             }
-            self.shift(round, ThrottleStage::Emergency, "black-start");
+            self.log.shift(round, ThrottleStage::Emergency, "black-start");
             self.cool_streak = 0;
-            return self.stage;
+            return self.stage();
         }
 
         // The hardware trip reads the true temperature: a stuck or lying
         // sensor cannot defeat it.
         if true_mc >= T_SHUTDOWN_MC {
-            self.shift(round, ThrottleStage::Shutdown, "thermal-shutdown");
+            self.log.shift(round, ThrottleStage::Shutdown, "thermal-shutdown");
             self.down_remaining = SHUTDOWN_ROUNDS + self.stagger_offset;
             self.cool_streak = 0;
-            return self.stage;
+            return self.stage();
         }
 
         // Software escalation on the sensor, immediate and possibly
         // multi-rung upward (Normal → Emergency on one hot reading).
         if sensor_mc >= T_CRIT_MC {
-            if self.stage.severity() < ThrottleStage::Emergency.severity() {
-                self.shift(round, ThrottleStage::Emergency, "emergency-throttle");
+            if self.stage().severity() < ThrottleStage::Emergency.severity() {
+                self.log.shift(round, ThrottleStage::Emergency, "emergency-throttle");
             }
             self.cool_streak = 0;
-            return self.stage;
+            return self.stage();
         }
         if sensor_mc >= T_CAP_MC {
-            if self.stage == ThrottleStage::Normal {
-                self.shift(round, ThrottleStage::Proactive, "proactive-throttle");
+            if self.stage() == ThrottleStage::Normal {
+                self.log.shift(round, ThrottleStage::Proactive, "proactive-throttle");
             }
             self.cool_streak = 0;
-            return self.stage;
+            return self.stage();
         }
 
         // Hysteretic cooldown: one rung per confirmed-cool window, and
         // only once the sensor sits clear below the governing threshold.
-        let clear = match self.stage {
+        let clear = match self.stage() {
             ThrottleStage::Emergency => sensor_mc < T_CRIT_MC - HYSTERESIS_MC,
             ThrottleStage::Proactive => sensor_mc < T_CAP_MC - HYSTERESIS_MC,
             _ => false,
@@ -408,65 +375,24 @@ impl ThrottleLadder {
         if clear {
             self.cool_streak += 1;
             if self.cool_streak >= COOLDOWN_ROUNDS {
-                let down = match self.stage {
+                let down = match self.stage() {
                     ThrottleStage::Emergency => ThrottleStage::Proactive,
                     _ => ThrottleStage::Normal,
                 };
-                self.shift(round, down, "cooldown");
+                self.log.shift(round, down, "cooldown");
                 self.cool_streak = 0;
             }
         } else {
             self.cool_streak = 0;
         }
-        self.stage
-    }
-
-    fn shift(&mut self, round: u64, to: ThrottleStage, reason: &'static str) {
-        self.transitions.push(ThrottleTransition {
-            round,
-            from: self.stage,
-            to,
-            reason,
-        });
-        self.stage = to;
-    }
-
-    /// Test-only forgery hook for the sabotage path: appends a raw
-    /// transition so CI can prove `monotonicity_issue` fires.
-    pub fn forge_transition(&mut self, t: ThrottleTransition) {
-        self.transitions.push(t);
-    }
-
-    /// Checks the recorded transition log for throttle-ladder
-    /// monotonicity: rounds non-decreasing, every transition an actual
-    /// change, every *de-escalation* exactly one rung, and every exit
-    /// from shutdown a black-start into the emergency floor. Feeds
-    /// `Invariant::ThrottleMonotonicity`.
-    #[must_use]
-    pub fn monotonicity_issue(&self) -> Option<String> {
-        let mut prev_round = 0u64;
-        for t in &self.transitions {
-            if t.round < prev_round {
-                return Some(format!("transition log out of order at {t}"));
-            }
-            prev_round = t.round;
-            if t.from == t.to {
-                return Some(format!("self-transition at {t}"));
-            }
-            if t.from == ThrottleStage::Shutdown && t.to != ThrottleStage::Emergency {
-                return Some(format!("shutdown exit skips the emergency floor at {t}"));
-            }
-            if t.from.severity() > t.to.severity() && t.from.severity() - t.to.severity() != 1 {
-                return Some(format!("multi-rung de-escalation at {t}"));
-            }
-        }
-        None
+        self.stage()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ladder::Transition;
 
     fn cfg() -> ThermalConfig {
         ThermalConfig::datacenter(7)
@@ -559,7 +485,7 @@ mod tests {
         let mut l = ThrottleLadder::new(0);
         assert_eq!(l.observe(0, 70_000, 70_000), ThrottleStage::Normal);
         assert_eq!(l.observe(1, 96_000, 96_000), ThrottleStage::Emergency);
-        assert_eq!(l.transitions()[0].reason, "emergency-throttle");
+        assert_eq!(l.log.transitions()[0].reason, "emergency-throttle");
         // Inside the hysteresis band: no cooldown progress.
         for r in 2..10 {
             assert_eq!(l.observe(r, 93_000, 93_000), ThrottleStage::Emergency);
@@ -573,7 +499,7 @@ mod tests {
             l.observe(r, 70_000, 70_000);
         }
         assert_eq!(l.stage(), ThrottleStage::Normal);
-        assert!(l.monotonicity_issue().is_none());
+        assert!(l.log.monotonicity_issue().is_none());
     }
 
     #[test]
@@ -582,7 +508,7 @@ mod tests {
             let mut l = ThrottleLadder::new(machine);
             // Sensor stuck cold; the truth trips the hardware.
             assert_eq!(l.observe(0, 50_000, 106_000), ThrottleStage::Shutdown);
-            assert_eq!(l.transitions()[0].reason, "thermal-shutdown");
+            assert_eq!(l.log.transitions()[0].reason, "thermal-shutdown");
             let mut rounds = 0u64;
             let mut r = 1;
             while l.stage() == ThrottleStage::Shutdown {
@@ -592,8 +518,8 @@ mod tests {
                 assert!(rounds < 64, "shutdown must end");
             }
             assert_eq!(l.stage(), ThrottleStage::Emergency, "black-start lands on the floor");
-            assert_eq!(l.transitions().last().unwrap().reason, "black-start");
-            assert!(l.monotonicity_issue().is_none());
+            assert_eq!(l.log.transitions().last().unwrap().reason, "black-start");
+            assert!(l.log.monotonicity_issue().is_none());
             rounds
         };
         let h0 = hold_of(0);
@@ -605,22 +531,22 @@ mod tests {
     #[test]
     fn monotonicity_catches_forged_multi_rung_cooldown_and_bad_shutdown_exit() {
         let mut l = ThrottleLadder::new(0);
-        l.forge_transition(ThrottleTransition {
+        l.log.forge(Transition {
             round: 1,
             from: ThrottleStage::Emergency,
             to: ThrottleStage::Normal,
             reason: "forged",
         });
-        assert!(l.monotonicity_issue().unwrap().contains("multi-rung"));
+        assert!(l.log.monotonicity_issue().unwrap().contains("multi-rung"));
 
         let mut l = ThrottleLadder::new(0);
-        l.forge_transition(ThrottleTransition {
+        l.log.forge(Transition {
             round: 1,
             from: ThrottleStage::Shutdown,
             to: ThrottleStage::Proactive,
             reason: "forged",
         });
-        assert!(l.monotonicity_issue().unwrap().contains("emergency floor"));
+        assert!(l.log.monotonicity_issue().unwrap().contains("multi-rung"));
     }
 
     #[test]
@@ -633,6 +559,7 @@ mod tests {
         ];
         for w in stages.windows(2) {
             assert!(w[0].severity() < w[1].severity());
+            assert_eq!(w[0].rung(), w[1].rung() + 1, "recovery height inverts severity");
         }
         let mut names: Vec<_> = stages.iter().map(|s| s.name()).collect();
         names.sort_unstable();

@@ -217,23 +217,35 @@ resilience_resume() {
 }
 step "resilience: interrupt + resume" resilience_resume
 
+# The fleet gates below share one determinism check: the command runs at
+# --jobs 1 and at --jobs 4, each writing its --out report, and both its
+# stdout and its report must be byte-identical across the two. Reports
+# go to /tmp (results/fleet.json and results/thermal.json are committed
+# evidence of other configs); the --jobs 1 pair is left as "$out.j1.*"
+# for the caller's content checks.
+jobs_identical() {
+    local out="$1" what="$2"
+    shift 2
+    rm -f "$out".*
+    local j
+    for j in 1 4; do
+        "$@" --jobs "$j" --out "$out.j$j.json" > "$out.j$j.out" 2> /dev/null
+    done
+    cmp "$out.j1.out" "$out.j4.out" && cmp "$out.j1.json" "$out.j4.json" || {
+        echo "$what is not byte-identical across --jobs 1 / --jobs 4"
+        return 1
+    }
+}
+
 # Chaos gate: a tiny fleet under a fixed chaos seed must be
 # byte-identical at --jobs 1 and --jobs 4, exit 0 even though some rows
 # are partial by design (crashed machines shed traffic in-model — the
 # sweep itself loses no points), and the report must show degradation
-# transitions actually happened. Reports go to /tmp: results/fleet.json
-# is committed evidence of another config.
+# transitions actually happened.
 chaos_gate() {
     local out=/tmp/depburst-ci-fleet
-    rm -f "$out".*
-    "$BIN/fleet" 8 40 "$SCALE" 1 --shards 2 --chaos 0.5 --chaos-seed 7 \
-        --policy depburst --jobs 1 --out "$out.j1.json" > "$out.j1.out" 2> /dev/null
-    "$BIN/fleet" 8 40 "$SCALE" 1 --shards 2 --chaos 0.5 --chaos-seed 7 \
-        --policy depburst --jobs 4 --out "$out.j4.json" > "$out.j4.out" 2> /dev/null
-    cmp "$out.j1.out" "$out.j4.out" && cmp "$out.j1.json" "$out.j4.json" || {
-        echo "chaos fleet is not byte-identical across --jobs 1 / --jobs 4"
-        return 1
-    }
+    jobs_identical "$out" "chaos fleet" "$BIN/fleet" 8 40 "$SCALE" 1 --shards 2 \
+        --chaos 0.5 --chaos-seed 7 --policy depburst
     grep -q "crash-restart\|partition" "$out.j1.json" || {
         echo "chaos fleet report lacks degradation transitions"
         return 1
@@ -251,13 +263,7 @@ step "chaos gate: fleet determinism under faults" chaos_gate
 # matrix costs one characterization sweep per invocation.
 thermal_gate() {
     local out=/tmp/depburst-ci-thermal
-    rm -f "$out".*
-    "$BIN/thermal" 12 160 0.02 1 --jobs 1 --out "$out.j1.json" > "$out.j1.out" 2> /dev/null
-    "$BIN/thermal" 12 160 0.02 1 --jobs 4 --out "$out.j4.json" > "$out.j4.out" 2> /dev/null
-    cmp "$out.j1.out" "$out.j4.out" && cmp "$out.j1.json" "$out.j4.json" || {
-        echo "thermal matrix is not byte-identical across --jobs 1 / --jobs 4"
-        return 1
-    }
+    jobs_identical "$out" "thermal matrix" "$BIN/thermal" 12 160 0.02 1
     local emer black
     emer=$(awk '/^thermal:/ { print $2 }' "$out.j1.out")
     black=$(grep -o '[0-9]\+ black-start' "$out.j1.out" | awk '{ print $1 }')
@@ -284,20 +290,9 @@ step "thermal gate: matrix determinism + power-integrity events" thermal_gate
 # never from execution order.
 brownout_gate() {
     local out=/tmp/depburst-ci-brownout
-    local flags="--shards 2 --regions 3 --hierarchy on --thermal on \
-        --brownout 0.6 --region-crash 0.5 --sensor-stuck 0.3 \
-        --chaos 0.3 --chaos-seed 7 --policy depburst"
-    rm -f "$out".*
-    # shellcheck disable=SC2086
-    "$BIN/fleet" 8 60 "$SCALE" 1 $flags --jobs 1 --out "$out.j1.json" \
-        > "$out.j1.out" 2> /dev/null
-    # shellcheck disable=SC2086
-    "$BIN/fleet" 8 60 "$SCALE" 1 $flags --jobs 4 --out "$out.j4.json" \
-        > "$out.j4.out" 2> /dev/null
-    cmp "$out.j1.out" "$out.j4.out" && cmp "$out.j1.json" "$out.j4.json" || {
-        echo "brownout fleet is not byte-identical across --jobs 1 / --jobs 4"
-        return 1
-    }
+    jobs_identical "$out" "brownout fleet" "$BIN/fleet" 8 60 "$SCALE" 1 --shards 2 \
+        --regions 3 --hierarchy on --thermal on --brownout 0.6 --region-crash 0.5 \
+        --sensor-stuck 0.3 --chaos 0.3 --chaos-seed 7 --policy depburst
     grep -q '"brownout_rounds": [1-9]' "$out.j1.json" || {
         echo "brownout fleet report records no brownout rounds"
         return 1
@@ -312,20 +307,9 @@ step "brownout gate: new chaos classes deterministic" brownout_gate
 # the round loop reuses its buffers across 16 allocation slices a round.
 many_slices_gate() {
     local out=/tmp/depburst-ci-slices
-    local flags="--shards 4 --regions 16 --hierarchy on --thermal on \
-        --brownout 0.5 --region-crash 0.5 --sensor-stuck 0.5 \
-        --chaos 0.5 --chaos-seed 7 --policy depburst"
-    rm -f "$out".*
-    # shellcheck disable=SC2086
-    "$BIN/fleet" 256 40 "$SCALE" 1 $flags --jobs 1 --out "$out.j1.json" \
-        > "$out.j1.out" 2> /dev/null
-    # shellcheck disable=SC2086
-    "$BIN/fleet" 256 40 "$SCALE" 1 $flags --jobs 4 --out "$out.j4.json" \
-        > "$out.j4.out" 2> /dev/null
-    cmp "$out.j1.out" "$out.j4.out" && cmp "$out.j1.json" "$out.j4.json" || {
-        echo "16-region fleet is not byte-identical across --jobs 1 / --jobs 4"
-        return 1
-    }
+    jobs_identical "$out" "16-region fleet" "$BIN/fleet" 256 40 "$SCALE" 1 --shards 4 \
+        --regions 16 --hierarchy on --thermal on --brownout 0.5 --region-crash 0.5 \
+        --sensor-stuck 0.5 --chaos 0.5 --chaos-seed 7 --policy depburst
     grep -q '"regions": 16' "$out.j1.json" || {
         echo "16-region fleet report does not record 16 regions"
         return 1
@@ -505,50 +489,58 @@ step "fleet sabotage gate: throttle-monotonicity" fleet_sabotage throttle-monoto
 step "fleet sabotage gate: hierarchy-budget-conservation" \
     fleet_sabotage hierarchy-budget-conservation
 
-# A full experiment sweep under the strictest monitor tier must finish
-# clean AND print the exact bytes of an unmonitored run: the monitor
-# observes, never perturbs.
-invariant_sweep() {
-    local out=/tmp/depburst-ci-inv
-    rm -f "$out".*.out
-    DEPBURST_INVARIANTS=full \
-        "$BIN/fig3" both "$SCALE" 1 --jobs 2 > "$out.full.out"
-    "$BIN/fig3" both "$SCALE" 1 --jobs 2 > "$out.plain.out"
-    cmp "$out.full.out" "$out.plain.out" || {
-        echo "fig3 under DEPBURST_INVARIANTS=full is not byte-identical"
-        return 1
-    }
-    rm -f "$out".*.out
+# The monitor observes, never perturbs: the command runs unmonitored and
+# under each DEPBURST_INVARIANTS tier of TIERS, and every monitored run
+# must finish clean and print the exact bytes of the unmonitored one.
+# With --report the command also writes its --out report per run, and
+# the reports must match too.
+monitor_identical() {
+    local out="$1" tiers="$2"
+    shift 2
+    local report=false
+    if [ "$1" = --report ]; then
+        report=true
+        shift
+    fi
+    rm -f "$out".*
+    local tier run
+    for tier in plain $tiers; do
+        run=("$@")
+        if $report; then
+            run+=(--out "$out.$tier.json")
+        fi
+        if [ "$tier" = plain ]; then
+            "${run[@]}" > "$out.plain.out"
+        else
+            DEPBURST_INVARIANTS="$tier" "${run[@]}" > "$out.$tier.out"
+            cmp "$out.plain.out" "$out.$tier.out" &&
+                { ! $report || cmp "$out.plain.json" "$out.$tier.json"; } || {
+                echo "$* under DEPBURST_INVARIANTS=$tier is not byte-identical"
+                return 1
+            }
+        fi
+    done
+    rm -f "$out".*
 }
-step "invariants: monitored fig3 sweep" invariant_sweep
+
+# A full experiment sweep under the strictest monitor tier.
+step "invariants: monitored fig3 sweep" \
+    monitor_identical /tmp/depburst-ci-inv full "$BIN/fig3" both "$SCALE" 1 --jobs 2
 
 # The same contract on the fault sweep: its DramJitter class perturbs
 # DRAM read latency, so this is the identity check that drives the
 # jitter branch of the DRAM round kernel (the sweeps above never enable
 # jitter). Stdout and the --out report must both match an unmonitored run.
-invariant_faults_sweep() {
-    local out=/tmp/depburst-ci-inv-faults
-    rm -f "$out".*
-    DEPBURST_INVARIANTS=full "$BIN/faults" "$SCALE" 1 10 --jobs 2 \
-        --out "$out.full.json" > "$out.full.out"
-    "$BIN/faults" "$SCALE" 1 10 --jobs 2 --out "$out.plain.json" > "$out.plain.out"
-    cmp "$out.full.out" "$out.plain.out" && cmp "$out.full.json" "$out.plain.json" || {
-        echo "faults under DEPBURST_INVARIANTS=full is not byte-identical"
-        return 1
-    }
-    rm -f "$out".*
-}
-step "invariants: monitored fault sweep" invariant_faults_sweep
+step "invariants: monitored fault sweep" \
+    monitor_identical /tmp/depburst-ci-inv-faults full --report \
+    "$BIN/faults" "$SCALE" 1 10 --jobs 2
 
 # The same contract on the managed and pinned runs: fig6 (DEP+BURST
 # manager per benchmark), fig7 (threshold sweep) and the ablation's
 # manager sweep re-predict every quantum, and percore pins thread groups
 # to cores. Each run ends in the harness's finish step, so a violation
-# exits nonzero here; a clean monitored run must print the exact bytes of
-# an unmonitored one.
+# exits nonzero here.
 invariant_manager_sweep() {
-    local out=/tmp/depburst-ci-inv-manager
-    rm -f "$out".*.out
     local fig args
     for fig in fig6 fig7 ablation percore; do
         case "$fig" in
@@ -557,15 +549,8 @@ invariant_manager_sweep() {
             ablation | percore) args="$SCALE 1 --jobs 2" ;;
         esac
         # shellcheck disable=SC2086
-        DEPBURST_INVARIANTS=full "$BIN/$fig" $args > "$out.$fig.full.out"
-        # shellcheck disable=SC2086
-        "$BIN/$fig" $args > "$out.$fig.plain.out"
-        cmp "$out.$fig.full.out" "$out.$fig.plain.out" || {
-            echo "$fig under DEPBURST_INVARIANTS=full is not byte-identical"
-            return 1
-        }
+        monitor_identical "/tmp/depburst-ci-inv-$fig" full "$BIN/$fig" $args
     done
-    rm -f "$out".*.out
 }
 step "invariants: monitored fig6/fig7/ablation/percore sweeps" invariant_manager_sweep
 
@@ -573,25 +558,9 @@ step "invariants: monitored fig6/fig7/ablation/percore sweeps" invariant_manager
 # pipeline either — probe/measure sub-runs execute under the monitor, so
 # a sampled sweep under the cheap and full tiers must print the exact
 # bytes of the unmonitored sampled run.
-invariant_sampled_sweep() {
-    local out=/tmp/depburst-ci-inv-sampled
-    rm -f "$out".*.out
-    "$BIN/fig3" both "$SCALE" 1 --jobs 2 --sampling on > "$out.off.out"
-    DEPBURST_INVARIANTS=cheap \
-        "$BIN/fig3" both "$SCALE" 1 --jobs 2 --sampling on > "$out.cheap.out"
-    DEPBURST_INVARIANTS=full \
-        "$BIN/fig3" both "$SCALE" 1 --jobs 2 --sampling on > "$out.full.out"
-    cmp "$out.off.out" "$out.cheap.out" || {
-        echo "sampled fig3 under DEPBURST_INVARIANTS=cheap is not byte-identical"
-        return 1
-    }
-    cmp "$out.off.out" "$out.full.out" || {
-        echo "sampled fig3 under DEPBURST_INVARIANTS=full is not byte-identical"
-        return 1
-    }
-    rm -f "$out".*.out
-}
-step "invariants: monitored sampled fig3 sweep" invariant_sampled_sweep
+step "invariants: monitored sampled fig3 sweep" \
+    monitor_identical /tmp/depburst-ci-inv-sampled "cheap full" \
+    "$BIN/fig3" both "$SCALE" 1 --jobs 2 --sampling on
 
 # Nothing above may rewrite committed evidence; only run_experiments.sh
 # (and the regeneration commands noted above) rewrite results/.
