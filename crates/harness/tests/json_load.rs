@@ -160,10 +160,23 @@ fn junk(rng: &mut TestRng, depth: usize) -> Value {
     }
 }
 
-/// Number tokens at the scanner's edges: the integer range limits, `f64`
-/// limits and subnormals, signed zeros, exponent signs, floats where
-/// integers go, and forms RFC 8259 forbids, which both paths must reject.
-const NUMBER_TOKENS: [&str; 30] = [
+/// Number tokens at the scanner's edges: 20-plus-digit exponents and
+/// significands that leading zeros keep exact, halfway ties, the integer
+/// range limits, `f64` limits, overflow and subnormals, signed zeros,
+/// exponent signs, floats where integers go, and forms RFC 8259 forbids,
+/// which both paths must reject.
+const NUMBER_TOKENS: [&str; 41] = [
+    "1e0000000000000000000001",
+    "0.00000000000000000000012345678901234567",
+    "9007199254740993",
+    "1.00000000000000011102230246251565404236316680908203124",
+    "1.00000000000000011102230246251565404236316680908203125",
+    "1.00000000000000011102230246251565404236316680908203126",
+    "2.2250738585072011e-308",
+    "4.9406564584124654e-324",
+    "1.7976931348623157e308",
+    "1.7976931348623159e308",
+    "0e999999999999999999999",
     "18446744073709551615",
     "18446744073709551616",
     "-9223372036854775808",

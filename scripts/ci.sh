@@ -378,10 +378,12 @@ step "durability: fault-soaked sweep identity" storage_identity
 # A warm cache must serve, not re-simulate: a fig3 sweep run a second
 # time over the cache its first run filled must take every point from
 # disk (with DEPBURST_TRACE_POINTS=1, no point may log a `miss`) and
-# print exactly the first run's bytes. storage_identity above only ever
-# writes its cache; this is the step that loads envelopes. Before that, a
-# second cold run with one worker fills a cache of its own, and every
-# envelope it wrote must equal, byte for byte, the two-worker run's.
+# print exactly the first run's bytes, and examples/parse_envelope must
+# time every phase of loading each of its envelopes. storage_identity
+# above only ever writes its cache; this is the step that loads
+# envelopes. Before that, a second cold run with one worker fills a cache
+# of its own, and every envelope it wrote must equal, byte for byte, the
+# two-worker run's.
 warm_replay_identity() {
     local out=/tmp/depburst-ci-warm
     local cache=/tmp/depburst-ci-warm-cache
@@ -408,6 +410,18 @@ warm_replay_identity() {
     fi
     cmp "$out.cold.out" "$out.warm.out" || {
         echo "warm-cache fig3 is not byte-identical to the cold run that filled it"
+        return 1
+    }
+    # The load-phase example over the same envelopes: it panics on any it
+    # cannot open, scan or parse, so it stays in step with the schema.
+    cargo build --release -q --offline -p harness --example parse_envelope
+    "$BIN/examples/parse_envelope" "$cache" 1 > "$out.phases.out" || {
+        echo "parse_envelope failed on the warm cache"
+        return 1
+    }
+    grep -Eq "^[1-9][0-9]* envelopes" "$out.phases.out" || {
+        echo "parse_envelope read no envelope from the warm cache:"
+        head -3 "$out.phases.out"
         return 1
     }
     rm -rf "$out".* "$cache" "$cache-j1"
